@@ -1,35 +1,24 @@
-"""Hot numeric kernels with a numba fast path and a numpy fallback.
+"""Hot numeric kernels: codeword weight enumeration and maximum clique.
 
-Two workloads live here: Gray-code codeword weight enumeration (one XOR and
-popcount per codeword) and branch-and-bound maximum clique over bitset
-adjacency.  Set the environment variable ``CODEBOUNDS_NO_NUMBA=1`` to force
-the fallback implementations; ``codebounds.backend_name()`` reports which
-path is active.
+The weight scan enumerates the span of k generator rows by message index.
+Each index splits into a low part (its first min(k, 13) bits) and a high
+part; both parts index tables of XOR combinations of the matching rows, so
+every high-part entry costs one broadcast XOR over the low table followed by
+vectorised popcounts and a histogram.  The clique search is a branch and
+bound over python-int bitsets with a greedy-colouring bound (Östergård,
+"A fast algorithm for the maximum clique problem", 2002).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    numba = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("CODEBOUNDS_NO_NUMBA", "") != "1"
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+# message bits covered by the low span table: 2^13 rows per numpy call
+_LOW_BITS = 13
 
 
 # ---------------------------------------------------------------------------
-# row packing
+# weight enumeration
 
 
 def pack_rows(rows: list[int], n: int) -> np.ndarray:
@@ -43,100 +32,13 @@ def pack_rows(rows: list[int], n: int) -> np.ndarray:
     return out
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _popcount64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @numba.njit(cache=True, nogil=True)
-    def _weight_scan_nb(rows, start, stop, counts):
-        """Gray-walk codewords for message indices [start, stop).
-
-        Visits messages in Gray order gray(j) = j ^ (j >> 1), seeding the
-        running word at gray(start).  Returns the minimum nonzero weight in
-        the block; ``counts`` accumulates the full weight histogram
-        (including the zero word when the block contains message 0).
-        """
-        k, words = rows.shape
-        cur = np.zeros(words, dtype=np.uint64)
-        g0 = start ^ (start >> 1)
-        for r in range(k):
-            if (g0 >> r) & 1:
-                for w in range(words):
-                    cur[w] ^= rows[r, w]
-        wt = 0
-        for w in range(words):
-            wt += int(_popcount64(cur[w]))
-        best = wt if wt > 0 else 1 << 30
-        counts[wt] += 1
-        for j in range(start + 1, stop):
-            r = 0
-            jj = j
-            while jj & 1 == 0:
-                jj >>= 1
-                r += 1
-            wt = 0
-            for w in range(words):
-                cur[w] ^= rows[r, w]
-                wt += int(_popcount64(cur[w]))
-            counts[wt] += 1
-            if 0 < wt < best:
-                best = wt
-        return best
-
-
-def _popcount_array(a: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a (rows, words) uint64 array via a 16-bit LUT."""
-    v16 = a.view(np.uint16)
-    return lut[v16].sum(axis=1, dtype=np.int64)
-
-
-_LUT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-
-def _weight_scan_np(rows: np.ndarray, start: int, stop: int,
-                    counts: np.ndarray) -> int:
-    """numpy block fallback for the Gray-code scan.
-
-    Splits each message index into (prefix, low) halves: the low half is a
-    precomputed table of 2^k_lo codeword images; each prefix contributes one
-    broadcast XOR over that table.  Weight statistics per block are reduced
-    with vectorized popcounts, so only 2^(k-k_lo) python iterations happen.
-    """
-    k, words = rows.shape
-    k_lo = min(k, 13)
-    size_lo = 1 << k_lo
-    low = np.zeros((size_lo, words), dtype=np.uint64)
-    cur = np.zeros(words, dtype=np.uint64)
-    for j in range(1, size_lo):
-        r = (j & -j).bit_length() - 1
-        cur ^= rows[r]
-        low[j ^ (j >> 1)] = cur          # undo Gray order: table is by message
-    best = 1 << 30
-    maxw = counts.shape[0] - 1
-    for prefix in range(start >> k_lo, max(1, (stop + size_lo - 1) >> k_lo)):
-        img = np.zeros(words, dtype=np.uint64)
-        p = prefix
-        r = 0
-        while p:
-            if p & 1:
-                img ^= rows[k_lo + r]
-            p >>= 1
-            r += 1
-        block = low ^ img
-        lo = max(0, start - (prefix << k_lo))
-        hi = min(size_lo, stop - (prefix << k_lo))
-        wts = _popcount_array(block[lo:hi], _LUT16)
-        np.add.at(counts, np.minimum(wts, maxw), 1)
-        nz = wts[wts > 0]
-        if nz.size:
-            best = min(best, int(nz.min()))
-    return best
+def _span_table(rows: np.ndarray) -> np.ndarray:
+    """All 2^len(rows) XOR combinations of packed rows, indexed by message."""
+    table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        half = 1 << i
+        np.bitwise_xor(table[:half], row, out=table[half:2 * half])
+    return table
 
 
 def weight_scan(rows: list[int], n: int, start: int = 0,
@@ -144,20 +46,28 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
     """Minimum nonzero weight and weight histogram over a message range.
 
     Enumerates codewords sum(m_i * rows[i]) for message indices in
-    [start, stop) and returns (min nonzero weight, histogram of length n+1).
-    The full code is [0, 2^k); callers may shard the range across workers
-    and merge results by min / elementwise sum.
+    [start, stop) and returns (min nonzero weight, histogram of length n+1);
+    the minimum is 2^30 when the range holds no nonzero word.  Rows must fit
+    in n bits.  The full code is [0, 2^k); callers may shard the range across
+    workers and merge results by min / elementwise sum.
     """
     k = len(rows)
     if stop is None:
         stop = 1 << k
-    counts = np.zeros(n + 1, dtype=np.int64)
     packed = pack_rows(rows, n)
-    if USE_NUMBA:
-        best = _weight_scan_nb(packed, start, stop, counts)
-    else:
-        best = _weight_scan_np(packed, start, stop, counts)
-    return int(best), counts
+    k_lo = min(k, _LOW_BITS)
+    low = _span_table(packed[:k_lo])
+    high = _span_table(packed[k_lo:])
+    size = 1 << k_lo
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for prefix in range(start >> k_lo, (stop + size - 1) >> k_lo):
+        base = prefix << k_lo
+        block = low[max(0, start - base):min(size, stop - base)] ^ high[prefix]
+        wts = np.bitwise_count(block).sum(axis=1, dtype=np.intp)
+        counts += np.bincount(wts, minlength=n + 1)
+    nonzero = np.flatnonzero(counts[1:])
+    best = int(nonzero[0]) + 1 if nonzero.size else 1 << 30
+    return best, counts
 
 
 # ---------------------------------------------------------------------------
@@ -213,90 +123,6 @@ def _max_clique_py(neigh: list[int], best: int) -> int:
     return best
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _max_clique_nb(adj, seed_best):
-        """Iterative branch and bound on (V, W) uint64 adjacency rows."""
-        V, W = adj.shape
-        best = seed_best
-        maxlev = V + 2
-        cand = np.zeros((maxlev, W), np.uint64)
-        order = np.zeros((maxlev, V), np.int32)
-        colr = np.zeros((maxlev, V), np.int32)
-        idx = np.zeros(maxlev, np.int32)
-        un = np.zeros(W, np.uint64)
-        av = np.zeros(W, np.uint64)
-        one = np.uint64(1)
-        zero = np.uint64(0)
-
-        for v in range(V):
-            cand[0, v >> 6] |= one << np.uint64(v & 63)
-
-        level = 0
-        need_color = True
-        while level >= 0:
-            if need_color:
-                # greedy coloring of cand[level]; order[] ends sorted by color
-                cnt = 0
-                for w in range(W):
-                    un[w] = cand[level, w]
-                color = 0
-                while True:
-                    nonzero = False
-                    for w in range(W):
-                        av[w] = un[w]
-                        if av[w] != zero:
-                            nonzero = True
-                    if not nonzero:
-                        break
-                    color += 1
-                    for w in range(W):
-                        while av[w] != zero:
-                            tz = 0
-                            x = av[w]
-                            while (x & one) == zero:
-                                x >>= one
-                                tz += 1
-                            v = (w << 6) + tz
-                            bit = one << np.uint64(tz)
-                            av[w] &= ~bit
-                            un[w] &= ~bit
-                            for w2 in range(W):
-                                av[w2] &= ~adj[v, w2]
-                            order[level, cnt] = v
-                            colr[level, cnt] = color
-                            cnt += 1
-                idx[level] = cnt - 1
-                need_color = False
-            moved = False
-            while idx[level] >= 0:
-                i = idx[level]
-                if level + colr[level, i] <= best:
-                    idx[level] = -1
-                    break
-                v = order[level, i]
-                idx[level] = i - 1
-                cand[level, v >> 6] &= ~(one << np.uint64(v & 63))
-                empty = True
-                for w in range(W):
-                    nw = cand[level, w] & adj[v, w]
-                    cand[level + 1, w] = nw
-                    if nw != zero:
-                        empty = False
-                if empty:
-                    if level + 1 > best:
-                        best = level + 1
-                else:
-                    level += 1
-                    need_color = True
-                    moved = True
-                    break
-            if not moved and not need_color:
-                level -= 1
-        return best
-
-
 def max_clique(neighbors: list[int], lower_bound: int = 0) -> int:
     """Exact maximum clique size of a graph given as int-bitmask adjacency.
 
@@ -320,12 +146,4 @@ def max_clique(neighbors: list[int], lower_bound: int = 0) -> int:
             acc |= 1 << relabel[u]
         neigh[new] = acc
     seed = max(lower_bound, _greedy_clique(neigh, list(range(V))))
-    if USE_NUMBA:
-        words = max(1, (V + 63) >> 6)
-        adj = np.zeros((V, words), dtype=np.uint64)
-        mask64 = (1 << 64) - 1
-        for v in range(V):
-            for w in range(words):
-                adj[v, w] = (neigh[v] >> (64 * w)) & mask64
-        return int(_max_clique_nb(adj, seed))
     return _max_clique_py(neigh, seed)

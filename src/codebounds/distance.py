@@ -1,9 +1,9 @@
 """Ground-truth engines: exhaustive distance/weight data and exact A(n, d).
 
-Linear-code statistics come from Gray-code enumeration of all 2^k codewords
-(one row XOR and popcount per step, via the kernel backends).  A(n, d) for
-tiny n is a maximum-clique search over the graph of n-bit words with
-pairwise distance >= d, with the zero word fixed into the code.
+Linear-code statistics come from enumerating all 2^k codewords with the
+numpy span-table scan in ``_kernels`` (one XOR and popcount per word).
+A(n, d) for tiny n is a maximum-clique search over the graph of n-bit words
+with pairwise distance >= d, with the zero word fixed into the code.
 """
 
 from __future__ import annotations
@@ -43,8 +43,13 @@ def _scan_rows(rows: list[int], n: int, workers: int = 1):
 
     Shards partition the message range; each returns (min weight, histogram)
     and the results merge by min / elementwise sum, so the outcome does not
-    depend on worker count or completion order.
+    depend on worker count or completion order.  Raises ``ValueError`` for a
+    row that is negative or does not fit in n bits.
     """
+    for i, row in enumerate(rows):
+        if row < 0 or row >> n:
+            raise ValueError(
+                f"generator row {i} ({row:#x}) does not fit in n = {n} bits")
     k = len(rows)
     total = 1 << k
     workers = max(1, min(workers, total))

@@ -77,17 +77,43 @@ class TestWeightDistribution:
             weight_distribution(code_4_1, workers=3).counts
 
 
-class TestKernelBackends:
-    def test_numpy_fallback_matches(self, code_6_2):
-        import numpy as np
-        rows = code_6_2.generator_rows()
-        n = code_6_2.n
-        packed = _kernels.pack_rows(rows, n)
-        counts_np = np.zeros(n + 1, dtype=np.int64)
-        best_np = _kernels._weight_scan_np(packed, 0, 1 << 12, counts_np)
-        best, counts = _kernels.weight_scan(rows, n, 0, 1 << 12)
-        assert best_np == best
-        assert list(counts_np) == list(counts)
+@pytest.mark.parametrize("entry", [min_distance_of_rows,
+                                   weight_distribution_of_rows])
+@pytest.mark.parametrize("rows,bad", [([0b1111], 0), ([0b1, 0b1000], 1),
+                                      ([0b11, -1], 1)])
+def test_rows_wider_than_n_rejected(entry, rows, bad):
+    with pytest.raises(ValueError, match=f"row {bad} "):
+        entry(rows, 3)
+
+
+def _oracle_scan(rows, n, start, stop):
+    """Reference scan: XOR the selected rows of every message in the range."""
+    counts = [0] * (n + 1)
+    for m in range(start, stop):
+        word = 0
+        for i, row in enumerate(rows):
+            if m >> i & 1:
+                word ^= row
+        counts[word.bit_count()] += 1
+    best = next((w for w in range(1, n + 1) if counts[w]), 1 << 30)
+    return best, counts
+
+
+class TestWeightScan:
+    # single-word, boundary and multi-word rows; k on both sides of the
+    # 13-bit low-table split; ranges not aligned to 2^13
+    @pytest.mark.parametrize("n,k,start,stop", [
+        (63, 13, 0, 1 << 13),
+        (64, 14, 5000, 12000),
+        (65, 16, 8191, 16485),
+        (200, 16, 30001, 41000),
+        (200, 13, 17, 4000),
+    ])
+    def test_matches_python_oracle(self, n, k, start, stop):
+        rng = random.Random(n * 1000 + k)
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        best, counts = _kernels.weight_scan(rows, n, start, stop)
+        assert (best, list(counts)) == _oracle_scan(rows, n, start, stop)
 
     def test_partial_ranges_merge(self, code_4_1):
         rows = code_4_1.generator_rows()
