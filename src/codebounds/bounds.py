@@ -8,6 +8,7 @@ so it can never be mistaken for a theorem.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,19 +207,14 @@ def rate_bounds(delta: float) -> dict[str, float]:
 # eigenvalue-driven bounds
 
 
-_CERT_CACHE: dict[tuple[int, int, int], EigenCertificate] = {}
-
-
-def ball_certificate(n: int, r: int, digits: int = 12) -> EigenCertificate:
+# a full bound table needs ~1.2k (n, r) keys, so one pass never evicts
+@functools.lru_cache(maxsize=4096)
+def ball_certificate(n: int, r: int) -> EigenCertificate:
     """Cached certified eigenvalue lower bound for B_r(0, n)."""
-    key = (n, r, digits)
-    if key not in _CERT_CACHE:
-        _CERT_CACHE[key] = certify(ball_operator(n, r), digits=digits)
-    return _CERT_CACHE[key]
+    return certify(ball_operator(n, r))
 
 
-def new_upper(n: int, d: int, r: int,
-              spectra: EigenCertificate | None = None) -> BoundValue:
+def new_upper(n: int, d: int, r: int) -> BoundValue:
     """Eigenvalue covering bound: A(n,d) <= n/(lambda - (n-2d)) * Vol(r,n).
 
     Uses the certified rational lower bound lambda_hat in place of the true
@@ -228,8 +224,7 @@ def new_upper(n: int, d: int, r: int,
     """
     if not (1 <= d <= n):
         raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
-    cert = spectra if spectra is not None else ball_certificate(n, r)
-    lam = cert.lambda_certified
+    lam = ball_certificate(n, r).lambda_certified
     j = n - 2 * d
     if lam <= j:
         raise NotApplicable(

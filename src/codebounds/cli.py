@@ -162,9 +162,7 @@ def _cmd_eigen(args) -> int:
         return 0
     if args.n is None:
         raise bd.OutOfRange("eigen requires --n or --asymptotic")
-    cert = spectrum.certify(spectrum.ball_operator(args.n, args.r),
-                            digits=args.digits)
-    _emit_json(cert.to_json_dict())
+    _emit_json(bd.ball_certificate(args.n, args.r).to_json_dict())
     return 0
 
 
@@ -284,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--n", type=int)
     c.add_argument("--asymptotic", action="store_true")
-    c.add_argument("--digits", type=int, default=12)
     c.set_defaults(func=_cmd_eigen)
 
     c = sub.add_parser("bounds", help="evaluate all bounds at one (n, d)")

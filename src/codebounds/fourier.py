@@ -21,6 +21,8 @@ from fractions import Fraction
 from .bounds import vol
 from .spectrum import ball_operator, radial_vector, top_eigenvalue
 
+_REL_TOL = 1e-9  # replay steps are float; each may miss by this much
+
 
 class DimensionMismatch(ValueError):
     """Operands live on cubes of different dimension."""
@@ -229,8 +231,7 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     return {"n": n, "count": count, "pass": True}
 
 
-def covering_replay(code, r: int, n: int | None = None,
-                    rel_tol: float = 1e-9) -> dict:
+def covering_replay(code, r: int, n: int | None = None) -> dict:
     """Numerically replay the eigenvalue covering bound on a concrete code.
 
     Builds the radial Perron vector of B_r(0, n) extended by zero off the
@@ -259,7 +260,7 @@ def covering_replay(code, r: int, n: int | None = None,
     af = adjacency_apply(f)
     worst = min(af[x] - lam * f[x] for x in range(size))
     scale = max(abs(v) for v in f) * lam
-    perron_ok = worst >= -rel_tol * scale
+    perron_ok = worst >= -_REL_TOL * scale
 
     one_c = [float(v) for v in indicator(code, n)]
     conv_cc = convolve(one_c, one_c)
@@ -282,11 +283,11 @@ def covering_replay(code, r: int, n: int | None = None,
 
     def step(name, lhs, rhs, kind):
         if kind == "le":
-            ok = lhs <= rhs + rel_tol * max(1.0, abs(rhs))
+            ok = lhs <= rhs + _REL_TOL * max(1.0, abs(rhs))
         elif kind == "ge":
-            ok = lhs >= rhs - rel_tol * max(1.0, abs(rhs))
+            ok = lhs >= rhs - _REL_TOL * max(1.0, abs(rhs))
         else:
-            ok = abs(lhs - rhs) <= rel_tol * max(1.0, abs(rhs))
+            ok = abs(lhs - rhs) <= _REL_TOL * max(1.0, abs(rhs))
         return {"name": name, "lhs": lhs, "rhs": rhs, "pass": bool(ok)}
 
     steps = [

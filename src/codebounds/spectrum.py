@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 ASYMPTOTIC = "asymptotic"
+_TOL = 1e-12  # bisection width, in absolute units of lambda
 
 
 class InvalidRadius(ValueError):
@@ -28,7 +29,7 @@ class InvalidRadius(ValueError):
 
 
 class DegenerateWitness(ArithmeticError):
-    """Rounded eigenvector collapsed to zero; retry with more digits."""
+    """A Rayleigh quotient was asked of the zero vector."""
 
 
 @dataclass(frozen=True)
@@ -84,16 +85,14 @@ def _count_below(offdiag_sq, x: float) -> int:
     return count
 
 
-def top_eigenvalue(T: TridiagonalOperator, tol: float = 1e-12) -> float:
+def top_eigenvalue(T: TridiagonalOperator) -> float:
     """Largest eigenvalue by Sturm-sequence bisection on [0, max row sum]."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     b = [math.sqrt(s) for s in T.offdiag_sq]
     row_sums = [b[0]] + [b[i - 1] + b[i] for i in range(1, len(b))] + [b[-1]]
     hi = max(row_sums) + 1.0
     lo = 0.0
     size = T.size
-    while hi - lo > tol:
+    while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:       # double precision exhausted
             break
@@ -118,7 +117,12 @@ def radial_vector(n: int, r: int, lam: float) -> list[float]:
 
 @dataclass(frozen=True)
 class EigenCertificate:
-    """A certified rational lower bound on lambda_B with its witness."""
+    """A certified rational lower bound on lambda_B with its witness.
+
+    ``witness`` is the float radial vector with each entry rounded to 12
+    significant digits, as exact rationals; ``lambda_certified`` is its
+    exact Rayleigh quotient.
+    """
 
     n: int
     r: int
@@ -155,33 +159,24 @@ def rayleigh_quotient(n: int, f: list[Fraction]) -> Fraction:
     return num / den
 
 
-def certify(T: TridiagonalOperator, digits: int = 12,
-            tol: float = 1e-12) -> EigenCertificate:
+def certify(T: TridiagonalOperator) -> EigenCertificate:
     """Certified rational lower bound on the finite-n ball eigenvalue.
 
-    Runs the float bisection, regenerates the radial vector, rounds it to
-    ``digits`` decimals as exact rationals, and evaluates the Rayleigh
-    quotient in exact arithmetic.  The result is a true lower bound on
-    lambda_B no matter how inaccurate the float stage was.
+    Runs the float bisection, regenerates the radial vector, rounds each
+    entry to 12 significant digits as an exact rational, and evaluates the
+    Rayleigh quotient in exact arithmetic.  The result is a true lower bound
+    on lambda_B no matter how inaccurate the float stage was.  Rounding is
+    relative, so the witness keeps its shape at every n (f(0) = 1 keeps it
+    nonzero) and the certificate stays within ~1e-12 relative of lambda_float.
     """
     if T.mode == ASYMPTOTIC:
         raise ValueError("certification requires a finite-n operator")
     n, r = int(T.mode), T.r
-    lam = top_eigenvalue(T, tol)
-    scale = 10 ** digits
-    witness = tuple(Fraction(round(x * scale), scale)
-                    for x in radial_vector(n, r, lam))
-    if all(w == 0 for w in witness):
-        raise DegenerateWitness(
-            f"all witness entries rounded to zero at digits={digits}")
+    lam = top_eigenvalue(T)
+    witness = tuple(Fraction(f"{x:.12e}") for x in radial_vector(n, r, lam))
     certified = rayleigh_quotient(n, list(witness))
     return EigenCertificate(n=n, r=r, lambda_float=lam,
                             lambda_certified=certified, witness=witness)
-
-
-def certified_lambda(n: int, r: int, digits: int = 12) -> EigenCertificate:
-    """Convenience wrapper: certify the ball B_r(0, n) eigenvalue."""
-    return certify(ball_operator(n, r), digits=digits)
 
 
 def paper_test_function(n: int, t: float) -> float:
@@ -208,14 +203,14 @@ def paper_test_function(n: int, t: float) -> float:
     return num / den
 
 
-def asymptotic_constant(r: int, tol: float = 1e-12) -> float:
+def asymptotic_constant(r: int) -> float:
     """t_r: top eigenvalue of the normalized limit operator, 1 <= r <= 64."""
     if not (1 <= r <= 64):
         raise InvalidRadius(f"r = {r} outside supported range 1..64")
-    return top_eigenvalue(ball_operator(ASYMPTOTIC, r), tol)
+    return top_eigenvalue(ball_operator(ASYMPTOTIC, r))
 
 
-def recurrence_polynomial_root(r: int, tol: float = 1e-12) -> float:
+def recurrence_polynomial_root(r: int) -> float:
     """Independent oracle for t_r via the characteristic recurrence.
 
     The sequence p_0 = 1, p_1 = x, p_{j+1} = x*p_j - j*p_{j-1} builds the
@@ -236,7 +231,7 @@ def recurrence_polynomial_root(r: int, tol: float = 1e-12) -> float:
         return True
 
     lo, hi = 0.0, 2.0 * math.sqrt(r + 1) + 1.0
-    while hi - lo > tol:
+    while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

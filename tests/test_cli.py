@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from codebounds.cli import CSV_COLUMNS, CSV_HEADER, bound_rows, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_table.csv")
@@ -81,15 +83,24 @@ class TestEigen:
         assert out.strip() == "2.33441421834"
 
     def test_finite_json(self, capsys):
-        code, out, _ = run_cli(capsys, "eigen", "--n", "15", "--r", "3")
-        assert code == 0
-        obj = json.loads(out)
-        assert list(obj) == ["n", "r", "lambda_float",
-                             "lambda_certified_num", "lambda_certified_den"]
-        assert obj["n"] == 15 and obj["r"] == 3
-        assert 8.60 < obj["lambda_float"] < 8.61
-        assert 8.60 < obj["lambda_certified_num"] / \
-            obj["lambda_certified_den"] < 8.61
+        for n, r, lo, hi in [(15, 3, 8.60, 8.61), (65536, 8, 1155, 1156)]:
+            code, out, _ = run_cli(capsys, "eigen", "--n", str(n),
+                                   "--r", str(r))
+            assert code == 0
+            obj = json.loads(out)
+            assert list(obj) == ["n", "r", "lambda_float",
+                                 "lambda_certified_num",
+                                 "lambda_certified_den"]
+            assert obj["n"] == n and obj["r"] == r
+            lam = obj["lambda_float"]
+            cert = obj["lambda_certified_num"] / obj["lambda_certified_den"]
+            assert lo < lam < hi and lo < cert < hi
+            assert abs(lam - cert) < 1e-9 * lam
+
+    def test_digits_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--n", "15", "--r", "3", "--digits", "12"])
+        assert exc.value.code == 2
 
     def test_requires_mode(self, capsys):
         code, _, err = run_cli(capsys, "eigen", "--r", "3")

@@ -12,13 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from codebounds.bounds import ball_certificate
 from codebounds.spectrum import (
     DegenerateWitness,
     InvalidRadius,
     TridiagonalOperator,
     asymptotic_constant,
     ball_operator,
-    certified_lambda,
     certify,
     paper_test_function,
     radial_vector,
@@ -115,10 +115,20 @@ class TestCertify:
             rayleigh_quotient(4, [Fraction(0), Fraction(0)])
 
     def test_convenience_wrapper(self):
-        a = certified_lambda(31, 3)
+        a = ball_certificate(31, 3)
         b = certify(ball_operator(31, 3))
         assert a.lambda_certified == b.lambda_certified
         assert isinstance(a.lambda_certified, Fraction)
+
+    @pytest.mark.parametrize("n,r", [(4096, 8), (65536, 8), (2 ** 20, 8),
+                                     (2 ** 20, 16)])
+    def test_tight_at_large_n(self, n, r):
+        # witness entries shrink like n^-i, so the rounding must be relative
+        # for the slack to stay flat in n
+        cert = certify(ball_operator(n, r))
+        lam = Fraction(cert.lambda_float)
+        assert cert.lambda_certified <= lam * (1 + Fraction(1, 10 ** 12))
+        assert (lam - cert.lambda_certified) / lam < Fraction(1, 10 ** 9)
 
 
 class TestRadialVector:
