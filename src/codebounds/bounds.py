@@ -94,7 +94,10 @@ def vol(r: int, n: int) -> int:
     """|B_r(0, n)| = sum_{i<=r} C(n, i), exactly."""
     if not (0 <= r <= n):
         raise InvalidRadius(f"radius {r} outside [0, {n}]")
-    v = sum(math.comb(n, i) for i in range(r + 1))
+    v = term = 1
+    for i in range(r):
+        term = term * (n - i) // (i + 1)     # C(n, i+1), exact
+        v += term
     if 0 < r <= n // 2:
         # entropy cap on the ball size; a failure here is an arithmetic bug
         assert _log2_int(v) <= H2(r / n) * n + 1e-9

@@ -4,11 +4,13 @@ For even m >= 4 and 1 <= c <= m/2 - 1 the construction removes c cyclotomic
 cosets, each of size m, from the root set of x^n - 1.  The resulting code
 has dimension c*m and minimum distance at least 2^(m-1) - 2^(m/2+c-1),
 certified by a run of consecutive roots alpha^t, ..., alpha^(2^m - 1) of the
-generator polynomial.
+generator polynomial.  ``minimal_ideals`` splits a built code into its c
+minimal ideals, whose cyclic-shift orbits the distance engine enumerates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .gf2 import (
@@ -17,6 +19,7 @@ from .gf2 import (
     field_create,
     poly_degree,
     poly_divrem,
+    poly_mod,
     poly_mul,
     poly_to_hex,
 )
@@ -36,6 +39,10 @@ class InexactDivision(ArithmeticError):
 
 class CertificateFailure(ArithmeticError):
     """A claimed root of the generator polynomial failed evaluation."""
+
+
+class DecompositionFailure(ArithmeticError):
+    """The code's ideal or shift-orbit structure contradicts the theory."""
 
 
 class LengthMismatch(ValueError):
@@ -163,6 +170,114 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
                             cosets=tuple(cosets))
 
 
+@dataclass(frozen=True)
+class MinimalIdeal:
+    """The codewords whose nonzeros lie in one removed cyclotomic coset.
+
+    Its generator is (x^n - 1) / M_e(x) for the coset representative e, so
+    the ideal has dimension deg M_e = m.  Evaluating a word at
+    beta = alpha^e maps the ideal one-to-one onto GF(2^m) and turns a
+    cyclic shift into multiplication by beta, an element of order
+    n / gcd(e, n).
+    """
+
+    n: int
+    exponent: int
+    generator: int
+    dim: int
+    field: FieldContext = dc_field(repr=False, compare=False)
+
+    @property
+    def orbit_size(self) -> int:
+        """Length of the cyclic-shift orbit of every nonzero word."""
+        return self.n // math.gcd(self.exponent, self.n)
+
+    def rows(self) -> list[int]:
+        """Basis rows x^j * generator for j = 0..dim-1."""
+        return [self.generator << j for j in range(self.dim)]
+
+    def orbit_representatives(self) -> list[int]:
+        """One word from each cyclic-shift orbit of the nonzero words.
+
+        The orbits correspond to the cosets alpha^r <beta>, r < gcd(e, n).
+        A walk over all 2^dim - 1 nonzero messages a finds, for each r, the
+        a with a(beta) = alpha^r; the word a(x) * generator represents the
+        orbit.  The walk visits field elements, not n-bit words.  The result
+        is then checked by shifting: each orbit must close after exactly
+        ``orbit_size`` shifts without meeting another representative, and
+        the orbits must cover all 2^dim - 1 nonzero words.  Anything else
+        raises ``DecompositionFailure``.
+        """
+        ctx, n, size = self.field, self.n, self.orbit_size
+        beta = ctx.alpha_pow(self.exponent)
+        powers = [ctx.pow(beta, j) for j in range(self.dim)]
+        target = {ctx.alpha_pow(r): r for r in range(n // size)}
+        messages = [0] * len(target)
+        value = 0
+        for step in range(1, 1 << self.dim):     # Gray-code walk over a
+            value ^= powers[(step & -step).bit_length() - 1]
+            if value in target:
+                messages[target[value]] = step ^ (step >> 1)
+        reps = [poly_mul(a, self.generator) for a in messages]
+        if len(reps) * size != (1 << self.dim) - 1:
+            raise DecompositionFailure(
+                f"{len(reps)} orbits of {size} words do not cover the "
+                f"ideal of coset {self.exponent}")
+        mask = (1 << n) - 1
+        others = set(reps)
+        for word in reps:
+            w = word
+            for shift in range(1, size + 1):
+                w = ((w << 1) | (w >> (n - 1))) & mask
+                if w in others:
+                    break
+            if w != word or shift != size:
+                raise DecompositionFailure(
+                    f"shift orbit in the ideal of coset {self.exponent} "
+                    f"does not close after exactly {size} shifts")
+        return reps
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    pivots: dict[int, int] = {}          # leading bit -> reduced row
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
+    """Split the code into its c minimal ideals, one per removed coset.
+
+    Each ideal generator is x^n - 1 divided exactly by the coset's minimal
+    polynomial (``InexactDivision`` otherwise).  Every ideal must lie in the
+    code and their rows together must have rank k, so that their direct sum
+    is the code; anything else raises ``DecompositionFailure``.
+    """
+    xn1 = (1 << spec.n) | 1
+    ideals = []
+    for cs in spec.cosets:
+        mp = spec.field.minimal_polynomial(cs.representative)
+        gen, rem = poly_divrem(xn1, mp)
+        if rem != 0:
+            raise InexactDivision(
+                f"x^{spec.n}-1 not divisible by M_{cs.representative}")
+        if poly_mod(gen, spec.generator) != 0:
+            raise DecompositionFailure(
+                f"ideal of coset {cs.representative} is not in the code")
+        ideals.append(MinimalIdeal(spec.n, cs.representative, gen,
+                                   poly_degree(mp), spec.field))
+    rank = _gf2_rank([row for ideal in ideals for row in ideal.rows()])
+    if rank != spec.k:
+        raise DecompositionFailure(
+            f"minimal ideals span rank {rank} != k = {spec.k}")
+    return ideals
+
+
 def _eval_at_alpha_pow(ctx: FieldContext, poly: int, j: int) -> int:
     """Evaluate a GF(2)[x] polynomial at alpha^j by Horner's rule."""
     beta = ctx.alpha_pow(j)
@@ -172,14 +287,28 @@ def _eval_at_alpha_pow(ctx: FieldContext, poly: int, j: int) -> int:
     return res
 
 
+def _root_flags(spec: ConstructionSpec) -> list[bool]:
+    """Whether alpha^j is a root of g, for every exponent j < n.
+
+    g has binary coefficients, so g(beta^2) = g(beta)^2 and one evaluation
+    decides the whole cyclotomic coset of j.
+    """
+    flags: list[bool | None] = [None] * spec.n
+    for j in range(spec.n):
+        if flags[j] is None:
+            is_root = _eval_at_alpha_pow(spec.field, spec.generator, j) == 0
+            for e in cyclotomic_coset(j, spec.m):
+                flags[e] = is_root
+    return flags
+
+
 def bch_certificate(spec: ConstructionSpec) -> int:
     """Verify the designed-distance root window and return the bound.
 
-    Evaluates g at alpha^j for every j in [t, 2^m - 1] with
-    t = 2^(m-1) + 2^(m/2+c-1) + 1 and confirms each is a root (the window
-    wraps: 2^m - 1 is 0 mod n).  Also confirms the window avoids every
-    removed coset.  Returns run length + 1 = 2^(m-1) - 2^(m/2+c-1), the
-    code's designed distance.
+    Confirms that alpha^j is a root of g for every j in [t, 2^m - 1] with
+    t = 2^(m-1) + 2^(m/2+c-1) + 1 (the window wraps: 2^m - 1 is 0 mod n).
+    Also confirms the window avoids every removed coset.  Returns run
+    length + 1 = 2^(m-1) - 2^(m/2+c-1), the code's designed distance.
     """
     m, c, n = spec.m, spec.c, spec.n
     t = (1 << (m - 1)) + (1 << (m // 2 + c - 1)) + 1
@@ -189,11 +318,11 @@ def bch_certificate(spec: ConstructionSpec) -> int:
     if overlap:
         raise CertificateFailure(
             f"removed exponents {sorted(overlap)} inside root window")
+    is_root = _root_flags(spec)
     for j in window:
-        val = _eval_at_alpha_pow(spec.field, spec.generator, j)
-        if val != 0:
+        if not is_root[j]:
             raise CertificateFailure(
-                f"g(alpha^{j}) = {val} != 0 inside claimed root window")
+                f"g(alpha^{j}) != 0 inside claimed root window")
     bound = len(window) + 1
     if bound != spec.designed_distance:
         raise CertificateFailure(
@@ -209,8 +338,8 @@ def best_bch_distance(spec: ConstructionSpec) -> int:
     best BCH bound the generator supports.  Can exceed the designed
     distance; e.g. (m, c) = (4, 1) certifies 6 here against a designed 4.
     """
-    ctx, g, n = spec.field, spec.generator, spec.n
-    is_root = [_eval_at_alpha_pow(ctx, g, j) == 0 for j in range(n)]
+    n = spec.n
+    is_root = _root_flags(spec)
     if all(is_root):            # cannot happen for a nonzero code
         return n + 1
     # longest circular run of roots: scan doubled sequence

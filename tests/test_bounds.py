@@ -51,6 +51,14 @@ class TestVol:
         r = data.draw(st.integers(0, n))
         assert vol(r, n) == sum(math.comb(n, i) for i in range(r + 1))
 
+    # empty sum, whole cube, just past the entropy-checked half, and the
+    # largest radius a bound table asks for
+    @pytest.mark.parametrize("r,n", [
+        (r, n) for n in (1, 2, 63, 1000)
+        for r in sorted({0, n, n // 2 + 1})] + [(2040, 4095)])
+    def test_recurrence_grid(self, r, n):
+        assert vol(r, n) == sum(math.comb(n, i) for i in range(r + 1))
+
 
 class TestClassicalBounds:
     def test_gv_examples(self):

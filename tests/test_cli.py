@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import codebounds
 from codebounds.cli import CSV_COLUMNS, CSV_HEADER, bound_rows, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_table.csv")
@@ -68,6 +69,19 @@ class TestDistance:
         assert obj["designed_distance"] == 4
         assert obj["meets_theorem1"] is True
         assert obj["seconds"] >= 0
+
+    def test_words_scanned(self, capsys):
+        # gcd(e_i, 255) = 3, 5, 3 orbits per ideal: 3*2^16 + 5*2^8 + 3 words
+        code, out, _ = run_cli(capsys, "distance", "--m", "8", "--c", "3")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["d_min"] == 96
+        assert obj["words_scanned"] == 197_891
+
+    def test_12_2_in_default_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "distance", "--m", "12", "--c", "2")
+        assert code == 0
+        assert json.loads(out)["d_min"] == 1984
 
     def test_budget_exit_4(self, capsys):
         code, out, err = run_cli(capsys, "distance", "--m", "6", "--c", "2",
@@ -251,9 +265,15 @@ class TestReplay:
 
 
 def test_console_script_smoke():
+    # the child must import the same package as this process, installed or
+    # not, so its parent directory goes first on the child's PYTHONPATH
+    root = os.path.dirname(os.path.dirname(codebounds.__file__))
+    path = os.pathsep.join(filter(None, [root,
+                                         os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "codebounds.cli", "bounds",
          "--n", "15", "--d", "6", "--r", "1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert out.stdout.strip() == "274"

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from codebounds.cyclic import (
     InvalidParameters,
     LengthMismatch,
+    _eval_at_alpha_pow,
+    _root_flags,
     bch_certificate,
     best_bch_distance,
     build_code,
@@ -91,6 +93,15 @@ class TestBchCertificate:
 
     def test_best_run_beats_designed_window(self, code_4_1):
         assert best_bch_distance(code_4_1) == 6
+
+    @pytest.mark.parametrize("m,c,modulus", [
+        (4, 1, None), (6, 1, None), (6, 2, None), (8, 1, None),
+        (8, 2, None), (10, 2, None), (8, 2, 0x12B)])
+    def test_coset_root_flags_match_per_exponent(self, m, c, modulus):
+        spec = build_code(m, c, modulus)
+        assert _root_flags(spec) == [
+            _eval_at_alpha_pow(spec.field, spec.generator, j) == 0
+            for j in range(spec.n)]
 
 
 class TestEncode:

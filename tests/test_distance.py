@@ -1,19 +1,27 @@
 """Exhaustive distance engines and the exact A(n, d) clique search."""
 
+import dataclasses
 import random
 
 import pytest
 
 from codebounds import _kernels
+from codebounds.cli import main
 from codebounds.distance import (
     BudgetExceeded,
+    _orbit_histogram,
     exact_A_search,
     min_distance,
     min_distance_of_rows,
     weight_distribution,
     weight_distribution_of_rows,
 )
-from codebounds.cyclic import build_code
+from codebounds.cyclic import (
+    DecompositionFailure,
+    MinimalIdeal,
+    build_code,
+    minimal_ideals,
+)
 
 # ground truth for small n, from exhaustive search (standard tables)
 A_TABLE = {
@@ -75,6 +83,82 @@ class TestWeightDistribution:
     def test_workers_same_histogram(self, code_4_1):
         assert weight_distribution(code_4_1, workers=1).counts == \
             weight_distribution(code_4_1, workers=3).counts
+
+
+# the family codes with k <= 20, plus one built over a non-default field
+ORBIT_CODES = [(4, 1, None), (6, 1, None), (6, 2, None), (8, 1, None),
+               (8, 2, None), (10, 2, None), (8, 2, 0x12B)]
+
+
+class TestOrbitEnumeration:
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("m,c,modulus", ORBIT_CODES)
+    def test_matches_full_scan(self, m, c, modulus, workers):
+        spec = build_code(m, c, modulus)
+        full = weight_distribution_of_rows(spec.generator_rows(), spec.n)
+        wd = weight_distribution(spec, workers=workers)
+        assert wd.counts == full.counts
+        assert min_distance(spec, workers=workers) == full.min_distance
+        assert wd.words_scanned < full.words_scanned == 1 << spec.k
+
+    @pytest.mark.parametrize("m,c,modulus", ORBIT_CODES)
+    def test_pless_moments(self, m, c, modulus):
+        spec = build_code(m, c, modulus)
+        counts = weight_distribution(spec).counts
+        assert sum(counts) == 1 << spec.k
+        assert sum(w * a for w, a in enumerate(counts)) == \
+            spec.n << (spec.k - 1)
+
+    @pytest.mark.parametrize("m,c", [(6, 2), (8, 2), (10, 2)])
+    def test_reverse_ideal_order(self, m, c):
+        spec = build_code(m, c)
+        ideals = minimal_ideals(spec)
+        forward, _ = _orbit_histogram(ideals, spec.n)
+        backward, _ = _orbit_histogram(ideals[::-1], spec.n)
+        assert list(forward) == list(backward)
+
+    def test_orbit_counts(self):
+        # (8,3): gcd(33, 255) = 3, gcd(65, 255) = 5, gcd(129, 255) = 3
+        ideals = minimal_ideals(build_code(8, 3))
+        assert [len(i.orbit_representatives()) for i in ideals] == [3, 5, 3]
+        assert [i.orbit_size for i in ideals] == [85, 51, 85]
+
+    def test_10_3_distance(self):
+        assert min_distance(build_code(10, 3), max_k=30) == 448
+
+    def test_wrong_orbit_size_is_internal_error(self):
+        ideal = minimal_ideals(build_code(4, 1))[0]   # orbits of length 5
+        with pytest.raises(DecompositionFailure):
+            dataclasses.replace(ideal, exponent=1).orbit_representatives()
+        assert issubclass(DecompositionFailure, ArithmeticError)
+        assert not issubclass(DecompositionFailure, ValueError)
+
+    def test_rank_mismatch_is_internal_error(self, code_6_2):
+        with pytest.raises(DecompositionFailure):
+            minimal_ideals(dataclasses.replace(code_6_2, k=code_6_2.k + 1))
+
+    def test_lost_orbit_is_not_bad_input(self, monkeypatch):
+        # a dropped orbit breaks sum A_w = 2^k; the CLI must not turn that
+        # into the invalid-parameter exit code
+        real = MinimalIdeal.orbit_representatives
+        monkeypatch.setattr(MinimalIdeal, "orbit_representatives",
+                            lambda ideal: real(ideal)[1:])
+        with pytest.raises(DecompositionFailure):
+            main(["distance", "--m", "8", "--c", "2"])
+
+
+@pytest.mark.deep
+def test_deep_8_3_orbit_histogram_matches_full_scan():
+    spec = build_code(8, 3)
+    full = weight_distribution_of_rows(spec.generator_rows(), spec.n,
+                                       max_k=24)
+    assert weight_distribution(spec, max_k=24) == full
+
+
+@pytest.mark.deep
+def test_deep_12_2_full_scan_distance():
+    spec = build_code(12, 2)
+    assert min_distance_of_rows(spec.generator_rows(), spec.n) == 1984
 
 
 @pytest.mark.parametrize("entry", [min_distance_of_rows,
