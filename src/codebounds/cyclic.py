@@ -10,6 +10,7 @@ minimal ideals, whose cyclic-shift orbits the distance engine enumerates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -291,15 +292,23 @@ def _root_flags(spec: ConstructionSpec) -> list[bool]:
     """Whether alpha^j is a root of g, for every exponent j < n.
 
     g has binary coefficients, so g(beta^2) = g(beta)^2 and one evaluation
-    decides the whole cyclotomic coset of j.
+    decides the whole cyclotomic coset of j.  The flags are computed once
+    per (field, generator); fields compare by (m, modulus), so codes over
+    different moduli never share an entry.
     """
-    flags: list[bool | None] = [None] * spec.n
-    for j in range(spec.n):
+    return list(_coset_root_flags(spec.field, spec.generator))
+
+
+@functools.lru_cache(maxsize=16)
+def _coset_root_flags(ctx: FieldContext, generator: int) -> tuple[bool, ...]:
+    n = ctx.order
+    flags: list[bool | None] = [None] * n
+    for j in range(n):
         if flags[j] is None:
-            is_root = _eval_at_alpha_pow(spec.field, spec.generator, j) == 0
-            for e in cyclotomic_coset(j, spec.m):
+            is_root = _eval_at_alpha_pow(ctx, generator, j) == 0
+            for e in cyclotomic_coset(j, ctx.m):
                 flags[e] = is_root
-    return flags
+    return tuple(flags)
 
 
 def bch_certificate(spec: ConstructionSpec) -> int:

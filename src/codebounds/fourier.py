@@ -1,9 +1,20 @@
 """Fourier analysis on F_2^n (dense, n <= 16) and the covering-bound replay.
 
 Functions on the cube are dense tables of length 2^n indexed by the point's
-integer bitmask.  Identity checks run in exact rational arithmetic; the
-covering replay is numeric by nature (a square root and a Perron vector
-enter) and uses floats with a relative tolerance.
+integer bitmask.  The kernels are numpy operations along the last axis: the
+butterfly takes one vectorized step per level, and the adjacency operator is
+n reshaped flips, so a 2-D array is processed row by row in one call.
+
+Exact inputs (ints and Fractions) stay exact.  A list of them is cleared to
+integer numerators over one common denominator q.  The numerators run in
+int64 only when a magnitude bound, computed from the inputs before any array
+is allocated, keeps every intermediate below 2^63; otherwise they run on
+Python ints (object arrays).  They never pass through floating point, and
+int64 never wraps.  Lists come back as lists: ints give ints, Fractions (or
+any division, as in ``wht`` and ``convolve``) give Fractions, floats give
+floats; ndarrays come back as ndarrays.  Identity checks run in this exact
+arithmetic; the covering replay is numeric by nature (a square root and a
+Perron vector enter) and uses float64 with a relative tolerance.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -17,11 +28,15 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from numbers import Integral, Rational
+
+import numpy as np
 
 from .bounds import vol
 from .spectrum import ball_operator, radial_vector, top_eigenvalue
 
 _REL_TOL = 1e-9  # replay steps are float; each may miss by this much
+_INT64_LIMIT = 1 << 63
 
 
 class DimensionMismatch(ValueError):
@@ -32,37 +47,121 @@ class ChainViolation(ArithmeticError):
     """A replay inequality failed beyond tolerance (implementation bug)."""
 
 
+def _length(values) -> int:
+    return values.shape[-1] if isinstance(values, np.ndarray) else len(values)
+
+
 def _dim(values) -> int:
-    n = len(values).bit_length() - 1
-    if len(values) != 1 << n:
-        raise DimensionMismatch(f"table length {len(values)} not a power of 2")
+    size = _length(values)
+    n = size.bit_length() - 1
+    if size != 1 << n:
+        raise DimensionMismatch(f"table length {size} not a power of 2")
     return n
 
 
-def wht_unnormalized(values: list) -> list:
-    """Butterfly transform u(f)(z) = sum_x f(x) (-1)^<x,z>; u(u(f)) = 2^n f.
+def _split(values):
+    """A table as (entries, unit, magnitude).
 
-    Exact for int/Fraction inputs; works elementwise for floats too.
+    A list of exact entries becomes integer numerators F over one common
+    denominator q: the unit is 1/q, or the int 1 when every entry is an int.
+    Integer and object arrays are taken as they are, with unit 1.  Anything
+    else is float, with unit None.  The magnitude bounds |F|; an object
+    array may hold anything, so its magnitude forces Python ints.
     """
-    _dim(values)
-    out = list(values)
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "biu":
+            mag = max(-int(values.min()), int(values.max())) \
+                if values.size else 0
+            return values, 1, mag
+        if values.dtype.kind == "O":
+            return values, 1, _INT64_LIMIT
+        return values, None, 0
+    if all(isinstance(v, Integral) for v in values):
+        nums, unit = [int(v) for v in values], 1
+    elif all(isinstance(v, Rational) for v in values):
+        q = math.lcm(*{v.denominator for v in values})
+        nums = [v.numerator * (q // v.denominator) for v in values]
+        unit = Fraction(1, q)
+    else:
+        return values, None, 0
+    return nums, unit, max(map(abs, nums))
+
+
+def _array(entries, unit, bound: int) -> np.ndarray:
+    """Entries from ``_split`` as an ndarray ready for exact arithmetic.
+
+    ``bound`` bounds every intermediate the caller will form; int64 is used
+    only below 2^63, so it cannot wrap.
+    """
+    if unit is None:
+        return np.asarray(entries, dtype=np.float64)
+    return np.asarray(entries,
+                      dtype=np.int64 if bound < _INT64_LIMIT else object)
+
+
+def _out(like, result: np.ndarray, unit):
+    """The result in the argument's form, numerators times ``unit``.
+
+    An ndarray argument gets an ndarray, a list gets a list.  A unit that
+    is None (float) or the int 1 leaves the entries as they are.
+    """
+    scaled = unit is not None and not isinstance(unit, int)
+    if isinstance(like, np.ndarray):
+        return result.astype(object) * unit if scaled else result
+    values = result.tolist()
+    if not scaled:
+        return values
+    num, den = unit.numerator, unit.denominator
+    return [Fraction(v * num, den) for v in values]
+
+
+def _butterfly(a: np.ndarray) -> np.ndarray:
+    """u along the last axis; level h combines the entries x and x + h."""
+    lead, size = a.shape[:-1], a.shape[-1]
+    out = a.copy()
     h = 1
-    size = len(out)
     while h < size:
-        for start in range(0, size, h * 2):
-            for i in range(start, start + h):
-                a, b = out[i], out[i + h]
-                out[i], out[i + h] = a + b, a - b
+        pairs = out.reshape(*lead, size // (2 * h), 2, h)
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        out = np.stack((lo + hi, lo - hi), axis=-2).reshape(*lead, size)
         h *= 2
     return out
 
 
-def wht(values: list) -> list:
-    """Normalized transform: wht(f)[z] = E[f * chi_z] = u(f)[z] / 2^n."""
-    size = len(values)
-    u = wht_unnormalized([Fraction(v) if isinstance(v, int) else v
-                          for v in values])
-    return [v / size for v in u]
+def _adjacency(a: np.ndarray) -> np.ndarray:
+    """(Af)(x) = sum_i f(x xor e_i) along the last axis, one flip per bit."""
+    lead, size = a.shape[:-1], a.shape[-1]
+    out = np.zeros_like(a)
+    h = 1
+    while h < size:
+        flipped = a.reshape(*lead, size // (2 * h), 2, h)[..., ::-1, :]
+        out += flipped.reshape(*lead, size)
+        h *= 2
+    return out
+
+
+def wht_unnormalized(values):
+    """Butterfly transform u(f)(z) = sum_x f(x) (-1)^<x,z>; u(u(f)) = 2^n f.
+
+    Exact for int/Fraction inputs (ints give ints); floats give floats; a
+    2-D ndarray is transformed row by row.
+    """
+    size = 1 << _dim(values)
+    entries, unit, mag = _split(values)
+    return _out(values, _butterfly(_array(entries, unit, mag * size)), unit)
+
+
+def wht(values):
+    """Normalized transform: wht(f)[z] = E[f * chi_z] = u(f)[z] / 2^n.
+
+    Exact inputs give Fractions (ints included); floats give floats.
+    """
+    size = 1 << _dim(values)
+    entries, unit, mag = _split(values)
+    u = _butterfly(_array(entries, unit, mag * size))
+    if unit is None:
+        return _out(values, u / size, None)
+    return _out(values, u, Fraction(unit, size))
 
 
 def inner(f: list, g: list):
@@ -73,23 +172,37 @@ def inner(f: list, g: list):
     return Fraction(acc, len(f)) if isinstance(acc, int) else acc / len(f)
 
 
-def convolve(f: list, g: list) -> list:
-    """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n; exact."""
-    if len(f) != len(g):
-        raise DimensionMismatch(f"{len(f)} vs {len(g)}")
-    size = len(f)
-    uf = wht_unnormalized(f)
-    ug = wht_unnormalized(g)
-    prod = [a * b for a, b in zip(uf, ug)]
-    back = wht_unnormalized(prod)
-    sq = size * size
-    return [Fraction(v, sq) if isinstance(v, int) else v / sq for v in back]
+def convolve(f, g):
+    """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n.
+
+    Exact for int/Fraction inputs (Fractions out); any float input makes
+    the result float; 2-D ndarrays are convolved row by row.
+    """
+    if _length(f) != _length(g):
+        raise DimensionMismatch(f"{_length(f)} vs {_length(g)}")
+    size = 1 << _dim(f)
+    ef, uf, mf = _split(f)
+    eg, ug, mg = _split(g)
+    if uf is None or ug is None:
+        ef, eg, uf, ug = f, g, None, None
+    # |u(u(F) . u(G))| <= size^3 |F| |G| bounds all three transforms
+    bound = size ** 3 * max(mf, 1) * max(mg, 1)
+    back = _butterfly(_butterfly(_array(ef, uf, bound))
+                      * _butterfly(_array(eg, ug, bound)))
+    like = f if isinstance(f, np.ndarray) else g
+    if uf is None:
+        return _out(like, back / (size * size), None)
+    return _out(like, back, Fraction(uf * ug, size * size))
 
 
-def adjacency_apply(f: list) -> list:
-    """Af by direct neighbor summation: (Af)(x) = sum_i f(x xor e_i)."""
+def adjacency_apply(f):
+    """Af by neighbor summation: (Af)(x) = sum_i f(x xor e_i).
+
+    Same input/output contract as ``wht_unnormalized``.
+    """
     n = _dim(f)
-    return [sum(f[x ^ (1 << i)] for i in range(n)) for x in range(len(f))]
+    entries, unit, mag = _split(f)
+    return _out(f, _adjacency(_array(entries, unit, mag * n)), unit)
 
 
 def degree_function(n: int) -> list:
@@ -98,8 +211,12 @@ def degree_function(n: int) -> list:
 
 
 def indicator(code, n: int) -> list:
-    values = [0] * (1 << n)
+    """1_C as a dense 0/1 table; every word must lie in [0, 2^n)."""
+    size = 1 << n
+    values = [0] * size
     for c in code:
+        if not 0 <= c < size:
+            raise ValueError(f"codeword {c} outside [0, 2^{n})")
         values[c] = 1
     return values
 
@@ -159,8 +276,10 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     cleared to the integer vector F, and since all five identities are
     invariant under scaling by q > 0, the cross-multiplied integer forms
     below are exact verifications of the rational statements (no tolerance
-    anywhere).  Every 25th function is additionally replayed through the
-    public Fraction interface so that arithmetic path stays exercised.
+    anywhere).  All functions are checked at once as the rows of one array,
+    in int64 when the bound below allows it and in Python ints otherwise.
+    Every 25th function is additionally replayed through the public
+    Fraction interface so that arithmetic path stays exercised.
     """
     if not 1 <= n <= 16:
         raise DimensionMismatch(f"n = {n} outside dense range 1..16")
@@ -182,52 +301,53 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
         else:
             funcs.append(([rng.randint(-16, 16) for _ in range(size)], 1))
 
-    us = [wht_unnormalized(F) for F, _ in funcs]
-    # u(U_i . U_{i+1}) appears on both sides of neighboring associativity
-    # checks; compute each once
-    prods: list[list | None] = [None] * count
-
-    def u_prod(j: int) -> list:
-        if prods[j] is None:
-            pointwise = [a * b for a, b in zip(us[j], us[(j + 1) % count])]
-            prods[j] = wht_unnormalized(pointwise)
-        return prods[j]
+    # |dot(u(U_i . U_{i+1}), H)| <= size^4 top^3 bounds every value below
+    top = max((max(map(abs, vals)) for vals, _ in funcs), default=0)
+    F = _array([vals for vals, _ in funcs], 1, size ** 4 * top ** 3)
+    F = F.reshape(len(funcs), size)
 
     def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
+        return (a * b).sum(axis=-1)
 
-    for i, (F, q) in enumerate(funcs):
-        U = us[i]
-        G = funcs[(i + 1) % count][0]
-        H = funcs[(i + 2) % count][0]
-        if wht_unnormalized(U) != [size * v for v in F]:
-            raise ChainViolation(f"double transform failed (n={n}, i={i})")
-        if dot(U, us[(i + 1) % count]) != size * dot(F, G):
-            raise ChainViolation(f"Parseval failed (n={n}, i={i})")
-        if U[0] != sum(F):
-            raise ChainViolation(f"mean identity failed (n={n}, i={i})")
-        if dot(u_prod(i), H) != dot(F, u_prod((i + 1) % count)):
+    def succ(a, k=1):
+        return np.roll(a, -k, axis=0)
+
+    U = wht_unnormalized(F)
+    # u(U_j . U_{j+1}) appears on both sides of neighboring associativity
+    # checks; compute each once
+    P = wht_unnormalized(U * succ(U))
+    G, H = succ(F), succ(F, 2)
+    checks = [
+        ("double transform", (wht_unnormalized(U) != size * F).any(axis=1)),
+        ("Parseval", dot(U, succ(U)) != size * dot(F, G)),
+        ("mean identity", U[:, 0] != F.sum(axis=1)),
+        ("convolution self-adjointness", dot(P, H) != dot(F, succ(P))),
+        # u is injective (the double-transform check proves it on this very
+        # input), so Af = f*L iff u(AF) = U . L-hat pointwise
+        ("adjacency factorization",
+         (wht_unnormalized(adjacency_apply(F)) != U * np.array(mult))
+         .any(axis=1)),
+    ]
+    failed = np.stack([bad for _, bad in checks])
+    failing = np.flatnonzero(failed.any(axis=0))
+    first = int(failing[0]) if failing.size else len(funcs)
+
+    for i in range(0, first, 25):
+        f = [Fraction(v, funcs[i][1]) for v in funcs[i][0]]
+        g, h = ([Fraction(v, q) for v in vals] for vals, q in
+                (funcs[(i + 1) % count], funcs[(i + 2) % count]))
+        wf = wht(f)
+        ok = (wht(wf) == [v / size for v in f]
+              and inner(f, g) == sum(a * b for a, b in zip(wf, wht(g)))
+              and wf[0] == sum(f) / size
+              and inner(convolve(f, g), h) == inner(f, convolve(g, h))
+              and adjacency_apply(f) == convolve(f, big_l))
+        if not ok:
             raise ChainViolation(
-                f"convolution self-adjointness failed (n={n}, i={i})")
-        # u is injective (the double-transform check above proves it on this
-        # very input), so Af = f*L iff u(AF) = U . L-hat pointwise
-        if wht_unnormalized(adjacency_apply(F)) != \
-                [u * m for u, m in zip(U, mult)]:
-            raise ChainViolation(
-                f"adjacency factorization failed (n={n}, i={i})")
-        if i % 25 == 0:
-            f = [Fraction(v, q) for v in F]
-            g = [Fraction(v, funcs[(i + 1) % count][1]) for v in G]
-            h = [Fraction(v, funcs[(i + 2) % count][1]) for v in H]
-            wf = wht(f)
-            ok = (wht(wf) == [v / size for v in f]
-                  and inner(f, g) == sum(a * b for a, b in zip(wf, wht(g)))
-                  and wf[0] == sum(f) / size
-                  and inner(convolve(f, g), h) == inner(f, convolve(g, h))
-                  and adjacency_apply(f) == convolve(f, big_l))
-            if not ok:
-                raise ChainViolation(
-                    f"rational-path replay failed (n={n}, i={i})")
+                f"rational-path replay failed (n={n}, i={i})")
+    if failing.size:
+        name = checks[int(np.argmax(failed[:, first]))][0]
+        raise ChainViolation(f"{name} failed (n={n}, i={first})")
     return {"n": n, "count": count, "pass": True}
 
 
@@ -242,7 +362,7 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     Raises ChainViolation if any step fails beyond tolerance.
     """
     code = sorted(set(code))
-    if not code or code[0] != 0:
+    if 0 not in code:
         raise ValueError("code must be nonempty and contain 0")
     if n is None:
         n = max(1, max(code).bit_length())
@@ -250,36 +370,36 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
         raise DimensionMismatch(f"n = {n} exceeds replay cap 15")
     if r > n // 2:
         raise ValueError(f"r = {r} exceeds n/2 = {n // 2}")
+    one_c = np.array(indicator(code, n), dtype=np.float64)
     size = 1 << n
     d = _pairwise_min_distance(code, n)
     lam = top_eigenvalue(ball_operator(n, r))
 
-    rad = radial_vector(n, r, lam)
-    f = [rad[x.bit_count()] if x.bit_count() <= r else 0.0
-         for x in range(size)]
+    # the radial vector on the ball, and 0 (index r + 1) off it
+    rad = np.array(radial_vector(n, r, lam) + [0.0])
+    f = rad[np.minimum(np.bitwise_count(np.arange(size)), r + 1)]
     af = adjacency_apply(f)
-    worst = min(af[x] - lam * f[x] for x in range(size))
-    scale = max(abs(v) for v in f) * lam
+    worst = float((af - lam * f).min())
+    scale = float(np.abs(f).max()) * lam
     perron_ok = worst >= -_REL_TOL * scale
 
-    one_c = [float(v) for v in indicator(code, n)]
     conv_cc = convolve(one_c, one_c)
-    phi_hat = [math.sqrt(max(0.0, v)) for v in conv_cc]
+    phi_hat = np.sqrt(np.maximum(conv_cc, 0.0))
     phi = wht_unnormalized(phi_hat)          # synthesis: sum_z phi_hat chi_z
     big_f = convolve(phi, f)
 
     def mean(vals):
-        return sum(vals) / size
+        return float(vals.sum()) / size
 
     def mean_sq(vals):
-        return sum(v * v for v in vals) / size
+        return float(np.dot(vals, vals)) / size
 
     ef, ef2 = mean(f), mean_sq(f)
     ephi, ephi2 = mean(phi), mean_sq(phi)
     eF, eF2 = mean(big_f), mean_sq(big_f)
     ball = vol(r, n)
     m = len(code)
-    afF = inner(adjacency_apply(big_f), big_f)
+    afF = float(np.dot(adjacency_apply(big_f), big_f)) / size
 
     def step(name, lhs, rhs, kind):
         if kind == "le":

@@ -263,6 +263,12 @@ class TestReplay:
         assert code == 2
         assert "ValueError" in err
 
+    def test_word_outside_cube_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "replay", "--words", "0,7",
+                               "--n", "2", "--r", "1")
+        assert code == 2
+        assert "ValueError" in err and "codeword 7" in err
+
 
 def test_console_script_smoke():
     # the child must import the same package as this process, installed or

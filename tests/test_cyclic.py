@@ -17,7 +17,7 @@ from codebounds.cyclic import (
     coset_exponents,
     encode,
 )
-from codebounds.gf2 import poly_degree, poly_mod
+from codebounds.gf2 import field_create, poly_degree, poly_mod
 
 DESIGNED = {(4, 1): 4, (6, 1): 24, (6, 2): 16,
             (8, 1): 112, (8, 2): 96, (8, 3): 64}
@@ -102,6 +102,33 @@ class TestBchCertificate:
         assert _root_flags(spec) == [
             _eval_at_alpha_pow(spec.field, spec.generator, j) == 0
             for j in range(spec.n)]
+
+    def test_root_flags_computed_once_per_code(self, monkeypatch):
+        import codebounds.cyclic as cy
+
+        spec = build_code(6, 2)
+        cy._coset_root_flags.cache_clear()
+        calls = []
+        real = cy._eval_at_alpha_pow
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cy, "_eval_at_alpha_pow", counted)
+        assert bch_certificate(spec) == 16
+        assert calls
+        evaluated = len(calls)
+        best_bch_distance(spec)
+        assert len(calls) == evaluated
+        # one generator over two moduli: two keys, two different answers
+        g = build_code(8, 2).generator
+        flags = [list(cy._coset_root_flags(field_create(8, mod), g))
+                 for mod in (None, 0x12B)]
+        assert flags[0] != flags[1]
+        for mod, got in zip((None, 0x12B), flags):
+            ctx = field_create(8, mod)
+            assert got == [real(ctx, g, j) == 0 for j in range(255)]
 
 
 class TestEncode:

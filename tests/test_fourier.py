@@ -1,8 +1,10 @@
 """Exact Walsh-Hadamard layer and the covering-bound numerical replay."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,14 @@ class TestDistanceCheck:
         with pytest.raises(DimensionMismatch):
             distance_check([0], 17, 1)
 
+    def test_words_outside_cube_rejected(self):
+        with pytest.raises(ValueError, match="codeword -1 "):
+            indicator([-1], 3)
+        with pytest.raises(ValueError, match="codeword -1 "):
+            distance_check([0, -1], 3, 2)
+        with pytest.raises(ValueError, match="codeword 9 "):
+            distance_check([0, 9], 3, 1)
+
 
 class TestCoveringReplay:
     def test_two_point_code(self):
@@ -192,6 +202,12 @@ class TestCoveringReplay:
         with pytest.raises(ValueError):
             covering_replay([0, 7], r=2, n=3)
 
+    def test_word_outside_cube_rejected(self):
+        with pytest.raises(ValueError, match="codeword 7 "):
+            covering_replay([0, 7], r=1, n=2)
+        with pytest.raises(ValueError, match="codeword -1 "):
+            covering_replay([-1, 0, 7], r=1)
+
 
 class TestIdentitySuite:
     def test_small_run(self):
@@ -233,3 +249,83 @@ class TestIdentitySuite:
         monkeypatch.setattr(fr, "wht_unnormalized", broken)
         with pytest.raises(ChainViolation):
             fr.identity_suite(2, count=5)
+
+
+    def test_exact_int_route(self):
+        # size^4 * 64^3 exceeds 2^63 at n = 12: the suite runs on Python ints
+        assert identity_suite(12, count=10)["pass"] is True
+
+
+@pytest.mark.deep
+def test_deep_identity_suite_at_cap():
+    assert identity_suite(16, count=3)["pass"] is True
+
+
+class TestExactness:
+    def test_no_int64_wraparound(self):
+        assert wht_unnormalized([2 ** 62] * 4) == [2 ** 64, 0, 0, 0]
+        rows = wht_unnormalized(np.full((2, 4), 2 ** 62, dtype=np.int64))
+        assert rows.tolist() == [[2 ** 64, 0, 0, 0]] * 2
+        assert adjacency_apply([2 ** 62] * 4) == [2 ** 63] * 4
+        big = [2 ** 40, 0, 0, 0]
+        # (f * f)(0) = E_y f(y)^2 = 2^80 / 4
+        assert convolve(big, big) == [Fraction(2 ** 80, 4), 0, 0, 0]
+
+    def test_division_gives_fractions(self):
+        assert all(type(v) is Fraction for v in wht([1, 2, 3, 4]))
+        assert all(type(v) is Fraction
+                   for v in convolve([1, 2, 3, 4], [0, 1, 0, -1]))
+        assert all(type(v) is Fraction
+                   for v in wht([Fraction(1, 3), 2, 0, 1]))
+
+    @pytest.mark.parametrize("fn", [wht_unnormalized, adjacency_apply])
+    def test_list_contracts(self, fn):
+        assert all(type(v) is int for v in fn([1, -2, 3, 4]))
+        assert all(type(v) is Fraction
+                   for v in fn([Fraction(1, 2), 2, 0, Fraction(-3)]))
+        assert all(type(v) is float for v in fn([0.5, 2.0, 0.0, -1.0]))
+
+
+def _reference_wht(f):
+    out = list(f)
+    h = 1
+    while h < len(out):
+        for start in range(0, len(out), 2 * h):
+            for i in range(start, start + h):
+                a, b = out[i], out[i + h]
+                out[i], out[i + h] = a + b, a - b
+        h *= 2
+    return out
+
+
+def _reference_adjacency(f):
+    n = len(f).bit_length() - 1
+    return [sum(f[x ^ (1 << i)] for i in range(n)) for x in range(len(f))]
+
+
+class TestBatchOracle:
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_int_rows_match_reference(self, n):
+        rng = random.Random(n)
+        rows = [[rng.randint(-50, 50) for _ in range(1 << n)]
+                for _ in range(5)]
+        arr = np.array(rows)
+        u, a = wht_unnormalized(arr), adjacency_apply(arr)
+        assert u.shape == a.shape == arr.shape
+        for row, u_row, a_row in zip(rows, u, a):
+            assert u_row.tolist() == _reference_wht(row)
+            assert a_row.tolist() == _reference_adjacency(row)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_float_rows_convolve(self, n):
+        rng = random.Random(100 + n)
+        f, g = (np.array([[rng.uniform(-1, 1) for _ in range(1 << n)]
+                          for _ in range(4)]) for _ in range(2))
+        out = convolve(f, g)
+        assert out.shape == f.shape
+        for f_row, g_row, row in zip(f, g, out):
+            exact = convolve([Fraction(v) for v in f_row],
+                             [Fraction(v) for v in g_row])
+            top = max(abs(v) for v in exact)
+            assert all(abs(Fraction(v) - e) <= Fraction(1e-12) * top
+                       for v, e in zip(row, exact))
