@@ -2,11 +2,16 @@
 
 The weight scan enumerates the span of k generator rows by message index.
 Each index splits into a low part (its first min(k, 13) bits) and a high
-part; both parts index tables of XOR combinations of the matching rows, so
-every high-part entry costs one broadcast XOR over the low table followed by
-vectorised popcounts and a histogram.  The clique search is a branch and
-bound over python-int bitsets with a greedy-colouring bound (Östergård,
-"A fast algorithm for the maximum clique problem", 2002).
+part; both parts index tables of XOR combinations of the matching rows.
+The tables are limb-major, shape (ceil(n/64), 2^bits): row j holds 64-bit
+limb j of every combination, so for each high-part entry the scan XORs
+contiguous limb rows of the low table with one scalar per limb, popcounts
+them, adds the limb rows into per-word weights and histograms those.  All
+four steps write into buffers allocated once per call.  The weights are
+summed in the smallest unsigned dtype that holds n, so a weight never
+wraps.  The clique search is a branch and bound over python-int bitsets
+with a greedy-colouring bound (Östergård, "A fast algorithm for the
+maximum clique problem", 2002).
 """
 
 from __future__ import annotations
@@ -33,11 +38,16 @@ def pack_rows(rows: list[int], n: int) -> np.ndarray:
 
 
 def _span_table(rows: np.ndarray) -> np.ndarray:
-    """All 2^len(rows) XOR combinations of packed rows, indexed by message."""
-    table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
+    """All 2^k XOR combinations of k packed rows, limb-major.
+
+    Returns shape (limbs, 2^k): column m is the combination selected by the
+    bits of m.  Each generator row doubles the filled columns in place.
+    """
+    table = np.zeros((rows.shape[1], 1 << len(rows)), dtype=np.uint64)
     for i, row in enumerate(rows):
         half = 1 << i
-        np.bitwise_xor(table[:half], row, out=table[half:2 * half])
+        np.bitwise_xor(table[:, :half], row[:, None],
+                       out=table[:, half:2 * half])
     return table
 
 
@@ -50,6 +60,12 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
     the minimum is 2^30 when the range holds no nonzero word.  Rows must fit
     in n bits.  The full code is [0, 2^k); callers may shard the range across
     workers and merge results by min / elementwise sum.
+
+    Both span tables are limb-major (see the module docstring), and the
+    per-word weights are summed over limbs in ``np.min_scalar_type(n)``,
+    the smallest unsigned dtype that holds n (uint8 only for n <= 255).
+    The work buffers belong to this call, so concurrent calls share
+    nothing.
     """
     k = len(rows)
     if stop is None:
@@ -59,12 +75,20 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
     low = _span_table(packed[:k_lo])
     high = _span_table(packed[k_lo:])
     size = 1 << k_lo
+    acc = np.min_scalar_type(n)
+    block = np.empty_like(low)
+    bits = np.empty(low.shape, dtype=np.uint8)
+    wts = np.empty(size, dtype=acc)
     counts = np.zeros(n + 1, dtype=np.int64)
     for prefix in range(start >> k_lo, (stop + size - 1) >> k_lo):
         base = prefix << k_lo
-        block = low[max(0, start - base):min(size, stop - base)] ^ high[prefix]
-        wts = np.bitwise_count(block).sum(axis=1, dtype=np.intp)
-        counts += np.bincount(wts, minlength=n + 1)
+        a, b = max(0, start - base), min(size, stop - base)
+        width = b - a
+        np.bitwise_xor(low[:, a:b], high[:, prefix:prefix + 1],
+                       out=block[:, :width])
+        np.bitwise_count(block[:, :width], out=bits[:, :width])
+        np.add.reduce(bits[:, :width], axis=0, dtype=acc, out=wts[:width])
+        counts += np.bincount(wts[:width], minlength=n + 1)
     nonzero = np.flatnonzero(counts[1:])
     best = int(nonzero[0]) + 1 if nonzero.size else 1 << 30
     return best, counts

@@ -1,9 +1,11 @@
 """Ground-truth engines: exhaustive distance/weight data and exact A(n, d).
 
 Linear-code statistics come from the numpy span-table scan in ``_kernels``
-(one XOR and popcount per word).  The ``*_of_rows`` entry points scan all
-2^k codewords of any span; a constructed cyclic code is instead enumerated
-one cyclic-shift orbit at a time, and the full scan is its oracle.
+(one XOR and popcount per 64-bit limb of each word, over limb-major tables,
+with weights summed in the smallest unsigned dtype that holds n).  The
+``*_of_rows`` entry points scan all 2^k codewords of any span; a
+constructed cyclic code is instead enumerated one cyclic-shift orbit at a
+time, and the full scan is its oracle.
 A(n, d) for tiny n is a maximum-clique search over the graph of n-bit words
 with pairwise distance >= d, with the zero word fixed into the code.
 """

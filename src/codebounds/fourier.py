@@ -172,11 +172,12 @@ def inner(f: list, g: list):
     return Fraction(acc, len(f)) if isinstance(acc, int) else acc / len(f)
 
 
-def convolve(f, g):
-    """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n.
+def _convolution(f, g):
+    """f * g as (entries, unit), as ``_out`` takes them.
 
-    Exact for int/Fraction inputs (Fractions out); any float input makes
-    the result float; 2-D ndarrays are convolved row by row.
+    For exact inputs the entries are the integer numerators
+    u(u(F) . u(G)) and the unit is 1/(q_f q_g 4^n) > 0, so an entry is zero
+    exactly where f * g is; for float inputs the unit is None.
     """
     if _length(f) != _length(g):
         raise DimensionMismatch(f"{_length(f)} vs {_length(g)}")
@@ -189,10 +190,19 @@ def convolve(f, g):
     bound = size ** 3 * max(mf, 1) * max(mg, 1)
     back = _butterfly(_butterfly(_array(ef, uf, bound))
                       * _butterfly(_array(eg, ug, bound)))
-    like = f if isinstance(f, np.ndarray) else g
     if uf is None:
-        return _out(like, back / (size * size), None)
-    return _out(like, back, Fraction(uf * ug, size * size))
+        return back / (size * size), None
+    return back, Fraction(uf * ug, size * size)
+
+
+def convolve(f, g):
+    """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n.
+
+    Exact for int/Fraction inputs (Fractions out); any float input makes
+    the result float; 2-D ndarrays are convolved row by row.
+    """
+    entries, unit = _convolution(f, g)
+    return _out(f if isinstance(f, np.ndarray) else g, entries, unit)
 
 
 def adjacency_apply(f):
@@ -245,9 +255,10 @@ def distance_check(code, n: int, d: int) -> bool:
         raise DimensionMismatch(f"n = {n} exceeds dense-transform cap 16")
     code = sorted(set(code))
     one_c = indicator(code, n)
-    conv = convolve(one_c, one_c)
-    spectral = all(conv[x] == 0 for x in range(1 << n)
-                   if 0 < x.bit_count() < d)
+    # exact integer numerators: zero exactly where the convolution is
+    numerators, _ = _convolution(one_c, one_c)
+    weights = np.bitwise_count(np.arange(1 << n))
+    spectral = not numerators[(weights > 0) & (weights < d)].any()
     direct = _pairwise_min_distance(code, n) >= d
     if spectral != direct:
         raise ChainViolation(
@@ -270,7 +281,7 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     Parseval <f, g> = sum_z wht(f) wht(g); E f = wht(f)[0];
     <f*g, h> = <f, g*h>; and Af = f * L elementwise.  The degree transform
     L-hat(z) = n - 2 w(z) is checked once per dimension.  Raises
-    ChainViolation on the first failure.
+    ChainViolation on the first failure, and ValueError for count < 1.
 
     Every tenth function carries non-integer dyadic values; each f = F/q is
     cleared to the integer vector F, and since all five identities are
@@ -283,6 +294,8 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     """
     if not 1 <= n <= 16:
         raise DimensionMismatch(f"n = {n} outside dense range 1..16")
+    if count < 1:
+        raise ValueError(f"count = {count} must be at least 1")
     rng = random.Random(seed * 1000003 + n)
     size = 1 << n
     big_l = degree_function(n)

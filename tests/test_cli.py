@@ -234,6 +234,14 @@ class TestFourierVerify:
         assert out.splitlines() == ["n=2 functions=5 ok",
                                     "n=3 functions=5 ok"]
 
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_nonpositive_count_exit_2(self, capsys, count):
+        code, out, err = run_cli(capsys, "fourier-verify", "--n-min", "2",
+                                 "--n-max", "3", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert "ValueError" in err and f"count = {count} " in err
+
 
 class TestReplay:
     def test_explicit_words(self, capsys):

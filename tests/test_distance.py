@@ -10,6 +10,7 @@ from codebounds.cli import main
 from codebounds.distance import (
     BudgetExceeded,
     _orbit_histogram,
+    _scan,
     exact_A_search,
     min_distance,
     min_distance_of_rows,
@@ -184,20 +185,57 @@ def _oracle_scan(rows, n, start, stop):
 
 
 class TestWeightScan:
-    # single-word, boundary and multi-word rows; k on both sides of the
-    # 13-bit low-table split; ranges not aligned to 2^13
+    # single-word, boundary and multi-word rows, up to 16 limbs and on both
+    # sides of the uint8/uint16 accumulator switch at n = 255/256; k on both
+    # sides of the 13-bit low-table split, including k = 0 and k < 13 (the
+    # high table is then the single zero column); ranges not aligned to
+    # 2^13, some ending inside the first block
     @pytest.mark.parametrize("n,k,start,stop", [
         (63, 13, 0, 1 << 13),
         (64, 14, 5000, 12000),
         (65, 16, 8191, 16485),
         (200, 16, 30001, 41000),
         (200, 13, 17, 4000),
+        (128, 14, 8190, 8200),
+        (129, 15, 3, 9000),
+        (255, 16, 12345, 20000),
+        (256, 14, 0, 1 << 14),
+        (257, 13, 100, 101),
+        (1023, 15, 8000, 8500),
+        (1023, 14, 5, 700),
+        (10, 0, 0, 1),
+        (70, 5, 0, 32),
+        (130, 12, 7, 3001),
     ])
     def test_matches_python_oracle(self, n, k, start, stop):
         rng = random.Random(n * 1000 + k)
         rows = [rng.getrandbits(n) for _ in range(k)]
         best, counts = _kernels.weight_scan(rows, n, start, stop)
         assert (best, list(counts)) == _oracle_scan(rows, n, start, stop)
+
+    # the all-ones row sits in the low table (message 1) and in the high
+    # table (message 2^13), so weight n occurs from both; at n = 256 a
+    # uint8 weight accumulator would wrap it to 0
+    @pytest.mark.parametrize("n", [64, 128, 255, 256, 257, 1023])
+    def test_all_ones_row_reaches_weight_n(self, n):
+        rng = random.Random(n)
+        ones = (1 << n) - 1
+        rows = [ones] + [rng.getrandbits(n) for _ in range(12)] + [ones]
+        best, counts = _kernels.weight_scan(rows, n, 0, 9000)
+        assert counts[n] == 2
+        assert (best, list(counts)) == _oracle_scan(rows, n, 0, 9000)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_sharded_scan_matches_single(self, workers):
+        # shard edges fall inside 2^13 blocks; buffers shared between
+        # threads would corrupt some round of the repeated scan
+        rng = random.Random(255)
+        rows = [rng.getrandbits(255) for _ in range(18)]
+        best, counts = _scan(rows, 255, 0, 1 << 18, workers=1)
+        for _ in range(20):
+            sharded = _scan(rows, 255, 0, 1 << 18, workers=workers)
+            assert sharded[0] == best
+            assert list(sharded[1]) == list(counts)
 
     def test_partial_ranges_merge(self, code_4_1):
         rows = code_4_1.generator_rows()

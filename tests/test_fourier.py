@@ -140,6 +140,19 @@ class TestDistanceCheck:
         with pytest.raises(DimensionMismatch):
             distance_check([0], 17, 1)
 
+    def test_zero_test_reads_numerators(self, monkeypatch):
+        # the spectral route never converts the 2^n-entry convolution
+        import codebounds.fourier as fr
+
+        def no_conversion(*args):
+            raise AssertionError("convolution converted")
+
+        monkeypatch.setattr(fr, "_out", no_conversion)
+        spec = build_code(4, 1)
+        words = [encode(spec, msg).bits for msg in range(1 << spec.k)]
+        assert distance_check(words, spec.n, 6) is True
+        assert distance_check(words, spec.n, 7) is False
+
     def test_words_outside_cube_rejected(self):
         with pytest.raises(ValueError, match="codeword -1 "):
             indicator([-1], 3)
@@ -221,6 +234,11 @@ class TestIdentitySuite:
     def test_range(self, n):
         with pytest.raises(DimensionMismatch):
             identity_suite(n, count=1)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_nonpositive_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"count = {count} "):
+            identity_suite(3, count=count)
 
     def test_detects_broken_adjacency(self, monkeypatch):
         import codebounds.fourier as fr
