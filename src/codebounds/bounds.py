@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclic import InvalidParameters, _check_params
 from .spectrum import EigenCertificate, InvalidRadius, ball_operator, certify
@@ -98,9 +97,10 @@ def vol(r: int, n: int) -> int:
     for i in range(r):
         term = term * (n - i) // (i + 1)     # C(n, i+1), exact
         v += term
-    if 0 < r <= n // 2:
-        # entropy cap on the ball size; a failure here is an arithmetic bug
-        assert _log2_int(v) <= H2(r / n) * n + 1e-9
+    if 0 < r <= n // 2 and _log2_int(v) > H2(r / n) * n + 1e-9:
+        # the entropy cap on the ball size failed: an arithmetic bug
+        raise ArithmeticError(
+            f"Vol({r}, {n}) = {v} exceeds the entropy cap 2^(n H2(r/n))")
     return v
 
 
@@ -228,31 +228,37 @@ def new_upper(n: int, d: int, r: int) -> BoundValue:
     if not (1 <= d <= n):
         raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
     lam = ball_certificate(n, r).lambda_certified
+    p, q = lam.numerator, lam.denominator
     j = n - 2 * d
-    if lam <= j:
+    if p <= j * q:
         raise NotApplicable(
             f"certified lambda {float(lam):.6f} <= n - 2d = {j} at r = {r}")
-    bound = Fraction(n) * vol(r, n) / (lam - j)
-    value = bound.numerator // bound.denominator
+    value = n * vol(r, n) * q // (p - j * q)       # lambda - j = (p - jq)/q
     return _exact(f"new_r{r}", "upper", value,
                   condition=f"lambda_certified = {float(lam):.9f} > {j}")
 
 
 def best_new_upper(n: int, d: int, r_max: int = 8) -> BoundValue:
     """Minimum of the applicable eigenvalue bounds over r = 1..r_max."""
-    best: BoundValue | None = None
-    best_r = 0
+    per_radius = []
     for r in range(1, min(r_max, n // 2) + 1):
         try:
-            bv = new_upper(n, d, r)
+            per_radius.append((r, new_upper(n, d, r)))
         except NotApplicable:
             continue
-        if best is None or bv.value_exact < best.value_exact:
-            best, best_r = bv, r
-    if best is None:
+    if not per_radius:
         raise NotApplicable(
             f"no ball radius r <= {r_max} satisfies lambda > n - 2d "
             f"at (n, d) = ({n}, {d})")
+    return minimizing_radius(per_radius)
+
+
+def minimizing_radius(per_radius: list[tuple[int, BoundValue]]) -> BoundValue:
+    """The ``new_best`` row from (r, new_upper(n, d, r)) pairs, in r order.
+
+    Ties go to the first (smallest) r.
+    """
+    best_r, best = min(per_radius, key=lambda pair: pair[1].value_exact)
     return BoundValue(label="new_best", kind="upper", rigor=RIGOROUS,
                       value_log2=best.value_log2,
                       value_exact=best.value_exact,

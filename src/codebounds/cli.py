@@ -97,15 +97,16 @@ def bound_rows(n: int, d: int, r_max: int = 8) -> list[dict]:
         add(bd.mceliece_upper(n, d))
     except bd.NotApplicable:
         pass
-    any_new = False
+    per_radius = []
     for r in range(1, min(r_max, n // 2) + 1):
         try:
-            add(bd.new_upper(n, d, r))
-            any_new = True
+            bv = bd.new_upper(n, d, r)
         except bd.NotApplicable:
-            pass
-    if any_new:
-        add(bd.best_new_upper(n, d, r_max))
+            continue
+        add(bv)
+        per_radius.append((r, bv))
+    if per_radius:
+        add(bd.minimizing_radius(per_radius))
     point = _construction_points().get((n, d))
     if point is not None:
         add(bd.cyclic_lower(*point))

@@ -9,9 +9,10 @@ n and letting n grow gives the asymptotic operator with off-diagonal squares
 lambda_B / sqrt(n).
 
 Everything here works on the radial reduction only — never on the 2^n-vertex
-graph — and the certification path uses exclusively rational arithmetic on
-off-diagonal squares and binomial weights, so no square root ever enters an
-audited value.
+graph — and the certification path uses exact arithmetic only: the witness
+is scaled to integers and its Rayleigh quotient is two integer sums over
+binomial weights, divided once at the end, so no square root or float ever
+enters an audited value.
 """
 
 from __future__ import annotations
@@ -66,23 +67,22 @@ def ball_operator(n, r: int) -> TridiagonalOperator:
     return TridiagonalOperator(tuple((i + 1) * (n - i) for i in range(r)), n)
 
 
-def _count_below(offdiag_sq, x: float) -> int:
-    """Sturm count: number of eigenvalues strictly below x.
+def _all_below(offdiag_sq, x: float) -> bool:
+    """Sturm test: True when every eigenvalue lies strictly below x.
 
-    LDL^T pivots of (T - x I); the pivot recurrence uses the off-diagonal
-    squares directly, so it never takes a square root.
+    The LDL^T pivots of (T - x I) are all negative exactly when x exceeds
+    the top eigenvalue.  The pivot recurrence uses the off-diagonal squares
+    directly, so it never takes a square root; it stops at the first pivot
+    that is not negative (zero or NaN included), before any division by it.
     """
-    count = 0
-    d = -x
-    if d < 0:
-        count += 1
+    d = shift = -x
+    if not d < 0:
+        return False
     for bsq in offdiag_sq:
-        if d == 0.0:
-            d = -1e-300
-        d = -x - bsq / d
-        if d < 0:
-            count += 1
-    return count
+        d = shift - bsq / d
+        if not d < 0:
+            return False
+    return True
 
 
 def top_eigenvalue(T: TridiagonalOperator) -> float:
@@ -91,12 +91,11 @@ def top_eigenvalue(T: TridiagonalOperator) -> float:
     row_sums = [b[0]] + [b[i - 1] + b[i] for i in range(1, len(b))] + [b[-1]]
     hi = max(row_sums) + 1.0
     lo = 0.0
-    size = T.size
     while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:       # double precision exhausted
             break
-        if _count_below(T.offdiag_sq, mid) == size:
+        if _all_below(T.offdiag_sq, mid):
             hi = mid
         else:
             lo = mid
@@ -121,7 +120,7 @@ class EigenCertificate:
 
     ``witness`` is the float radial vector with each entry rounded to 12
     significant digits, as exact rationals; ``lambda_certified`` is its
-    exact Rayleigh quotient.
+    exact Rayleigh quotient, evaluated on an integer multiple of it.
     """
 
     n: int
@@ -140,41 +139,62 @@ class EigenCertificate:
         }
 
 
-def rayleigh_quotient(n: int, f: list[Fraction]) -> Fraction:
+def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     """Exact Rayleigh quotient of a radial vector on the cube's adjacency.
 
     The graph carries C(n,i)*(n-i) edges between weight shells i and i+1,
     so for F(x) = f(w_H(x)):
     <AF, F> / <F, F> = sum 2*C(n,i)(n-i) f_i f_{i+1} / sum C(n,i) f_i^2.
     Any such quotient is a true lower bound on the top ball eigenvalue.
+
+    ``f`` holds ints or rationals.  Rationals are cleared to integer
+    numerators over one common denominator, which leaves the quotient
+    unchanged; both sums are then Python ints, with the binomials taken
+    from the recurrence C(n,i+1) = C(n,i)(n-i)/(i+1), and the one Fraction
+    is built at the end.
     """
-    num = Fraction(0)
-    den = Fraction(0)
+    q = math.lcm(*(v.denominator for v in f))
+    f = [v.numerator * (q // v.denominator) for v in f]
+    num = den = 0
+    binom = 1                                  # C(n, i)
     for i, fi in enumerate(f):
-        den += math.comb(n, i) * fi * fi
+        den += binom * fi * fi
         if i + 1 < len(f):
-            num += 2 * math.comb(n, i) * (n - i) * fi * f[i + 1]
+            edges = binom * (n - i)            # C(n, i) * (n - i)
+            num += 2 * edges * fi * f[i + 1]
+            binom = edges // (i + 1)
     if den == 0:
         raise DegenerateWitness("witness vector is identically zero")
-    return num / den
+    return Fraction(num, den)
+
+
+def _decimal(x: float) -> tuple[int, int]:
+    """x rounded to 12 significant digits, as (m, e) with value m * 10^e."""
+    digits, exp = f"{x:.12e}".split("e")
+    return int(digits.replace(".", "")), int(exp) - 12
 
 
 def certify(T: TridiagonalOperator) -> EigenCertificate:
     """Certified rational lower bound on the finite-n ball eigenvalue.
 
-    Runs the float bisection, regenerates the radial vector, rounds each
-    entry to 12 significant digits as an exact rational, and evaluates the
-    Rayleigh quotient in exact arithmetic.  The result is a true lower bound
-    on lambda_B no matter how inaccurate the float stage was.  Rounding is
-    relative, so the witness keeps its shape at every n (f(0) = 1 keeps it
-    nonzero) and the certificate stays within ~1e-12 relative of lambda_float.
+    Runs the float bisection, regenerates the radial vector and rounds each
+    entry to 12 significant digits, read as an integer m_i times 10^(e_i).
+    The quotient is evaluated on the integers m_i * 10^(e_i - min e), a
+    scaled copy of the witness with the same quotient.  The result is a true
+    lower bound on lambda_B no matter how inaccurate the float stage was.
+    Rounding is relative, so the witness keeps its shape at every n (f(0) = 1
+    keeps it nonzero) and the certificate stays within ~1e-12 relative of
+    lambda_float.
     """
     if T.mode == ASYMPTOTIC:
         raise ValueError("certification requires a finite-n operator")
     n, r = int(T.mode), T.r
     lam = top_eigenvalue(T)
-    witness = tuple(Fraction(f"{x:.12e}") for x in radial_vector(n, r, lam))
-    certified = rayleigh_quotient(n, list(witness))
+    rounded = [_decimal(x) for x in radial_vector(n, r, lam)]
+    low = min(e for _, e in rounded)
+    certified = rayleigh_quotient(n, [m * 10 ** (e - low) for m, e in rounded])
+    witness = tuple(Fraction(m * 10 ** e) if e >= 0 else Fraction(m, 10 ** -e)
+                    for m, e in rounded)
     return EigenCertificate(n=n, r=r, lambda_float=lam,
                             lambda_certified=certified, witness=witness)
 

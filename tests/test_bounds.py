@@ -59,6 +59,12 @@ class TestVol:
     def test_recurrence_grid(self, r, n):
         assert vol(r, n) == sum(math.comb(n, i) for i in range(r + 1))
 
+    def test_entropy_cap_raises(self, monkeypatch):
+        # an explicit raise, so the check also runs under python -O
+        monkeypatch.setattr(bd, "H2", lambda p: 0.0)
+        with pytest.raises(ArithmeticError):
+            vol(3, 15)
+
 
 class TestClassicalBounds:
     def test_gv_examples(self):
@@ -152,11 +158,12 @@ class TestEigenvalueBounds:
         assert new_upper(15, 6, 3).value_exact == 1540
 
     def test_rational_pipeline(self):
-        n, d, r = 15, 6, 3
-        lam = ball_certificate(n, r).lambda_certified
-        exact = Fraction(n) * vol(r, n) / (lam - (n - 2 * d))
-        assert new_upper(n, d, r).value_exact == \
-            exact.numerator // exact.denominator
+        for n, d, r in [(15, 6, 3), (3, 3, 1), (63, 24, 3), (1000, 480, 4),
+                        (4095, 1984, 7), (2 ** 20, 2 ** 19 - 2048, 16)]:
+            lam = ball_certificate(n, r).lambda_certified
+            exact = Fraction(n) * vol(r, n) / (lam - (n - 2 * d))
+            assert new_upper(n, d, r).value_exact == \
+                exact.numerator // exact.denominator, (n, d, r)
 
     def test_not_applicable_small_ball(self):
         # lambda(B_1) = sqrt(15) < 15 - 2*2
@@ -170,6 +177,12 @@ class TestEigenvalueBounds:
         assert best.condition == "minimizing r = 1"
         assert best_new_upper(63, 24).condition == "minimizing r = 3"
         assert best_new_upper(63, 24).value_exact == 791634
+
+    def test_minimizing_radius_first_on_ties(self):
+        b3, b4 = new_upper(63, 24, 3), new_upper(63, 24, 4)
+        best = bd.minimizing_radius([(4, b4), (5, b3), (9, b3)])
+        assert (best.label, best.value_exact, best.condition) == \
+            ("new_best", 791634, "minimizing r = 5")
 
     def test_best_none_applicable(self):
         # at (63, 16) radii up to 6 all have lambda <= n - 2d = 31

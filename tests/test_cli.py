@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import codebounds
+from codebounds import bounds as bd
 from codebounds.cli import CSV_COLUMNS, CSV_HEADER, bound_rows, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_table.csv")
@@ -151,6 +152,21 @@ class TestBounds:
                                "--json")
         assert code == 0
         assert json.loads(out) == json.loads(json.dumps(bound_rows(15, 6)))
+
+    def test_best_row_from_one_pass(self, monkeypatch):
+        # new_best comes from the per-radius rows, not a second evaluation
+        expected = {(n, d): bd.best_new_upper(n, d, 8)
+                    for n, d in [(15, 6), (63, 24), (63, 16), (255, 112)]}
+
+        def refuse(*args):
+            raise AssertionError("best_new_upper called")
+
+        monkeypatch.setattr(bd, "best_new_upper", refuse)
+        for (n, d), best in expected.items():
+            row = next(row for row in bound_rows(n, d)
+                       if row["bound"] == "new_best")
+            assert (row["value_exact"], row["condition"]) == \
+                (best.value_exact, best.condition)
 
     def test_single_radius(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n", "15", "--d", "6",

@@ -4,6 +4,9 @@ Independent oracles used here: dense ``numpy.linalg.eigvalsh`` on the
 explicit tridiagonal matrix, and the Gauss–Hermite(e) nodes from
 ``numpy.polynomial.hermite_e`` for the asymptotic operator (its Jacobi
 matrix is exactly the r -> infinity limit used by ``ball_operator(None)``).
+The integer certificate path is checked against plain reference routes kept
+here: a Sturm count with its zero-pivot patch, and a ``Fraction`` sum with
+``math.comb`` binomials.
 """
 
 import math
@@ -14,6 +17,7 @@ import pytest
 
 from codebounds.bounds import ball_certificate
 from codebounds.spectrum import (
+    ASYMPTOTIC,
     DegenerateWitness,
     InvalidRadius,
     TridiagonalOperator,
@@ -26,12 +30,61 @@ from codebounds.spectrum import (
     recurrence_polynomial_root,
     top_eigenvalue,
 )
+from codebounds.spectrum import _all_below
 
 
 def dense_top(offdiag_sq) -> float:
     off = np.sqrt(np.asarray(offdiag_sq, dtype=float))
     mat = np.diag(off, 1) + np.diag(off, -1)
     return float(np.linalg.eigvalsh(mat)[-1])
+
+
+def reference_count_below(offdiag_sq, x: float, zero_pivots=None) -> int:
+    """Full Sturm count of eigenvalues below x, zero pivots patched."""
+    count = 0
+    d = -x
+    if d < 0:
+        count += 1
+    for bsq in offdiag_sq:
+        if d == 0.0:
+            if zero_pivots is not None:
+                zero_pivots.append(x)
+            d = -1e-300
+        d = -x - bsq / d
+        if d < 0:
+            count += 1
+    return count
+
+
+def reference_top(T: TridiagonalOperator, zero_pivots=None) -> float:
+    """The bisection of ``top_eigenvalue`` driven by the full count."""
+    b = [math.sqrt(s) for s in T.offdiag_sq]
+    row_sums = [b[0]] + [b[i - 1] + b[i] for i in range(1, len(b))] + [b[-1]]
+    hi = max(row_sums) + 1.0
+    lo = 0.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if reference_count_below(T.offdiag_sq, mid, zero_pivots) == T.size:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_quotient(n: int, f) -> Fraction:
+    """Rayleigh quotient as plain Fraction sums over math.comb weights."""
+    f = [Fraction(v) for v in f]
+    num = sum(2 * math.comb(n, i) * (n - i) * f[i] * f[i + 1]
+              for i in range(len(f) - 1))
+    den = sum(math.comb(n, i) * v * v for i, v in enumerate(f))
+    return num / den
+
+
+ORACLE_LENGTHS = (2, 3, 15, 63, 255, 4095, 65536, 2 ** 20)
+ORACLE_BALLS = [(n, r) for n in ORACLE_LENGTHS
+                for r in range(1, min(16, n // 2) + 1)]
 
 
 class TestBallOperator:
@@ -181,3 +234,66 @@ class TestPaperTestFunction:
         n = 100
         lam = top_eigenvalue(ball_operator(n, 3))
         assert paper_test_function(n, t) <= lam + 1e-9
+
+
+class TestSturmOracle:
+    """``top_eigenvalue`` returns the float the full Sturm count gives."""
+
+    def test_ball_operators(self):
+        for n, r in ORACLE_BALLS:
+            T = ball_operator(n, r)
+            assert top_eigenvalue(T) == reference_top(T), (n, r)
+
+    def test_asymptotic_operators(self):
+        for r in range(1, 65):
+            T = ball_operator(ASYMPTOTIC, r)
+            assert top_eigenvalue(T) == reference_top(T), r
+
+    # the first midpoint (1.0, resp. 2.0) makes the second pivot exactly 0,
+    # and the zero square that follows would divide by it
+    @pytest.mark.parametrize("sq,zero_at", [((1, 0), 1.0), ((4, 0, 9), 2.0)])
+    def test_zero_pivot(self, sq, zero_at):
+        T = TridiagonalOperator(sq, 999)
+        hits = []
+        assert top_eigenvalue(T) == reference_top(T, hits)
+        assert hits == [zero_at]
+        assert abs(top_eigenvalue(T) - dense_top(sq)) < 1e-9
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1.0, 2.0, 3.5, -1.0,
+                                   float("nan"), float("inf")])
+    def test_predicate_matches_count(self, x):
+        for sq in [(1,), (1, 0), (4, 0, 9), (15, 28, 39), (2, 3)]:
+            full = reference_count_below(sq, x) == len(sq) + 1
+            assert _all_below(sq, x) == full, (sq, x)
+
+
+class TestRayleighOracle:
+    @pytest.mark.parametrize("n,f", [
+        (15, [1, 2, 3]),
+        (15, [Fraction(1), Fraction(1, 3), Fraction(-2, 7)]),
+        (63, [1, Fraction(1, 3), 5, Fraction(7, 10 ** 20)]),
+        (63, [-1, 4, -9, 16]),
+        (2, [3, -1, 2, 5]),                    # shells past n weigh 0
+        (2 ** 20, [Fraction(v, 10 ** (12 + 6 * i))
+                   for i, v in enumerate(range(10 ** 12, 10 ** 12 + 17))]),
+    ])
+    def test_matches_fraction_sum(self, n, f):
+        got = rayleigh_quotient(n, f)
+        assert isinstance(got, Fraction)
+        assert got == reference_quotient(n, f)
+        for scale in (7, -1, Fraction(3, 11), 10 ** 40):
+            assert rayleigh_quotient(n, [scale * v for v in f]) == got
+
+    def test_degenerate_int_witness(self):
+        with pytest.raises(DegenerateWitness):
+            rayleigh_quotient(4, [0, 0])
+
+    def test_certificates_match_reference(self):
+        for n, r in ORACLE_BALLS:
+            cert = certify(ball_operator(n, r))
+            assert cert.lambda_float == reference_top(ball_operator(n, r))
+            expected = tuple(Fraction(f"{x:.12e}") for x in
+                             radial_vector(n, r, cert.lambda_float))
+            assert cert.witness == expected, (n, r)
+            assert all(isinstance(v, Fraction) for v in cert.witness)
+            assert cert.lambda_certified == reference_quotient(n, expected)
