@@ -1,6 +1,6 @@
 """Hot numeric kernels: codeword weight enumeration and maximum clique.
 
-The weight scan enumerates the span of k generator rows by message index.
+The weight scan histograms the span of k generator rows by message index.
 Each index splits into a low part (its first min(k, 13) bits) and a high
 part; both parts index tables of XOR combinations of the matching rows.
 The tables are limb-major, shape (ceil(n/64), 2^bits): row j holds 64-bit
@@ -52,14 +52,14 @@ def _span_table(rows: np.ndarray) -> np.ndarray:
 
 
 def weight_scan(rows: list[int], n: int, start: int = 0,
-                stop: int | None = None) -> tuple[int, np.ndarray]:
-    """Minimum nonzero weight and weight histogram over a message range.
+                stop: int | None = None) -> np.ndarray:
+    """Weight histogram over a message range.
 
     Enumerates codewords sum(m_i * rows[i]) for message indices in
-    [start, stop) and returns (min nonzero weight, histogram of length n+1);
-    the minimum is 2^30 when the range holds no nonzero word.  Rows must fit
-    in n bits.  The full code is [0, 2^k); callers may shard the range across
-    workers and merge results by min / elementwise sum.
+    [start, stop) and returns their int64 weight histogram of length n+1.
+    Rows must fit in n bits.  The full code is [0, 2^k); histograms of
+    disjoint ranges add elementwise, which is how the full scan in
+    ``distance`` shards the range across threads.
 
     Both span tables are limb-major (see the module docstring), and the
     per-word weights are summed over limbs in ``np.min_scalar_type(n)``,
@@ -89,9 +89,7 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
         np.bitwise_count(block[:, :width], out=bits[:, :width])
         np.add.reduce(bits[:, :width], axis=0, dtype=acc, out=wts[:width])
         counts += np.bincount(wts[:width], minlength=n + 1)
-    nonzero = np.flatnonzero(counts[1:])
-    best = int(nonzero[0]) + 1 if nonzero.size else 1 << 30
-    return best, counts
+    return counts
 
 
 # ---------------------------------------------------------------------------

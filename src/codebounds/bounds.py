@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .cyclic import InvalidParameters, _check_params
+from .cyclic import InvalidParameters, _check_params, designed_distance
 from .spectrum import EigenCertificate, InvalidRadius, ball_operator, certify
 
 RIGOROUS = "rigorous"
@@ -238,14 +238,21 @@ def new_upper(n: int, d: int, r: int) -> BoundValue:
                   condition=f"lambda_certified = {float(lam):.9f} > {j}")
 
 
-def best_new_upper(n: int, d: int, r_max: int = 8) -> BoundValue:
-    """Minimum of the applicable eigenvalue bounds over r = 1..r_max."""
+def new_upper_per_radius(n: int, d: int,
+                         r_max: int = 8) -> list[tuple[int, BoundValue]]:
+    """(r, new_upper(n, d, r)) for each applicable r = 1..min(r_max, n/2)."""
     per_radius = []
     for r in range(1, min(r_max, n // 2) + 1):
         try:
             per_radius.append((r, new_upper(n, d, r)))
         except NotApplicable:
             continue
+    return per_radius
+
+
+def best_new_upper(n: int, d: int, r_max: int = 8) -> BoundValue:
+    """Minimum of the applicable eigenvalue bounds over r = 1..r_max."""
+    per_radius = new_upper_per_radius(n, d, r_max)
     if not per_radius:
         raise NotApplicable(
             f"no ball radius r <= {r_max} satisfies lambda > n - 2d "
@@ -278,7 +285,7 @@ def cyclic_lower(m: int, c: int) -> BoundValue:
     if value <= n ** c:
         raise ArithmeticError(
             f"2^(cm) = {value} fails to exceed n^c = {n ** c}")
-    d = (1 << (m - 1)) - (1 << (m // 2 + c - 1))
+    d = designed_distance(m, c)
     return _exact("cyclic", "lower", value,
                   condition=f"at (n, d) = ({n}, {d})")
 

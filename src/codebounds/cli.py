@@ -67,8 +67,7 @@ def _construction_points() -> dict[tuple[int, int], tuple[int, int]]:
     for m in range(4, 17, 2):
         for c in range(1, m // 2):
             n = (1 << m) - 1
-            d = (1 << (m - 1)) - (1 << (m // 2 + c - 1))
-            points[(n, d)] = (m, c)
+            points[(n, cyclic.designed_distance(m, c))] = (m, c)
     return points
 
 
@@ -97,14 +96,9 @@ def bound_rows(n: int, d: int, r_max: int = 8) -> list[dict]:
         add(bd.mceliece_upper(n, d))
     except bd.NotApplicable:
         pass
-    per_radius = []
-    for r in range(1, min(r_max, n // 2) + 1):
-        try:
-            bv = bd.new_upper(n, d, r)
-        except bd.NotApplicable:
-            continue
+    per_radius = bd.new_upper_per_radius(n, d, r_max)
+    for _, bv in per_radius:
         add(bv)
-        per_radius.append((r, bv))
     if per_radius:
         add(bd.minimizing_radius(per_radius))
     point = _construction_points().get((n, d))
@@ -151,8 +145,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_distance(args) -> int:
     spec = cyclic.build_code(args.m, args.c)
-    report = distance.distance_report(spec, max_k=args.max_k,
-                                      workers=args.workers)
+    report = distance.distance_report(spec, max_k=args.max_k)
     _emit_json(report)
     return 0
 
@@ -275,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("distance", help="exact minimum distance by enumeration")
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--c", type=int, required=True)
-    c.add_argument("--workers", type=int, default=1)
     c.add_argument("--max-k", type=int, default=24)
     c.set_defaults(func=_cmd_distance)
 

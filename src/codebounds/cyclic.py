@@ -134,6 +134,11 @@ def _check_params(m: int, c: int) -> None:
             f"c must satisfy 1 <= c <= m/2 - 1 = {m // 2 - 1}, got {c}")
 
 
+def designed_distance(m: int, c: int) -> int:
+    """Theorem 1's designed distance 2^(m-1) - 2^(m/2+c-1) of the (m, c) code."""
+    return (1 << (m - 1)) - (1 << (m // 2 + c - 1))
+
+
 def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
     """Construct the code for (m, c), verifying every structural claim.
 
@@ -165,10 +170,9 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
     if poly_degree(g) != n - c * m:
         raise CosetCollision(
             f"deg g = {poly_degree(g)} != n - cm = {n - c * m}")
-    designed = (1 << (m - 1)) - (1 << (m // 2 + c - 1))
     return ConstructionSpec(m=m, c=c, n=n, k=c * m, generator=g,
-                            designed_distance=designed, field=ctx,
-                            cosets=tuple(cosets))
+                            designed_distance=designed_distance(m, c),
+                            field=ctx, cosets=tuple(cosets))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Linear-code statistics come from the numpy span-table scan in ``_kernels``
 (one XOR and popcount per 64-bit limb of each word, over limb-major tables,
-with weights summed in the smallest unsigned dtype that holds n).  The
-``*_of_rows`` entry points scan all 2^k codewords of any span; a
+with weights summed in the smallest unsigned dtype that holds n), which
+returns a weight histogram.  The ``*_of_rows`` entry points scan all 2^k
+codewords of any span, the only scan sharded across threads; a
 constructed cyclic code is instead enumerated one cyclic-shift orbit at a
 time, and the full scan is its oracle.
 A(n, d) for tiny n is a maximum-clique search over the graph of n-bit words
@@ -49,13 +50,13 @@ class WeightDistribution:
         for w in range(1, self.n + 1):
             if self.counts[w]:
                 return w
-        raise ValueError("code has a single codeword")
+        raise ValueError("code has no nonzero codeword")
 
 
-def _check_budget(k: int, max_k: int, kind: str) -> None:
+def _check_budget(k: int, max_k: int) -> None:
     if k > max_k:
         raise BudgetExceeded(
-            f"k = {k} exceeds {kind} budget {max_k}; "
+            f"k = {k} exceeds enumeration budget {max_k}; "
             "pass a larger max_k to override")
 
 
@@ -66,25 +67,28 @@ def _check_rows(rows: list[int], n: int) -> None:
                 f"generator row {i} ({row:#x}) does not fit in n = {n} bits")
 
 
-def _scan(rows: list[int], n: int, start: int, stop: int, workers: int = 1):
-    """Weight scan of the messages in [start, stop), sharded across threads.
+def _full_scan(rows: list[int], n: int, max_k: int,
+               workers: int) -> WeightDistribution:
+    """Histogram of all 2^k codewords of span(rows), sharded across threads.
 
-    Shards partition the range; each returns (min weight, histogram) and the
-    results merge by min / elementwise sum, so the outcome does not depend
-    on worker count or completion order.
+    Shards partition the message range and their histograms add
+    elementwise, so the result does not depend on worker count or
+    completion order.
     """
-    workers = max(1, min(workers, stop - start))
+    _check_budget(len(rows), max_k)
+    _check_rows(rows, n)
+    total = 1 << len(rows)
+    workers = max(1, min(workers, total))
+    cuts = [total * i // workers for i in range(workers + 1)]
     if workers == 1:
-        return _kernels.weight_scan(rows, n, start, stop)
-    cuts = [start + (stop - start) * i // workers for i in range(workers + 1)]
-    shards = [(cuts[i], cuts[i + 1]) for i in range(workers)
-              if cuts[i] < cuts[i + 1]]
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        results = list(pool.map(
-            lambda se: _kernels.weight_scan(rows, n, se[0], se[1]), shards))
-    best = min(r[0] for r in results)
-    counts = np.sum([r[1] for r in results], axis=0)
-    return best, counts
+        counts = _kernels.weight_scan(rows, n, 0, total)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = sum(pool.map(
+                lambda a, b: _kernels.weight_scan(rows, n, a, b),
+                cuts, cuts[1:]))
+    return WeightDistribution(n, len(rows), tuple(int(x) for x in counts),
+                              total)
 
 
 def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
@@ -92,28 +96,18 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
     """Minimum nonzero codeword weight of the span of ``rows``.
 
     Raises ``ValueError`` for a row that is negative or does not fit in n
-    bits.
+    bits, and for a span with no nonzero word.
     """
-    _check_budget(len(rows), max_k, "enumeration")
-    _check_rows(rows, n)
-    best, _ = _scan(rows, n, 0, 1 << len(rows), workers)
-    if best >= 1 << 30:
-        raise ValueError("code has no nonzero codeword")
-    return best
+    return _full_scan(rows, n, max_k, workers).min_distance
 
 
-def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 20,
+def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 24,
                                 workers: int = 1) -> WeightDistribution:
     """Full weight histogram of the span of ``rows`` (2^k enumeration)."""
-    _check_budget(len(rows), max_k, "histogram")
-    _check_rows(rows, n)
-    total = 1 << len(rows)
-    _, counts = _scan(rows, n, 0, total, workers)
-    return WeightDistribution(n, len(rows), tuple(int(x) for x in counts),
-                              total)
+    return _full_scan(rows, n, max_k, workers)
 
 
-def _orbit_histogram(ideals: list[MinimalIdeal], n: int, workers: int = 1):
+def _orbit_histogram(ideals: list[MinimalIdeal], n: int):
     """Weight histogram of the direct sum of ``ideals``, and words scanned.
 
     The words whose first-ideal component is a nonzero u weigh like
@@ -130,15 +124,16 @@ def _orbit_histogram(ideals: list[MinimalIdeal], n: int, workers: int = 1):
         lo = 1 << len(rest)
         for rep in ideal.orbit_representatives():
             # messages [2^k', 2^(k'+1)) are exactly rep + span(rest)
-            _, part = _scan(rest + [rep], n, lo, 2 * lo, workers)
+            part = _kernels.weight_scan(rest + [rep], n, lo, 2 * lo)
             counts += ideal.orbit_size * part
             scanned += lo
     return counts, scanned
 
 
 def _orbit_distribution(spec: ConstructionSpec,
-                        workers: int) -> WeightDistribution:
-    counts, scanned = _orbit_histogram(minimal_ideals(spec), spec.n, workers)
+                        max_k: int) -> WeightDistribution:
+    _check_budget(spec.k, max_k)
+    counts, scanned = _orbit_histogram(minimal_ideals(spec), spec.n)
     total = int(counts.sum())
     if total != 1 << spec.k:
         raise DecompositionFailure(
@@ -147,30 +142,25 @@ def _orbit_distribution(spec: ConstructionSpec,
                               scanned)
 
 
-def min_distance(spec: ConstructionSpec, max_k: int = 24,
-                 workers: int = 1) -> int:
+def min_distance(spec: ConstructionSpec, max_k: int = 24) -> int:
     """Exact minimum distance of a constructed code (orbit enumeration)."""
-    _check_budget(spec.k, max_k, "enumeration")
-    return _orbit_distribution(spec, workers).min_distance
+    return _orbit_distribution(spec, max_k).min_distance
 
 
-def weight_distribution(spec: ConstructionSpec, max_k: int = 20,
-                        workers: int = 1) -> WeightDistribution:
+def weight_distribution(spec: ConstructionSpec,
+                        max_k: int = 24) -> WeightDistribution:
     """Full weight histogram of a constructed code by orbit enumeration.
 
     Scans sum_i gcd(e_i, n) * 2^(m(c-i)) words instead of 2^k; the result
     equals ``weight_distribution_of_rows(spec.generator_rows(), ...)``.
     """
-    _check_budget(spec.k, max_k, "histogram")
-    return _orbit_distribution(spec, workers)
+    return _orbit_distribution(spec, max_k)
 
 
-def distance_report(spec: ConstructionSpec, max_k: int = 24,
-                    workers: int = 1) -> dict:
+def distance_report(spec: ConstructionSpec, max_k: int = 24) -> dict:
     """CLI-facing summary of a distance verification run."""
     t0 = time.perf_counter()
-    _check_budget(spec.k, max_k, "enumeration")
-    wd = _orbit_distribution(spec, workers)
+    wd = _orbit_distribution(spec, max_k)
     d = wd.min_distance
     return {
         "n": spec.n,

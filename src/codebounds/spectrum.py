@@ -153,8 +153,9 @@ def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     from the recurrence C(n,i+1) = C(n,i)(n-i)/(i+1), and the one Fraction
     is built at the end.
     """
+    # int() keeps numpy integer entries from wrapping in the products below
     q = math.lcm(*(v.denominator for v in f))
-    f = [v.numerator * (q // v.denominator) for v in f]
+    f = [int(v.numerator) * (q // int(v.denominator)) for v in f]
     num = den = 0
     binom = 1                                  # C(n, i)
     for i, fi in enumerate(f):

@@ -15,6 +15,7 @@ from codebounds.cyclic import (
     best_bch_distance,
     build_code,
     coset_exponents,
+    designed_distance,
     encode,
 )
 from codebounds.gf2 import field_create, poly_degree, poly_mod
@@ -69,6 +70,7 @@ class TestBuildCode:
     def test_designed_distances(self, m, c):
         spec = build_code(m, c)
         assert spec.designed_distance == DESIGNED[m, c]
+        assert designed_distance(m, c) == DESIGNED[m, c]
         assert spec.k == c * m
 
     @pytest.mark.parametrize("m,c", [(4, 1), (6, 1), (6, 2), (8, 2)])

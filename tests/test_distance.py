@@ -1,6 +1,7 @@
 """Exhaustive distance engines and the exact A(n, d) clique search."""
 
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from codebounds.cli import main
 from codebounds.distance import (
     BudgetExceeded,
     _orbit_histogram,
-    _scan,
+    distance_report,
     exact_A_search,
     min_distance,
     min_distance_of_rows,
@@ -51,13 +52,25 @@ class TestMinDistance:
             rng.shuffle(shuffled)
             assert min_distance_of_rows(shuffled, code_6_2.n) == 24
 
-    def test_worker_count_invariance(self, code_6_2):
-        assert min_distance(code_6_2, workers=1) == \
-            min_distance(code_6_2, workers=4)
-
     def test_budget(self, code_6_2):
         with pytest.raises(BudgetExceeded):
             min_distance(code_6_2, max_k=10)
+
+    def test_one_default_budget(self):
+        # the histogram and the minimum distance come from the same scan
+        entries = [min_distance, weight_distribution, distance_report,
+                   min_distance_of_rows, weight_distribution_of_rows]
+        assert {inspect.signature(f).parameters["max_k"].default
+                for f in entries} == {24}
+        assert weight_distribution(build_code(8, 3)).min_distance == 96
+
+    def test_workers_option_removed(self, code_4_1):
+        # the orbit route runs in one thread; only the full scan shards
+        with pytest.raises(SystemExit) as exc:
+            main(["distance", "--m", "4", "--c", "1", "--workers", "2"])
+        assert exc.value.code == 2
+        with pytest.raises(TypeError):
+            min_distance(code_4_1, workers=2)
 
     def test_zero_code_rejected(self):
         with pytest.raises(ValueError):
@@ -81,10 +94,6 @@ class TestWeightDistribution:
         wd = weight_distribution(spec)
         assert sum(w * cnt for w, cnt in enumerate(wd.counts)) == 63 * 32
 
-    def test_workers_same_histogram(self, code_4_1):
-        assert weight_distribution(code_4_1, workers=1).counts == \
-            weight_distribution(code_4_1, workers=3).counts
-
 
 # the family codes with k <= 20, plus one built over a non-default field
 ORBIT_CODES = [(4, 1, None), (6, 1, None), (6, 2, None), (8, 1, None),
@@ -92,14 +101,16 @@ ORBIT_CODES = [(4, 1, None), (6, 1, None), (6, 2, None), (8, 1, None),
 
 
 class TestOrbitEnumeration:
+    # workers shards the full-scan oracle; the orbit route has no workers
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("m,c,modulus", ORBIT_CODES)
     def test_matches_full_scan(self, m, c, modulus, workers):
         spec = build_code(m, c, modulus)
-        full = weight_distribution_of_rows(spec.generator_rows(), spec.n)
-        wd = weight_distribution(spec, workers=workers)
+        full = weight_distribution_of_rows(spec.generator_rows(), spec.n,
+                                           workers=workers)
+        wd = weight_distribution(spec)
         assert wd.counts == full.counts
-        assert min_distance(spec, workers=workers) == full.min_distance
+        assert min_distance(spec) == full.min_distance
         assert wd.words_scanned < full.words_scanned == 1 << spec.k
 
     @pytest.mark.parametrize("m,c,modulus", ORBIT_CODES)
@@ -180,8 +191,7 @@ def _oracle_scan(rows, n, start, stop):
             if m >> i & 1:
                 word ^= row
         counts[word.bit_count()] += 1
-    best = next((w for w in range(1, n + 1) if counts[w]), 1 << 30)
-    return best, counts
+    return counts
 
 
 class TestWeightScan:
@@ -210,8 +220,8 @@ class TestWeightScan:
     def test_matches_python_oracle(self, n, k, start, stop):
         rng = random.Random(n * 1000 + k)
         rows = [rng.getrandbits(n) for _ in range(k)]
-        best, counts = _kernels.weight_scan(rows, n, start, stop)
-        assert (best, list(counts)) == _oracle_scan(rows, n, start, stop)
+        counts = _kernels.weight_scan(rows, n, start, stop)
+        assert list(counts) == _oracle_scan(rows, n, start, stop)
 
     # the all-ones row sits in the low table (message 1) and in the high
     # table (message 2^13), so weight n occurs from both; at n = 256 a
@@ -221,9 +231,9 @@ class TestWeightScan:
         rng = random.Random(n)
         ones = (1 << n) - 1
         rows = [ones] + [rng.getrandbits(n) for _ in range(12)] + [ones]
-        best, counts = _kernels.weight_scan(rows, n, 0, 9000)
+        counts = _kernels.weight_scan(rows, n, 0, 9000)
         assert counts[n] == 2
-        assert (best, list(counts)) == _oracle_scan(rows, n, 0, 9000)
+        assert list(counts) == _oracle_scan(rows, n, 0, 9000)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sharded_scan_matches_single(self, workers):
@@ -231,19 +241,18 @@ class TestWeightScan:
         # threads would corrupt some round of the repeated scan
         rng = random.Random(255)
         rows = [rng.getrandbits(255) for _ in range(18)]
-        best, counts = _scan(rows, 255, 0, 1 << 18, workers=1)
+        single = weight_distribution_of_rows(rows, 255, workers=1)
+        assert single.counts == tuple(_kernels.weight_scan(rows, 255))
         for _ in range(20):
-            sharded = _scan(rows, 255, 0, 1 << 18, workers=workers)
-            assert sharded[0] == best
-            assert list(sharded[1]) == list(counts)
+            assert weight_distribution_of_rows(
+                rows, 255, workers=workers) == single
 
     def test_partial_ranges_merge(self, code_4_1):
         rows = code_4_1.generator_rows()
         lo = _kernels.weight_scan(rows, 15, 0, 7)
         hi = _kernels.weight_scan(rows, 15, 7, 16)
         full = _kernels.weight_scan(rows, 15, 0, 16)
-        assert min(lo[0], hi[0]) == full[0]
-        assert [a + b for a, b in zip(lo[1], hi[1])] == list(full[1])
+        assert list(lo + hi) == list(full)
 
 
 class TestExactASearch:

@@ -288,6 +288,13 @@ class TestRayleighOracle:
         with pytest.raises(DegenerateWitness):
             rayleigh_quotient(4, [0, 0])
 
+    def test_numpy_int_entries(self):
+        # int64 products of these entries wrap; Python ints do not
+        f = [np.int64(10 ** 10), np.int64(10 ** 9)]
+        assert rayleigh_quotient(63, f) == Fraction(1260, 163)
+        f = [Fraction(v, np.int64(3)) for v in f]
+        assert rayleigh_quotient(63, f) == Fraction(1260, 163)
+
     def test_certificates_match_reference(self):
         for n, r in ORACLE_BALLS:
             cert = certify(ball_operator(n, r))
