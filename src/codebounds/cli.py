@@ -251,6 +251,19 @@ def _cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_range(lo: int, hi: int | None = None):
+    """An argparse type: an int in lo..hi (no upper limit when hi is None)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(
+                f"must be {span}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="codebounds",
@@ -300,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_table)
 
     c = sub.add_parser("fourier-verify", help="exact transform identity suite")
-    c.add_argument("--n-min", type=int, default=2)
-    c.add_argument("--n-max", type=int, default=10)
-    c.add_argument("--count", type=int, default=100)
+    c.add_argument("--n-min", type=_int_range(1, 16), default=2)
+    c.add_argument("--n-max", type=_int_range(1, 16), default=10)
+    c.add_argument("--count", type=_int_range(1), default=100)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=_cmd_fourier_verify)
 
@@ -317,7 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fourier-verify" and args.n_min > args.n_max:
+        parser.error(f"fourier-verify: --n-min {args.n_min} exceeds "
+                     f"--n-max {args.n_max}")
     try:
         return args.func(args)
     except bd.NotApplicable as exc:

@@ -2,15 +2,18 @@
 
 Functions on the cube are dense tables of length 2^n indexed by the point's
 integer bitmask.  The kernels are numpy operations along the last axis: the
-butterfly takes one vectorized step per level, and the adjacency operator is
-n reshaped flips, so a 2-D array is processed row by row in one call.
+butterfly takes one vectorized step per level, in place on one copy of the
+input with a half-size scratch buffer, and the adjacency operator is n
+reshaped flips, so a 2-D array is processed row by row in one call.  A
+self-convolution f * f transforms f once.
 
 Exact inputs (ints and Fractions) stay exact.  A list of them is cleared to
 integer numerators over one common denominator q.  The numerators run in
 int64 only when a magnitude bound, computed from the inputs before any array
 is allocated, keeps every intermediate below 2^63; otherwise they run on
 Python ints (object arrays).  They never pass through floating point, and
-int64 never wraps.  Lists come back as lists: ints give ints, Fractions (or
+int64 never wraps; ``inner`` of exact lists is one Python-int dot product of
+the numerators.  Lists come back as lists: ints give ints, Fractions (or
 any division, as in ``wht`` and ``convolve``) give Fractions, floats give
 floats; ndarrays come back as ndarrays.  Identity checks run in this exact
 arithmetic; the covering replay is numeric by nature (a square root and a
@@ -26,6 +29,7 @@ Parseval reads <f, g> = sum_z wht(f)(z) wht(g)(z).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from numbers import Integral, Rational
@@ -54,7 +58,7 @@ def _length(values) -> int:
 def _dim(values) -> int:
     size = _length(values)
     n = size.bit_length() - 1
-    if size != 1 << n:
+    if size == 0 or size != 1 << n:
         raise DimensionMismatch(f"table length {size} not a power of 2")
     return n
 
@@ -67,6 +71,10 @@ def _split(values):
     Integer and object arrays are taken as they are, with unit 1.  Anything
     else is float, with unit None.  The magnitude bounds |F|; an object
     array may hold anything, so its magnitude forces Python ints.
+
+    Lists of built-in ints and Fractions skip the numbers-ABC scan; every
+    other list (bools, numpy scalars, subclasses, floats) goes through
+    ``_split_abc``.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "biu":
@@ -76,15 +84,33 @@ def _split(values):
         if values.dtype.kind == "O":
             return values, 1, _INT64_LIMIT
         return values, None, 0
+    kinds = set(map(type, values))
+    if not kinds <= {int, Fraction}:
+        return _split_abc(values)
+    if kinds <= {int}:
+        nums, unit = values, 1
+    else:
+        nums, unit = _over_common_denominator(
+            [v.as_integer_ratio() for v in values])
+    return nums, unit, max(map(abs, nums), default=0)
+
+
+def _split_abc(values):
+    """``_split`` of a list whose entries are typed by the numbers ABCs."""
     if all(isinstance(v, Integral) for v in values):
         nums, unit = [int(v) for v in values], 1
     elif all(isinstance(v, Rational) for v in values):
-        q = math.lcm(*{v.denominator for v in values})
-        nums = [v.numerator * (q // v.denominator) for v in values]
-        unit = Fraction(1, q)
+        nums, unit = _over_common_denominator(
+            [(int(v.numerator), int(v.denominator)) for v in values])
     else:
         return values, None, 0
-    return nums, unit, max(map(abs, nums))
+    return nums, unit, max(map(abs, nums), default=0)
+
+
+def _over_common_denominator(ratios):
+    """(a, b) pairs as numerators F over q = lcm(b), and the unit 1/q."""
+    q = math.lcm(*{b for _, b in ratios})
+    return [a * (q // b) for a, b in ratios], Fraction(1, q)
 
 
 def _array(entries, unit, bound: int) -> np.ndarray:
@@ -116,14 +142,24 @@ def _out(like, result: np.ndarray, unit):
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
-    """u along the last axis; level h combines the entries x and x + h."""
+    """u along the last axis; level h combines the entries x and x + h.
+
+    Each level runs in place on one copy of ``a``: lo - hi goes to a
+    half-size scratch buffer, lo += hi, then hi takes the scratch.  Every
+    entry sees the same arithmetic as a level built from fresh sums and
+    differences, so float, int64 and object results are identical to it.
+    """
     lead, size = a.shape[:-1], a.shape[-1]
     out = a.copy()
+    scratch = np.empty((*lead, size // 2), dtype=out.dtype)
     h = 1
     while h < size:
         pairs = out.reshape(*lead, size // (2 * h), 2, h)
         lo, hi = pairs[..., 0, :], pairs[..., 1, :]
-        out = np.stack((lo + hi, lo - hi), axis=-2).reshape(*lead, size)
+        diff = scratch.reshape(*lead, size // (2 * h), h)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
         h *= 2
     return out
 
@@ -165,11 +201,19 @@ def wht(values):
 
 
 def inner(f: list, g: list):
-    """<f, g> = E[f g] under the uniform distribution."""
+    """<f, g> = E[f g] under the uniform distribution.
+
+    Exact inputs (numpy integers included) give a Fraction computed from
+    their integer numerators; any float input gives a float.
+    """
     if len(f) != len(g):
         raise DimensionMismatch(f"{len(f)} vs {len(g)}")
-    acc = sum(a * b for a, b in zip(f, g))
-    return Fraction(acc, len(f)) if isinstance(acc, int) else acc / len(f)
+    ef, uf, _ = _split(f)
+    eg, ug, _ = _split(g)
+    if uf is None or ug is None:
+        return sum(a * b for a, b in zip(f, g)) / len(f)
+    return Fraction(sum(map(operator.mul, ef, eg)),
+                    len(f) * uf.denominator * ug.denominator)
 
 
 def _convolution(f, g):
@@ -177,19 +221,21 @@ def _convolution(f, g):
 
     For exact inputs the entries are the integer numerators
     u(u(F) . u(G)) and the unit is 1/(q_f q_g 4^n) > 0, so an entry is zero
-    exactly where f * g is; for float inputs the unit is None.
+    exactly where f * g is; for float inputs the unit is None.  When g is f
+    the transform is computed once.
     """
     if _length(f) != _length(g):
         raise DimensionMismatch(f"{_length(f)} vs {_length(g)}")
     size = 1 << _dim(f)
     ef, uf, mf = _split(f)
-    eg, ug, mg = _split(g)
+    eg, ug, mg = (ef, uf, mf) if g is f else _split(g)
     if uf is None or ug is None:
         ef, eg, uf, ug = f, g, None, None
     # |u(u(F) . u(G))| <= size^3 |F| |G| bounds all three transforms
     bound = size ** 3 * max(mf, 1) * max(mg, 1)
-    back = _butterfly(_butterfly(_array(ef, uf, bound))
-                      * _butterfly(_array(eg, ug, bound)))
+    tf = _butterfly(_array(ef, uf, bound))
+    tg = tf if g is f else _butterfly(_array(eg, ug, bound))
+    back = _butterfly(tf * tg)
     if uf is None:
         return back / (size * size), None
     return back, Fraction(uf * ug, size * size)
@@ -267,11 +313,37 @@ def distance_check(code, n: int, d: int) -> bool:
     return spectral
 
 
-def _random_function(rng: random.Random, size: int) -> list:
-    # dyadic denominators keep exact arithmetic fast without losing coverage
-    dens = (1, 1, 2, 4)
-    return [Fraction(rng.randint(-16, 16), rng.choice(dens))
-            for _ in range(size)]
+_DENOMINATORS = np.array([1, 1, 2, 4])
+
+
+def _random_functions(rng: random.Random, count: int, size: int):
+    """``count`` random rational functions as integer rows F over q.
+
+    Returns (F, q): an int64 array of shape (count, size) and an int64
+    array of count denominators; function i is F[i] / q[i].  Values are
+    exactly uniform on [-16, 16]: six random bits per draw, with draws of
+    33 and above rejected.  Every tenth function (i % 10 == 0) divides
+    each value by a denominator drawn from (1, 1, 2, 4); its q is the
+    largest one drawn, so F = value * (q / denominator) stays integral.
+    All bits come from ``rng.randbytes``.
+    """
+    total = count * size
+    parts, have = [], 0
+    while have < total:
+        # 33 of 64 six-bit values are kept: ask for about twice the need
+        draws = np.frombuffer(rng.randbytes(2 * (total - have) + 64),
+                              dtype=np.uint8) & 63
+        parts.append(draws[draws < 33])
+        have += parts[-1].size
+    values = np.concatenate(parts)[:total].astype(np.int64) - 16
+    values = values.reshape(count, size)
+    q = np.ones(count, dtype=np.int64)
+    dyadic = values[::10]
+    picks = np.frombuffer(rng.randbytes(dyadic.size), dtype=np.uint8) & 3
+    dens = _DENOMINATORS[picks].reshape(dyadic.shape)
+    q[::10] = dens.max(axis=1)
+    dyadic *= q[::10, None] // dens
+    return values, q
 
 
 def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
@@ -283,14 +355,16 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     L-hat(z) = n - 2 w(z) is checked once per dimension.  Raises
     ChainViolation on the first failure, and ValueError for count < 1.
 
-    Every tenth function carries non-integer dyadic values; each f = F/q is
-    cleared to the integer vector F, and since all five identities are
-    invariant under scaling by q > 0, the cross-multiplied integer forms
-    below are exact verifications of the rational statements (no tolerance
-    anywhere).  All functions are checked at once as the rows of one array,
-    in int64 when the bound below allows it and in Python ints otherwise.
-    Every 25th function is additionally replayed through the public
-    Fraction interface so that arithmetic path stays exercised.
+    The functions are drawn in bulk by ``_random_functions``: values
+    exactly uniform on [-16, 16] from ``random.Random(seed * 1000003 + n)``
+    bytes, and every tenth function carries non-integer dyadic values.
+    Each f = F/q is held as the integer vector F, and since all five
+    identities are invariant under scaling by q > 0, the cross-multiplied
+    integer forms below are exact verifications of the rational statements
+    (no tolerance anywhere).  All functions are checked at once as the rows
+    of one array, in int64 when the bound below allows it and in Python
+    ints otherwise.  Every 25th function is additionally replayed through
+    the public Fraction interface so that arithmetic path stays exercised.
     """
     if not 1 <= n <= 16:
         raise DimensionMismatch(f"n = {n} outside dense range 1..16")
@@ -303,21 +377,10 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     if wht(big_l) != mult:
         raise ChainViolation("degree transform disagrees with n - 2 w(z)")
 
-    funcs: list[tuple[list[int], int]] = []
-    for i in range(count):
-        if i % 10 == 0:
-            vals = _random_function(rng, size)
-            q = 1
-            for v in vals:
-                q = q * v.denominator // math.gcd(q, v.denominator)
-            funcs.append(([int(v * q) for v in vals], q))
-        else:
-            funcs.append(([rng.randint(-16, 16) for _ in range(size)], 1))
-
+    draws, q = _random_functions(rng, count, size)
     # |dot(u(U_i . U_{i+1}), H)| <= size^4 top^3 bounds every value below
-    top = max((max(map(abs, vals)) for vals, _ in funcs), default=0)
-    F = _array([vals for vals, _ in funcs], 1, size ** 4 * top ** 3)
-    F = F.reshape(len(funcs), size)
+    top = int(np.abs(draws).max())
+    F = _array(draws, 1, size ** 4 * top ** 3)
 
     def dot(a, b):
         return (a * b).sum(axis=-1)
@@ -343,12 +406,14 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     ]
     failed = np.stack([bad for _, bad in checks])
     failing = np.flatnonzero(failed.any(axis=0))
-    first = int(failing[0]) if failing.size else len(funcs)
+    first = int(failing[0]) if failing.size else count
+
+    def function(i):
+        i %= count
+        return [Fraction(v, int(q[i])) for v in draws[i].tolist()]
 
     for i in range(0, first, 25):
-        f = [Fraction(v, funcs[i][1]) for v in funcs[i][0]]
-        g, h = ([Fraction(v, q) for v in vals] for vals, q in
-                (funcs[(i + 1) % count], funcs[(i + 2) % count]))
+        f, g, h = function(i), function(i + 1), function(i + 2)
         wf = wht(f)
         ok = (wht(wf) == [v / size for v in f]
               and inner(f, g) == sum(a * b for a, b in zip(wf, wht(g)))

@@ -252,11 +252,28 @@ class TestFourierVerify:
 
     @pytest.mark.parametrize("count", ["-5", "0"])
     def test_nonpositive_count_exit_2(self, capsys, count):
-        code, out, err = run_cli(capsys, "fourier-verify", "--n-min", "2",
-                                 "--n-max", "3", "--count", count)
-        assert code == 2
-        assert out == ""
-        assert "ValueError" in err and f"count = {count} " in err
+        # rejected by the parser, before any suite runs
+        with pytest.raises(SystemExit) as exc:
+            main(["fourier-verify", "--n-min", "2", "--n-max", "3",
+                  "--count", count])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"--count: must be at least 1, got {count}" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n-min", "5", "--n-max", "3"], "--n-min 5 exceeds --n-max 3"),
+        (["--n-min", "0"], "--n-min: must be in 1..16, got 0"),
+        (["--n-max", "17"], "--n-max: must be in 1..16, got 17"),
+        (["--n-min", "-1", "--n-max", "-1"], "--n-min: must be in 1..16"),
+    ])
+    def test_bad_range_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["fourier-verify", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestReplay:

@@ -27,6 +27,8 @@ from codebounds.fourier import (
 )
 from codebounds.spectrum import ball_operator, top_eigenvalue
 
+import codebounds.fourier as fr
+
 int_funcs = st.integers(1, 6).flatmap(
     lambda n: st.lists(st.integers(-20, 20),
                        min_size=1 << n, max_size=1 << n))
@@ -77,6 +79,12 @@ class TestTransform:
             wht([1, 2, 3])
         with pytest.raises(DimensionMismatch):
             inner([1, 2], [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("fn", [wht, wht_unnormalized, adjacency_apply])
+    def test_rejects_empty_table(self, fn):
+        with pytest.raises(DimensionMismatch,
+                           match="table length 0 not a power of 2"):
+            fn([])
 
 
 class TestConvolution:
@@ -289,6 +297,18 @@ class TestExactness:
         # (f * f)(0) = E_y f(y)^2 = 2^80 / 4
         assert convolve(big, big) == [Fraction(2 ** 80, 4), 0, 0, 0]
 
+    def test_inner_numpy_int_entries(self):
+        # int64 products of these entries wrap; the numerators do not
+        f = [np.int64(2 ** 62), np.int64(1)]
+        g = [np.int64(4), np.int64(1)]
+        assert inner(f, g) == Fraction(2 ** 64 + 1, 2)
+        assert inner([Fraction(1, 3), 2], [np.int64(3), Fraction(1, 2)]) \
+            == Fraction(1)
+
+    def test_inner_float_entries_stay_float(self):
+        assert inner([0.5, 1.0], [2.0, 3.0]) == 2.0
+        assert type(inner([1, 2], [0.5, 1.0])) is float
+
     def test_division_gives_fractions(self):
         assert all(type(v) is Fraction for v in wht([1, 2, 3, 4]))
         assert all(type(v) is Fraction
@@ -347,3 +367,145 @@ class TestBatchOracle:
             top = max(abs(v) for v in exact)
             assert all(abs(Fraction(v) - e) <= Fraction(1e-12) * top
                        for v, e in zip(row, exact))
+
+
+def _stacking_butterfly(a):
+    """The butterfly with each level built from fresh sums and differences."""
+    lead, size = a.shape[:-1], a.shape[-1]
+    out = a.copy()
+    h = 1
+    while h < size:
+        pairs = out.reshape(*lead, size // (2 * h), 2, h)
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        out = np.stack((lo + hi, lo - hi), axis=-2).reshape(*lead, size)
+        h *= 2
+    return out
+
+
+class TestFastPaths:
+    @pytest.mark.parametrize("n", [1, 3, 10, 15])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+    def test_butterfly_matches_stacking(self, n, dtype):
+        rng = np.random.default_rng(n)
+        rows = 2 if dtype is object and n == 15 else 3
+        if dtype is np.float64:
+            table = rng.standard_normal((rows, 1 << n))
+        else:
+            table = rng.integers(-1000, 1000, (rows, 1 << n)).astype(dtype)
+            if dtype is object:
+                table[:, 0] = 2 ** 70   # beyond int64
+        for a in (table, table[0]):
+            got, want = fr._butterfly(a), _stacking_butterfly(a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if dtype is object:
+                assert got.tolist() == want.tolist()
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    def test_butterfly_leaves_input(self):
+        a = np.arange(8, dtype=np.int64)
+        fr._butterfly(a)
+        assert a.tolist() == list(range(8))
+
+    @pytest.mark.parametrize("table", [
+        [3, -1, 0, 7, 2, 2, -5, 1],
+        [Fraction(1, 3), 2, Fraction(-5, 4), 0],
+        [0.25, -1.5, 3.0, 0.125],
+    ])
+    def test_self_convolution_shares_transform(self, table):
+        assert convolve(table, table) == convolve(table, list(table))
+        arr = np.array(table, dtype=object if isinstance(table[0], Fraction)
+                       else None)
+        assert (convolve(arr, arr) == convolve(arr, arr.copy())).all()
+
+    def test_self_convolution_transforms_once(self, monkeypatch):
+        calls = []
+        real = fr._butterfly
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(fr, "_butterfly", counting)
+        f = [1, 0, 2, -1]
+        convolve(f, f)
+        assert len(calls) == 2
+        convolve(f, list(f))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("values", [
+        [1, -2, 3, 0],
+        [Fraction(1, 2), Fraction(-3, 4), Fraction(5), Fraction(0)],
+        [1, Fraction(1, 6), -4, Fraction(2, 9)],
+        [],
+    ])
+    def test_split_fast_path_matches_abc(self, values, monkeypatch):
+        def no_abc(values):
+            raise AssertionError("ABC route taken")
+
+        want = fr._split_abc(values)
+        monkeypatch.setattr(fr, "_split_abc", no_abc)
+        assert fr._split(values) == want
+
+    class Third(Fraction):
+        pass
+
+    @pytest.mark.parametrize("values", [
+        [True, False, True, True],
+        [np.int64(3), np.int64(-7)],
+        [3, np.int64(-7)],
+        [Third(1, 3), Third(2)],
+        [Fraction(1, 2), np.int64(1)],
+        [0.5, 1],
+    ])
+    def test_split_other_types_take_abc_route(self, values, monkeypatch):
+        routed = []
+        real = fr._split_abc
+
+        def spy(values):
+            routed.append(values)
+            return real(values)
+
+        monkeypatch.setattr(fr, "_split_abc", spy)
+        entries, unit, mag = fr._split(values)
+        assert routed == [values]
+        if unit is not None:
+            assert all(type(v) is int for v in entries)
+            assert [Fraction(v) * unit for v in entries] == \
+                [Fraction(v) for v in values]
+            assert mag == max(abs(v) for v in entries)
+
+    def test_draws_deterministic_per_seed(self):
+        a = fr._random_functions(random.Random(5), 30, 64)
+        b = fr._random_functions(random.Random(5), 30, 64)
+        c = fr._random_functions(random.Random(6), 30, 64)
+        assert all((x == y).all() for x, y in zip(a, b))
+        assert not (a[0] == c[0]).all()
+        assert a[0].shape == (30, 64) and a[1].shape == (30,)
+
+    def test_draws_exactly_uniform(self):
+        count, size = 1000, 1024
+        values, q = fr._random_functions(random.Random(11), count, size)
+        plain = np.delete(values, np.s_[::10], axis=0)
+        assert (q[np.arange(count) % 10 != 0] == 1).all()
+        hist = np.bincount(plain.ravel() + 16, minlength=33)
+        assert hist.size == 33 and (hist > 0).all()
+        # six standard deviations of a binomial count around N/33; a draw
+        # that reduces bytes mod 33 skews some value by more than that
+        draws = plain.size
+        mean = draws / 33
+        band = 6 * math.sqrt(draws * (1 / 33) * (32 / 33))
+        assert (np.abs(hist - mean) <= band).all(), hist
+
+    def test_every_tenth_function_is_dyadic(self):
+        count, size = 50, 256
+        values, q = fr._random_functions(random.Random(2), count, size)
+        for i in range(count):
+            f = [Fraction(v, int(q[i])) for v in values[i].tolist()]
+            if i % 10:
+                assert q[i] == 1
+                continue
+            assert q[i] in (1, 2, 4)
+            assert {v.denominator for v in f} <= {1, 2, 4}
+            assert any(v.denominator > 1 for v in f)
+            assert all(abs(v) <= 16 for v in f)
