@@ -107,9 +107,28 @@ def _greedy_clique(neigh: list[int], order: list[int]) -> int:
     return size
 
 
-def _max_clique_py(neigh: list[int], best: int) -> int:
-    """Branch and bound with greedy-coloring bound, python-int bitsets."""
-    V = len(neigh)
+def max_clique(neighbors: list[int]) -> int:
+    """Exact maximum clique size of a graph given as int-bitmask adjacency.
+
+    Vertices are relabeled in descending degree order first; that ordering
+    feeds both the greedy seed and the coloring quality.  The search is a
+    branch and bound with a greedy-coloring bound on python-int bitsets.
+    """
+    V = len(neighbors)
+    if V == 0:
+        return 0
+    by_degree = sorted(range(V), key=lambda v: -neighbors[v].bit_count())
+    relabel = {old: new for new, old in enumerate(by_degree)}
+    neigh = [0] * V
+    for old, new in relabel.items():
+        mask = neighbors[old]
+        acc = 0
+        while mask:
+            u = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            acc |= 1 << relabel[u]
+        neigh[new] = acc
+    best = _greedy_clique(neigh, list(range(V)))
 
     def color_sort(cand: int) -> tuple[list[int], list[int]]:
         order: list[int] = []
@@ -139,33 +158,6 @@ def _max_clique_py(neigh: list[int], best: int) -> int:
                 expand(sub, size + 1)
             elif size + 1 > best:
                 best = size + 1
-        return
 
     expand((1 << V) - 1, 0)
     return best
-
-
-def max_clique(neighbors: list[int], lower_bound: int = 0) -> int:
-    """Exact maximum clique size of a graph given as int-bitmask adjacency.
-
-    ``lower_bound`` seeds the incumbent (the search only has to certify it
-    cannot be beaten, or beat it).  Vertices are relabeled in descending
-    degree order first; that ordering feeds both the greedy seed and the
-    coloring quality.
-    """
-    V = len(neighbors)
-    if V == 0:
-        return 0
-    by_degree = sorted(range(V), key=lambda v: -neighbors[v].bit_count())
-    relabel = {old: new for new, old in enumerate(by_degree)}
-    neigh = [0] * V
-    for old, new in relabel.items():
-        mask = neighbors[old]
-        acc = 0
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            acc |= 1 << relabel[u]
-        neigh[new] = acc
-    seed = max(lower_bound, _greedy_clique(neigh, list(range(V))))
-    return _max_clique_py(neigh, seed)

@@ -4,7 +4,8 @@ Subcommands: construct | distance | eigen | bounds | table | fourier-verify
 | replay.  All output is deterministic for a fixed configuration: stable row
 ordering, floats at 12 significant digits, and worker counts never affect
 bytes.  Exit codes: 0 success, 2 invalid parameters, 3 bound not applicable,
-4 budget exceeded.
+4 budget exceeded, 5 internal fault (an ArithmeticError: a failed
+certificate, replay or exact division).
 """
 
 from __future__ import annotations
@@ -128,9 +129,7 @@ def _csv_lines(rows: list[dict]) -> list[str]:
 
 
 def _cmd_construct(args) -> int:
-    spec = cyclic.build_code(args.m, args.c,
-                             modulus=int(args.modulus, 16)
-                             if args.modulus else None)
+    spec = cyclic.build_code(args.m, args.c, modulus=args.modulus)
     cert = cyclic.bch_certificate(spec)
     if args.json:
         _emit_json(spec.to_json_dict())
@@ -190,9 +189,7 @@ def _resolve_out(path: str) -> str:
 
 def _cmd_table(args) -> int:
     if args.regime is not None:
-        n_list = [int(x) for x in args.n_list.split(",")] if args.n_list \
-            else [100, 1024, 4096]
-        raw = bd.regime_table(args.regime, n_list)
+        raw = bd.regime_table(args.regime, args.n_list or [100, 1024, 4096])
         rows = [{"n": r["n"], "d": r["d"], "j": r["n"] - 2 * r["d"],
                  "bound": r["bound"], "kind": r["kind"], "rigor": r["rigor"],
                  "value_log2": r["value_log2"],
@@ -200,19 +197,16 @@ def _cmd_table(args) -> int:
                  "condition": r["condition"]} for r in raw]
         rows.sort(key=lambda row: (row["n"], row["d"], row["bound"]))
     else:
-        pairs = []
-        for item in args.pairs.split(","):
-            a, b = item.split(":")
-            pairs.append((int(a), int(b)))
         rows = []
         if args.workers > 1:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
                 for chunk in pool.map(
-                        lambda p: bound_rows(p[0], p[1], args.r_max), pairs):
+                        lambda p: bound_rows(p[0], p[1], args.r_max),
+                        args.pairs):
                     rows.extend(chunk)
         else:
-            for n, d in pairs:
+            for n, d in args.pairs:
                 rows.extend(bound_rows(n, d, args.r_max))
         rows.sort(key=lambda row: (row["n"], row["d"], row["bound"]))
     text = "\n".join(_csv_lines(rows)) + "\n"
@@ -235,7 +229,7 @@ def _cmd_fourier_verify(args) -> int:
 
 def _cmd_replay(args) -> int:
     if args.words:
-        code = [int(w, 0) for w in args.words.split(",")]
+        code = args.words
         n = args.n or max(1, max(code).bit_length())
     else:
         if args.m is None or args.c is None:
@@ -264,6 +258,26 @@ def _int_range(lo: int, hi: int | None = None):
     return parse
 
 
+def _parsed(convert, expected: str):
+    """An argparse type: ``convert(text)``, whose ValueError names the form."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}") from None
+    return parse
+
+
+def _pair(text: str) -> tuple[int, int]:
+    n, d = text.split(":")
+    return int(n), int(d)
+
+
+def _comma_list(item):
+    return lambda text: [item(part) for part in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="codebounds",
@@ -274,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build a code and certify it")
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--c", type=int, required=True)
-    c.add_argument("--modulus", help="field modulus as hex, e.g. 0x13")
+    c.add_argument("--modulus", type=_parsed(lambda t: int(t, 16),
+                                             "a hex number"),
+                   help="field modulus as hex, e.g. 0x13")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_construct)
 
@@ -302,14 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("table", help="deterministic bound table as CSV")
     c.add_argument("--pairs", default="15:6,63:16,63:24",
-                   help='comma list of n:d pairs')
+                   type=_parsed(_comma_list(_pair), "a comma list of n:d"),
+                   help="comma list of n:d pairs")
     c.add_argument("--r-max", type=int, default=8)
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--out", help="output CSV path (CODEBOUNDS_OUT_DIR "
                                  "prefixes relative paths)")
     c.add_argument("--regime", type=float,
                    help="emit display rows at d = n/2 - a sqrt(n) instead")
-    c.add_argument("--n-list", help="comma list of n for --regime")
+    c.add_argument("--n-list", type=_parsed(_comma_list(int),
+                                            "a comma list of ints"),
+                   help="comma list of n for --regime")
     c.set_defaults(func=_cmd_table)
 
     c = sub.add_parser("fourier-verify", help="exact transform identity suite")
@@ -322,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("replay", help="replay the covering bound on a code")
     c.add_argument("--m", type=int)
     c.add_argument("--c", type=int)
-    c.add_argument("--words", help="explicit codewords, e.g. 0,7")
+    c.add_argument("--words", type=_parsed(_comma_list(lambda w: int(w, 0)),
+                                           "a comma list of ints"),
+                   help="explicit codewords, e.g. 0,7")
     c.add_argument("--n", type=int)
     c.add_argument("--r", type=int, required=True)
     c.set_defaults(func=_cmd_replay)
@@ -346,6 +367,11 @@ def main(argv=None) -> int:
     except _INVALID_PARAM_ERRORS as exc:
         _err(exc)
         return 2
+    except ArithmeticError as exc:
+        # a failed certificate or replay is a fault here, not bad input
+        print(f"codebounds-error: internal: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

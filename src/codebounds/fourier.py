@@ -7,17 +7,20 @@ input with a half-size scratch buffer, and the adjacency operator is n
 reshaped flips, so a 2-D array is processed row by row in one call.  A
 self-convolution f * f transforms f once.
 
-Exact inputs (ints and Fractions) stay exact.  A list of them is cleared to
-integer numerators over one common denominator q.  The numerators run in
-int64 only when a magnitude bound, computed from the inputs before any array
-is allocated, keeps every intermediate below 2^63; otherwise they run on
-Python ints (object arrays).  They never pass through floating point, and
-int64 never wraps; ``inner`` of exact lists is one Python-int dot product of
-the numerators.  Lists come back as lists: ints give ints, Fractions (or
-any division, as in ``wht`` and ``convolve``) give Fractions, floats give
-floats; ndarrays come back as ndarrays.  Identity checks run in this exact
-arithmetic; the covering replay is numeric by nature (a square root and a
-Perron vector enter) and uses float64 with a relative tolerance.
+Exact inputs stay exact.  A list of Integral/Rational entries (numpy
+integers and Fractions with numpy parts included) is cleared by
+``spectrum.clear_denominators``, the route ``rayleigh_quotient`` uses too,
+to Python-int numerators over one common denominator q.  The numerators run
+in int64 only when a magnitude bound, computed from the inputs before any
+array is allocated, keeps every intermediate below 2^63; otherwise they run
+on Python ints (object arrays).  They never pass through floating point,
+and int64 never wraps; ``inner`` of exact lists is one Python-int dot
+product of the numerators.  Lists come back as lists: Integral entries give
+ints, any other Rational entry (or any division, as in ``wht`` and
+``convolve``) gives Fractions, floats give floats; ndarrays come back as
+ndarrays.  Identity checks run in this exact arithmetic; the covering
+replay is numeric by nature (a square root and a Perron vector enter) and
+uses float64 with a relative tolerance.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -37,7 +40,8 @@ from numbers import Integral, Rational
 import numpy as np
 
 from .bounds import vol
-from .spectrum import ball_operator, radial_vector, top_eigenvalue
+from .spectrum import (ball_operator, clear_denominators, radial_vector,
+                       top_eigenvalue)
 
 _REL_TOL = 1e-9  # replay steps are float; each may miss by this much
 _INT64_LIMIT = 1 << 63
@@ -66,15 +70,13 @@ def _dim(values) -> int:
 def _split(values):
     """A table as (entries, unit, magnitude).
 
-    A list of exact entries becomes integer numerators F over one common
-    denominator q: the unit is 1/q, or the int 1 when every entry is an int.
-    Integer and object arrays are taken as they are, with unit 1.  Anything
-    else is float, with unit None.  The magnitude bounds |F|; an object
-    array may hold anything, so its magnitude forces Python ints.
-
-    Lists of built-in ints and Fractions skip the numbers-ABC scan; every
-    other list (bools, numpy scalars, subclasses, floats) goes through
-    ``_split_abc``.
+    A list whose entry types are all Rational (the numbers-ABC test runs
+    once per type, not per entry) is cleared by ``clear_denominators`` to
+    Python-int numerators F over q: the unit is 1/q, or the int 1 when
+    every type is Integral.  Integer and object arrays are taken as they
+    are, with unit 1.  Anything else is float, with unit None.  The
+    magnitude bounds |F|; an object array may hold anything, so its
+    magnitude forces Python ints.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "biu":
@@ -85,32 +87,12 @@ def _split(values):
             return values, 1, _INT64_LIMIT
         return values, None, 0
     kinds = set(map(type, values))
-    if not kinds <= {int, Fraction}:
-        return _split_abc(values)
-    if kinds <= {int}:
-        nums, unit = values, 1
-    else:
-        nums, unit = _over_common_denominator(
-            [v.as_integer_ratio() for v in values])
-    return nums, unit, max(map(abs, nums), default=0)
-
-
-def _split_abc(values):
-    """``_split`` of a list whose entries are typed by the numbers ABCs."""
-    if all(isinstance(v, Integral) for v in values):
-        nums, unit = [int(v) for v in values], 1
-    elif all(isinstance(v, Rational) for v in values):
-        nums, unit = _over_common_denominator(
-            [(int(v.numerator), int(v.denominator)) for v in values])
-    else:
+    if not all(issubclass(k, Rational) for k in kinds):
         return values, None, 0
+    nums, q = clear_denominators(values)
+    unit = 1 if all(issubclass(k, Integral) for k in kinds) \
+        else Fraction(1, q)
     return nums, unit, max(map(abs, nums), default=0)
-
-
-def _over_common_denominator(ratios):
-    """(a, b) pairs as numerators F over q = lcm(b), and the unit 1/q."""
-    q = math.lcm(*{b for _, b in ratios})
-    return [a * (q // b) for a, b in ratios], Fraction(1, q)
 
 
 def _array(entries, unit, bound: int) -> np.ndarray:
@@ -179,8 +161,8 @@ def _adjacency(a: np.ndarray) -> np.ndarray:
 def wht_unnormalized(values):
     """Butterfly transform u(f)(z) = sum_x f(x) (-1)^<x,z>; u(u(f)) = 2^n f.
 
-    Exact for int/Fraction inputs (ints give ints); floats give floats; a
-    2-D ndarray is transformed row by row.
+    Exact for Integral/Rational inputs (all-Integral lists give ints);
+    floats give floats; a 2-D ndarray is transformed row by row.
     """
     size = 1 << _dim(values)
     entries, unit, mag = _split(values)
@@ -203,8 +185,8 @@ def wht(values):
 def inner(f: list, g: list):
     """<f, g> = E[f g] under the uniform distribution.
 
-    Exact inputs (numpy integers included) give a Fraction computed from
-    their integer numerators; any float input gives a float.
+    Exact inputs (any Integral/Rational entries) give a Fraction computed
+    from their integer numerators; any float input gives a float.
     """
     if len(f) != len(g):
         raise DimensionMismatch(f"{len(f)} vs {len(g)}")
@@ -244,8 +226,8 @@ def _convolution(f, g):
 def convolve(f, g):
     """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n.
 
-    Exact for int/Fraction inputs (Fractions out); any float input makes
-    the result float; 2-D ndarrays are convolved row by row.
+    Exact for Integral/Rational inputs (Fractions out); any float input
+    makes the result float; 2-D ndarrays are convolved row by row.
     """
     entries, unit = _convolution(f, g)
     return _out(f if isinstance(f, np.ndarray) else g, entries, unit)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 ASYMPTOTIC = "asymptotic"
 _TOL = 1e-12  # bisection width, in absolute units of lambda
@@ -139,6 +140,24 @@ class EigenCertificate:
         }
 
 
+def clear_denominators(values) -> tuple[list, int]:
+    """Integral/Rational entries as Python-int numerators F over q = lcm.
+
+    Entry i equals F[i] / q.  Numerators and denominators are read through
+    the numbers-ABC attributes; when the set of their types holds anything
+    but int (numpy integers, or Fractions built from them), each part goes
+    through ``int()`` so no later product can wrap.
+    """
+    nums = list(map(attrgetter("numerator"), values))
+    dens = list(map(attrgetter("denominator"), values))
+    if not {*map(type, nums), *map(type, dens)} <= {int}:
+        nums, dens = list(map(int, nums)), list(map(int, dens))
+    q = math.lcm(*set(dens))
+    if q == 1:
+        return nums, 1
+    return [a * (q // b) for a, b in zip(nums, dens)], q
+
+
 def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     """Exact Rayleigh quotient of a radial vector on the cube's adjacency.
 
@@ -147,15 +166,13 @@ def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     <AF, F> / <F, F> = sum 2*C(n,i)(n-i) f_i f_{i+1} / sum C(n,i) f_i^2.
     Any such quotient is a true lower bound on the top ball eigenvalue.
 
-    ``f`` holds ints or rationals.  Rationals are cleared to integer
-    numerators over one common denominator, which leaves the quotient
-    unchanged; both sums are then Python ints, with the binomials taken
-    from the recurrence C(n,i+1) = C(n,i)(n-i)/(i+1), and the one Fraction
-    is built at the end.
+    ``f`` holds Integral/Rational entries (numpy integers included).
+    ``clear_denominators`` turns them into Python-int numerators over one
+    common denominator, which leaves the quotient unchanged; both sums are
+    then Python ints, with the binomials taken from the recurrence
+    C(n,i+1) = C(n,i)(n-i)/(i+1), and the one Fraction is built at the end.
     """
-    # int() keeps numpy integer entries from wrapping in the products below
-    q = math.lcm(*(v.denominator for v in f))
-    f = [int(v.numerator) * (q // int(v.denominator)) for v in f]
+    f, _ = clear_denominators(f)
     num = den = 0
     binom = 1                                  # C(n, i)
     for i, fi in enumerate(f):

@@ -14,6 +14,7 @@ import pytest
 
 import codebounds
 from codebounds import bounds as bd
+from codebounds import cyclic, fourier
 from codebounds.cli import CSV_COLUMNS, CSV_HEADER, bound_rows, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_table.csv")
@@ -309,6 +310,44 @@ class TestReplay:
                                "--n", "2", "--r", "1")
         assert code == 2
         assert "ValueError" in err and "codeword 7" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["table", "--pairs", "7"], "--pairs"),
+    (["table", "--pairs", "15:6,63"], "--pairs"),
+    (["table", "--pairs", "15:x"], "--pairs"),
+    (["table", "--regime", "1.0", "--n-list", "256,x"], "--n-list"),
+    (["replay", "--words", "0,seven", "--r", "1"], "--words"),
+    (["replay", "--words", "", "--r", "1"], "--words"),
+    (["construct", "--m", "4", "--c", "1", "--modulus", "0xg"], "--modulus"),
+])
+def test_malformed_string_options_exit_2(capsys, argv, option):
+    # rejected by the parser, before any subcommand runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {option}: expected " in captured.err
+
+
+@pytest.mark.parametrize("argv, target, fault", [
+    (["construct", "--m", "4", "--c", "1"], (cyclic, "bch_certificate"),
+     cyclic.CertificateFailure("BCH run shorter than designed")),
+    (["replay", "--words", "0,7", "--r", "1"], (fourier, "covering_replay"),
+     fourier.ChainViolation("replay steps failed: ['final_bound']")),
+    (["eigen", "--n", "15", "--r", "3"], (bd, "ball_certificate"),
+     ZeroDivisionError("division by zero")),
+])
+def test_internal_fault_exit_5(capsys, monkeypatch, argv, target, fault):
+    def failing(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(*target, failing)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 5 and out == ""
+    assert err == (f"codebounds-error: internal: {type(fault).__name__}: "
+                   f"{fault}\n")
 
 
 def test_console_script_smoke():

@@ -149,14 +149,17 @@ class TestOrbitEnumeration:
         with pytest.raises(DecompositionFailure):
             minimal_ideals(dataclasses.replace(code_6_2, k=code_6_2.k + 1))
 
-    def test_lost_orbit_is_not_bad_input(self, monkeypatch):
-        # a dropped orbit breaks sum A_w = 2^k; the CLI must not turn that
-        # into the invalid-parameter exit code
+    def test_lost_orbit_is_not_bad_input(self, monkeypatch, capsys):
+        # a dropped orbit breaks sum A_w = 2^k; the CLI must report that as
+        # an internal fault (exit 5), not as invalid parameters (exit 2)
         real = MinimalIdeal.orbit_representatives
         monkeypatch.setattr(MinimalIdeal, "orbit_representatives",
                             lambda ideal: real(ideal)[1:])
-        with pytest.raises(DecompositionFailure):
-            main(["distance", "--m", "8", "--c", "2"])
+        code = main(["distance", "--m", "8", "--c", "2"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert captured.err.startswith(
+            "codebounds-error: internal: DecompositionFailure: ")
 
 
 @pytest.mark.deep

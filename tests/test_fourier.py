@@ -305,6 +305,16 @@ class TestExactness:
         assert inner([Fraction(1, 3), 2], [np.int64(3), Fraction(1, 2)]) \
             == Fraction(1)
 
+    def test_fractions_with_numpy_parts(self):
+        # the parts stay np.int64; cleared without int() they wrap in int64
+        x = Fraction(np.int64(2 ** 62), np.int64(3))
+        table = [x] * 4
+        assert wht_unnormalized(table) == [Fraction(2 ** 64, 3), 0, 0, 0]
+        assert wht(table) == [x, 0, 0, 0]
+        assert inner(table, table) == Fraction(2 ** 124, 9)
+        assert convolve(table, [1] * 4) == [x] * 4
+        assert adjacency_apply(table) == [Fraction(2 ** 63, 3)] * 4
+
     def test_inner_float_entries_stay_float(self):
         assert inner([0.5, 1.0], [2.0, 3.0]) == 2.0
         assert type(inner([1, 2], [0.5, 1.0])) is float
@@ -433,24 +443,14 @@ class TestFastPaths:
         convolve(f, list(f))
         assert len(calls) == 5
 
+    class Third(Fraction):
+        pass
+
     @pytest.mark.parametrize("values", [
         [1, -2, 3, 0],
         [Fraction(1, 2), Fraction(-3, 4), Fraction(5), Fraction(0)],
         [1, Fraction(1, 6), -4, Fraction(2, 9)],
         [],
-    ])
-    def test_split_fast_path_matches_abc(self, values, monkeypatch):
-        def no_abc(values):
-            raise AssertionError("ABC route taken")
-
-        want = fr._split_abc(values)
-        monkeypatch.setattr(fr, "_split_abc", no_abc)
-        assert fr._split(values) == want
-
-    class Third(Fraction):
-        pass
-
-    @pytest.mark.parametrize("values", [
         [True, False, True, True],
         [np.int64(3), np.int64(-7)],
         [3, np.int64(-7)],
@@ -458,22 +458,15 @@ class TestFastPaths:
         [Fraction(1, 2), np.int64(1)],
         [0.5, 1],
     ])
-    def test_split_other_types_take_abc_route(self, values, monkeypatch):
-        routed = []
-        real = fr._split_abc
-
-        def spy(values):
-            routed.append(values)
-            return real(values)
-
-        monkeypatch.setattr(fr, "_split_abc", spy)
+    def test_split_clears_to_python_ints(self, values):
         entries, unit, mag = fr._split(values)
-        assert routed == [values]
-        if unit is not None:
-            assert all(type(v) is int for v in entries)
-            assert [Fraction(v) * unit for v in entries] == \
-                [Fraction(v) for v in values]
-            assert mag == max(abs(v) for v in entries)
+        if any(isinstance(v, float) for v in values):
+            assert unit is None
+            return
+        assert all(type(v) is int for v in entries)
+        assert [Fraction(v) * unit for v in entries] == \
+            [Fraction(v) for v in values]
+        assert mag == max((abs(v) for v in entries), default=0)
 
     def test_draws_deterministic_per_seed(self):
         a = fr._random_functions(random.Random(5), 30, 64)

@@ -24,6 +24,7 @@ from codebounds.spectrum import (
     asymptotic_constant,
     ball_operator,
     certify,
+    clear_denominators,
     paper_test_function,
     radial_vector,
     rayleigh_quotient,
@@ -294,6 +295,19 @@ class TestRayleighOracle:
         assert rayleigh_quotient(63, f) == Fraction(1260, 163)
         f = [Fraction(v, np.int64(3)) for v in f]
         assert rayleigh_quotient(63, f) == Fraction(1260, 163)
+
+    @pytest.mark.parametrize("values, q", [
+        ([3, -1, 0], 1),
+        ([np.int64(5), True, Fraction(1, 4),
+          Fraction(np.int64(2 ** 62), np.int64(3))], 12),
+        ([Fraction(1, 6), Fraction(-2, 9)], 18),
+        ([], 1),
+    ])
+    def test_clear_denominators(self, values, q):
+        nums, got = clear_denominators(values)
+        assert got == q and type(got) is int
+        assert all(type(v) is int for v in nums)
+        assert [Fraction(v, q) for v in nums] == values
 
     def test_certificates_match_reference(self):
         for n, r in ORACLE_BALLS:
