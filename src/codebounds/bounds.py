@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cyclic import InvalidParameters, _check_params, designed_distance
 from .spectrum import EigenCertificate, InvalidRadius, ball_operator, certify
@@ -37,6 +37,19 @@ class BoundValue:
     value_log2: float
     value_exact: int | None = None
     condition: str = ""
+
+    def row(self, n: int, d: int) -> dict:
+        """This value as the table row at (n, d), keyed in CSV column order.
+
+        The keys are n, d, j = n - 2d, bound (the label), kind, rigor,
+        value_log2, value_exact and condition: the one row schema of
+        ``cli.bound_rows``, ``regime_table`` and the CSV and JSON writers.
+        """
+        return {"n": n, "d": d, "j": n - 2 * d, "bound": self.label,
+                "kind": self.kind, "rigor": self.rigor,
+                "value_log2": self.value_log2,
+                "value_exact": self.value_exact,
+                "condition": self.condition}
 
 
 def _log2_int(x: int) -> float:
@@ -299,49 +312,44 @@ def regime_table(a: float, n_list: list[int]) -> list[dict]:
 
     Every row is flagged heuristic except the shortened-Plotkin row, which
     is evaluated at the integer d = ceil(n/2 - a*sqrt(n)) and is a theorem.
+    Rows are ``BoundValue.row`` dicts, seven per n in a fixed label order;
+    display rows have value_exact None.
     """
-    if a <= 0:
-        raise OutOfRange("a must be positive")
+    if not 0 < a < math.inf:
+        raise OutOfRange(f"a must be positive and finite, got {a}")
+    tail = Q(2 * a)
+    if tail == 0:
+        raise OutOfRange(f"Q(2a) underflows to 0 at a = {a}")
+
+    def display(label: str, kind: str, log2: float, cond: str) -> BoundValue:
+        return BoundValue(label, kind, HEURISTIC, log2, condition=cond)
+
     rows = []
     for n in n_list:
         rn = math.sqrt(n)
         d = math.ceil(n / 2 - a * rn)
         if d < 1:
             raise OutOfRange(f"a = {a} too large for n = {n}")
-        j = n - 2 * d
         delta = d / n
-        rows.append({"n": n, "d": d, "bound": "gv_display", "kind": "lower",
-                     "rigor": HEURISTIC, "value_log2": -math.log2(Q(2 * a)),
-                     "condition": "1/Q(2a); Berry-Esseen term dropped"})
-        rows.append({"n": n, "d": d, "bound": "hamming_display",
-                     "kind": "upper", "rigor": HEURISTIC,
-                     "value_log2": (1 - H2(0.25)) * n,
-                     "condition": "2^((1-H2(1/4))n); o(n) dropped"})
-        rows.append({"n": n, "d": d, "bound": "singleton_display",
-                     "kind": "upper", "rigor": HEURISTIC,
-                     "value_log2": n / 2,
-                     "condition": "2^(n/2); o(n) dropped"})
-        rows.append({"n": n, "d": d, "bound": "plotkin_display",
-                     "kind": "upper", "rigor": HEURISTIC,
-                     "value_log2": 1 + math.log2(n) + 2 * a * rn,
-                     "condition": "2n*2^(2a sqrt(n))"})
-        pk = plotkin_upper(n, d)
-        rows.append({"n": n, "d": d, "bound": "plotkin_rigorous",
-                     "kind": "upper", "rigor": RIGOROUS,
-                     "value_log2": pk.value_log2,
-                     "value_exact": pk.value_exact,
-                     "condition": f"d*2^(j+2) at integer d = {d}"})
-        rows.append({"n": n, "d": d, "bound": "eb_display", "kind": "upper",
-                     "rigor": HEURISTIC,
-                     "value_log2": 3 * math.log2(n) + a * rn / math.log(2),
-                     "condition": "n^3*2^(a sqrt(n)/ln 2); O(1) exponent "
-                                  "set to 0"})
-        rows.append({"n": n, "d": d, "bound": "mrrw_display", "kind": "upper",
-                     "rigor": HEURISTIC,
-                     "value_log2":
-                         n * H2(0.5 - math.sqrt(delta * (1 - delta))),
-                     "condition": "2^(n H2(1/2-sqrt(delta(1-delta)))); "
-                                  "o(n) dropped"})
+        values = [
+            display("gv_display", "lower", -math.log2(tail),
+                    "1/Q(2a); Berry-Esseen term dropped"),
+            display("hamming_display", "upper", (1 - H2(0.25)) * n,
+                    "2^((1-H2(1/4))n); o(n) dropped"),
+            display("singleton_display", "upper", n / 2,
+                    "2^(n/2); o(n) dropped"),
+            display("plotkin_display", "upper",
+                    1 + math.log2(n) + 2 * a * rn, "2n*2^(2a sqrt(n))"),
+            replace(plotkin_upper(n, d), label="plotkin_rigorous",
+                    condition=f"d*2^(j+2) at integer d = {d}"),
+            display("eb_display", "upper",
+                    3 * math.log2(n) + a * rn / math.log(2),
+                    "n^3*2^(a sqrt(n)/ln 2); O(1) exponent set to 0"),
+            display("mrrw_display", "upper",
+                    n * H2(0.5 - math.sqrt(delta * (1 - delta))),
+                    "2^(n H2(1/2-sqrt(delta(1-delta)))); o(n) dropped"),
+        ]
+        rows.extend(bv.row(n, d) for bv in values)
     return rows
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import operator
 import sys
 
 from . import bounds as bd
@@ -22,6 +22,7 @@ from .gf2 import NonIrreducibleModulus, NonPrimitiveModulus, UnsupportedDegree
 
 CSV_HEADER = "# codebounds-table v1"
 CSV_COLUMNS = "n,d,j,bound,kind,rigor,value_log2,value_exact,condition"
+_ROW_ORDER = operator.itemgetter("n", "d", "bound")
 
 _INVALID_PARAM_ERRORS = (
     cyclic.InvalidParameters,
@@ -32,7 +33,6 @@ _INVALID_PARAM_ERRORS = (
     NonPrimitiveModulus,
     cyclic.LengthMismatch,
     fourier.DimensionMismatch,
-    ValueError,
 )
 
 
@@ -73,54 +73,39 @@ def _construction_points() -> dict[tuple[int, int], tuple[int, int]]:
 
 
 def bound_rows(n: int, d: int, r_max: int = 8) -> list[dict]:
-    """Every bound evaluation at (n, d) as table-row dicts.
+    """Every bound evaluation at (n, d) as ``BoundValue.row`` dicts.
 
     Inapplicable eigenvalue radii are skipped; the heuristic reference line
     is kept, marked by its rigor column.  Rows come back sorted by
     (n, d, bound label).
     """
-    rows = []
-
-    def add(bv: bd.BoundValue):
-        rows.append({
-            "n": n, "d": d, "j": n - 2 * d, "bound": bv.label,
-            "kind": bv.kind, "rigor": bv.rigor,
-            "value_log2": bv.value_log2, "value_exact": bv.value_exact,
-            "condition": bv.condition,
-        })
-
-    add(bd.gv_lower(n, d))
-    add(bd.hamming_upper(n, d))
-    add(bd.singleton_upper(n, d))
-    add(bd.plotkin_upper(n, d))
+    values = [bd.gv_lower(n, d), bd.hamming_upper(n, d),
+              bd.singleton_upper(n, d), bd.plotkin_upper(n, d)]
     try:
-        add(bd.mceliece_upper(n, d))
+        values.append(bd.mceliece_upper(n, d))
     except bd.NotApplicable:
         pass
     per_radius = bd.new_upper_per_radius(n, d, r_max)
-    for _, bv in per_radius:
-        add(bv)
+    values.extend(bv for _, bv in per_radius)
     if per_radius:
-        add(bd.minimizing_radius(per_radius))
+        values.append(bd.minimizing_radius(per_radius))
     point = _construction_points().get((n, d))
     if point is not None:
-        add(bd.cyclic_lower(*point))
-    rows.sort(key=lambda row: (row["n"], row["d"], row["bound"]))
-    return rows
+        values.append(bd.cyclic_lower(*point))
+    return sorted((bv.row(n, d) for bv in values), key=_ROW_ORDER)
 
 
 def _csv_lines(rows: list[dict]) -> list[str]:
+    """The CSV text of table rows, one line per row in column order."""
     lines = [CSV_HEADER, CSV_COLUMNS]
     for row in rows:
-        exact = row.get("value_exact")
-        cond = row.get("condition", "")
+        exact, cond = row["value_exact"], row["condition"]
         if "," in cond or '"' in cond:
             cond = '"' + cond.replace('"', '""') + '"'
-        lines.append(",".join([
-            str(row["n"]), str(row["d"]), str(row["j"]), row["bound"],
-            row["kind"], row["rigor"], _fmt(row["value_log2"]),
-            "" if exact is None else str(exact), cond,
-        ]))
+        fields = dict(row, value_log2=_fmt(row["value_log2"]),
+                      value_exact="" if exact is None else exact,
+                      condition=cond)
+        lines.append(",".join(map(str, fields.values())))
     return lines
 
 
@@ -180,22 +165,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _resolve_out(path: str) -> str:
-    base = os.environ.get("CODEBOUNDS_OUT_DIR", "")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _cmd_table(args) -> int:
     if args.regime is not None:
-        raw = bd.regime_table(args.regime, args.n_list or [100, 1024, 4096])
-        rows = [{"n": r["n"], "d": r["d"], "j": r["n"] - 2 * r["d"],
-                 "bound": r["bound"], "kind": r["kind"], "rigor": r["rigor"],
-                 "value_log2": r["value_log2"],
-                 "value_exact": r.get("value_exact"),
-                 "condition": r["condition"]} for r in raw]
-        rows.sort(key=lambda row: (row["n"], row["d"], row["bound"]))
+        rows = bd.regime_table(args.regime, args.n_list or [100, 1024, 4096])
     else:
         rows = []
         if args.workers > 1:
@@ -208,13 +180,12 @@ def _cmd_table(args) -> int:
         else:
             for n, d in args.pairs:
                 rows.extend(bound_rows(n, d, args.r_max))
-        rows.sort(key=lambda row: (row["n"], row["d"], row["bound"]))
+    rows.sort(key=_ROW_ORDER)
     text = "\n".join(_csv_lines(rows)) + "\n"
     if args.out:
-        out = _resolve_out(args.out)
-        with open(out, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
-        print(f"wrote {out}")
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -230,7 +201,7 @@ def _cmd_fourier_verify(args) -> int:
 def _cmd_replay(args) -> int:
     if args.words:
         code = args.words
-        n = args.n or max(1, max(code).bit_length())
+        n = args.n if args.n is not None else max(1, max(code).bit_length())
     else:
         if args.m is None or args.c is None:
             raise bd.OutOfRange("replay needs --words or both --m and --c")
@@ -267,6 +238,13 @@ def _parsed(convert, expected: str):
             raise argparse.ArgumentTypeError(
                 f"expected {expected}, got {text!r}") from None
     return parse
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(text)
+    return value
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -322,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of n:d pairs")
     c.add_argument("--r-max", type=int, default=8)
     c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--out", help="output CSV path (CODEBOUNDS_OUT_DIR "
-                                 "prefixes relative paths)")
-    c.add_argument("--regime", type=float,
+    c.add_argument("--out", help="output CSV path")
+    c.add_argument("--regime", type=_parsed(_positive_float,
+                                            "a finite number > 0"),
                    help="emit display rows at d = n/2 - a sqrt(n) instead")
-    c.add_argument("--n-list", type=_parsed(_comma_list(int),
+    c.add_argument("--n-list", type=_parsed(_comma_list(_int_range(1)),
                                             "a comma list of ints"),
-                   help="comma list of n for --regime")
+                   help="comma list of n >= 1 for --regime")
     c.set_defaults(func=_cmd_table)
 
     c = sub.add_parser("fourier-verify", help="exact transform identity suite")

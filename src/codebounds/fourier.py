@@ -39,16 +39,16 @@ from numbers import Integral, Rational
 
 import numpy as np
 
-from .bounds import vol
-from .spectrum import (ball_operator, clear_denominators, radial_vector,
-                       top_eigenvalue)
+from .bounds import OutOfRange, vol
+from .spectrum import (InvalidRadius, ball_operator, clear_denominators,
+                       radial_vector, top_eigenvalue)
 
 _REL_TOL = 1e-9  # replay steps are float; each may miss by this much
 _INT64_LIMIT = 1 << 63
 
 
 class DimensionMismatch(ValueError):
-    """Operands live on cubes of different dimension."""
+    """Operands, or a word and its cube, differ in dimension."""
 
 
 class ChainViolation(ArithmeticError):
@@ -249,12 +249,12 @@ def degree_function(n: int) -> list:
 
 
 def indicator(code, n: int) -> list:
-    """1_C as a dense 0/1 table; every word must lie in [0, 2^n)."""
+    """1_C as a dense 0/1 table; a word outside [0, 2^n) is a mismatch."""
     size = 1 << n
     values = [0] * size
     for c in code:
         if not 0 <= c < size:
-            raise ValueError(f"codeword {c} outside [0, 2^{n})")
+            raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
         values[c] = 1
     return values
 
@@ -419,17 +419,19 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     phi_hat = sqrt(1_C * 1_C) >= 0, and F = phi * f, then verifies every
     inequality of the bound's derivation and the final size bound
     |C| <= n/(lambda - (n - 2d)) * |B| with d the measured minimum distance.
-    Raises ChainViolation if any step fails beyond tolerance.
+    Raises ChainViolation if any step fails beyond tolerance; OutOfRange for
+    a code without the zero word, InvalidRadius unless 1 <= r <= n/2, and
+    DimensionMismatch for n > 15 or a word outside the cube.
     """
     code = sorted(set(code))
     if 0 not in code:
-        raise ValueError("code must be nonempty and contain 0")
+        raise OutOfRange("code must be nonempty and contain 0")
     if n is None:
         n = max(1, max(code).bit_length())
     if n > 15:
         raise DimensionMismatch(f"n = {n} exceeds replay cap 15")
-    if r > n // 2:
-        raise ValueError(f"r = {r} exceeds n/2 = {n // 2}")
+    if not 1 <= r <= n // 2:
+        raise InvalidRadius(f"r = {r} outside 1..n/2 = {n // 2}")
     one_c = np.array(indicator(code, n), dtype=np.float64)
     size = 1 << n
     d = _pairwise_min_distance(code, n)

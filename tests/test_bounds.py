@@ -294,6 +294,9 @@ class TestRegimeTable:
             regime_table(-1.0, [100])
         with pytest.raises(OutOfRange):
             regime_table(6.0, [100])      # pushes d below 1
+        for a in (math.inf, math.nan, 20.0):   # 20.0: Q(2a) underflows
+            with pytest.raises(OutOfRange):
+                regime_table(a, [2000])
 
 
 class TestRmReference:

@@ -214,13 +214,6 @@ class TestTable:
         with open(GOLDEN) as fh:
             assert target.read_text() == fh.read()
 
-    def test_out_dir_env_redirect(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CODEBOUNDS_OUT_DIR", str(tmp_path))
-        code, out, _ = run_cli(capsys, "table", "--out", "nested.csv")
-        assert code == 0
-        assert (tmp_path / "nested.csv").exists()
-        assert out.strip() == f"wrote {tmp_path / 'nested.csv'}"
-
     def test_custom_pairs(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--pairs", "7:3")
         assert code == 0
@@ -241,6 +234,30 @@ class TestTable:
         rigorous = [ln for ln in body if ln.split(",")[5] == "rigorous"]
         assert len(rigorous) == 1
         assert rigorous[0].split(",")[3] == "plotkin_rigorous"
+
+    @pytest.mark.parametrize("argv", [
+        ["--regime", "inf"], ["--regime", "nan"], ["--regime", "0"],
+        ["--regime", "-1"], ["--regime", "1.0", "--n-list", "-4"],
+    ])
+    def test_bad_regime_exit_2(self, capsys, argv):
+        # rejected by the parser, before regime_table runs
+        with pytest.raises(SystemExit) as exc:
+            main(["table", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: " in captured.err
+
+
+@pytest.mark.parametrize("make_rows, args", [
+    (bound_rows, (15, 6)), (bound_rows, (63, 24)), (bound_rows, (7, 3)),
+    (bd.regime_table, (1.0, [100, 256])), (bd.regime_table, (0.5, [4096])),
+])
+def test_rows_share_the_csv_schema(make_rows, args):
+    # one row builder: every row is keyed exactly by the CSV columns
+    rows = make_rows(*args)
+    assert rows
+    assert all(list(row) == CSV_COLUMNS.split(",") for row in rows)
 
 
 class TestFourierVerify:
@@ -303,13 +320,23 @@ class TestReplay:
         code, _, err = run_cli(capsys, "replay", "--words", "1,2",
                                "--r", "1")
         assert code == 2
-        assert "ValueError" in err
+        assert "OutOfRange" in err
 
     def test_word_outside_cube_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "replay", "--words", "0,7",
                                "--n", "2", "--r", "1")
         assert code == 2
-        assert "ValueError" in err and "codeword 7" in err
+        assert "DimensionMismatch" in err and "codeword 7" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--words", "0,7", "--r", "2"],
+        ["--words", "0,7", "--n", "0", "--r", "1"],
+        ["--words", "0", "--n", "-3", "--r", "-5"],
+    ])
+    def test_radius_outside_half_n_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "replay", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("codebounds-error: InvalidRadius: ")
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebounds.bounds import new_upper, vol
+from codebounds.bounds import OutOfRange, new_upper, vol
 from codebounds.cyclic import build_code, encode
 from codebounds.fourier import (
     ChainViolation,
@@ -25,7 +25,7 @@ from codebounds.fourier import (
     wht,
     wht_unnormalized,
 )
-from codebounds.spectrum import ball_operator, top_eigenvalue
+from codebounds.spectrum import InvalidRadius, ball_operator, top_eigenvalue
 
 import codebounds.fourier as fr
 
@@ -53,6 +53,14 @@ class TestTransform:
             ft = wht(chi)
             assert ft[z] == 1
             assert all(ft[i] == 0 for i in range(1 << n) if i != z)
+
+    def test_float_inputs(self):
+        # floats skip the exact route: a float list and a 2-D float array
+        assert wht([1.0, 2.0, 3.0, 4.0]) == [2.5, -0.5, -1.0, 0.0]
+        rows = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.5, 0.5]])
+        out = wht(rows)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.tolist() == [[2.5, -0.5, -1.0, 0.0], [0.5, 0.0, 0.0, 0.0]]
 
     @given(int_funcs)
     def test_unnormalized_involution(self, f):
@@ -162,11 +170,11 @@ class TestDistanceCheck:
         assert distance_check(words, spec.n, 7) is False
 
     def test_words_outside_cube_rejected(self):
-        with pytest.raises(ValueError, match="codeword -1 "):
+        with pytest.raises(DimensionMismatch, match="codeword -1 "):
             indicator([-1], 3)
-        with pytest.raises(ValueError, match="codeword -1 "):
+        with pytest.raises(DimensionMismatch, match="codeword -1 "):
             distance_check([0, -1], 3, 2)
-        with pytest.raises(ValueError, match="codeword 9 "):
+        with pytest.raises(DimensionMismatch, match="codeword 9 "):
             distance_check([0, 9], 3, 1)
 
 
@@ -210,9 +218,9 @@ class TestCoveringReplay:
         assert rep["ball_size"] == vol(2, 6)
 
     def test_requires_zero_word(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             covering_replay([1, 2], r=1, n=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             covering_replay([], r=1, n=3)
 
     def test_dimension_cap(self):
@@ -220,13 +228,14 @@ class TestCoveringReplay:
             covering_replay([0, 1], r=1, n=16)
 
     def test_radius_cap(self):
-        with pytest.raises(ValueError):
-            covering_replay([0, 7], r=2, n=3)
+        for r in (2, 0, -1):
+            with pytest.raises(InvalidRadius):
+                covering_replay([0, 7], r=r, n=3)
 
     def test_word_outside_cube_rejected(self):
-        with pytest.raises(ValueError, match="codeword 7 "):
+        with pytest.raises(DimensionMismatch, match="codeword 7 "):
             covering_replay([0, 7], r=1, n=2)
-        with pytest.raises(ValueError, match="codeword -1 "):
+        with pytest.raises(DimensionMismatch, match="codeword -1 "):
             covering_replay([-1, 0, 7], r=1)
 
 
