@@ -326,7 +326,11 @@ def regime_table(a: float, n_list: list[int]) -> list[dict]:
 
     rows = []
     for n in n_list:
-        rn = math.sqrt(n)
+        try:
+            rn = math.sqrt(n)
+        except OverflowError:
+            raise OutOfRange(f"n of {n.bit_length()} bits is too large for "
+                             f"float arithmetic") from None
         d = math.ceil(n / 2 - a * rn)
         if d < 1:
             raise OutOfRange(f"a = {a} too large for n = {n}")

@@ -1,11 +1,12 @@
 """Command-line front door.
 
 Subcommands: construct | distance | eigen | bounds | table | fourier-verify
-| replay.  All output is deterministic for a fixed configuration: stable row
-ordering, floats at 12 significant digits, and worker counts never affect
-bytes.  Exit codes: 0 success, 2 invalid parameters, 3 bound not applicable,
-4 budget exceeded, 5 internal fault (an ArithmeticError: a failed
-certificate, replay or exact division).
+| replay.  All output is deterministic for a fixed configuration, except
+the wall-time ``seconds`` field of ``distance``: stable row ordering, floats
+at 12 significant digits, and worker counts never affect bytes.  Exit
+codes: 0 success, 2 invalid parameters, 3 bound not applicable, 4 budget
+exceeded, 5 internal fault (an ArithmeticError: a failed certificate,
+replay or exact division).
 """
 
 from __future__ import annotations
@@ -200,8 +201,7 @@ def _cmd_fourier_verify(args) -> int:
 
 def _cmd_replay(args) -> int:
     if args.words:
-        code = args.words
-        n = args.n if args.n is not None else max(1, max(code).bit_length())
+        code, n = args.words, args.n
     else:
         if args.m is None or args.c is None:
             raise bd.OutOfRange("replay needs --words or both --m and --c")
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("distance", help="exact minimum distance by enumeration")
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--c", type=int, required=True)
-    c.add_argument("--max-k", type=int, default=24)
+    c.add_argument("--max-k", type=_int_range(1), default=24)
     c.set_defaults(func=_cmd_distance)
 
     c = sub.add_parser("eigen", help="ball eigenvalues, exact or asymptotic")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int,
                    help="single eigenvalue-bound radius (exit 3 if "
                         "not applicable)")
-    c.add_argument("--r-max", type=int, default=8)
+    c.add_argument("--r-max", type=_int_range(1), default=8)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_bounds)
 
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--pairs", default="15:6,63:16,63:24",
                    type=_parsed(_comma_list(_pair), "a comma list of n:d"),
                    help="comma list of n:d pairs")
-    c.add_argument("--r-max", type=int, default=8)
+    c.add_argument("--r-max", type=_int_range(1), default=8)
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--out", help="output CSV path")
     c.add_argument("--regime", type=_parsed(_positive_float,

@@ -4,13 +4,15 @@ For even m >= 4 and 1 <= c <= m/2 - 1 the construction removes c cyclotomic
 cosets, each of size m, from the root set of x^n - 1.  The resulting code
 has dimension c*m and minimum distance at least 2^(m-1) - 2^(m/2+c-1),
 certified by a run of consecutive roots alpha^t, ..., alpha^(2^m - 1) of the
-generator polynomial.  ``minimal_ideals`` splits a built code into its c
-minimal ideals, whose cyclic-shift orbits the distance engine enumerates.
+generator polynomial g.  The roots are read off the degree-k check
+polynomial h = (x^n - 1)/g: alpha^j is a root of g exactly when
+h(alpha^j) != 0, one evaluation per cyclotomic coset.  ``minimal_ideals``
+splits a built code into its c minimal ideals, whose cyclic-shift orbits
+the distance engine enumerates.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -295,24 +297,24 @@ def _eval_at_alpha_pow(ctx: FieldContext, poly: int, j: int) -> int:
 def _root_flags(spec: ConstructionSpec) -> list[bool]:
     """Whether alpha^j is a root of g, for every exponent j < n.
 
-    g has binary coefficients, so g(beta^2) = g(beta)^2 and one evaluation
-    decides the whole cyclotomic coset of j.  The flags are computed once
-    per (field, generator); fields compare by (m, modulus), so codes over
-    different moduli never share an entry.
+    Decided through the check polynomial h = (x^n - 1)/g, of degree k, by
+    exact division (``CertificateFailure`` if g does not divide x^n - 1).
+    Every alpha^j is a root of x^n - 1 = g*h, and n is odd, so the roots
+    are simple: alpha^j is a root of g exactly when h(alpha^j) != 0.  h has
+    binary coefficients, so h(beta^2) = h(beta)^2 and one evaluation decides
+    the whole cyclotomic coset of j.
     """
-    return list(_coset_root_flags(spec.field, spec.generator))
-
-
-@functools.lru_cache(maxsize=16)
-def _coset_root_flags(ctx: FieldContext, generator: int) -> tuple[bool, ...]:
-    n = ctx.order
+    n = spec.n
+    h, rem = poly_divrem((1 << n) | 1, spec.generator)
+    if rem != 0:
+        raise CertificateFailure(f"g does not divide x^{n}-1")
     flags: list[bool | None] = [None] * n
     for j in range(n):
         if flags[j] is None:
-            is_root = _eval_at_alpha_pow(ctx, generator, j) == 0
-            for e in cyclotomic_coset(j, ctx.m):
+            is_root = _eval_at_alpha_pow(spec.field, h, j) != 0
+            for e in cyclotomic_coset(j, spec.m):
                 flags[e] = is_root
-    return tuple(flags)
+    return flags
 
 
 def bch_certificate(spec: ConstructionSpec) -> int:

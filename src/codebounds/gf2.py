@@ -232,15 +232,6 @@ class FieldContext:
     def __repr__(self) -> str:
         return f"FieldContext(m={self.m}, modulus={hex(self.modulus)})"
 
-    # the tables follow from (m, modulus), so equal pairs are the same field
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldContext):
-            return NotImplemented
-        return (self.m, self.modulus) == (other.m, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.modulus))
-
 
 def field_create(m: int, modulus: int | None = None) -> FieldContext:
     """Build GF(2^m), verifying the modulus is irreducible and primitive."""

@@ -248,6 +248,14 @@ class TestTable:
         assert captured.out == ""
         assert f"argument {argv[-2]}: " in captured.err
 
+    def test_regime_n_beyond_float_exit_2(self, capsys):
+        # a 401-digit n overflows math.sqrt: bad input, not an internal fault
+        code, out, err = run_cli(capsys, "table", "--regime", "1",
+                                 "--n-list", "1" + "0" * 400)
+        assert code == 2 and out == ""
+        assert err.startswith("codebounds-error: OutOfRange: ")
+        assert "internal:" not in err
+
 
 @pytest.mark.parametrize("make_rows, args", [
     (bound_rows, (15, 6)), (bound_rows, (63, 24)), (bound_rows, (7, 3)),
@@ -337,6 +345,37 @@ class TestReplay:
         code, out, err = run_cli(capsys, "replay", *argv)
         assert code == 2 and out == ""
         assert err.startswith("codebounds-error: InvalidRadius: ")
+
+    def test_default_n_is_left_to_covering_replay(self, capsys, monkeypatch):
+        seen = []
+
+        def record(code, r, n=None):
+            seen.append(n)
+            return {}
+
+        monkeypatch.setattr(fourier, "covering_replay", record)
+        run_cli(capsys, "replay", "--words", "0,7", "--r", "1")
+        run_cli(capsys, "replay", "--words", "0,7", "--n", "5", "--r", "1")
+        assert seen == [None, 5]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--n", "15", "--d", "6", "--r-max", "0"],
+     "--r-max: must be at least 1, got 0"),
+    (["table", "--r-max", "-3"], "--r-max: must be at least 1, got -3"),
+    (["distance", "--m", "6", "--c", "2", "--max-k", "-1"],
+     "--max-k: must be at least 1, got -1"),
+    (["distance", "--m", "6", "--c", "2", "--max-k", "0"],
+     "--max-k: must be at least 1, got 0"),
+])
+def test_out_of_range_int_options_exit_2(capsys, argv, message):
+    # rejected by the parser, before any row is dropped or budget checked
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -1,5 +1,6 @@
 """Cyclic-code construction: cosets, generators, certificates, encoding."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codebounds.cyclic import (
+    CertificateFailure,
     InvalidParameters,
     LengthMismatch,
     _eval_at_alpha_pow,
@@ -18,7 +20,7 @@ from codebounds.cyclic import (
     designed_distance,
     encode,
 )
-from codebounds.gf2 import field_create, poly_degree, poly_mod
+from codebounds.gf2 import cyclotomic_coset, poly_degree, poly_mod
 
 DESIGNED = {(4, 1): 4, (6, 1): 24, (6, 2): 16,
             (8, 1): 112, (8, 2): 96, (8, 3): 64}
@@ -105,32 +107,36 @@ class TestBchCertificate:
             _eval_at_alpha_pow(spec.field, spec.generator, j) == 0
             for j in range(spec.n)]
 
-    def test_root_flags_computed_once_per_code(self, monkeypatch):
+    def test_root_flags_from_check_polynomial(self, monkeypatch):
         import codebounds.cyclic as cy
 
-        spec = build_code(6, 2)
-        cy._coset_root_flags.cache_clear()
+        spec = build_code(8, 2)
         calls = []
         real = cy._eval_at_alpha_pow
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(ctx, poly, j):
+            calls.append((poly, j))
+            return real(ctx, poly, j)
 
         monkeypatch.setattr(cy, "_eval_at_alpha_pow", counted)
-        assert bch_certificate(spec) == 16
-        assert calls
-        evaluated = len(calls)
-        best_bch_distance(spec)
-        assert len(calls) == evaluated
-        # one generator over two moduli: two keys, two different answers
-        g = build_code(8, 2).generator
-        flags = [list(cy._coset_root_flags(field_create(8, mod), g))
-                 for mod in (None, 0x12B)]
-        assert flags[0] != flags[1]
-        for mod, got in zip((None, 0x12B), flags):
-            ctx = field_create(8, mod)
-            assert got == [real(ctx, g, j) == 0 for j in range(255)]
+        _root_flags(spec)
+        # only h = (x^n - 1)/g, of degree k, is evaluated; once per coset
+        assert {poly_degree(poly) for poly, _ in calls} == {spec.k}
+        cosets = [frozenset(cyclotomic_coset(j, spec.m)) for _, j in calls]
+        assert len(set(cosets)) == len(cosets)
+        assert frozenset().union(*cosets) == frozenset(range(spec.n))
+        # g + 1 is divisible by x, so it does not divide x^n - 1
+        bad = dataclasses.replace(spec, generator=spec.generator ^ 1)
+        for certify in (bch_certificate, best_bch_distance):
+            with pytest.raises(CertificateFailure):
+                certify(bad)
+
+    @pytest.mark.parametrize("m,c,designed,best", [
+        (12, 2, 1920, 1936), (14, 2, 7936, 7968)])
+    def test_large_code_certificates(self, m, c, designed, best):
+        spec = build_code(m, c)
+        assert bch_certificate(spec) == designed
+        assert best_bch_distance(spec) == best
 
 
 class TestEncode:

@@ -112,12 +112,6 @@ class TestFieldContext:
         with pytest.raises(UnsupportedDegree):
             field_create(m)
 
-    def test_equality_is_by_degree_and_modulus(self):
-        assert field_create(8) == field_create(8)
-        assert hash(field_create(8)) == hash(field_create(8))
-        assert field_create(8) != field_create(8, 0x12B)
-        assert field_create(4) != field_create(6)
-
     def test_all_supported_degrees_build(self):
         for m in range(2, 17):
             assert field_create(m).order == (1 << m) - 1
