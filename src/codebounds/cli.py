@@ -2,8 +2,11 @@
 
 Subcommands: construct | distance | eigen | bounds | table | fourier-verify
 | replay.  All output is deterministic for a fixed configuration, except
-the wall-time ``seconds`` field of ``distance``: stable row ordering, floats
-at 12 significant digits, and worker counts never affect bytes.  Exit
+the wall-time ``seconds`` field of ``distance``: stable row ordering, and
+worker counts never affect bytes.  The CSV and plain-text output print
+floats at 12 significant digits; JSON prints Python's repr, the shortest
+string that reads back to the same float (``eigen --n 15 --r 3`` prints
+8.608477839577606).  Exact integers print in full, at any length.  Exit
 codes: 0 success, 2 invalid parameters, 3 bound not applicable, 4 budget
 exceeded, 5 internal fault (an ArithmeticError: a failed certificate,
 replay or exact division).
@@ -38,7 +41,7 @@ _INVALID_PARAM_ERRORS = (
 
 
 def _fmt(x: float) -> str:
-    """Fixed 12-significant-digit float formatting for all output."""
+    """Fixed 12-significant-digit float formatting for CSV and text output."""
     return f"{x:.12g}"
 
 
@@ -334,6 +337,10 @@ def main(argv=None) -> int:
     if args.command == "fourier-verify" and args.n_min > args.n_max:
         parser.error(f"fourier-verify: --n-min {args.n_min} exceeds "
                      f"--n-max {args.n_max}")
+    # exact values print in full, past Python's int -> str digit limit;
+    # an in-process caller gets its own limit back when main returns
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except bd.NotApplicable as exc:
@@ -350,6 +357,8 @@ def main(argv=None) -> int:
         print(f"codebounds-error: internal: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 5
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -7,20 +7,23 @@ input with a half-size scratch buffer, and the adjacency operator is n
 reshaped flips, so a 2-D array is processed row by row in one call.  A
 self-convolution f * f transforms f once.
 
-Exact inputs stay exact.  A list of Integral/Rational entries (numpy
-integers and Fractions with numpy parts included) is cleared by
-``spectrum.clear_denominators``, the route ``rayleigh_quotient`` uses too,
-to Python-int numerators over one common denominator q.  The numerators run
-in int64 only when a magnitude bound, computed from the inputs before any
-array is allocated, keeps every intermediate below 2^63; otherwise they run
-on Python ints (object arrays).  They never pass through floating point,
-and int64 never wraps; ``inner`` of exact lists is one Python-int dot
+The public primitives are exact only.  They take Integral/Rational lists
+(numpy integers and Fractions with numpy parts included), integer ndarrays
+and object ndarrays of Rationals, and raise TypeError, naming the entry
+type, for anything else: a float entry, or a float ndarray.  A list is
+cleared by ``spectrum.clear_denominators``, the route ``rayleigh_quotient``
+uses too, to Python-int numerators over one common denominator q.  The
+numerators run in int64 only when a magnitude bound, computed from the
+inputs before any array is allocated, keeps every intermediate below 2^63;
+otherwise they run on Python ints (object arrays).  They never pass through
+floating point, and int64 never wraps; ``inner`` is one Python-int dot
 product of the numerators.  Lists come back as lists: Integral entries give
 ints, any other Rational entry (or any division, as in ``wht`` and
-``convolve``) gives Fractions, floats give floats; ndarrays come back as
-ndarrays.  Identity checks run in this exact arithmetic; the covering
-replay is numeric by nature (a square root and a Perron vector enter) and
-uses float64 with a relative tolerance.
+``convolve``) gives Fractions; ndarrays come back as ndarrays.  Identity
+checks run in this exact arithmetic.  The covering replay is numeric by
+nature (a square root and a Perron vector enter): it runs its float64
+arrays through the dtype-agnostic kernels directly and checks each step
+with a relative tolerance.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -70,12 +73,12 @@ def _dim(values) -> int:
 def _split(values):
     """A table as (entries, unit, magnitude).
 
-    A list whose entry types are all Rational (the numbers-ABC test runs
-    once per type, not per entry) is cleared by ``clear_denominators`` to
-    Python-int numerators F over q: the unit is 1/q, or the int 1 when
-    every type is Integral.  Integer and object arrays are taken as they
-    are, with unit 1.  Anything else is float, with unit None.  The
-    magnitude bounds |F|; an object array may hold anything, so its
+    Every entry type must be Rational (the numbers-ABC test runs once per
+    type, not per entry); any other type raises TypeError naming it.  A
+    list is cleared by ``clear_denominators`` to Python-int numerators F
+    over q: the unit is 1/q, or the int 1 when every type is Integral.
+    Integer and object arrays are taken as they are, with unit 1.  The
+    magnitude bounds |F|; an object array may hold any Rational, so its
     magnitude forces Python ints.
     """
     if isinstance(values, np.ndarray):
@@ -83,26 +86,27 @@ def _split(values):
             mag = max(-int(values.min()), int(values.max())) \
                 if values.size else 0
             return values, 1, mag
-        if values.dtype.kind == "O":
-            return values, 1, _INT64_LIMIT
-        return values, None, 0
-    kinds = set(map(type, values))
-    if not all(issubclass(k, Rational) for k in kinds):
-        return values, None, 0
+        kinds = set(map(type, values.flat)) if values.dtype.kind == "O" \
+            else {values.dtype.type}
+    else:
+        kinds = set(map(type, values))
+    inexact = sorted(k.__name__ for k in kinds if not issubclass(k, Rational))
+    if inexact:
+        raise TypeError(f"exact entries expected, got {', '.join(inexact)}")
+    if isinstance(values, np.ndarray):
+        return values, 1, _INT64_LIMIT
     nums, q = clear_denominators(values)
     unit = 1 if all(issubclass(k, Integral) for k in kinds) \
         else Fraction(1, q)
     return nums, unit, max(map(abs, nums), default=0)
 
 
-def _array(entries, unit, bound: int) -> np.ndarray:
+def _array(entries, bound: int) -> np.ndarray:
     """Entries from ``_split`` as an ndarray ready for exact arithmetic.
 
     ``bound`` bounds every intermediate the caller will form; int64 is used
     only below 2^63, so it cannot wrap.
     """
-    if unit is None:
-        return np.asarray(entries, dtype=np.float64)
     return np.asarray(entries,
                       dtype=np.int64 if bound < _INT64_LIMIT else object)
 
@@ -110,10 +114,10 @@ def _array(entries, unit, bound: int) -> np.ndarray:
 def _out(like, result: np.ndarray, unit):
     """The result in the argument's form, numerators times ``unit``.
 
-    An ndarray argument gets an ndarray, a list gets a list.  A unit that
-    is None (float) or the int 1 leaves the entries as they are.
+    An ndarray argument gets an ndarray, a list gets a list.  The int unit
+    1 leaves the entries as they are.
     """
-    scaled = unit is not None and not isinstance(unit, int)
+    scaled = not isinstance(unit, int)
     if isinstance(like, np.ndarray):
         return result.astype(object) * unit if scaled else result
     values = result.tolist()
@@ -130,6 +134,7 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     half-size scratch buffer, lo += hi, then hi takes the scratch.  Every
     entry sees the same arithmetic as a level built from fresh sums and
     differences, so float, int64 and object results are identical to it.
+    The covering replay calls it on float64 arrays directly.
     """
     lead, size = a.shape[:-1], a.shape[-1]
     out = a.copy()
@@ -161,39 +166,36 @@ def _adjacency(a: np.ndarray) -> np.ndarray:
 def wht_unnormalized(values):
     """Butterfly transform u(f)(z) = sum_x f(x) (-1)^<x,z>; u(u(f)) = 2^n f.
 
-    Exact for Integral/Rational inputs (all-Integral lists give ints);
-    floats give floats; a 2-D ndarray is transformed row by row.
+    Exact (all-Integral lists give ints); a 2-D ndarray is transformed row
+    by row.
     """
     size = 1 << _dim(values)
     entries, unit, mag = _split(values)
-    return _out(values, _butterfly(_array(entries, unit, mag * size)), unit)
+    return _out(values, _butterfly(_array(entries, mag * size)), unit)
 
 
 def wht(values):
     """Normalized transform: wht(f)[z] = E[f * chi_z] = u(f)[z] / 2^n.
 
-    Exact inputs give Fractions (ints included); floats give floats.
+    Entries come out as Fractions, integral values included.
     """
     size = 1 << _dim(values)
     entries, unit, mag = _split(values)
-    u = _butterfly(_array(entries, unit, mag * size))
-    if unit is None:
-        return _out(values, u / size, None)
-    return _out(values, u, Fraction(unit, size))
+    return _out(values, _butterfly(_array(entries, mag * size)),
+                Fraction(unit, size))
 
 
 def inner(f: list, g: list):
     """<f, g> = E[f g] under the uniform distribution.
 
-    Exact inputs (any Integral/Rational entries) give a Fraction computed
-    from their integer numerators; any float input gives a float.
+    A Fraction computed from the integer numerators of the entries.
     """
     if len(f) != len(g):
         raise DimensionMismatch(f"{len(f)} vs {len(g)}")
     ef, uf, _ = _split(f)
     eg, ug, _ = _split(g)
-    if uf is None or ug is None:
-        return sum(a * b for a, b in zip(f, g)) / len(f)
+    # an ndarray's entries as Python numbers: int64 products would wrap
+    ef, eg = (e.tolist() if isinstance(e, np.ndarray) else e for e in (ef, eg))
     return Fraction(sum(map(operator.mul, ef, eg)),
                     len(f) * uf.denominator * ug.denominator)
 
@@ -201,33 +203,26 @@ def inner(f: list, g: list):
 def _convolution(f, g):
     """f * g as (entries, unit), as ``_out`` takes them.
 
-    For exact inputs the entries are the integer numerators
-    u(u(F) . u(G)) and the unit is 1/(q_f q_g 4^n) > 0, so an entry is zero
-    exactly where f * g is; for float inputs the unit is None.  When g is f
-    the transform is computed once.
+    The entries are the integer numerators u(u(F) . u(G)) and the unit is
+    1/(q_f q_g 4^n) > 0, so an entry is zero exactly where f * g is.  When
+    g is f the transform is computed once.
     """
     if _length(f) != _length(g):
         raise DimensionMismatch(f"{_length(f)} vs {_length(g)}")
     size = 1 << _dim(f)
     ef, uf, mf = _split(f)
     eg, ug, mg = (ef, uf, mf) if g is f else _split(g)
-    if uf is None or ug is None:
-        ef, eg, uf, ug = f, g, None, None
     # |u(u(F) . u(G))| <= size^3 |F| |G| bounds all three transforms
     bound = size ** 3 * max(mf, 1) * max(mg, 1)
-    tf = _butterfly(_array(ef, uf, bound))
-    tg = tf if g is f else _butterfly(_array(eg, ug, bound))
-    back = _butterfly(tf * tg)
-    if uf is None:
-        return back / (size * size), None
-    return back, Fraction(uf * ug, size * size)
+    tf = _butterfly(_array(ef, bound))
+    tg = tf if g is f else _butterfly(_array(eg, bound))
+    return _butterfly(tf * tg), Fraction(uf * ug, size * size)
 
 
 def convolve(f, g):
     """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n.
 
-    Exact for Integral/Rational inputs (Fractions out); any float input
-    makes the result float; 2-D ndarrays are convolved row by row.
+    Exact (Fractions out); 2-D ndarrays are convolved row by row.
     """
     entries, unit = _convolution(f, g)
     return _out(f if isinstance(f, np.ndarray) else g, entries, unit)
@@ -240,7 +235,7 @@ def adjacency_apply(f):
     """
     n = _dim(f)
     entries, unit, mag = _split(f)
-    return _out(f, _adjacency(_array(entries, unit, mag * n)), unit)
+    return _out(f, _adjacency(_array(entries, mag * n)), unit)
 
 
 def degree_function(n: int) -> list:
@@ -362,7 +357,7 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     draws, q = _random_functions(rng, count, size)
     # |dot(u(U_i . U_{i+1}), H)| <= size^4 top^3 bounds every value below
     top = int(np.abs(draws).max())
-    F = _array(draws, 1, size ** 4 * top ** 3)
+    F = _array(draws, size ** 4 * top ** 3)
 
     def dot(a, b):
         return (a * b).sum(axis=-1)
@@ -440,15 +435,16 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     # the radial vector on the ball, and 0 (index r + 1) off it
     rad = np.array(radial_vector(n, r, lam) + [0.0])
     f = rad[np.minimum(np.bitwise_count(np.arange(size)), r + 1)]
-    af = adjacency_apply(f)
+    af = _adjacency(f)
     worst = float((af - lam * f).min())
     scale = float(np.abs(f).max()) * lam
     perron_ok = worst >= -_REL_TOL * scale
 
-    conv_cc = convolve(one_c, one_c)
+    # float convolutions u(u(f) . u(g)) / 4^n, on the kernels directly
+    conv_cc = _butterfly(_butterfly(one_c) ** 2) / size ** 2
     phi_hat = np.sqrt(np.maximum(conv_cc, 0.0))
-    phi = wht_unnormalized(phi_hat)          # synthesis: sum_z phi_hat chi_z
-    big_f = convolve(phi, f)
+    phi = _butterfly(phi_hat)                # synthesis: sum_z phi_hat chi_z
+    big_f = _butterfly(_butterfly(phi) * _butterfly(f)) / size ** 2
 
     def mean(vals):
         return float(vals.sum()) / size
@@ -461,7 +457,7 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     eF, eF2 = mean(big_f), mean_sq(big_f)
     ball = vol(r, n)
     m = len(code)
-    afF = float(np.dot(adjacency_apply(big_f), big_f)) / size
+    afF = float(np.dot(_adjacency(big_f), big_f)) / size
 
     def step(name, lhs, rhs, kind):
         if kind == "le":

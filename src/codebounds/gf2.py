@@ -67,7 +67,12 @@ def poly_degree(p: int) -> int:
 
 
 def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] polynomials."""
+    """Carry-less product of two GF(2)[x] polynomials.
+
+    The loop runs over the bits of the shorter operand, whichever it is.
+    """
+    if b.bit_length() > a.bit_length():
+        a, b = b, a
     out = 0
     while b:
         if b & 1:

@@ -5,6 +5,7 @@ reasonable; a single subprocess test at the end confirms the console script
 is wired up.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -17,7 +18,8 @@ from codebounds import bounds as bd
 from codebounds import cyclic, fourier
 from codebounds.cli import CSV_COLUMNS, CSV_HEADER, bound_rows, main
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_table.csv")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden_table.csv")
 
 
 def run_cli(capsys, *argv):
@@ -346,6 +348,17 @@ class TestReplay:
         assert code == 2 and out == ""
         assert err.startswith("codebounds-error: InvalidRadius: ")
 
+    @pytest.mark.parametrize("argv, pinned", [
+        (["--m", "4", "--c", "1", "--r", "3"], "replay_m4_c1_r3.json"),
+        (["--words", "0,7", "--r", "1"], "replay_words_0_7_r1.json"),
+    ])
+    def test_report_pinned(self, capsys, argv, pinned):
+        # every float of the report, byte for byte: drift in the replay's
+        # float arithmetic fails here
+        code, out, err = run_cli(capsys, "replay", *argv)
+        with open(os.path.join(DATA, pinned)) as fh:
+            assert (code, out, err) == (0, fh.read(), "")
+
     def test_default_n_is_left_to_covering_replay(self, capsys, monkeypatch):
         seen = []
 
@@ -395,6 +408,48 @@ def test_malformed_string_options_exit_2(capsys, argv, option):
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"argument {option}: expected " in captured.err
+
+
+@contextlib.contextmanager
+def int_str_digits(limit):
+    """Python's int <-> str digit limit set to ``limit`` inside the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestLongExactValues:
+    # exact values beyond Python's default limit of 4,300 digits
+    BOUNDS = ["bounds", "--n", "20000", "--d", "10", "--r-max", "1"]
+    REGIME = ["table", "--regime", "1", "--n-list", "100000000"]
+
+    @pytest.mark.parametrize("argv", [BOUNDS, BOUNDS + ["--json"], REGIME],
+                             ids=["bounds", "bounds-json", "regime"])
+    def test_exit_0_and_caller_limit_kept(self, capsys, argv):
+        with int_str_digits(5000):
+            code, out, err = run_cli(capsys, *argv)
+            assert sys.get_int_max_str_digits() == 5000
+        assert code == 0 and err == ""
+
+    def test_bounds_prints_every_digit(self, capsys):
+        _, out, _ = run_cli(capsys, *self.BOUNDS)
+        row = next(line for line in out.splitlines() if ",singleton," in line)
+        with int_str_digits(0):
+            assert row.split(",")[7] == str(2 ** 19991)  # 6,018 digits
+        _, out, _ = run_cli(capsys, *self.BOUNDS, "--json")
+        with int_str_digits(0):
+            rows = json.loads(out)
+        assert {row["bound"]: row["value_exact"] for row in rows}[
+            "singleton"] == 2 ** 19991
+
+    def test_regime_prints_every_digit(self, capsys):
+        _, out, _ = run_cli(capsys, *self.REGIME)
+        exact = [line.split(",")[7] for line in out.splitlines()[2:]]
+        longest = max(exact, key=len)
+        assert len(longest) > 4300 and longest.isdigit()
 
 
 @pytest.mark.parametrize("argv, target, fault", [

@@ -55,12 +55,15 @@ class TestTransform:
             assert all(ft[i] == 0 for i in range(1 << n) if i != z)
 
     def test_float_inputs(self):
-        # floats skip the exact route: a float list and a 2-D float array
-        assert wht([1.0, 2.0, 3.0, 4.0]) == [2.5, -0.5, -1.0, 0.0]
+        # floats are refused, not computed; the error names every bad type
+        with pytest.raises(TypeError,
+                           match="^exact entries expected, got float$"):
+            wht([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(TypeError, match="got complex, float$"):
+            wht([1, 2.0, 3j, Fraction(1, 2)])
         rows = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.5, 0.5]])
-        out = wht(rows)
-        assert isinstance(out, np.ndarray) and out.dtype == np.float64
-        assert out.tolist() == [[2.5, -0.5, -1.0, 0.0], [0.5, 0.0, 0.0, 0.0]]
+        with pytest.raises(TypeError, match="got float64$"):
+            wht(rows)
 
     @given(int_funcs)
     def test_unnormalized_involution(self, f):
@@ -311,6 +314,8 @@ class TestExactness:
         f = [np.int64(2 ** 62), np.int64(1)]
         g = [np.int64(4), np.int64(1)]
         assert inner(f, g) == Fraction(2 ** 64 + 1, 2)
+        assert inner(np.array([2 ** 62, 1]), np.array([4, 1])) \
+            == Fraction(2 ** 64 + 1, 2)
         assert inner([Fraction(1, 3), 2], [np.int64(3), Fraction(1, 2)]) \
             == Fraction(1)
 
@@ -324,10 +329,6 @@ class TestExactness:
         assert convolve(table, [1] * 4) == [x] * 4
         assert adjacency_apply(table) == [Fraction(2 ** 63, 3)] * 4
 
-    def test_inner_float_entries_stay_float(self):
-        assert inner([0.5, 1.0], [2.0, 3.0]) == 2.0
-        assert type(inner([1, 2], [0.5, 1.0])) is float
-
     def test_division_gives_fractions(self):
         assert all(type(v) is Fraction for v in wht([1, 2, 3, 4]))
         assert all(type(v) is Fraction
@@ -340,7 +341,24 @@ class TestExactness:
         assert all(type(v) is int for v in fn([1, -2, 3, 4]))
         assert all(type(v) is Fraction
                    for v in fn([Fraction(1, 2), 2, 0, Fraction(-3)]))
-        assert all(type(v) is float for v in fn([0.5, 2.0, 0.0, -1.0]))
+
+    @pytest.mark.parametrize("table", [
+        pytest.param([0.5, 2.0, 0.0, -1.0], id="float list"),
+        pytest.param([1, 2.0, 0, -1], id="mixed list"),
+        pytest.param(np.array([0.5, 2.0, 0.0, -1.0]), id="float64 ndarray"),
+        pytest.param(np.array([1, 2.0, 0, -1], dtype=object),
+                     id="object ndarray with a float"),
+    ])
+    @pytest.mark.parametrize("call", [
+        pytest.param(wht_unnormalized, id="wht_unnormalized"),
+        pytest.param(wht, id="wht"),
+        pytest.param(lambda t: inner([1, 0, 2, 1], t), id="inner"),
+        pytest.param(lambda t: convolve(t, [1, 0, 2, 1]), id="convolve"),
+        pytest.param(adjacency_apply, id="adjacency_apply"),
+    ])
+    def test_primitives_refuse_floats(self, call, table):
+        with pytest.raises(TypeError, match="float"):
+            call(table)
 
 
 def _reference_wht(f):
@@ -375,10 +393,12 @@ class TestBatchOracle:
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_float_rows_convolve(self, n):
+        # the covering replay's float route, u(u(f) . u(g)) / 4^n on the
+        # kernels, against the exact convolution of the same rows
         rng = random.Random(100 + n)
         f, g = (np.array([[rng.uniform(-1, 1) for _ in range(1 << n)]
                           for _ in range(4)]) for _ in range(2))
-        out = convolve(f, g)
+        out = fr._butterfly(fr._butterfly(f) * fr._butterfly(g)) / 4 ** n
         assert out.shape == f.shape
         for f_row, g_row, row in zip(f, g, out):
             exact = convolve([Fraction(v) for v in f_row],
@@ -429,7 +449,7 @@ class TestFastPaths:
     @pytest.mark.parametrize("table", [
         [3, -1, 0, 7, 2, 2, -5, 1],
         [Fraction(1, 3), 2, Fraction(-5, 4), 0],
-        [0.25, -1.5, 3.0, 0.125],
+        [2 ** 62, -3, 0, 1],    # Python ints: int64 could wrap
     ])
     def test_self_convolution_shares_transform(self, table):
         assert convolve(table, table) == convolve(table, list(table))
@@ -468,10 +488,11 @@ class TestFastPaths:
         [0.5, 1],
     ])
     def test_split_clears_to_python_ints(self, values):
-        entries, unit, mag = fr._split(values)
         if any(isinstance(v, float) for v in values):
-            assert unit is None
+            with pytest.raises(TypeError, match="float"):
+                fr._split(values)
             return
+        entries, unit, mag = fr._split(values)
         assert all(type(v) is int for v in entries)
         assert [Fraction(v) * unit for v in entries] == \
             [Fraction(v) for v in values]

@@ -56,6 +56,18 @@ class TestPolyArithmetic:
         else:
             assert p == 0
 
+    @given(st.integers(0, (1 << 16) - 1),
+           st.integers(1 << 200, (1 << 2048) - 1))
+    def test_mul_commutes_short_against_long(self, short, long):
+        # coefficient k of the product is the parity of a_i b_j over i + j = k
+        ones = [j for j, bit in enumerate(reversed(f"{long:b}")) if bit == "1"]
+        want = 0
+        for i in range(short.bit_length()):
+            if short >> i & 1:
+                for j in ones:
+                    want ^= 1 << (i + j)
+        assert poly_mul(short, long) == poly_mul(long, short) == want
+
     @given(polys)
     def test_hex_roundtrip(self, a):
         assert poly_from_hex(poly_to_hex(a)) == a
