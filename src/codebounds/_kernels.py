@@ -6,15 +6,21 @@ part; both parts index tables of XOR combinations of the matching rows.
 The tables are limb-major, shape (ceil(n/64), 2^bits): row j holds 64-bit
 limb j of every combination, so for each high-part entry the scan XORs
 contiguous limb rows of the low table with one scalar per limb, popcounts
-them, adds the limb rows into per-word weights and histograms those.  All
-four steps write into buffers allocated once per call.  The weights are
-summed in the smallest unsigned dtype that holds n, so a weight never
-wraps.  The clique search is a branch and bound over python-int bitsets
-with a greedy-colouring bound (Östergård, "A fast algorithm for the
-maximum clique problem", 2002).
+them into per-word weights (for n > 64 through a uint8 buffer whose limb
+rows are added up) and histograms those.  Every step writes into buffers
+allocated once per call.  The weights are summed in the smallest unsigned
+dtype that holds n, so a weight never wraps.  ``layer_minima`` builds the
+same two tables, split at min(13, ceil(k/2)) bits and with their columns
+sorted by message popcount, to find the least weight of each
+message-weight layer of a span without enumerating the others.  The clique
+search is a branch and bound over python-int bitsets with a
+greedy-colouring bound (Östergård, "A fast algorithm for the maximum
+clique problem", 2002).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -86,10 +92,103 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
         width = b - a
         np.bitwise_xor(low[:, a:b], high[:, prefix:prefix + 1],
                        out=block[:, :width])
-        np.bitwise_count(block[:, :width], out=bits[:, :width])
-        np.add.reduce(bits[:, :width], axis=0, dtype=acc, out=wts[:width])
+        _word_weights(block[:, :width], bits[:, :width], wts[:width])
         counts += np.bincount(wts[:width], minlength=n + 1)
     return counts
+
+
+def _word_weights(block: np.ndarray, bits: np.ndarray,
+                  wts: np.ndarray) -> None:
+    """Weights of the words of a limb-major block, written into ``wts``.
+
+    The limbs run along axis -2 of ``block`` and ``bits``; ``wts`` has the
+    shape of ``block`` without that axis.  One limb is popcounted straight
+    into ``wts``; wider words go through the uint8 ``bits`` buffer and are
+    summed over limbs.
+    """
+    if block.shape[-2] == 1:
+        np.bitwise_count(block, out=wts[..., None, :])
+    else:
+        np.bitwise_count(block, out=bits)
+        np.add.reduce(bits, axis=-2, dtype=wts.dtype, out=wts)
+
+
+def _by_popcount(table: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Span-table columns sorted by the popcount of their message index.
+
+    Returns the sorted table and the offsets: the messages of weight i are
+    columns [at[i], at[i + 1]).
+    """
+    ones = np.bitwise_count(np.arange(table.shape[1], dtype=np.uint64))
+    order = np.argsort(ones, kind="stable")
+    at = np.concatenate(([0], np.cumsum(np.bincount(ones))))
+    return table[:, order], at.tolist()
+
+
+def _layer_split(k: int) -> int:
+    """Message bits in the low span table of ``layer_minima``."""
+    return min(_LOW_BITS, (k + 1) // 2)
+
+
+def layer_table_words(k: int) -> int:
+    """Columns of the two span tables ``layer_minima`` builds for k rows."""
+    k_lo = _layer_split(k)
+    return (1 << k_lo) + (1 << (k - k_lo))
+
+
+def layer_minima(gens: list[list[int]], n: int):
+    """Least weights of the spans of t generators by message weight.
+
+    Yields, for w = 1, 2, ..., k and within each w for every generator in
+    turn, the least weight among that generator's codewords whose message
+    has exactly w ones.  All generators have k rows.  Nothing is computed
+    before the first ``next``.  The messages split into a low part (the
+    first min(13, ceil(k/2)) bits) and a high part, as in ``weight_scan``,
+    and both span tables, built for all generators at once (generator j
+    holds limb rows j*limbs .. (j+1)*limbs - 1), are sorted by message
+    popcount; so the weight-w words are the XORs of the low columns of
+    weight w - h with the high columns of weight h, for each h.  These
+    products are formed in blocks of at most 2^13 words, each weight for
+    as many generators at once as fit in one block (at least one); the
+    next batch is computed only when its first value is asked for.
+    """
+    t, k = len(gens), len(gens[0])
+    packed = np.concatenate([pack_rows(rows, n) for rows in gens], axis=1)
+    limbs = packed.shape[1] // t
+    k_lo = _layer_split(k)
+    low, low_at = _by_popcount(_span_table(packed[:k_lo]))
+    high, high_at = _by_popcount(_span_table(packed[k_lo:]))
+    size = 1 << _LOW_BITS
+    block = np.empty(limbs * size, dtype=np.uint64)
+    bits = np.empty(limbs * size, dtype=np.uint8)
+    wts = np.empty(size, dtype=np.min_scalar_type(n))
+
+    def minima(first: int, count: int, w: int) -> list[int]:
+        """Least weight-w word of each of generators first .. first+count-1;
+        count * C(k_lo, l) <= 2^13 for every low weight l = w - h."""
+        part = slice(first * limbs, (first + count) * limbs)
+        least = np.full(count, n, dtype=wts.dtype)
+        for h in range(max(0, w - k_lo), min(w, k - k_lo) + 1):
+            lo = low[part, None, low_at[w - h]:low_at[w - h + 1]]
+            nl = lo.shape[2]
+            step = size // (count * nl)
+            for b in range(high_at[h], high_at[h + 1], step):
+                hi = high[part, b:min(b + step, high_at[h + 1]), None]
+                width = hi.shape[1] * nl
+                shape = (count, limbs, width)
+                words = block[:count * limbs * width]
+                np.bitwise_xor(hi, lo, out=words.reshape(hi.shape[:2] + (nl,)))
+                weights = wts[:count * width].reshape(count, width)
+                _word_weights(words.reshape(shape),
+                              bits[:words.size].reshape(shape), weights)
+                np.minimum(least, weights.min(axis=1), out=least)
+        return least.tolist()
+
+    for w in range(1, k + 1):
+        # C(k, min(w, k // 2)) bounds both C(k, w) and every C(k_lo, l)
+        batch = max(1, size // math.comb(k, min(w, k // 2)))
+        for first in range(0, t, batch):
+            yield from minima(first, min(batch, t - first), w)
 
 
 # ---------------------------------------------------------------------------

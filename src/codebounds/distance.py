@@ -3,16 +3,25 @@
 Linear-code statistics come from the numpy span-table scan in ``_kernels``
 (one XOR and popcount per 64-bit limb of each word, over limb-major tables,
 with weights summed in the smallest unsigned dtype that holds n), which
-returns a weight histogram.  The ``*_of_rows`` entry points scan all 2^k
+returns a weight histogram.  ``weight_distribution_of_rows`` scans all 2^k
 codewords of any span, the only scan sharded across threads; a
 constructed cyclic code is instead enumerated one cyclic-shift orbit at a
 time, and the full scan is its oracle.
+``min_distance_of_rows`` needs only the least weight, and gets it by the
+Brouwer-Zimmermann information-set search: t disjoint information sets,
+each systematic generator enumerated by increasing message weight until
+the best weight found meets the lower bound on every word not yet seen.
+A count of the words that search needs, made before its first round,
+picks the number of sets and hands the span to the full scan whenever
+that is cheaper.
 A(n, d) for tiny n is a maximum-clique search over the graph of n-bit words
-with pairwise distance >= d, with the zero word fixed into the code.
+with pairwise distance >= d, with the zero word and, up to a coordinate
+permutation, a least-weight nonzero word 1^w 0^(n-w) fixed into the code.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -91,14 +100,98 @@ def _full_scan(rows: list[int], n: int, max_k: int,
                               total)
 
 
+def _basis(rows: list[int]) -> list[int]:
+    """Independent rows spanning the same code (leading-bit elimination)."""
+    lead: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in lead:
+                lead[top] = row
+                break
+            row ^= lead[top]
+    return list(lead.values())
+
+
+def _systematic(rows: list[int], cols: int) -> tuple[list[int], int] | None:
+    """Gauss-Jordan on the columns in the mask ``cols``.
+
+    Returns the reduced rows, systematic on an information set inside
+    ``cols`` (row i is the i-th unit vector there), and ``cols`` less that
+    set; ``None`` when the rows restricted to ``cols`` have rank below
+    ``len(rows)``.
+    """
+    if cols.bit_count() < len(rows):
+        return None
+    rows = list(rows)
+    for r in range(len(rows)):
+        for s in range(r, len(rows)):
+            if rows[s] & cols:
+                break
+        else:
+            return None
+        pivot = rows[s]
+        rows[s] = rows[r]
+        bit = pivot & cols & -(pivot & cols)
+        cols ^= bit
+        rows = [row ^ pivot if row & bit else row for row in rows]
+        rows[r] = pivot
+    return rows, cols
+
+
+def _bz_words(k: int, t: int, best: int) -> int:
+    """Words the information-set route enumerates on t sets at most: each
+    set's message weights up to the first w with t (w + 1) >= best."""
+    last = min(k, -(-best // t) - 1)
+    return t * sum(math.comb(k, w) for w in range(1, last + 1))
+
+
 def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
                          workers: int = 1) -> int:
     """Minimum nonzero codeword weight of the span of ``rows``.
 
+    Brouwer-Zimmermann information-set search (Grassl, "Searching for
+    linear codes with large minimum distance", 2006): the rows are reduced
+    to a basis and brought to systematic form on disjoint information
+    sets, and t of these systematic generators are enumerated by
+    increasing message weight w (``_kernels.layer_minima``).  A codeword
+    not yet met has weight >= w + 1 on every set already done at weight w
+    and >= w on the others, so the search stops once the best weight found
+    is at most that bound; at the latest when w = ceil(best / t) - 1,
+    with best the least weight among the generator rows.  The words up to
+    that round, span tables included, are counted first: t is the number
+    of sets with the smallest count, and the span goes to the full scan
+    (sharded over ``workers`` threads) when that count is not below its
+    2^k words.  Each round only lowers best, so no later count can exceed
+    the first.
+
     Raises ``ValueError`` for a row that is negative or does not fit in n
     bits, and for a span with no nonzero word.
     """
-    return _full_scan(rows, n, max_k, workers).min_distance
+    _check_budget(len(rows), max_k)
+    _check_rows(rows, n)
+    basis = _basis(rows)
+    k = len(basis)
+    gens, cols = [], (1 << n) - 1
+    while k and (found := _systematic(basis, cols)) is not None:
+        basis, cols = found
+        gens.append(basis)
+    # the rows of the systematic generators are the weight-1 messages
+    best = min((row.bit_count() for gen in gens for row in gen), default=0)
+    # any t of the sets bound the unseen words; each one costs its tables
+    # and a share of every round
+    words = {t: t * _kernels.layer_table_words(k) + _bz_words(k, t, best)
+             for t in range(1, len(gens) + 1)}
+    t = min(words, key=words.get, default=0)
+    if not k or words[t] >= 1 << k:
+        return _full_scan(basis, n, max_k, workers).min_distance
+    layers = _kernels.layer_minima(gens[:t], n)
+    for w in range(1, k + 1):
+        for j in range(1, t + 1):
+            best = min(best, next(layers))
+            if best <= t * w + j:
+                return best
+    return best
 
 
 def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 24,
@@ -176,9 +269,12 @@ def distance_report(spec: ConstructionSpec, max_k: int = 24) -> dict:
 def exact_A_search(n: int, d: int, max_n: int = 8) -> int:
     """Exact A(n, d): the largest binary code of length n, distance >= d.
 
-    Branch-and-bound maximum clique on words of weight >= d (translation
-    invariance fixes 0 into the code, so A = 1 + max clique among the
-    remaining mutually-distant words).  Default budget stops at n = 8;
+    A code of two or more words can be translated to contain 0 and then
+    permuted so that a nonzero word of least weight w >= d is
+    1^w 0^(n-w); every other word then has weight >= w.  So for each w the
+    search fixes those two words and runs a branch-and-bound maximum
+    clique on the words of weight >= w at distance >= d from both, and
+    A = max(1, max over w of 2 + clique).  Default budget stops at n = 8;
     raise ``max_n`` explicitly for larger searches.
     """
     if not (1 <= n):
@@ -191,14 +287,16 @@ def exact_A_search(n: int, d: int, max_n: int = 8) -> int:
             "pass a larger max_n to override")
     if d == 1:
         return 1 << n
-    verts = [v for v in range(1, 1 << n) if v.bit_count() >= d]
-    if not verts:
-        return 1
-    V = len(verts)
-    neigh = [0] * V
-    for a in range(V):
-        for b in range(a + 1, V):
-            if (verts[a] ^ verts[b]).bit_count() >= d:
-                neigh[a] |= 1 << b
-                neigh[b] |= 1 << a
-    return 1 + _kernels.max_clique(neigh)
+    best = 1
+    for w in range(d, n + 1):
+        fixed = (1 << w) - 1
+        verts = [v for v in range(1, 1 << n) if v.bit_count() >= w
+                 and (v ^ fixed).bit_count() >= d]
+        if 2 + len(verts) <= best:
+            continue
+        words = np.array(verts, dtype=np.min_scalar_type((1 << n) - 1))
+        far = np.bitwise_count(words[:, None] ^ words[None, :]) >= d
+        neigh = [int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(far, axis=1, bitorder="little")]
+        best = max(best, 2 + _kernels.max_clique(neigh))
+    return best

@@ -189,8 +189,13 @@ def inner(f: list, g: list):
     """<f, g> = E[f g] under the uniform distribution.
 
     A Fraction computed from the integer numerators of the entries.
+    Raises ``DimensionMismatch`` unless both are 1-D tables of one
+    power-of-2 length.
     """
-    if len(f) != len(g):
+    for table in (f, g):
+        if isinstance(table, np.ndarray) and table.ndim != 1:
+            raise DimensionMismatch(f"table of shape {table.shape} is not 1-D")
+    if _dim(f) != _dim(g):
         raise DimensionMismatch(f"{len(f)} vs {len(g)}")
     ef, uf, _ = _split(f)
     eg, ug, _ = _split(g)

@@ -1,10 +1,15 @@
 """Exhaustive distance engines and the exact A(n, d) clique search."""
 
 import dataclasses
+import functools
 import inspect
+import itertools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codebounds import _kernels
 from codebounds.cli import main
@@ -57,7 +62,7 @@ class TestMinDistance:
             min_distance(code_6_2, max_k=10)
 
     def test_one_default_budget(self):
-        # the histogram and the minimum distance come from the same scan
+        # every entry point enumerates up to the same k by default
         entries = [min_distance, weight_distribution, distance_report,
                    min_distance_of_rows, weight_distribution_of_rows]
         assert {inspect.signature(f).parameters["max_k"].default
@@ -75,6 +80,89 @@ class TestMinDistance:
     def test_zero_code_rejected(self):
         with pytest.raises(ValueError):
             min_distance_of_rows([0, 0], 4)
+
+
+def _rm_rows(r, m):
+    """Generator of RM(r, m): evaluations of the monomials of degree <= r."""
+    return [sum(1 << x for x in range(1 << m) if x & mono == mono)
+            for mono in range(1 << m) if mono.bit_count() <= r]
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("this route must not run")
+
+
+class TestInformationSets:
+    # n on both sides of the 64- and 128-bit limb boundaries; sparse rows
+    # give spans the information-set route takes, dense ones spans it
+    # hands to the full scan; duplicate, dependent and zero rows are mixed
+    # in, and a span of zero rows must raise like the full scan
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 130), k=st.integers(0, 16),
+           density=st.sampled_from([0.03, 0.1, 0.5]),
+           extra=st.integers(0, 4), seed=st.integers(0, 2 ** 32))
+    def test_equals_full_scan(self, n, k, density, extra, seed):
+        rng = random.Random(seed)
+        rows = [sum(1 << i for i in range(n) if rng.random() < density)
+                for _ in range(k)]
+        for _ in range(extra):
+            pick = rng.choice(["zero", "duplicate", "sum"])
+            if pick == "zero" or not rows:
+                rows.append(0)
+            elif pick == "duplicate":
+                rows.append(rng.choice(rows))
+            else:
+                rows.append(rng.choice(rows) ^ rng.choice(rows))
+        rng.shuffle(rows)
+        if not any(rows):
+            with pytest.raises(ValueError, match="no nonzero codeword"):
+                min_distance_of_rows(rows, n)
+            return
+        full = weight_distribution_of_rows(rows, n).min_distance
+        assert min_distance_of_rows(rows, n) == full
+
+    def test_short_dense_spans(self):
+        # dense rows with n <= 40 end the search in its first rounds, where
+        # an off-by-one in the stopping bound t w + j shows in about one
+        # span in a hundred
+        rng = random.Random(14)
+        for _ in range(1000):
+            n, k = rng.randint(2, 40), rng.randint(1, 12)
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            if any(rows):
+                assert min_distance_of_rows(rows, n) == \
+                    weight_distribution_of_rows(rows, n).min_distance, rows
+
+    def test_stops_only_at_the_bound(self):
+        # rows e_i + p with wt(p) = 2: one information set, every row of
+        # weight 3, and d = 2 first met at message weight 2; after the
+        # weight-1 round the bound is t w + j = 2 < 3, so the search must
+        # go on to weight 2
+        rows = [1 << i | 0b11 << 8 for i in range(8)]
+        assert min_distance_of_rows(rows, 10) == 2
+
+    def test_rm_2_6_takes_the_information_set_route(self, monkeypatch):
+        # RM(2, 6): n = 64, k = 22, two disjoint information sets
+        monkeypatch.setattr(_kernels, "weight_scan", _fail)
+        assert min_distance_of_rows(_rm_rows(2, 6), 64) == 16
+
+    def test_sets_used_are_the_cheapest_count(self, monkeypatch):
+        # 102 disjoint information sets exist, but with weight-2 rows one
+        # set's tables and its weight-1 round already settle d = 2
+        used = []
+        real = _kernels.layer_minima
+        monkeypatch.setattr(_kernels, "layer_minima", lambda gens, n: (
+            used.append(len(gens)) or real(gens, n)))
+        rows = [1 << i | 1 << (1000 + i) for i in range(20)]
+        assert min_distance_of_rows(rows, 2048) == 2
+        assert used == [1]
+
+    def test_near_half_distance_code_goes_to_full_scan(self, monkeypatch):
+        # (8,3): n = 255, k = 24, d = 96; ten sets would need message
+        # weights up to about 9, more words than the 2^24 of a full scan
+        monkeypatch.setattr(_kernels, "layer_minima", _fail)
+        spec = build_code(8, 3)
+        assert min_distance_of_rows(spec.generator_rows(), spec.n) == 96
 
 
 class TestWeightDistribution:
@@ -258,7 +346,48 @@ class TestWeightScan:
         assert list(lo + hi) == list(full)
 
 
+def _unbroken_A_search(n, d):
+    """Reference A(n, d): 0 fixed into the code, 1 + the maximum clique of
+    the words of weight >= d, with no symmetry of the cube broken."""
+    if d == 1:
+        return 1 << n
+    verts = [v for v in range(1, 1 << n) if v.bit_count() >= d]
+    V = len(verts)
+    neigh = [0] * V
+    for a in range(V):
+        for b in range(a + 1, V):
+            if (verts[a] ^ verts[b]).bit_count() >= d:
+                neigh[a] |= 1 << b
+                neigh[b] |= 1 << a
+    return 1 + _kernels.max_clique(neigh)
+
+
+class TestLayerMinima:
+    # k on both sides of the low/high split at min(13, ceil(k/2)) bits, n
+    # on both sides of the limb boundaries; (70, 26) and (200, 30) reach
+    # products of more than 2^13 words at weight 4 and 5, so the high
+    # columns of one popcount are split over several blocks
+    @pytest.mark.parametrize("n,k,depth", [
+        (1, 1, 1), (10, 3, 3), (64, 9, 9), (65, 12, 12), (130, 14, 4),
+        (70, 26, 5), (200, 30, 4),
+    ])
+    def test_matches_python_oracle(self, n, k, depth):
+        rng = random.Random(n * 100 + k)
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        layers = _kernels.layer_minima([rows, rows[::-1]], n)
+        for w in range(1, depth + 1):
+            words = [functools.reduce(operator.xor, pick)
+                     for pick in itertools.combinations(rows, w)]
+            least = min(x.bit_count() for x in words)
+            assert [next(layers), next(layers)] == [least, least], w
+
+
 class TestExactASearch:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_unbroken_search(self, n):
+        for d in range(1, n + 2):
+            assert exact_A_search(n, d) == _unbroken_A_search(n, d), d
+
     @pytest.mark.parametrize("n,d", sorted(A_TABLE))
     def test_table_values(self, n, d):
         assert exact_A_search(n, d) == A_TABLE[n, d]
@@ -286,10 +415,11 @@ class TestExactASearch:
         assert exact_A_search(9, 1, max_n=9) == 512
 
     def test_n8_row(self):
-        # Every cell except d = 3: that one is a dense 219-vertex clique
-        # instance the branch-and-bound kernel does not finish in under
-        # an hour.  Monotonicity against d = 4 and the doubling bound
-        # against A(7, 3) = 16 still pin the skipped cell to [16, 32].
+        # Every cell except d = 3: with 0 and 11100000 fixed, its w = 3
+        # clique instance still has 188 dense vertices, and the search did
+        # not finish in 5 minutes (one run, 2 vCPUs).  Monotonicity against
+        # d = 4 and the doubling bound against A(7, 3) = 16 still pin the
+        # skipped cell to [16, 32].
         row = [exact_A_search(8, d) for d in (1, 2, 4, 5, 6, 7, 8)]
         assert row == [256, 128, 16, 4, 2, 2, 2]
         assert 2 * exact_A_search(7, 3) == 32

@@ -90,6 +90,13 @@ class TestTransform:
             wht([1, 2, 3])
         with pytest.raises(DimensionMismatch):
             inner([1, 2], [1, 2, 3, 4])
+        with pytest.raises(DimensionMismatch, match="length 3 not a power"):
+            inner([1, 2, 3], [1, 2, 3])
+
+    def test_inner_rejects_2d_tables(self):
+        table = np.ones((2, 4), dtype=np.int64)
+        with pytest.raises(DimensionMismatch, match=r"shape \(2, 4\)"):
+            inner(table, table)
 
     @pytest.mark.parametrize("fn", [wht, wht_unnormalized, adjacency_apply])
     def test_rejects_empty_table(self, fn):
