@@ -33,14 +33,13 @@ _LOW_BITS = 13
 
 
 def pack_rows(rows: list[int], n: int) -> np.ndarray:
-    """Pack n-bit int rows into a (k, ceil(n/64)) uint64 array."""
+    """Pack n-bit int rows into a read-only (k, ceil(n/64)) uint64 array.
+
+    One ``to_bytes`` per row: its little-endian bytes are limbs 0, 1, ...
+    """
     words = max(1, (n + 63) >> 6)
-    out = np.zeros((len(rows), words), dtype=np.uint64)
-    mask = (1 << 64) - 1
-    for i, row in enumerate(rows):
-        for w in range(words):
-            out[i, w] = (row >> (64 * w)) & mask
-    return out
+    data = b"".join(row.to_bytes(8 * words, "little") for row in rows)
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
 
 
 def _span_table(rows: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .gf2 import (
     poly_mod,
     poly_mul,
     poly_to_hex,
+    row_basis,
 )
 
 
@@ -245,18 +246,6 @@ class MinimalIdeal:
         return reps
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}          # leading bit -> reduced row
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = row
-                break
-            row ^= pivots[top]
-    return len(pivots)
-
-
 def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
     """Split the code into its c minimal ideals, one per removed coset.
 
@@ -278,7 +267,7 @@ def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
                 f"ideal of coset {cs.representative} is not in the code")
         ideals.append(MinimalIdeal(spec.n, cs.representative, gen,
                                    poly_degree(mp), spec.field))
-    rank = _gf2_rank([row for ideal in ideals for row in ideal.rows()])
+    rank = len(row_basis([row for ideal in ideals for row in ideal.rows()]))
     if rank != spec.k:
         raise DecompositionFailure(
             f"minimal ideals span rank {rank} != k = {spec.k}")

@@ -35,6 +35,7 @@ from .cyclic import (
     MinimalIdeal,
     minimal_ideals,
 )
+from .gf2 import row_basis
 
 
 class BudgetExceeded(RuntimeError):
@@ -45,8 +46,10 @@ class BudgetExceeded(RuntimeError):
 class WeightDistribution:
     """Histogram of codeword weights, index = weight, length n + 1.
 
-    ``words_scanned`` counts the codewords the enumeration visited; it is
-    not part of equality.
+    ``k`` is the number of generator rows, and the counts always sum to
+    2^k: from dependent rows of rank r, each codeword counts 2^(k - r)
+    times.  ``words_scanned`` counts the codewords the enumeration
+    visited; it is not part of equality.
     """
 
     n: int
@@ -98,19 +101,6 @@ def _full_scan(rows: list[int], n: int, max_k: int,
                 cuts, cuts[1:]))
     return WeightDistribution(n, len(rows), tuple(int(x) for x in counts),
                               total)
-
-
-def _basis(rows: list[int]) -> list[int]:
-    """Independent rows spanning the same code (leading-bit elimination)."""
-    lead: dict[int, int] = {}
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            if top not in lead:
-                lead[top] = row
-                break
-            row ^= lead[top]
-    return list(lead.values())
 
 
 def _systematic(rows: list[int], cols: int) -> tuple[list[int], int] | None:
@@ -166,12 +156,13 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
     the first.
 
     Raises ``ValueError`` for a row that is negative or does not fit in n
-    bits, and for a span with no nonzero word.
+    bits, and for a span with no nonzero word; ``BudgetExceeded`` when the
+    rank, not the row count, exceeds ``max_k``.
     """
-    _check_budget(len(rows), max_k)
     _check_rows(rows, n)
-    basis = _basis(rows)
+    basis = row_basis(rows)
     k = len(basis)
+    _check_budget(k, max_k)
     gens, cols = [], (1 << n) - 1
     while k and (found := _systematic(basis, cols)) is not None:
         basis, cols = found
@@ -196,7 +187,12 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
 
 def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 24,
                                 workers: int = 1) -> WeightDistribution:
-    """Full weight histogram of the span of ``rows`` (2^k enumeration)."""
+    """Weight histogram of all 2^len(rows) messages' codewords.
+
+    Dependent rows are not reduced: each codeword of a span of rank r
+    counts 2^(len(rows) - r) times, so [0b011, 0b110, 0b101] gives counts
+    (2, 0, 6, 0) with k = 3.
+    """
     return _full_scan(rows, n, max_k, workers)
 
 

@@ -7,20 +7,21 @@ input with a half-size scratch buffer, and the adjacency operator is n
 reshaped flips, so a 2-D array is processed row by row in one call.  A
 self-convolution f * f transforms f once.
 
-The public primitives are exact only.  They take Integral/Rational lists
-(numpy integers and Fractions with numpy parts included), integer ndarrays
-and object ndarrays of Rationals, and raise TypeError, naming the entry
-type, for anything else: a float entry, or a float ndarray.  A list is
-cleared by ``spectrum.clear_denominators``, the route ``rayleigh_quotient``
-uses too, to Python-int numerators over one common denominator q.  The
-numerators run in int64 only when a magnitude bound, computed from the
-inputs before any array is allocated, keeps every intermediate below 2^63;
-otherwise they run on Python ints (object arrays).  They never pass through
-floating point, and int64 never wraps; ``inner`` is one Python-int dot
-product of the numerators.  Lists come back as lists: Integral entries give
-ints, any other Rational entry (or any division, as in ``wht`` and
-``convolve``) gives Fractions; ndarrays come back as ndarrays.  Identity
-checks run in this exact arithmetic.  The covering replay is numeric by
+The public primitives are exact only.  They take one 1-D sequence of
+Integral/Rational entries (numpy integers, Fractions with numpy parts and
+1-D integer or object ndarrays included) and raise TypeError, naming the
+entry type, for anything else: a float entry, a float ndarray, or a row of
+a 2-D array.  ``spectrum.clear_denominators``, the route
+``rayleigh_quotient`` uses too, turns the entries into Python-int
+numerators over one common denominator q.  The numerators run in int64
+only when a magnitude bound, computed from the inputs before any array is
+allocated, keeps every intermediate below 2^63; otherwise they run on
+Python ints (object arrays).  They never pass through floating point, and
+int64 never wraps; ``inner`` is one Python-int dot product of the
+numerators.  Results are lists: Integral entries give ints, any other
+Rational entry (or any division, as in ``wht`` and ``convolve``) gives
+Fractions.  The identity suite checks all its functions at once as the
+rows of one exact array on the kernels.  The covering replay is numeric by
 nature (a square root and a Perron vector enter): it runs its float64
 arrays through the dtype-agnostic kernels directly and checks each step
 with a relative tolerance.
@@ -58,12 +59,8 @@ class ChainViolation(ArithmeticError):
     """A replay inequality failed beyond tolerance (implementation bug)."""
 
 
-def _length(values) -> int:
-    return values.shape[-1] if isinstance(values, np.ndarray) else len(values)
-
-
 def _dim(values) -> int:
-    size = _length(values)
+    size = len(values)
     n = size.bit_length() - 1
     if size == 0 or size != 1 << n:
         raise DimensionMismatch(f"table length {size} not a power of 2")
@@ -71,30 +68,18 @@ def _dim(values) -> int:
 
 
 def _split(values):
-    """A table as (entries, unit, magnitude).
+    """A table as (numerators, unit, magnitude).
 
     Every entry type must be Rational (the numbers-ABC test runs once per
-    type, not per entry); any other type raises TypeError naming it.  A
-    list is cleared by ``clear_denominators`` to Python-int numerators F
-    over q: the unit is 1/q, or the int 1 when every type is Integral.
-    Integer and object arrays are taken as they are, with unit 1.  The
-    magnitude bounds |F|; an object array may hold any Rational, so its
-    magnitude forces Python ints.
+    type, not per entry); any other type, a row of a 2-D array included,
+    raises TypeError naming it.  ``clear_denominators`` turns the entries
+    into Python-int numerators F over q: the unit is 1/q, or the int 1 when
+    every type is Integral, and the magnitude is max |F|.
     """
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind in "biu":
-            mag = max(-int(values.min()), int(values.max())) \
-                if values.size else 0
-            return values, 1, mag
-        kinds = set(map(type, values.flat)) if values.dtype.kind == "O" \
-            else {values.dtype.type}
-    else:
-        kinds = set(map(type, values))
+    kinds = set(map(type, values))
     inexact = sorted(k.__name__ for k in kinds if not issubclass(k, Rational))
     if inexact:
         raise TypeError(f"exact entries expected, got {', '.join(inexact)}")
-    if isinstance(values, np.ndarray):
-        return values, 1, _INT64_LIMIT
     nums, q = clear_denominators(values)
     unit = 1 if all(issubclass(k, Integral) for k in kinds) \
         else Fraction(1, q)
@@ -102,26 +87,20 @@ def _split(values):
 
 
 def _array(entries, bound: int) -> np.ndarray:
-    """Entries from ``_split`` as an ndarray ready for exact arithmetic.
+    """Integer entries as an ndarray ready for exact arithmetic.
 
     ``bound`` bounds every intermediate the caller will form; int64 is used
-    only below 2^63, so it cannot wrap.
+    only below 2^63, so it cannot wrap, and Python ints (object) otherwise.
     """
     return np.asarray(entries,
                       dtype=np.int64 if bound < _INT64_LIMIT else object)
 
 
-def _out(like, result: np.ndarray, unit):
-    """The result in the argument's form, numerators times ``unit``.
-
-    An ndarray argument gets an ndarray, a list gets a list.  The int unit
-    1 leaves the entries as they are.
-    """
-    scaled = not isinstance(unit, int)
-    if isinstance(like, np.ndarray):
-        return result.astype(object) * unit if scaled else result
+def _out(result: np.ndarray, unit) -> list:
+    """The numerators times ``unit`` as a list; the int unit 1 leaves them
+    as they are."""
     values = result.tolist()
-    if not scaled:
+    if isinstance(unit, int):
         return values
     num, den = unit.numerator, unit.denominator
     return [Fraction(v * num, den) for v in values]
@@ -134,7 +113,9 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     half-size scratch buffer, lo += hi, then hi takes the scratch.  Every
     entry sees the same arithmetic as a level built from fresh sums and
     differences, so float, int64 and object results are identical to it.
-    The covering replay calls it on float64 arrays directly.
+    The public primitives call it on one exact table; the identity suite
+    on its (count, 2^n) int64 or object array, one function per row; the
+    covering replay on float64 tables.
     """
     lead, size = a.shape[:-1], a.shape[-1]
     out = a.copy()
@@ -163,60 +144,54 @@ def _adjacency(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def wht_unnormalized(values):
+def wht_unnormalized(values) -> list:
     """Butterfly transform u(f)(z) = sum_x f(x) (-1)^<x,z>; u(u(f)) = 2^n f.
 
-    Exact (all-Integral lists give ints); a 2-D ndarray is transformed row
-    by row.
+    Exact: all-Integral tables give ints, other Rationals Fractions.
     """
-    size = 1 << _dim(values)
     entries, unit, mag = _split(values)
-    return _out(values, _butterfly(_array(entries, mag * size)), unit)
+    size = 1 << _dim(entries)
+    return _out(_butterfly(_array(entries, mag * size)), unit)
 
 
-def wht(values):
+def wht(values) -> list:
     """Normalized transform: wht(f)[z] = E[f * chi_z] = u(f)[z] / 2^n.
 
     Entries come out as Fractions, integral values included.
     """
-    size = 1 << _dim(values)
     entries, unit, mag = _split(values)
-    return _out(values, _butterfly(_array(entries, mag * size)),
+    size = 1 << _dim(entries)
+    return _out(_butterfly(_array(entries, mag * size)),
                 Fraction(unit, size))
 
 
-def inner(f: list, g: list):
+def inner(f, g) -> Fraction:
     """<f, g> = E[f g] under the uniform distribution.
 
     A Fraction computed from the integer numerators of the entries.
-    Raises ``DimensionMismatch`` unless both are 1-D tables of one
-    power-of-2 length.
+    Raises ``DimensionMismatch`` unless both tables have one power-of-2
+    length.
     """
-    for table in (f, g):
-        if isinstance(table, np.ndarray) and table.ndim != 1:
-            raise DimensionMismatch(f"table of shape {table.shape} is not 1-D")
-    if _dim(f) != _dim(g):
-        raise DimensionMismatch(f"{len(f)} vs {len(g)}")
     ef, uf, _ = _split(f)
     eg, ug, _ = _split(g)
-    # an ndarray's entries as Python numbers: int64 products would wrap
-    ef, eg = (e.tolist() if isinstance(e, np.ndarray) else e for e in (ef, eg))
+    if _dim(ef) != _dim(eg):
+        raise DimensionMismatch(f"{len(ef)} vs {len(eg)}")
     return Fraction(sum(map(operator.mul, ef, eg)),
                     len(f) * uf.denominator * ug.denominator)
 
 
 def _convolution(f, g):
-    """f * g as (entries, unit), as ``_out`` takes them.
+    """f * g as (numerators, unit), as ``_out`` takes them.
 
     The entries are the integer numerators u(u(F) . u(G)) and the unit is
     1/(q_f q_g 4^n) > 0, so an entry is zero exactly where f * g is.  When
     g is f the transform is computed once.
     """
-    if _length(f) != _length(g):
-        raise DimensionMismatch(f"{_length(f)} vs {_length(g)}")
-    size = 1 << _dim(f)
     ef, uf, mf = _split(f)
     eg, ug, mg = (ef, uf, mf) if g is f else _split(g)
+    if len(ef) != len(eg):
+        raise DimensionMismatch(f"{len(ef)} vs {len(eg)}")
+    size = 1 << _dim(ef)
     # |u(u(F) . u(G))| <= size^3 |F| |G| bounds all three transforms
     bound = size ** 3 * max(mf, 1) * max(mg, 1)
     tf = _butterfly(_array(ef, bound))
@@ -224,23 +199,22 @@ def _convolution(f, g):
     return _butterfly(tf * tg), Fraction(uf * ug, size * size)
 
 
-def convolve(f, g):
+def convolve(f, g) -> list:
     """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n.
 
-    Exact (Fractions out); 2-D ndarrays are convolved row by row.
+    Exact (Fractions out).
     """
-    entries, unit = _convolution(f, g)
-    return _out(f if isinstance(f, np.ndarray) else g, entries, unit)
+    return _out(*_convolution(f, g))
 
 
-def adjacency_apply(f):
+def adjacency_apply(f) -> list:
     """Af by neighbor summation: (Af)(x) = sum_i f(x xor e_i).
 
     Same input/output contract as ``wht_unnormalized``.
     """
-    n = _dim(f)
     entries, unit, mag = _split(f)
-    return _out(f, _adjacency(_array(entries, mag * n)), unit)
+    n = _dim(entries)
+    return _out(_adjacency(_array(entries, mag * n)), unit)
 
 
 def degree_function(n: int) -> list:
@@ -344,7 +318,8 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     identities are invariant under scaling by q > 0, the cross-multiplied
     integer forms below are exact verifications of the rational statements
     (no tolerance anywhere).  All functions are checked at once as the rows
-    of one array, in int64 when the bound below allows it and in Python
+    of one array, through ``_butterfly`` and ``_adjacency`` directly; its
+    dtype is chosen once, int64 when the bound below allows it and Python
     ints otherwise.  Every 25th function is additionally replayed through
     the public Fraction interface so that arithmetic path stays exercised.
     """
@@ -370,20 +345,20 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     def succ(a, k=1):
         return np.roll(a, -k, axis=0)
 
-    U = wht_unnormalized(F)
+    U = _butterfly(F)
     # u(U_j . U_{j+1}) appears on both sides of neighboring associativity
     # checks; compute each once
-    P = wht_unnormalized(U * succ(U))
+    P = _butterfly(U * succ(U))
     G, H = succ(F), succ(F, 2)
     checks = [
-        ("double transform", (wht_unnormalized(U) != size * F).any(axis=1)),
+        ("double transform", (_butterfly(U) != size * F).any(axis=1)),
         ("Parseval", dot(U, succ(U)) != size * dot(F, G)),
         ("mean identity", U[:, 0] != F.sum(axis=1)),
         ("convolution self-adjointness", dot(P, H) != dot(F, succ(P))),
         # u is injective (the double-transform check proves it on this very
         # input), so Af = f*L iff u(AF) = U . L-hat pointwise
         ("adjacency factorization",
-         (wht_unnormalized(adjacency_apply(F)) != U * np.array(mult))
+         (_butterfly(_adjacency(F)) != U * np.array(mult))
          .any(axis=1)),
     ]
     failed = np.stack([bad for _, bad in checks])

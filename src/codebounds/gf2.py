@@ -122,6 +122,24 @@ def poly_from_hex(s: str) -> int:
     return int(s, 16)
 
 
+def row_basis(rows: list[int]) -> list[int]:
+    """Independent rows spanning the same GF(2) space as ``rows``.
+
+    Rows are bit vectors stored as integers; each is reduced by the basis
+    rows' leading bits until it is zero or has a new leading bit, so the
+    length of the result is the rank.
+    """
+    lead: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in lead:
+                lead[top] = row
+                break
+            row ^= lead[top]
+    return list(lead.values())
+
+
 def cyclotomic_coset(e: int, m: int) -> list[int]:
     """Orbit of exponent e under doubling mod 2^m - 1, starting at e.
 

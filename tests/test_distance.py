@@ -7,6 +7,7 @@ import itertools
 import operator
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,19 @@ class TestInformationSets:
         assert min_distance_of_rows(rows, 2048) == 2
         assert used == [1]
 
+    def test_budget_is_on_the_rank(self):
+        # 30 rows past max_k = 24, but their span has one nonzero word
+        assert min_distance_of_rows([1] * 30, 1) == 1
+        rows = [1 << i for i in range(20)]
+        rows += [a ^ b for a, b in zip(rows, rows[1:])]
+        assert len(rows) > 24 and min_distance_of_rows(rows, 20) == 1
+
+    def test_budget_exceeded_by_the_rank(self):
+        rows = [1 << i for i in range(26)] + [0, 1]
+        with pytest.raises(BudgetExceeded, match="k = 26 exceeds"):
+            min_distance_of_rows(rows, 26)
+        assert min_distance_of_rows(rows, 26, max_k=26) == 1
+
     def test_near_half_distance_code_goes_to_full_scan(self, monkeypatch):
         # (8,3): n = 255, k = 24, d = 96; ten sets would need message
         # weights up to about 9, more words than the 2^24 of a full scan
@@ -175,6 +189,11 @@ class TestWeightDistribution:
     def test_repetition_3(self):
         wd = weight_distribution_of_rows([0b111], 3)
         assert wd.counts == (1, 0, 0, 1)
+
+    def test_dependent_rows_count_each_word_per_message(self):
+        # rank 2: each of the 4 codewords is reached by 2^(3 - 2) messages
+        wd = weight_distribution_of_rows([0b011, 0b110, 0b101], 3)
+        assert wd.counts == (2, 0, 6, 0) and wd.k == 3
 
     def test_balanced_coordinate_identity(self):
         # no always-zero coordinate => total weight = n * 2^(k-1)
@@ -337,6 +356,22 @@ class TestWeightScan:
         for _ in range(20):
             assert weight_distribution_of_rows(
                 rows, 255, workers=workers) == single
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 255, 256, 1023, 4095])
+    @pytest.mark.parametrize("k", [0, 1, 16, 24])
+    def test_pack_rows_matches_limb_loop(self, n, k):
+        # the limb-at-a-time pack is the oracle; the all-ones row fills the
+        # last limb exactly to bit n - 1
+        rng = random.Random(n * 100 + k)
+        rows = [rng.getrandbits(n) for _ in range(k - 1)] + [(1 << n) - 1][:k]
+        limbs = max(1, (n + 63) >> 6)
+        want = np.zeros((k, limbs), dtype=np.uint64)
+        for i, row in enumerate(rows):
+            for j in range(limbs):
+                want[i, j] = row >> (64 * j) & ((1 << 64) - 1)
+        got = _kernels.pack_rows(rows, n)
+        assert got.dtype == np.uint64 and got.shape == (k, limbs)
+        assert (got == want).all()
 
     def test_partial_ranges_merge(self, code_4_1):
         rows = code_4_1.generator_rows()

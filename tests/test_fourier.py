@@ -61,9 +61,8 @@ class TestTransform:
             wht([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(TypeError, match="got complex, float$"):
             wht([1, 2.0, 3j, Fraction(1, 2)])
-        rows = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.5, 0.5]])
         with pytest.raises(TypeError, match="got float64$"):
-            wht(rows)
+            wht(np.array([1.0, 2.0, 3.0, 4.0]))
 
     @given(int_funcs)
     def test_unnormalized_involution(self, f):
@@ -94,9 +93,23 @@ class TestTransform:
             inner([1, 2, 3], [1, 2, 3])
 
     def test_inner_rejects_2d_tables(self):
-        table = np.ones((2, 4), dtype=np.int64)
-        with pytest.raises(DimensionMismatch, match=r"shape \(2, 4\)"):
-            inner(table, table)
+        # a 2-D array is a table of rows, and a row is no exact entry: it
+        # is refused for its entry type, whatever its length
+        for shape in [(2, 4), (3, 4)]:
+            table = np.ones(shape, dtype=np.int64)
+            with pytest.raises(TypeError, match="got ndarray$"):
+                inner(table, table)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 4)])
+    @pytest.mark.parametrize("call", [
+        pytest.param(wht_unnormalized, id="wht_unnormalized"),
+        pytest.param(wht, id="wht"),
+        pytest.param(lambda t: convolve(t, t), id="convolve"),
+        pytest.param(adjacency_apply, id="adjacency_apply"),
+    ])
+    def test_transforms_reject_2d_tables(self, call, shape):
+        with pytest.raises(TypeError, match="got ndarray$"):
+            call(np.ones(shape, dtype=np.int64))
 
     @pytest.mark.parametrize("fn", [wht, wht_unnormalized, adjacency_apply])
     def test_rejects_empty_table(self, fn):
@@ -270,31 +283,59 @@ class TestIdentitySuite:
     def test_detects_broken_adjacency(self, monkeypatch):
         import codebounds.fourier as fr
 
-        real = fr.adjacency_apply
+        real = fr._adjacency
 
-        def broken(f):
-            out = real(f)
-            out[0] += 1
+        def broken(a):
+            out = real(a)
+            out[..., 0] += 1
             return out
 
-        monkeypatch.setattr(fr, "adjacency_apply", broken)
+        monkeypatch.setattr(fr, "_adjacency", broken)
         with pytest.raises(ChainViolation, match="adjacency"):
             fr.identity_suite(3, count=5)
 
     def test_detects_broken_transform(self, monkeypatch):
         import codebounds.fourier as fr
 
-        real = fr.wht_unnormalized
+        real = fr._butterfly
 
-        def broken(f):
-            out = real(f)
-            out[-1] += 1
+        def broken(a):
+            # only the suite's 2-D array: the 1-D degree check stays intact
+            out = real(a)
+            if out.ndim == 2:
+                out[..., -1] += 1
             return out
 
-        monkeypatch.setattr(fr, "wht_unnormalized", broken)
-        with pytest.raises(ChainViolation):
+        monkeypatch.setattr(fr, "_butterfly", broken)
+        with pytest.raises(ChainViolation, match="double transform"):
             fr.identity_suite(2, count=5)
 
+
+    @pytest.mark.parametrize("n,dtype", [(11, np.int64), (12, object)])
+    def test_largest_draws_pick_one_dtype(self, monkeypatch, n, dtype):
+        # 64 = 16 * q/denominator with q = 4 is the largest numerator the
+        # suite draws; size^4 * 64^3 is 2^62 at n = 11, which still picks
+        # int64, and 2^66 at n = 12, which picks Python ints.  Every check
+        # must hold on the one array of that dtype.  (int64 wrapping alone
+        # cannot fail a check: the identities also hold mod 2^64.)
+        count, size = 30, 1 << n
+        rng = np.random.default_rng(n)
+        draws = np.where(rng.random((count, size)) < 0.5, -64, 64)
+        draws[:3] = 64                  # u concentrates on z = 0
+        q = np.full(count, 4, dtype=np.int64)
+        monkeypatch.setattr(fr, "_random_functions",
+                            lambda *_: (draws.astype(np.int64), q))
+        dtypes = set()
+        real = fr._butterfly
+
+        def spy(a):
+            if a.ndim == 2:
+                dtypes.add(a.dtype)
+            return real(a)
+
+        monkeypatch.setattr(fr, "_butterfly", spy)
+        assert identity_suite(n, count=count)["pass"] is True
+        assert dtypes == {np.dtype(dtype)}
 
     def test_exact_int_route(self):
         # size^4 * 64^3 exceeds 2^63 at n = 12: the suite runs on Python ints
@@ -309,8 +350,8 @@ def test_deep_identity_suite_at_cap():
 class TestExactness:
     def test_no_int64_wraparound(self):
         assert wht_unnormalized([2 ** 62] * 4) == [2 ** 64, 0, 0, 0]
-        rows = wht_unnormalized(np.full((2, 4), 2 ** 62, dtype=np.int64))
-        assert rows.tolist() == [[2 ** 64, 0, 0, 0]] * 2
+        table = np.full(4, 2 ** 62, dtype=np.int64)
+        assert wht_unnormalized(table) == [2 ** 64, 0, 0, 0]
         assert adjacency_apply([2 ** 62] * 4) == [2 ** 63] * 4
         big = [2 ** 40, 0, 0, 0]
         # (f * f)(0) = E_y f(y)^2 = 2^80 / 4
@@ -388,11 +429,12 @@ def _reference_adjacency(f):
 class TestBatchOracle:
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_int_rows_match_reference(self, n):
+        # the identity suite's route: the kernels on one 2-D exact array
         rng = random.Random(n)
         rows = [[rng.randint(-50, 50) for _ in range(1 << n)]
                 for _ in range(5)]
         arr = np.array(rows)
-        u, a = wht_unnormalized(arr), adjacency_apply(arr)
+        u, a = fr._butterfly(arr), fr._adjacency(arr)
         assert u.shape == a.shape == arr.shape
         for row, u_row, a_row in zip(rows, u, a):
             assert u_row.tolist() == _reference_wht(row)
@@ -460,9 +502,6 @@ class TestFastPaths:
     ])
     def test_self_convolution_shares_transform(self, table):
         assert convolve(table, table) == convolve(table, list(table))
-        arr = np.array(table, dtype=object if isinstance(table[0], Fraction)
-                       else None)
-        assert (convolve(arr, arr) == convolve(arr, arr.copy())).all()
 
     def test_self_convolution_transforms_once(self, monkeypatch):
         calls = []

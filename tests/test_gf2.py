@@ -19,6 +19,7 @@ from codebounds.gf2 import (
     poly_mod,
     poly_mul,
     poly_to_hex,
+    row_basis,
 )
 
 polys = st.integers(min_value=0, max_value=(1 << 24) - 1)
@@ -77,6 +78,28 @@ class TestPolyArithmetic:
         assert poly_is_irreducible(0b111)         # x^2+x+1
         assert not poly_is_irreducible(0b10101)   # x^4+x^2+1 = (x^2+x+1)^2
         assert not poly_is_irreducible(0b110)     # x(x+1)
+
+
+def _span(rows):
+    words = {0}
+    for row in rows:
+        words |= {w ^ row for w in words}
+    return words
+
+
+class TestRowBasis:
+    @given(st.lists(st.integers(0, (1 << 10) - 1), max_size=12))
+    def test_independent_and_same_span(self, rows):
+        basis = row_basis(rows)
+        span = _span(rows)
+        assert _span(basis) == span
+        # independent: 2^len(basis) distinct words
+        assert len(span) == 1 << len(basis)
+
+    def test_dependent_rows(self):
+        assert row_basis([]) == [] and row_basis([0, 0]) == []
+        assert len(row_basis([0b011, 0b110, 0b101])) == 2
+        assert len(row_basis([1] * 30)) == 1
 
 
 class TestFieldContext:
