@@ -356,14 +356,3 @@ def regime_table(a: float, n_list: list[int]) -> list[dict]:
         rows.extend(bv.row(n, d) for bv in values)
     return rows
 
-
-def rm_reference(m: int) -> list[dict]:
-    """Reed-Muller first/second order reference rows (any m >= 2)."""
-    if m < 2:
-        raise OutOfRange("need m >= 2 for second-order parameters")
-    n = 1 << m
-    return [
-        {"family": "RM(m,1)", "n": n, "k": m + 1, "d": 1 << (m - 1)},
-        {"family": "RM(m,2)", "n": n, "k": 1 + m + math.comb(m, 2),
-         "d": 1 << (m - 2)},
-    ]

@@ -1,11 +1,11 @@
 """Fourier analysis on F_2^n (dense, n <= 16) and the covering-bound replay.
 
 Functions on the cube are dense tables of length 2^n indexed by the point's
-integer bitmask.  The kernels are numpy operations along the last axis: the
-butterfly takes one vectorized step per level, in place on one copy of the
-input with a half-size scratch buffer, and the adjacency operator is n
-reshaped flips, so a 2-D array is processed row by row in one call.  A
-self-convolution f * f transforms f once.
+integer bitmask.  The kernels are numpy operations along the last axis, so
+a 2-D array is processed row by row in one call, and each level runs one
+long inner loop per row: the butterfly in constant geometry, the adjacency
+operator as n flips.  Their results equal a loop over (size/2h, 2, h)
+blocks bit for bit.  A self-convolution f * f transforms f once.
 
 The public primitives are exact only.  They take one 1-D sequence of
 Integral/Rational entries (numpy integers, Fractions with numpy parts and
@@ -20,11 +20,11 @@ Python ints (object arrays).  They never pass through floating point, and
 int64 never wraps; ``inner`` is one Python-int dot product of the
 numerators.  Results are lists: Integral entries give ints, any other
 Rational entry (or any division, as in ``wht`` and ``convolve``) gives
-Fractions.  The identity suite checks all its functions at once as the
-rows of one exact array on the kernels.  The covering replay is numeric by
-nature (a square root and a Perron vector enter): it runs its float64
-arrays through the dtype-agnostic kernels directly and checks each step
-with a relative tolerance.
+Fractions, one per distinct value.  The identity suite checks all its
+functions at once as the rows of one exact array on the kernels.  The
+covering replay is numeric by nature (a square root and a Perron vector
+enter): it runs its float64 arrays through the dtype-agnostic kernels
+directly and checks each step with a relative tolerance.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -98,48 +98,59 @@ def _array(entries, bound: int) -> np.ndarray:
 
 def _out(result: np.ndarray, unit) -> list:
     """The numerators times ``unit`` as a list; the int unit 1 leaves them
-    as they are."""
+    as they are.  One Fraction is built per distinct numerator and shared
+    by every entry that holds it."""
     values = result.tolist()
     if isinstance(unit, int):
         return values
     num, den = unit.numerator, unit.denominator
-    return [Fraction(v * num, den) for v in values]
+    scaled = {v: Fraction(v * num, den) for v in set(values)}
+    return [scaled[v] for v in values]
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
     """u along the last axis; level h combines the entries x and x + h.
 
-    Each level runs in place on one copy of ``a``: lo - hi goes to a
-    half-size scratch buffer, lo += hi, then hi takes the scratch.  Every
-    entry sees the same arithmetic as a level built from fresh sums and
-    differences, so float, int64 and object results are identical to it.
-    The public primitives call it on one exact table; the identity suite
-    on its (count, 2^n) int64 or object array, one function per row; the
-    covering replay on float64 tables.
+    Constant geometry (Pease): each level reads the pairs (2i, 2i + 1) as
+    two stride-2 lanes and writes lo + hi and lo - hi to the two halves of
+    the other of two buffers.  That rotates the index right by one bit, so
+    the next level's pairs are adjacent again and after n levels the order
+    is natural; ``a`` is never written.  Each entry sees the operations of
+    the in-place loop over (size/2h, 2, h) blocks in the same order, so
+    float, int64 and object results are identical to it.  Callers: the
+    public primitives (one exact table), the identity suite (its int64 or
+    object array, one function per row), the covering replay (float64).
     """
     lead, size = a.shape[:-1], a.shape[-1]
-    out = a.copy()
-    scratch = np.empty((*lead, size // 2), dtype=out.dtype)
-    h = 1
-    while h < size:
-        pairs = out.reshape(*lead, size // (2 * h), 2, h)
-        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
-        diff = scratch.reshape(*lead, size // (2 * h), h)
-        np.subtract(lo, hi, out=diff)
-        lo += hi
-        hi[...] = diff
-        h *= 2
-    return out
+    src, bufs = a, (np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype))
+    for level in range(size.bit_length() - 1):
+        halves = bufs[level % 2].reshape(*lead, 2, size // 2)
+        lo, hi = src[..., 0::2], src[..., 1::2]
+        np.add(lo, hi, out=halves[..., 0, :])
+        np.subtract(lo, hi, out=halves[..., 1, :])
+        src = bufs[level % 2]
+    return a.copy() if src is a else src
 
 
 def _adjacency(a: np.ndarray) -> np.ndarray:
-    """(Af)(x) = sum_i f(x xor e_i) along the last axis, one flip per bit."""
+    """(Af)(x) = sum_i f(x xor e_i) along the last axis, one flip per bit.
+
+    Level h adds f(x xor h) to every entry, from h = 1 up: while h < 4
+    as one stride-2h lane per offset k < h, after that as a flipped copy
+    of ``a``, whose blocks of h are then long enough to copy fast.
+    """
     lead, size = a.shape[:-1], a.shape[-1]
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape, a.dtype)
     h = 1
     while h < size:
-        flipped = a.reshape(*lead, size // (2 * h), 2, h)[..., ::-1, :]
-        out += flipped.reshape(*lead, size)
+        blocks = a.reshape(*lead, size // (2 * h), 2, h)
+        if h < 4:
+            acc = out.reshape(*lead, size // (2 * h), 2, h)
+            for k in range(h):
+                acc[..., 0, k] += blocks[..., 1, k]
+                acc[..., 1, k] += blocks[..., 0, k]
+        else:
+            out += blocks[..., ::-1, :].reshape(*lead, size)
         h *= 2
     return out
 
@@ -222,13 +233,18 @@ def degree_function(n: int) -> list:
     return [(1 << n) if x.bit_count() == 1 else 0 for x in range(1 << n)]
 
 
+def _check_words(code, n: int) -> None:
+    """Raise DimensionMismatch naming the first word outside [0, 2^n)."""
+    for c in code:
+        if not 0 <= c < 1 << n:
+            raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
+
+
 def indicator(code, n: int) -> list:
     """1_C as a dense 0/1 table; a word outside [0, 2^n) is a mismatch."""
-    size = 1 << n
-    values = [0] * size
+    _check_words(code, n)
+    values = [0] * (1 << n)
     for c in code:
-        if not 0 <= c < size:
-            raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
         values[c] = 1
     return values
 
@@ -320,8 +336,12 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     (no tolerance anywhere).  All functions are checked at once as the rows
     of one array, through ``_butterfly`` and ``_adjacency`` directly; its
     dtype is chosen once, int64 when the bound below allows it and Python
-    ints otherwise.  Every 25th function is additionally replayed through
-    the public Fraction interface so that arithmetic path stays exercised.
+    ints otherwise.  The successors g and h are rolled copies formed where
+    a check reads them, never held.  Every 25th function is additionally
+    replayed through the public Fraction interface so that arithmetic path
+    stays exercised; ``_out`` builds the replayed function with one
+    Fraction per distinct value, and the replay's own sums stay per-entry
+    Fraction arithmetic, its independent oracle.
     """
     if not 1 <= n <= 16:
         raise DimensionMismatch(f"n = {n} outside dense range 1..16")
@@ -335,7 +355,7 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
         raise ChainViolation("degree transform disagrees with n - 2 w(z)")
 
     draws, q = _random_functions(rng, count, size)
-    # |dot(u(U_i . U_{i+1}), H)| <= size^4 top^3 bounds every value below
+    # |dot(u(U_i . U_{i+1}), F_{i+2})| <= size^4 top^3 bounds every value
     top = int(np.abs(draws).max())
     F = _array(draws, size ** 4 * top ** 3)
 
@@ -349,12 +369,12 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     # u(U_j . U_{j+1}) appears on both sides of neighboring associativity
     # checks; compute each once
     P = _butterfly(U * succ(U))
-    G, H = succ(F), succ(F, 2)
     checks = [
         ("double transform", (_butterfly(U) != size * F).any(axis=1)),
-        ("Parseval", dot(U, succ(U)) != size * dot(F, G)),
+        ("Parseval", dot(U, succ(U)) != size * dot(F, succ(F))),
         ("mean identity", U[:, 0] != F.sum(axis=1)),
-        ("convolution self-adjointness", dot(P, H) != dot(F, succ(P))),
+        ("convolution self-adjointness",
+         dot(P, succ(F, 2)) != dot(F, succ(P))),
         # u is injective (the double-transform check proves it on this very
         # input), so Af = f*L iff u(AF) = U . L-hat pointwise
         ("adjacency factorization",
@@ -367,7 +387,7 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
 
     def function(i):
         i %= count
-        return [Fraction(v, int(q[i])) for v in draws[i].tolist()]
+        return _out(draws[i], Fraction(1, int(q[i])))
 
     for i in range(0, first, 25):
         f, g, h = function(i), function(i + 1), function(i + 2)
@@ -407,8 +427,10 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
         raise DimensionMismatch(f"n = {n} exceeds replay cap 15")
     if not 1 <= r <= n // 2:
         raise InvalidRadius(f"r = {r} outside 1..n/2 = {n // 2}")
-    one_c = np.array(indicator(code, n), dtype=np.float64)
+    _check_words(code, n)
     size = 1 << n
+    one_c = np.zeros(size)
+    one_c[code] = 1.0
     d = _pairwise_min_distance(code, n)
     lam = top_eigenvalue(ball_operator(n, r))
 

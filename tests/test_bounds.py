@@ -23,7 +23,6 @@ from codebounds.bounds import (
     plotkin_upper,
     rate_bounds,
     regime_table,
-    rm_reference,
     singleton_upper,
     vol,
 )
@@ -298,19 +297,3 @@ class TestRegimeTable:
             with pytest.raises(OutOfRange):
                 regime_table(a, [2000])
 
-
-class TestRmReference:
-    def test_m4(self):
-        first, second = rm_reference(4)
-        assert first == {"family": "RM(m,1)", "n": 16, "k": 5, "d": 8}
-        assert second == {"family": "RM(m,2)", "n": 16, "k": 11, "d": 4}
-
-    def test_rate_sanity(self):
-        for m in range(2, 10):
-            for row in rm_reference(m):
-                assert row["k"] <= row["n"]
-                assert row["d"] * 2 <= row["n"] or row["n"] <= 4
-
-    def test_domain(self):
-        with pytest.raises(OutOfRange):
-            rm_reference(1)

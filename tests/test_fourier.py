@@ -470,6 +470,123 @@ def _stacking_butterfly(a):
     return out
 
 
+
+def _level_butterfly(a):
+    """The in-place level loop over (size/2h, 2, h) blocks, kept verbatim as
+    the reference for the kernel."""
+    lead, size = a.shape[:-1], a.shape[-1]
+    out = a.copy()
+    scratch = np.empty((*lead, size // 2), dtype=out.dtype)
+    h = 1
+    while h < size:
+        pairs = out.reshape(*lead, size // (2 * h), 2, h)
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        diff = scratch.reshape(*lead, size // (2 * h), h)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return out
+
+
+def _level_adjacency(a):
+    """The flip-per-level adjacency loop, kept verbatim as the reference."""
+    lead, size = a.shape[:-1], a.shape[-1]
+    out = np.zeros_like(a)
+    h = 1
+    while h < size:
+        flipped = a.reshape(*lead, size // (2 * h), 2, h)[..., ::-1, :]
+        out += flipped.reshape(*lead, size)
+        h *= 2
+    return out
+
+
+def _read_only(a):
+    a.flags.writeable = False       # any write to the input raises
+    return a
+
+
+class TestKernelsMatchLevelLoop:
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_float_tables(self, n):
+        # float64 rounding depends on the operand order of every addition,
+        # so equal bytes mean the same operations in the same level order
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-8, 8, 1 << n)
+        a[0] = -0.0
+        a = _read_only(a)
+        for kernel, reference in ((fr._butterfly, _level_butterfly),
+                                  (fr._adjacency, _level_adjacency)):
+            got, want = kernel(a), reference(a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_exact_rows(self, n, dtype):
+        rng = np.random.default_rng(100 + n)
+        a = rng.integers(-1000, 1000, (5, 1 << n)).astype(dtype)
+        if dtype is object:
+            a[:, 0] = 3 ** 50           # beyond int64
+        a = _read_only(a)
+        for kernel, reference in ((fr._butterfly, _level_butterfly),
+                                  (fr._adjacency, _level_adjacency)):
+            got, want = kernel(a), reference(a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if dtype is object:
+                assert got.tolist() == want.tolist()
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    def test_strided_input(self):
+        # a transposed view: the buffers must not inherit its layout
+        a = _read_only(np.random.default_rng(7).standard_normal((16, 3)).T)
+        for kernel, reference in ((fr._butterfly, _level_butterfly),
+                                  (fr._adjacency, _level_adjacency)):
+            want = reference(np.ascontiguousarray(a))
+            assert kernel(a).tobytes() == want.tobytes()
+
+    def test_single_entry_is_copied(self):
+        a = np.array([5], dtype=np.int64)
+        out = fr._butterfly(a)
+        out[0] = 7
+        assert a.tolist() == [5]
+
+
+class TestOut:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("values", [
+        pytest.param([3, 3, -3, 0, 3, 0, 0, -3], id="repeated"),
+        pytest.param([5, -7, 2 ** 40, 11, 0, 1, -1, 6], id="unique"),
+    ])
+    @pytest.mark.parametrize("unit", [Fraction(1, 6), Fraction(5, 12),
+                                      Fraction(1)])
+    def test_per_entry_fractions(self, dtype, values, unit):
+        got = fr._out(np.array(values, dtype=dtype), unit)
+        want = [Fraction(v * unit.numerator, unit.denominator)
+                for v in values]
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+    def test_int_unit_keeps_ints(self):
+        got = fr._out(np.array([2, 2, -1], dtype=object) * 2 ** 70, 1)
+        assert got == [2 ** 71, 2 ** 71, -2 ** 70]
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("q", [1, 3, 4])
+    def test_public_outputs(self, q):
+        # repeated values over q: every output equals its own Fraction
+        ints = [4, 4, -4, 0, 4, 0, 8, -4]
+        f = [Fraction(v, q) for v in ints]
+        assert wht(f) == [Fraction(u, 8 * q) for u in _reference_wht(ints)]
+        assert adjacency_apply(f) == \
+            [Fraction(v, q) for v in _reference_adjacency(ints)]
+        big = [2 ** 70 * v for v in ints]       # object numerators
+        assert wht([Fraction(v, q) for v in big]) == \
+            [Fraction(u, 8 * q) for u in _reference_wht(big)]
+
+
 class TestFastPaths:
     @pytest.mark.parametrize("n", [1, 3, 10, 15])
     @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
