@@ -225,9 +225,18 @@ def rate_bounds(delta: float) -> dict[str, float]:
 
 # a full bound table needs ~1.2k (n, r) keys, so one pass never evicts
 @functools.lru_cache(maxsize=4096)
+def _ball(n: int, r: int) -> tuple[EigenCertificate, int, float]:
+    """What the eigenvalue bounds need of B_r(0, n), computed once.
+
+    The certificate, n * Vol(r, n) and float(lambda_certified).
+    """
+    cert = certify(ball_operator(n, r))
+    return cert, n * vol(r, n), float(cert.lambda_certified)
+
+
 def ball_certificate(n: int, r: int) -> EigenCertificate:
     """Cached certified eigenvalue lower bound for B_r(0, n)."""
-    return certify(ball_operator(n, r))
+    return _ball(n, r)[0]
 
 
 def new_upper(n: int, d: int, r: int) -> BoundValue:
@@ -237,18 +246,22 @@ def new_upper(n: int, d: int, r: int) -> BoundValue:
     ball eigenvalue; any lambda_hat <= lambda_B only weakens the bound, so
     the floor below is rigorous.  Raises NotApplicable when
     lambda_hat <= n - 2d (ball radius too small for this distance).
+
+    The certificate, n * Vol(r, n) and float(lambda_hat) share one cache
+    entry per (n, r), so the many distances a table asks at one (n, r)
+    certify and sum the ball once.
     """
     if not (1 <= d <= n):
         raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
-    lam = ball_certificate(n, r).lambda_certified
-    p, q = lam.numerator, lam.denominator
+    cert, size, lam_float = _ball(n, r)
+    p, q = cert.lambda_certified.numerator, cert.lambda_certified.denominator
     j = n - 2 * d
     if p <= j * q:
         raise NotApplicable(
-            f"certified lambda {float(lam):.6f} <= n - 2d = {j} at r = {r}")
-    value = n * vol(r, n) * q // (p - j * q)       # lambda - j = (p - jq)/q
+            f"certified lambda {lam_float:.6f} <= n - 2d = {j} at r = {r}")
+    value = size * q // (p - j * q)                # lambda - j = (p - jq)/q
     return _exact(f"new_r{r}", "upper", value,
-                  condition=f"lambda_certified = {float(lam):.9f} > {j}")
+                  condition=f"lambda_certified = {lam_float:.9f} > {j}")
 
 
 def new_upper_per_radius(n: int, d: int,

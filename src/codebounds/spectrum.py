@@ -24,6 +24,8 @@ from operator import attrgetter
 
 ASYMPTOTIC = "asymptotic"
 _TOL = 1e-12  # bisection width, in absolute units of lambda
+_LAGUERRE_STEPS = 20  # a cap; from the Gershgorin start 3-5 steps suffice
+_WIDEN = 4    # bracket attempts around the estimate, each 16x wider
 
 
 class InvalidRadius(ValueError):
@@ -86,17 +88,86 @@ def _all_below(offdiag_sq, x: float) -> bool:
     return True
 
 
+def _top_root_estimate(offdiag_sq, x: float) -> float:
+    """Float estimate of the top eigenvalue by Laguerre's method from x.
+
+    The characteristic polynomials of the leading minors follow
+    q_0 = 1, q_1 = x, q_{k+1} = x q_k - s_k q_{k-1}; differentiating the
+    recurrence gives q' and q''.  All six running values are scaled down
+    together when they grow large, which leaves q'/q and q''/q unchanged.
+    Started above every root, Laguerre's iterates fall monotonically onto
+    the top one; the loop stops once a step is below 1e-6 relative (the
+    convergence is cubic), or when q or the step is no longer positive.
+    The result is only a hint: ``top_eigenvalue`` verifies it.
+    """
+    m = len(offdiag_sq) + 1
+    for _ in range(_LAGUERRE_STEPS):
+        q0, q, d0, d, e0, e = 1.0, x, 0.0, 1.0, 0.0, 0.0
+        for s in offdiag_sq:
+            q0, q, d0, d, e0, e = (q, x * q - s * q0, d, q + x * d - s * d0,
+                                   e, 2 * d + x * e - s * e0)
+            if abs(q) > 1e150:
+                q0, q, d0, d, e0, e = (v * 1e-150 for v in (q0, q, d0, d,
+                                                            e0, e))
+        if not q > 0:
+            break
+        g = d / q
+        h = g * g - e / q
+        step = m / (g + math.sqrt(max(0.0, (m - 1) * (m * h - g * g))))
+        if not step > 0:
+            break
+        x -= step
+        if step <= 1e-6 * x:
+            break
+    return x
+
+
 def top_eigenvalue(T: TridiagonalOperator) -> float:
-    """Largest eigenvalue by Sturm-sequence bisection on [0, max row sum]."""
-    b = [math.sqrt(s) for s in T.offdiag_sq]
+    """Largest eigenvalue by Sturm-sequence bisection on [0, max row sum].
+
+    The bisection halves [0, Gershgorin bound + 1] until it is _TOL wide
+    or double precision runs out, asking ``_all_below`` at each midpoint.
+    That predicate is monotone in x, in floating point too: -x is exact,
+    and each pivot d <- -x - s/d (s >= 0 a square) is built from correctly
+    rounded IEEE operations, each monotone in its operands, so by induction
+    every computed pivot is non-increasing in x while the pivots before it
+    stay negative.  Hence once _all_below(a) is False and _all_below(c) is
+    True, every midpoint <= a answers False and every midpoint >= c True.
+
+    A Laguerre estimate of the top root gives such a bracket: [a, c] =
+    est -/+ delta, delta from 4 ulp(est), widened 16-fold at most
+    _WIDEN - 1 times, each point taken only while it tightens the bracket.
+    The loop then replays the plain bisection, asking the predicate only
+    at midpoints inside (a, c), so it takes the very same steps and
+    returns the same float bit for bit.  A side that never verifies stays
+    at -inf or +inf, where every midpoint is asked, as without a bracket.
+    """
+    sq = T.offdiag_sq
+    b = [math.sqrt(s) for s in sq]
     row_sums = [b[0]] + [b[i - 1] + b[i] for i in range(1, len(b))] + [b[-1]]
     hi = max(row_sums) + 1.0
     lo = 0.0
+    a, c = -math.inf, math.inf
+    est = _top_root_estimate(sq, hi)
+    if math.isfinite(est):
+        delta = 4 * math.ulp(est)
+        for _ in range(_WIDEN):
+            for x in (est - delta, est + delta):
+                if a < x < c:
+                    if _all_below(sq, x):
+                        c = x
+                    else:
+                        a = x
+            if a > -math.inf and c < math.inf:
+                break
+            delta *= 16
     while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:       # double precision exhausted
             break
-        if _all_below(T.offdiag_sq, mid):
+        if mid <= a:
+            lo = mid
+        elif mid >= c or _all_below(sq, mid):
             hi = mid
         else:
             lo = mid
@@ -119,16 +190,24 @@ def radial_vector(n: int, r: int, lam: float) -> list[float]:
 class EigenCertificate:
     """A certified rational lower bound on lambda_B with its witness.
 
-    ``witness`` is the float radial vector with each entry rounded to 12
-    significant digits, as exact rationals; ``lambda_certified`` is its
-    exact Rayleigh quotient, evaluated on an integer multiple of it.
+    ``digits`` holds the float radial vector with each entry rounded to 12
+    significant digits, as pairs (m, e) for the value m * 10^e;
+    ``lambda_certified`` is the exact Rayleigh quotient of that vector,
+    evaluated on an integer multiple of it.  ``witness`` is the same vector
+    as exact rationals, built only when it is read.
     """
 
     n: int
     r: int
     lambda_float: float
     lambda_certified: Fraction
-    witness: tuple[Fraction, ...]
+    digits: tuple[tuple[int, int], ...]
+
+    @property
+    def witness(self) -> tuple[Fraction, ...]:
+        """The rounded radial vector, entry i = m_i * 10^e_i, as Fractions."""
+        return tuple(Fraction(m * 10 ** e) if e >= 0 else Fraction(m, 10 ** -e)
+                     for m, e in self.digits)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,11 +222,14 @@ class EigenCertificate:
 def clear_denominators(values) -> tuple[list, int]:
     """Integral/Rational entries as Python-int numerators F over q = lcm.
 
-    Entry i equals F[i] / q.  Numerators and denominators are read through
-    the numbers-ABC attributes; when the set of their types holds anything
-    but int (numpy integers, or Fractions built from them), each part goes
+    Entry i equals F[i] / q.  A list of Python ints comes back as it is,
+    over q = 1.  Otherwise numerators and denominators are read through the
+    numbers-ABC attributes; when the set of their types holds anything but
+    int (numpy integers, or Fractions built from them), each part goes
     through ``int()`` so no later product can wrap.
     """
+    if {*map(type, values)} <= {int}:
+        return list(values), 1
     nums = list(map(attrgetter("numerator"), values))
     dens = list(map(attrgetter("denominator"), values))
     if not {*map(type, nums), *map(type, dens)} <= {int}:
@@ -195,14 +277,15 @@ def _decimal(x: float) -> tuple[int, int]:
 def certify(T: TridiagonalOperator) -> EigenCertificate:
     """Certified rational lower bound on the finite-n ball eigenvalue.
 
-    Runs the float bisection, regenerates the radial vector and rounds each
+    Runs ``top_eigenvalue``, regenerates the radial vector and rounds each
     entry to 12 significant digits, read as an integer m_i times 10^(e_i).
     The quotient is evaluated on the integers m_i * 10^(e_i - min e), a
     scaled copy of the witness with the same quotient.  The result is a true
     lower bound on lambda_B no matter how inaccurate the float stage was.
     Rounding is relative, so the witness keeps its shape at every n (f(0) = 1
     keeps it nonzero) and the certificate stays within ~1e-12 relative of
-    lambda_float.
+    lambda_float.  The certificate keeps the pairs (m_i, e_i); no Fraction
+    is built for the witness until ``EigenCertificate.witness`` is read.
     """
     if T.mode == ASYMPTOTIC:
         raise ValueError("certification requires a finite-n operator")
@@ -211,34 +294,8 @@ def certify(T: TridiagonalOperator) -> EigenCertificate:
     rounded = [_decimal(x) for x in radial_vector(n, r, lam)]
     low = min(e for _, e in rounded)
     certified = rayleigh_quotient(n, [m * 10 ** (e - low) for m, e in rounded])
-    witness = tuple(Fraction(m * 10 ** e) if e >= 0 else Fraction(m, 10 ** -e)
-                    for m, e in rounded)
     return EigenCertificate(n=n, r=r, lambda_float=lam,
-                            lambda_certified=certified, witness=witness)
-
-
-def paper_test_function(n: int, t: float) -> float:
-    """Rayleigh quotient of the explicit radius-3 trial vector.
-
-    The vector is the radial recurrence at trial value t*sqrt(n) truncated
-    after shell 3: f(0)=1, f(1)=t/sqrt(n), f(2)=(t^2-1)/(n-1),
-    f(3) = ((t^2-1) t sqrt(n)/(n-1) - 2t/sqrt(n)) / (n-2).  Its quotient is
-    a valid lower bound on lambda_B for B_3(0, n) at every t > 0.
-    """
-    if n < 16:
-        raise ValueError("test function intended for n >= 16")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    rn = math.sqrt(n)
-    f0 = 1.0
-    f1 = t / rn
-    f2 = (t * t - 1) / (n - 1)
-    f3 = ((t * t - 1) * t * rn / (n - 1) - 2 * t / rn) / (n - 2)
-    f = [f0, f1, f2, f3]
-    num = sum(2 * math.comb(n, i) * (n - i) * f[i] * f[i + 1]
-              for i in range(3))
-    den = sum(math.comb(n, i) * f[i] ** 2 for i in range(4))
-    return num / den
+                            lambda_certified=certified, digits=tuple(rounded))
 
 
 def asymptotic_constant(r: int) -> float:

@@ -189,6 +189,18 @@ class TestEigenvalueBounds:
             best_new_upper(63, 16, r_max=6)
         assert best_new_upper(63, 16, r_max=8).value_exact == 60792920638
 
+    def test_volume_once_per_radius(self, monkeypatch):
+        # 13 distances at one length share each ball's n * Vol(r, n)
+        n = 1999
+        bd._ball.cache_clear()
+        calls = []
+        monkeypatch.setattr(bd, "vol",
+                            lambda r, m, vol=vol: calls.append((r, m))
+                            or vol(r, m))
+        for d in range(n // 2 - 4, n // 2 - 56, -4):
+            best_new_upper(n, d)
+        assert sorted(calls) == [(r, n) for r in range(1, 9)]
+
     def test_certificate_cache_stable(self):
         a = ball_certificate(31, 2)
         b = ball_certificate(31, 2)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from codebounds import spectrum as sp
 from codebounds.bounds import ball_certificate
 from codebounds.spectrum import (
     ASYMPTOTIC,
@@ -25,13 +26,14 @@ from codebounds.spectrum import (
     ball_operator,
     certify,
     clear_denominators,
-    paper_test_function,
     radial_vector,
     rayleigh_quotient,
     recurrence_polynomial_root,
     top_eigenvalue,
 )
 from codebounds.spectrum import _all_below
+
+ESTIMATE = sp._top_root_estimate
 
 
 def dense_top(offdiag_sq) -> float:
@@ -220,23 +222,6 @@ class TestAsymptoticConstant:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-class TestPaperTestFunction:
-    def test_approaches_constant_from_below(self):
-        t = math.sqrt(3 + math.sqrt(6))
-        q = paper_test_function(10 ** 6, t)
-        assert 2.32 <= q / 1000.0 <= asymptotic_constant(3)
-
-    def test_t_one_below_constant(self):
-        q = paper_test_function(10 ** 6, 1.0)
-        assert q / 1000.0 < asymptotic_constant(3)
-
-    @pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.0, 2.33])
-    def test_rayleigh_never_exceeds_top(self, t):
-        n = 100
-        lam = top_eigenvalue(ball_operator(n, 3))
-        assert paper_test_function(n, t) <= lam + 1e-9
-
-
 class TestSturmOracle:
     """``top_eigenvalue`` returns the float the full Sturm count gives."""
 
@@ -266,6 +251,59 @@ class TestSturmOracle:
         for sq in [(1,), (1, 0), (4, 0, 9), (15, 28, 39), (2, 3)]:
             full = reference_count_below(sq, x) == len(sq) + 1
             assert _all_below(sq, x) == full, (sq, x)
+
+
+class TestBracketedReplay:
+    """The bracketed replay takes the plain bisection's steps, in few tests."""
+
+    @staticmethod
+    def random_operators(count=120, seed=17):
+        """Off-diagonal lengths 1-64; int, float and zero squares mixed."""
+        rng = np.random.default_rng(seed)
+        ops = []
+        for _ in range(count):
+            size = int(rng.integers(1, 65))
+            sq = [int(v) for v in rng.integers(0, 10 ** 6, size)]
+            for i in range(size):
+                if rng.random() < 0.3:
+                    sq[i] = float(rng.uniform(0.0, 50.0))
+                elif rng.random() < 0.1:
+                    sq[i] = 0
+            ops.append(TridiagonalOperator(tuple(sq), 999))
+        return ops
+
+    def test_random_operators(self):
+        for T in self.random_operators():
+            assert top_eigenvalue(T) == reference_top(T), T.offdiag_sq
+
+    @pytest.mark.parametrize("bad", [
+        lambda sq, hi: math.nan,
+        lambda sq, hi: math.inf,
+        lambda sq, hi: 0.0,
+        lambda sq, hi: hi,
+        lambda sq, hi: ESTIMATE(sq, hi) + 1e-3,
+        lambda sq, hi: ESTIMATE(sq, hi) - 1e-3,
+    ], ids=["nan", "inf", "zero", "hi", "above", "below"])
+    def test_wrong_estimate(self, monkeypatch, bad):
+        monkeypatch.setattr(sp, "_top_root_estimate", bad)
+        ops = ([ball_operator(n, r) for n, r in ORACLE_BALLS[::3]]
+               + [ball_operator(ASYMPTOTIC, r) for r in (1, 2, 7, 64)]
+               + [TridiagonalOperator(sq, 999)
+                  for sq in [(1, 0), (4, 0, 9), (0,), (2.5, 0.0, 3)]]
+               + self.random_operators(count=20, seed=5))
+        for T in ops:
+            assert top_eigenvalue(T) == reference_top(T), T.offdiag_sq
+
+    def test_few_sturm_tests(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sp, "_all_below",
+                            lambda sq, x: calls.append(x) or _all_below(sq, x))
+        ops = ([ball_operator(n, r) for n, r in ORACLE_BALLS]
+               + [ball_operator(ASYMPTOTIC, r) for r in range(1, 65)])
+        for T in ops:
+            calls.clear()
+            top_eigenvalue(T)
+            assert 2 <= len(calls) <= 8, (T.mode, T.r, len(calls))
 
 
 class TestRayleighOracle:
