@@ -112,16 +112,16 @@ def _word_weights(block: np.ndarray, bits: np.ndarray,
         np.add.reduce(bits, axis=-2, dtype=wts.dtype, out=wts)
 
 
-def _by_popcount(table: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Span-table columns sorted by the popcount of their message index.
+def _popcount_order(bits: int, last: int) -> tuple[np.ndarray, list[int]]:
+    """Indices in [0, 2^bits) of popcount <= last, sorted by popcount.
 
-    Returns the sorted table and the offsets: the messages of weight i are
-    columns [at[i], at[i + 1]).
+    Returns the indices and the offsets: the indices of popcount i <= last
+    are entries [at[i], at[i + 1]).
     """
-    ones = np.bitwise_count(np.arange(table.shape[1], dtype=np.uint64))
-    order = np.argsort(ones, kind="stable")
+    ones = np.bitwise_count(np.arange(1 << bits, dtype=np.uint64))
+    order = np.argsort(ones, kind="stable")[:np.count_nonzero(ones <= last)]
     at = np.concatenate(([0], np.cumsum(np.bincount(ones))))
-    return table[:, order], at.tolist()
+    return order, at.tolist()
 
 
 def _layer_split(k: int) -> int:
@@ -135,28 +135,33 @@ def layer_table_words(k: int) -> int:
     return (1 << k_lo) + (1 << (k - k_lo))
 
 
-def layer_minima(gens: list[list[int]], n: int):
+def layer_minima(gens: list[list[int]], n: int, last: int | None = None):
     """Least weights of the spans of t generators by message weight.
 
-    Yields, for w = 1, 2, ..., k and within each w for every generator in
-    turn, the least weight among that generator's codewords whose message
-    has exactly w ones.  All generators have k rows.  Nothing is computed
-    before the first ``next``.  The messages split into a low part (the
-    first min(13, ceil(k/2)) bits) and a high part, as in ``weight_scan``,
-    and both span tables, built for all generators at once (generator j
-    holds limb rows j*limbs .. (j+1)*limbs - 1), are sorted by message
-    popcount; so the weight-w words are the XORs of the low columns of
-    weight w - h with the high columns of weight h, for each h.  These
-    products are formed in blocks of at most 2^13 words, each weight for
-    as many generators at once as fit in one block (at least one); the
-    next batch is computed only when its first value is asked for.
+    Yields, for w = 1, 2, ..., last (k when None) and within each w for
+    every generator in turn, the least weight among that generator's
+    codewords whose message has exactly w ones.  All generators have k
+    rows.  Nothing is computed before the first ``next``.  The messages
+    split into a low part (the first min(13, ceil(k/2)) bits) and a high
+    part, as in ``weight_scan``; each generator's two span tables keep
+    only the columns of message popcount <= last, sorted by popcount, and
+    are stacked (generator j holds limb rows j*limbs .. (j+1)*limbs - 1).
+    So the weight-w words are the XORs of the low columns of weight w - h
+    with the high columns of weight h, for each h.  These products are
+    formed in blocks of at most 2^13 words, each weight for as many
+    generators at once as fit in one block (at least one); the next batch
+    is computed only when its first value is asked for.
     """
     t, k = len(gens), len(gens[0])
-    packed = np.concatenate([pack_rows(rows, n) for rows in gens], axis=1)
-    limbs = packed.shape[1] // t
+    last = k if last is None else last
     k_lo = _layer_split(k)
-    low, low_at = _by_popcount(_span_table(packed[:k_lo]))
-    high, high_at = _by_popcount(_span_table(packed[k_lo:]))
+    low_order, low_at = _popcount_order(k_lo, last)
+    high_order, high_at = _popcount_order(k - k_lo, last)
+    packed = [pack_rows(rows, n) for rows in gens]
+    low = np.concatenate([_span_table(p[:k_lo])[:, low_order] for p in packed])
+    high = np.concatenate([_span_table(p[k_lo:])[:, high_order]
+                           for p in packed])
+    limbs = low.shape[0] // t
     size = 1 << _LOW_BITS
     block = np.empty(limbs * size, dtype=np.uint64)
     bits = np.empty(limbs * size, dtype=np.uint8)
@@ -183,7 +188,7 @@ def layer_minima(gens: list[list[int]], n: int):
                 np.minimum(least, weights.min(axis=1), out=least)
         return least.tolist()
 
-    for w in range(1, k + 1):
+    for w in range(1, last + 1):
         # C(k, min(w, k // 2)) bounds both C(k, w) and every C(k_lo, l)
         batch = max(1, size // math.comb(k, min(w, k // 2)))
         for first in range(0, t, batch):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .cyclic import InvalidParameters, _check_params, designed_distance
-from .spectrum import EigenCertificate, InvalidRadius, ball_operator, certify
+from .spectrum import EigenCertificate, InvalidRadius, certify
 
 RIGOROUS = "rigorous"
 HEURISTIC = "asymptotic-heuristic"
@@ -230,7 +230,7 @@ def _ball(n: int, r: int) -> tuple[EigenCertificate, int, float]:
 
     The certificate, n * Vol(r, n) and float(lambda_certified).
     """
-    cert = certify(ball_operator(n, r))
+    cert = certify(n, r)
     return cert, n * vol(r, n), float(cert.lambda_certified)
 
 

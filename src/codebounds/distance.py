@@ -129,10 +129,15 @@ def _systematic(rows: list[int], cols: int) -> tuple[list[int], int] | None:
     return rows, cols
 
 
+def _last_weight(k: int, t: int, best: int) -> int:
+    """The first message weight w with t (w + 1) >= best, at most k."""
+    return min(k, -(-best // t) - 1)
+
+
 def _bz_words(k: int, t: int, best: int) -> int:
     """Words the information-set route enumerates on t sets at most: each
-    set's message weights up to the first w with t (w + 1) >= best."""
-    last = min(k, -(-best // t) - 1)
+    set's message weights up to ``_last_weight``."""
+    last = _last_weight(k, t, best)
     return t * sum(math.comb(k, w) for w in range(1, last + 1))
 
 
@@ -176,12 +181,12 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
     t = min(words, key=words.get, default=0)
     if not k or words[t] >= 1 << k:
         return _full_scan(basis, n, max_k, workers).min_distance
-    layers = _kernels.layer_minima(gens[:t], n)
-    for w in range(1, k + 1):
-        for j in range(1, t + 1):
-            best = min(best, next(layers))
-            if best <= t * w + j:
-                return best
+    layers = _kernels.layer_minima(gens[:t], n, _last_weight(k, t, best))
+    # value i, counted from t + 1, is set j's at message weight w: i = t w + j
+    for i, least in enumerate(layers, t + 1):
+        best = min(best, least)
+        if best <= i:
+            return best
     return best
 
 

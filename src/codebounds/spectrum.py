@@ -25,11 +25,10 @@ from operator import attrgetter
 ASYMPTOTIC = "asymptotic"
 _TOL = 1e-12  # bisection width, in absolute units of lambda
 _LAGUERRE_STEPS = 20  # a cap; from the Gershgorin start 3-5 steps suffice
-_WIDEN = 4    # bracket attempts around the estimate, each 16x wider
 
 
 class InvalidRadius(ValueError):
-    """Radius outside 1 <= r (<= n/2 in finite mode)."""
+    """Radius outside 1 <= r (<= n/2 for a finite n)."""
 
 
 class DegenerateWitness(ArithmeticError):
@@ -38,36 +37,32 @@ class DegenerateWitness(ArithmeticError):
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Zero-diagonal symmetric tridiagonal given by off-diagonal squares."""
+    """Zero-diagonal symmetric tridiagonal given by off-diagonal squares,
+    and nothing else: ``certify`` names its ball by (n, r)."""
 
     offdiag_sq: tuple[int, ...]
-    mode: int | str          # finite n, or ASYMPTOTIC
 
     @property
     def size(self) -> int:
         return len(self.offdiag_sq) + 1
 
-    @property
-    def r(self) -> int:
-        return len(self.offdiag_sq)
-
 
 def ball_operator(n, r: int) -> TridiagonalOperator:
     """Radial reduction of the adjacency of B_r(0, n).
 
-    ``n`` is a length, or ``"asymptotic"`` (equivalently None) for the
+    ``n`` is a length, or ``ASYMPTOTIC`` (equivalently None) for the
     normalized limit operator.  The top eigenvalue of the returned operator
     equals the maximal eigenvalue of the ball subgraph: the ball's Perron
     vector can be taken radial, so nothing is lost in the reduction.
+    Raises ``InvalidRadius`` unless 1 <= r, and r <= n/2 for finite n.
     """
     if r < 1:
         raise InvalidRadius(f"radius must be >= 1, got {r}")
     if n is None or n == ASYMPTOTIC:
-        return TridiagonalOperator(tuple(i + 1 for i in range(r)), ASYMPTOTIC)
-    n = int(n)
+        return TridiagonalOperator(tuple(i + 1 for i in range(r)))
     if r > n // 2:
         raise InvalidRadius(f"radius {r} exceeds n/2 = {n // 2}")
-    return TridiagonalOperator(tuple((i + 1) * (n - i) for i in range(r)), n)
+    return TridiagonalOperator(tuple((i + 1) * (n - i) for i in range(r)))
 
 
 def _all_below(offdiag_sq, x: float) -> bool:
@@ -135,32 +130,25 @@ def top_eigenvalue(T: TridiagonalOperator) -> float:
     True, every midpoint <= a answers False and every midpoint >= c True.
 
     A Laguerre estimate of the top root gives such a bracket: [a, c] =
-    est -/+ delta, delta from 4 ulp(est), widened 16-fold at most
-    _WIDEN - 1 times, each point taken only while it tightens the bracket.
-    The loop then replays the plain bisection, asking the predicate only
-    at midpoints inside (a, c), so it takes the very same steps and
-    returns the same float bit for bit.  A side that never verifies stays
-    at -inf or +inf, where every midpoint is asked, as without a bracket.
+    est -/+ 4 ulp(est), each point tested only while it tightens the
+    bracket.  The loop then replays the plain bisection, asking the
+    predicate only at midpoints inside (a, c), so it takes the very same
+    steps and returns the same float bit for bit.  A side that does not
+    verify stays at -inf or +inf, where every midpoint is asked, as
+    without a bracket.
     """
     sq = T.offdiag_sq
     b = [math.sqrt(s) for s in sq]
-    row_sums = [b[0]] + [b[i - 1] + b[i] for i in range(1, len(b))] + [b[-1]]
-    hi = max(row_sums) + 1.0
+    hi = max(x + y for x, y in zip([0.0] + b, b + [0.0])) + 1.0
     lo = 0.0
     a, c = -math.inf, math.inf
     est = _top_root_estimate(sq, hi)
-    if math.isfinite(est):
-        delta = 4 * math.ulp(est)
-        for _ in range(_WIDEN):
-            for x in (est - delta, est + delta):
-                if a < x < c:
-                    if _all_below(sq, x):
-                        c = x
-                    else:
-                        a = x
-            if a > -math.inf and c < math.inf:
-                break
-            delta *= 16
+    for x in (est - 4 * math.ulp(est), est + 4 * math.ulp(est)):
+        if a < x < c:                    # False for NaN, or an infinite est
+            if _all_below(sq, x):
+                c = x
+            else:
+                a = x
     while hi - lo > _TOL:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:       # double precision exhausted
@@ -274,23 +262,23 @@ def _decimal(x: float) -> tuple[int, int]:
     return int(digits.replace(".", "")), int(exp) - 12
 
 
-def certify(T: TridiagonalOperator) -> EigenCertificate:
-    """Certified rational lower bound on the finite-n ball eigenvalue.
+def certify(n: int, r: int) -> EigenCertificate:
+    """Certified rational lower bound on the top eigenvalue of B_r(0, n).
 
-    Runs ``top_eigenvalue``, regenerates the radial vector and rounds each
-    entry to 12 significant digits, read as an integer m_i times 10^(e_i).
-    The quotient is evaluated on the integers m_i * 10^(e_i - min e), a
-    scaled copy of the witness with the same quotient.  The result is a true
-    lower bound on lambda_B no matter how inaccurate the float stage was.
-    Rounding is relative, so the witness keeps its shape at every n (f(0) = 1
-    keeps it nonzero) and the certificate stays within ~1e-12 relative of
+    n goes through ``int()``; ``InvalidRadius`` is raised where
+    ``ball_operator(n, r)`` raises it.  Runs ``top_eigenvalue`` on that
+    operator, regenerates the radial vector and rounds each entry to 12
+    significant digits, an integer m_i times 10^(e_i).  The quotient is
+    evaluated on the integers m_i * 10^(e_i - min e), a scaled copy of the
+    witness with the same quotient.  The result is a true lower bound on
+    lambda_B no matter how inaccurate the float stage was.  Rounding is
+    relative, so the witness keeps its shape at every n (f(0) = 1 keeps it
+    nonzero) and the certificate stays within ~1e-12 relative of
     lambda_float.  The certificate keeps the pairs (m_i, e_i); no Fraction
     is built for the witness until ``EigenCertificate.witness`` is read.
     """
-    if T.mode == ASYMPTOTIC:
-        raise ValueError("certification requires a finite-n operator")
-    n, r = int(T.mode), T.r
-    lam = top_eigenvalue(T)
+    n = int(n)
+    lam = top_eigenvalue(ball_operator(n, r))
     rounded = [_decimal(x) for x in radial_vector(n, r, lam)]
     low = min(e for _, e in rounded)
     certified = rayleigh_quotient(n, [m * 10 ** (e - low) for m, e in rounded])

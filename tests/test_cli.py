@@ -190,6 +190,15 @@ class TestBounds:
         assert code == 3 and out == ""
         assert err.startswith("codebounds-error: NotApplicable:")
 
+    def test_mceliece_row_skipped_past_half(self, capsys):
+        # d = 9 >= n/2 + 1: mceliece_upper raises NotApplicable, and the
+        # table goes on without that row
+        code, out, _ = run_cli(capsys, "bounds", "--n", "15", "--d", "9")
+        assert code == 0
+        labels = [ln.split(",")[3] for ln in out.splitlines()[2:]]
+        assert "mceliece" not in labels
+        assert {"gv", "hamming", "plotkin", "new_best"} <= set(labels)
+
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "15", "--d", "0")
         assert code == 2
@@ -320,6 +329,20 @@ class TestReplay:
         obj = json.loads(out)
         assert obj["code_size"] == 16 and obj["pass"] is True
         assert obj["bound"] >= 16
+
+    def test_infinite_bound_prints_null(self, capsys):
+        # lambda = 2 <= n - 2d = 2, so the bound is +inf: strict JSON has no
+        # Infinity, and the value prints as null
+        code, out, _ = run_cli(capsys, "replay", "--words", "0,1", "--n", "4",
+                               "--r", "1")
+        assert code == 0
+
+        def refuse(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        obj = json.loads(out, parse_constant=refuse)
+        assert obj["bound"] is None and obj["pass"] is True
+        assert obj["steps"][-1]["rhs"] is None
 
     def test_needs_input(self, capsys):
         code, _, err = run_cli(capsys, "replay", "--r", "1")

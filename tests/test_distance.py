@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import inspect
 import itertools
+import math
 import operator
 import random
 
@@ -152,11 +153,39 @@ class TestInformationSets:
         # set's tables and its weight-1 round already settle d = 2
         used = []
         real = _kernels.layer_minima
-        monkeypatch.setattr(_kernels, "layer_minima", lambda gens, n: (
-            used.append(len(gens)) or real(gens, n)))
+        monkeypatch.setattr(_kernels, "layer_minima", lambda gens, n, last: (
+            used.append(len(gens)) or real(gens, n, last)))
         rows = [1 << i | 1 << (1000 + i) for i in range(20)]
         assert min_distance_of_rows(rows, 2048) == 2
         assert used == [1]
+
+    def test_tables_keep_only_the_weights_searched(self, monkeypatch):
+        # 16 sparse rows at n = 1000 take the information-set route on
+        # several sets; each set's span tables keep only the columns of
+        # message weight <= last, the weight by which the search returns
+        asked, kept = [], []
+        real_layers = _kernels.layer_minima
+        real_order = _kernels._popcount_order
+
+        def popcount_order(bits, last):
+            order, at = real_order(bits, last)
+            kept.append((bits, last, len(order)))
+            return order, at
+
+        monkeypatch.setattr(_kernels, "layer_minima", lambda gens, n, last: (
+            asked.append((len(gens), last)) or real_layers(gens, n, last)))
+        monkeypatch.setattr(_kernels, "_popcount_order", popcount_order)
+        rng = random.Random(3)
+        rows = [sum(1 << i for i in range(1000) if rng.random() < 0.03)
+                for _ in range(16)]
+        assert min_distance_of_rows(rows, 1000) == \
+            weight_distribution_of_rows(rows, 1000).min_distance
+        [(t, last)] = asked
+        assert t > 1 and len(kept) == 2
+        for bits, got, cols in kept:
+            assert got == last
+            assert cols <= sum(math.comb(bits, w) for w in range(last + 1))
+            assert cols < 1 << bits
 
     def test_budget_is_on_the_rank(self):
         # 30 rows past max_k = 24, but their span has one nonzero word
@@ -395,6 +424,44 @@ def _unbroken_A_search(n, d):
                 neigh[a] |= 1 << b
                 neigh[b] |= 1 << a
     return 1 + _kernels.max_clique(neigh)
+
+
+def _brute_clique(neigh):
+    """Largest vertex set whose members are pairwise adjacent."""
+    best = 0
+    for mask in range(1 << len(neigh)):
+        members = [v for v in range(len(neigh)) if mask >> v & 1]
+        if len(members) > best and all(neigh[u] >> v & 1 for u, v in
+                                       itertools.combinations(members, 2)):
+            best = len(members)
+    return best
+
+
+def _graph(edges, size):
+    neigh = [0] * size
+    for a, b in edges:
+        neigh[a] |= 1 << b
+        neigh[b] |= 1 << a
+    return neigh
+
+
+class TestMaxClique:
+    def test_greedy_seed_not_maximum(self):
+        # the star's centre has the largest degree, so the greedy seed is
+        # an edge of the star; only the search finds the disjoint K_4
+        star = [(0, leaf) for leaf in range(1, 7)]
+        k4 = list(itertools.combinations(range(7, 11), 2))
+        assert _kernels.max_clique(_graph(star + k4, 11)) == 4
+
+    def test_matches_brute_force(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            size = rng.randint(0, 12)
+            p = rng.choice([0.2, 0.5, 0.8])
+            edges = [e for e in itertools.combinations(range(size), 2)
+                     if rng.random() < p]
+            neigh = _graph(edges, size)
+            assert _kernels.max_clique(neigh) == _brute_clique(neigh), edges
 
 
 class TestLayerMinima:

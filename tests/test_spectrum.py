@@ -118,7 +118,7 @@ class TestTopEigenvalue:
         for _ in range(20):
             size = int(rng.integers(1, 9))
             sq = tuple(float(x) for x in rng.uniform(0.1, 50.0, size))
-            lam = top_eigenvalue(TridiagonalOperator(sq, 999))
+            lam = top_eigenvalue(TridiagonalOperator(sq))
             assert abs(lam - dense_top(sq)) < 1e-9 * max(1.0, abs(lam))
 
     @pytest.mark.parametrize("n,r", [(15, 3), (63, 5), (255, 7), (40, 20)])
@@ -126,12 +126,17 @@ class TestTopEigenvalue:
         T = ball_operator(n, r)
         assert abs(top_eigenvalue(T) - dense_top(T.offdiag_sq)) < 1e-8
 
+    def test_one_by_one(self):
+        # a single vertex: the Gershgorin start is 0 + 1, the eigenvalue 0
+        assert abs(top_eigenvalue(TridiagonalOperator(())) - dense_top(())) \
+            < 1e-12
+
 
 class TestCertify:
     def test_quartic_15_3(self):
         # characteristic polynomial: lambda^4 - 82 lambda^2 + 585
         lam = math.sqrt((82 + math.sqrt(82 * 82 - 4 * 585)) / 2)
-        cert = certify(ball_operator(15, 3))
+        cert = certify(15, 3)
         assert abs(cert.lambda_float - lam) < 1e-10
         assert Fraction(86, 10) < cert.lambda_certified < Fraction(861, 100)
         assert float(cert.lambda_certified) <= cert.lambda_float + 1e-12
@@ -139,29 +144,29 @@ class TestCertify:
     def test_quartic_256_3(self):
         # lambda^4 - 1528 lambda^2 + 195072; below the asymptotic line
         lam = math.sqrt((1528 + math.sqrt(1528 ** 2 - 4 * 195072)) / 2)
-        cert = certify(ball_operator(256, 3))
+        cert = certify(256, 3)
         assert abs(cert.lambda_float - lam) < 1e-9
         assert float(cert.lambda_certified) < asymptotic_constant(3) * 16
 
     def test_exact_at_n4_r1(self):
-        cert = certify(ball_operator(4, 1))
+        cert = certify(4, 1)
         assert cert.lambda_certified == 2
         assert cert.lambda_float == pytest.approx(2.0, abs=1e-12)
 
     def test_witness_reproduces_certificate(self):
-        cert = certify(ball_operator(63, 4))
+        cert = certify(63, 4)
         again = rayleigh_quotient(63, list(cert.witness))
         assert again == cert.lambda_certified
 
     def test_certificate_is_lower_bound(self):
         # Rayleigh quotients never exceed the true top eigenvalue
         for n, r in [(15, 3), (63, 5), (255, 4)]:
-            cert = certify(ball_operator(n, r))
+            cert = certify(n, r)
             assert float(cert.lambda_certified) <= \
                 dense_top(ball_operator(n, r).offdiag_sq) + 1e-9
 
     def test_json_fields(self):
-        d = certify(ball_operator(15, 3)).to_json_dict()
+        d = certify(15, 3).to_json_dict()
         assert list(d) == ["n", "r", "lambda_float",
                            "lambda_certified_num", "lambda_certified_den"]
         assert d["lambda_certified_num"] > 0 and d["lambda_certified_den"] > 0
@@ -170,9 +175,27 @@ class TestCertify:
         with pytest.raises(DegenerateWitness):
             rayleigh_quotient(4, [Fraction(0), Fraction(0)])
 
+    @pytest.mark.parametrize("n", [2, 15, 4095])
+    def test_invalid_radius(self, n):
+        for r in (0, n // 2 + 1):
+            with pytest.raises(InvalidRadius):
+                certify(n, r)
+
+    def test_names_its_ball(self):
+        for n, r in ORACLE_BALLS:
+            cert = certify(n, r)
+            assert (cert.n, cert.r) == (n, r)
+            assert cert == ball_certificate(n, r)
+
+    def test_numpy_length(self):
+        # the witness quotient sums C(n, i)-sized terms: a numpy n must not
+        # wrap them in int64, and the certificate stays JSON-ready
+        cert = certify(np.int64(2 ** 20), 16)
+        assert cert == certify(2 ** 20, 16) and type(cert.n) is int
+
     def test_convenience_wrapper(self):
         a = ball_certificate(31, 3)
-        b = certify(ball_operator(31, 3))
+        b = certify(31, 3)
         assert a.lambda_certified == b.lambda_certified
         assert isinstance(a.lambda_certified, Fraction)
 
@@ -181,7 +204,7 @@ class TestCertify:
     def test_tight_at_large_n(self, n, r):
         # witness entries shrink like n^-i, so the rounding must be relative
         # for the slack to stay flat in n
-        cert = certify(ball_operator(n, r))
+        cert = certify(n, r)
         lam = Fraction(cert.lambda_float)
         assert cert.lambda_certified <= lam * (1 + Fraction(1, 10 ** 12))
         assert (lam - cert.lambda_certified) / lam < Fraction(1, 10 ** 9)
@@ -235,11 +258,19 @@ class TestSturmOracle:
             T = ball_operator(ASYMPTOTIC, r)
             assert top_eigenvalue(T) == reference_top(T), r
 
+    def test_double_precision_exhausted(self):
+        # at lambda ~ 28,218 one ulp exceeds the 1e-12 width, so the
+        # bisection ends on a midpoint equal to an endpoint
+        T = ball_operator(2 ** 24, 16)
+        lam = top_eigenvalue(T)
+        assert math.ulp(lam) > 1e-12
+        assert lam == reference_top(T)
+
     # the first midpoint (1.0, resp. 2.0) makes the second pivot exactly 0,
     # and the zero square that follows would divide by it
     @pytest.mark.parametrize("sq,zero_at", [((1, 0), 1.0), ((4, 0, 9), 2.0)])
     def test_zero_pivot(self, sq, zero_at):
-        T = TridiagonalOperator(sq, 999)
+        T = TridiagonalOperator(sq)
         hits = []
         assert top_eigenvalue(T) == reference_top(T, hits)
         assert hits == [zero_at]
@@ -269,7 +300,7 @@ class TestBracketedReplay:
                     sq[i] = float(rng.uniform(0.0, 50.0))
                 elif rng.random() < 0.1:
                     sq[i] = 0
-            ops.append(TridiagonalOperator(tuple(sq), 999))
+            ops.append(TridiagonalOperator(tuple(sq)))
         return ops
 
     def test_random_operators(self):
@@ -288,7 +319,7 @@ class TestBracketedReplay:
         monkeypatch.setattr(sp, "_top_root_estimate", bad)
         ops = ([ball_operator(n, r) for n, r in ORACLE_BALLS[::3]]
                + [ball_operator(ASYMPTOTIC, r) for r in (1, 2, 7, 64)]
-               + [TridiagonalOperator(sq, 999)
+               + [TridiagonalOperator(sq)
                   for sq in [(1, 0), (4, 0, 9), (0,), (2.5, 0.0, 3)]]
                + self.random_operators(count=20, seed=5))
         for T in ops:
@@ -303,7 +334,7 @@ class TestBracketedReplay:
         for T in ops:
             calls.clear()
             top_eigenvalue(T)
-            assert 2 <= len(calls) <= 8, (T.mode, T.r, len(calls))
+            assert 2 <= len(calls) <= 8, (T.offdiag_sq[0], T.size, len(calls))
 
 
 class TestRayleighOracle:
@@ -349,7 +380,7 @@ class TestRayleighOracle:
 
     def test_certificates_match_reference(self):
         for n, r in ORACLE_BALLS:
-            cert = certify(ball_operator(n, r))
+            cert = certify(n, r)
             assert cert.lambda_float == reference_top(ball_operator(n, r))
             expected = tuple(Fraction(f"{x:.12e}") for x in
                              radial_vector(n, r, cert.lambda_float))
