@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .cyclic import InvalidParameters, _check_params, designed_distance
+from .cyclic import _check_params, designed_distance
 from .spectrum import EigenCertificate, InvalidRadius, certify
 
 RIGOROUS = "rigorous"
@@ -63,6 +63,14 @@ def _log2_int(x: int) -> float:
     return math.log2(x >> shift) + shift
 
 
+def _domain(n: int, d: int) -> tuple[int, int]:
+    """(int(n), int(d)), or ``OutOfRange`` unless 1 <= d <= n."""
+    n, d = int(n), int(d)
+    if not (1 <= d <= n):
+        raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
+    return n, d
+
+
 def _exact(label: str, kind: str, value: int, rigor: str = RIGOROUS,
            condition: str = "") -> BoundValue:
     return BoundValue(label=label, kind=kind, rigor=rigor,
@@ -104,6 +112,7 @@ def _g_mrrw(x: float) -> float:
 
 def vol(r: int, n: int) -> int:
     """|B_r(0, n)| = sum_{i<=r} C(n, i), exactly."""
+    r, n = int(r), int(n)
     if not (0 <= r <= n):
         raise InvalidRadius(f"radius {r} outside [0, {n}]")
     v = term = 1
@@ -119,23 +128,20 @@ def vol(r: int, n: int) -> int:
 
 def gv_lower(n: int, d: int) -> BoundValue:
     """Greedy covering lower bound: A(n, d) >= 2^n / Vol(d-1, n)."""
-    if not (1 <= d <= n):
-        raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
+    n, d = _domain(n, d)
     value = -((-(1 << n)) // vol(d - 1, n))        # ceil division
     return _exact("gv", "lower", value)
 
 
 def hamming_upper(n: int, d: int) -> BoundValue:
     """Sphere-packing bound with packing radius floor((d-1)/2)."""
-    if not (1 <= d <= n):
-        raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
+    n, d = _domain(n, d)
     e = (d - 1) // 2
     return _exact("hamming", "upper", (1 << n) // vol(e, n))
 
 
 def singleton_upper(n: int, d: int) -> BoundValue:
-    if not (1 <= d <= n):
-        raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
+    n, d = _domain(n, d)
     return _exact("singleton", "upper", 1 << (n - d + 1))
 
 
@@ -148,8 +154,7 @@ def plotkin_upper(n: int, d: int) -> BoundValue:
     the bound valid at integer break points (e.g. A(6,4) = 4 and
     A(10,6) = 6 both meet it with equality).
     """
-    if not (1 <= d <= n):
-        raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
+    n, d = _domain(n, d)
     if 2 * d < n:
         return _exact("plotkin", "upper", d << (n - 2 * d + 2))
     if d % 2 == 0:
@@ -165,8 +170,7 @@ def plotkin_upper(n: int, d: int) -> BoundValue:
 
 def mceliece_upper(n: int, d: int) -> BoundValue:
     """Heuristic reference line n(j+2), meaningful only for j = o(sqrt(n))."""
-    if not (1 <= d <= n):
-        raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
+    n, d = _domain(n, d)
     j = n - 2 * d
     if j + 2 <= 0:
         raise NotApplicable(f"n(j+2) non-positive at j = {j}")
@@ -230,6 +234,7 @@ def _ball(n: int, r: int) -> tuple[EigenCertificate, int, float]:
 
     The certificate, n * Vol(r, n) and float(lambda_certified).
     """
+    n, r = int(n), int(r)
     cert = certify(n, r)
     return cert, n * vol(r, n), float(cert.lambda_certified)
 
@@ -251,8 +256,7 @@ def new_upper(n: int, d: int, r: int) -> BoundValue:
     entry per (n, r), so the many distances a table asks at one (n, r)
     certify and sum the ball once.
     """
-    if not (1 <= d <= n):
-        raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
+    n, d = _domain(n, d)
     cert, size, lam_float = _ball(n, r)
     p, q = cert.lambda_certified.numerator, cert.lambda_certified.denominator
     j = n - 2 * d

@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_parsed(_comma_list(_pair), "a comma list of n:d"),
                    help="comma list of n:d pairs")
     c.add_argument("--r-max", type=_int_range(1), default=8)
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=_int_range(1), default=1)
     c.add_argument("--out", help="output CSV path")
     c.add_argument("--regime", type=_parsed(_positive_float,
                                             "a finite number > 0"),

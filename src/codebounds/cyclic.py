@@ -24,7 +24,6 @@ from .gf2 import (
     poly_divrem,
     poly_mod,
     poly_mul,
-    poly_to_hex,
     row_basis,
 )
 
@@ -73,13 +72,6 @@ class Codeword:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def shifted(self) -> "Codeword":
-        """Cyclic shift by one position (multiply by x mod x^n - 1)."""
-        b = self.bits << 1
-        if b >> self.n:
-            b = (b ^ (1 << self.n)) | 1
-        return Codeword(self.n, b)
-
 
 @dataclass(frozen=True)
 class ConstructionSpec:
@@ -104,7 +96,7 @@ class ConstructionSpec:
             "c": self.c,
             "n": self.n,
             "k": self.k,
-            "generator_hex": poly_to_hex(self.generator),
+            "generator_hex": hex(self.generator),
             "designed_distance": self.designed_distance,
         }
 
@@ -217,8 +209,7 @@ class MinimalIdeal:
         raises ``DecompositionFailure``.
         """
         ctx, n, size = self.field, self.n, self.orbit_size
-        beta = ctx.alpha_pow(self.exponent)
-        powers = [ctx.pow(beta, j) for j in range(self.dim)]
+        powers = [ctx.alpha_pow(self.exponent * j) for j in range(self.dim)]
         target = {ctx.alpha_pow(r): r for r in range(n // size)}
         messages = [0] * len(target)
         value = 0
@@ -354,24 +345,12 @@ def best_bch_distance(spec: ConstructionSpec) -> int:
     return min(best, n - 1) + 1
 
 
-def encode(spec: ConstructionSpec, message) -> Codeword:
+def encode(spec: ConstructionSpec, message: int) -> Codeword:
     """Multiply the message polynomial by g(x); non-systematic encoder.
 
-    ``message`` is an int below 2^k or a length-k bit sequence.
+    ``message`` is an int whose bit i is the coefficient of x^i; one
+    outside 0..2^k - 1 raises ``LengthMismatch``.
     """
-    if isinstance(message, int):
-        msg = message
-        if not (0 <= msg < (1 << spec.k)):
-            raise LengthMismatch(
-                f"message {msg} not a {spec.k}-bit value")
-    else:
-        bits = list(message)
-        if len(bits) != spec.k:
-            raise LengthMismatch(
-                f"message length {len(bits)} != k = {spec.k}")
-        msg = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise LengthMismatch(f"non-binary symbol {b!r} at index {i}")
-            msg |= b << i
-    return Codeword(spec.n, poly_mul(msg, spec.generator))
+    if not (0 <= message < (1 << spec.k)):
+        raise LengthMismatch(f"message {message} not a {spec.k}-bit value")
+    return Codeword(spec.n, poly_mul(message, spec.generator))

@@ -6,10 +6,10 @@ coefficient word, e.g. ``"0x13"`` is ``x^4 + x + 1``.  Field elements of
 GF(2^m) are integers below ``2**m`` holding coordinates in the polynomial
 basis (bit 0 = constant term).
 
-Multiplication and inversion go through log/antilog tables indexed by a
-primitive element alpha; degrees are limited to 2 <= m <= 16 so the tables
-stay small and every exhaustive check (irreducibility, primitivity) is
-cheap enough to run at construction time.
+Multiplication goes through log/antilog tables indexed by a primitive
+element alpha; degrees are limited to 2 <= m <= 16 so the tables stay small
+and every exhaustive check (irreducibility, primitivity) is cheap enough to
+run at construction time.
 """
 
 from __future__ import annotations
@@ -114,14 +114,6 @@ def poly_is_irreducible(p: int) -> bool:
     return True
 
 
-def poly_to_hex(p: int) -> str:
-    return hex(p)
-
-
-def poly_from_hex(s: str) -> int:
-    return int(s, 16)
-
-
 def row_basis(rows: list[int]) -> list[int]:
     """Independent rows spanning the same GF(2) space as ``rows``.
 
@@ -206,19 +198,6 @@ class FieldContext:
         if a == 0 or b == 0:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % self.order]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.exp[(self.order - self.log[a]) % self.order]
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e for e >= 0, with 0**0 = 1 by the empty-product convention."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if a == 0:
-            return 1 if e == 0 else 0
-        return self.exp[(self.log[a] * e) % self.order]
 
     def alpha_pow(self, e: int) -> int:
         """alpha^e for any integer e (reduced mod 2^m - 1)."""

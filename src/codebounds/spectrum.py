@@ -6,7 +6,9 @@ adjacency spectrum restricted to radial functions is carried by an
 The symmetric form has off-diagonal squares (i+1)(n-i); dividing through by
 n and letting n grow gives the asymptotic operator with off-diagonal squares
 (i+1), whose top eigenvalue t_r is the n -> infinity limit of
-lambda_B / sqrt(n).
+lambda_B / sqrt(n).  An operator is passed around as the plain tuple of its
+off-diagonal squares: ``ball_operator`` builds it, ``top_eigenvalue`` reads
+it.
 
 Everything here works on the radial reduction only — never on the 2^n-vertex
 graph — and the certification path uses exact arithmetic only: the witness
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-ASYMPTOTIC = "asymptotic"
 _TOL = 1e-12  # bisection width, in absolute units of lambda
 _LAGUERRE_STEPS = 20  # a cap; from the Gershgorin start 3-5 steps suffice
 
@@ -35,34 +36,20 @@ class DegenerateWitness(ArithmeticError):
     """A Rayleigh quotient was asked of the zero vector."""
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Zero-diagonal symmetric tridiagonal given by off-diagonal squares,
-    and nothing else: ``certify`` names its ball by (n, r)."""
-
-    offdiag_sq: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.offdiag_sq) + 1
-
-
-def ball_operator(n, r: int) -> TridiagonalOperator:
+def ball_operator(n: int, r: int) -> tuple[int, ...]:
     """Radial reduction of the adjacency of B_r(0, n).
 
-    ``n`` is a length, or ``ASYMPTOTIC`` (equivalently None) for the
-    normalized limit operator.  The top eigenvalue of the returned operator
-    equals the maximal eigenvalue of the ball subgraph: the ball's Perron
-    vector can be taken radial, so nothing is lost in the reduction.
-    Raises ``InvalidRadius`` unless 1 <= r, and r <= n/2 for finite n.
+    Returns the off-diagonal squares (i+1)(n-i), i < r, of the
+    zero-diagonal symmetric tridiagonal operator on the r+1 weight shells.
+    Its top eigenvalue equals the maximal eigenvalue of the ball subgraph:
+    the ball's Perron vector can be taken radial, so nothing is lost in the
+    reduction.  Raises ``InvalidRadius`` unless 1 <= r <= n/2.
     """
     if r < 1:
         raise InvalidRadius(f"radius must be >= 1, got {r}")
-    if n is None or n == ASYMPTOTIC:
-        return TridiagonalOperator(tuple(i + 1 for i in range(r)))
     if r > n // 2:
         raise InvalidRadius(f"radius {r} exceeds n/2 = {n // 2}")
-    return TridiagonalOperator(tuple((i + 1) * (n - i) for i in range(r)))
+    return tuple((i + 1) * (n - i) for i in range(r))
 
 
 def _all_below(offdiag_sq, x: float) -> bool:
@@ -117,8 +104,10 @@ def _top_root_estimate(offdiag_sq, x: float) -> float:
     return x
 
 
-def top_eigenvalue(T: TridiagonalOperator) -> float:
-    """Largest eigenvalue by Sturm-sequence bisection on [0, max row sum].
+def top_eigenvalue(offdiag_sq) -> float:
+    """Largest eigenvalue of the zero-diagonal symmetric tridiagonal operator
+    with off-diagonal squares ``offdiag_sq``, by Sturm-sequence bisection on
+    [0, max row sum].
 
     The bisection halves [0, Gershgorin bound + 1] until it is _TOL wide
     or double precision runs out, asking ``_all_below`` at each midpoint.
@@ -137,15 +126,14 @@ def top_eigenvalue(T: TridiagonalOperator) -> float:
     verify stays at -inf or +inf, where every midpoint is asked, as
     without a bracket.
     """
-    sq = T.offdiag_sq
-    b = [math.sqrt(s) for s in sq]
+    b = [math.sqrt(s) for s in offdiag_sq]
     hi = max(x + y for x, y in zip([0.0] + b, b + [0.0])) + 1.0
     lo = 0.0
     a, c = -math.inf, math.inf
-    est = _top_root_estimate(sq, hi)
+    est = _top_root_estimate(offdiag_sq, hi)
     for x in (est - 4 * math.ulp(est), est + 4 * math.ulp(est)):
         if a < x < c:                    # False for NaN, or an infinite est
-            if _all_below(sq, x):
+            if _all_below(offdiag_sq, x):
                 c = x
             else:
                 a = x
@@ -155,7 +143,7 @@ def top_eigenvalue(T: TridiagonalOperator) -> float:
             break
         if mid <= a:
             lo = mid
-        elif mid >= c or _all_below(sq, mid):
+        elif mid >= c or _all_below(offdiag_sq, mid):
             hi = mid
         else:
             lo = mid
@@ -236,12 +224,14 @@ def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     <AF, F> / <F, F> = sum 2*C(n,i)(n-i) f_i f_{i+1} / sum C(n,i) f_i^2.
     Any such quotient is a true lower bound on the top ball eigenvalue.
 
+    n goes through ``int()``, so a numpy length cannot wrap the binomials.
     ``f`` holds Integral/Rational entries (numpy integers included).
     ``clear_denominators`` turns them into Python-int numerators over one
     common denominator, which leaves the quotient unchanged; both sums are
     then Python ints, with the binomials taken from the recurrence
     C(n,i+1) = C(n,i)(n-i)/(i+1), and the one Fraction is built at the end.
     """
+    n = int(n)
     f, _ = clear_denominators(f)
     num = den = 0
     binom = 1                                  # C(n, i)
@@ -287,10 +277,10 @@ def certify(n: int, r: int) -> EigenCertificate:
 
 
 def asymptotic_constant(r: int) -> float:
-    """t_r: top eigenvalue of the normalized limit operator, 1 <= r <= 64."""
+    """t_r, the top eigenvalue of the limit operator (1, ..., r), r <= 64."""
     if not (1 <= r <= 64):
         raise InvalidRadius(f"r = {r} outside supported range 1..64")
-    return top_eigenvalue(ball_operator(ASYMPTOTIC, r))
+    return top_eigenvalue(tuple(range(1, r + 1)))
 
 
 def recurrence_polynomial_root(r: int) -> float:

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,37 @@ class TestClassicalBounds:
             if bv.kind == "upper":
                 assert bv.value_exact >= lo.value_exact
                 assert bv.rigor == RIGOROUS
+
+
+class TestNumpyIntegers:
+    """numpy n, d and r give the Python-int results and error messages."""
+
+    EVALUATORS = [gv_lower, hamming_upper, singleton_upper, plotkin_upper,
+                  mceliece_upper, best_new_upper]
+
+    @pytest.mark.parametrize("fn", EVALUATORS)
+    @pytest.mark.parametrize("n,d", [(15, 6), (63, 24), (100, 45)])
+    def test_evaluators(self, fn, n, d):
+        assert fn(np.int64(n), np.int64(d)) == fn(n, d)
+
+    @pytest.mark.parametrize("fn", EVALUATORS + [
+        lambda n, d: new_upper(n, d, 1)])
+    def test_domain_messages(self, fn):
+        for n, d in [(15, 0), (15, 16)]:
+            with pytest.raises(OutOfRange) as want:
+                fn(n, d)
+            with pytest.raises(OutOfRange) as got:
+                fn(np.int64(n), np.int64(d))
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n,d,r", [(63, 24, 3), (100, 45, 4),
+                                       (2 ** 20, 2 ** 19 - 2 ** 11, 16)])
+    def test_ball_values(self, n, d, r):
+        big_n, big_d, big_r = np.int64(n), np.int64(d), np.int64(r)
+        assert vol(big_r, big_n) == vol(r, n)
+        assert type(vol(big_r, big_n)) is int
+        assert ball_certificate(big_n, big_r) == ball_certificate(n, r)
+        assert new_upper(big_n, big_d, big_r) == new_upper(n, d, r)
 
 
 class TestLog2Int:

@@ -403,6 +403,8 @@ class TestReplay:
      "--max-k: must be at least 1, got -1"),
     (["distance", "--m", "6", "--c", "2", "--max-k", "0"],
      "--max-k: must be at least 1, got 0"),
+    (["table", "--workers", "0"], "--workers: must be at least 1, got 0"),
+    (["table", "--workers", "-3"], "--workers: must be at least 1, got -3"),
 ])
 def test_out_of_range_int_options_exit_2(capsys, argv, message):
     # rejected by the parser, before any row is dropped or budget checked

@@ -146,16 +146,10 @@ class TestEncode:
     def test_unit_message_gives_generator(self, code_4_1):
         assert encode(code_4_1, 1).bits == code_4_1.generator
 
-    def test_bit_sequence_message(self, code_4_1):
-        assert encode(code_4_1, [1, 0, 0, 0]).bits == code_4_1.generator
-
     def test_bad_messages(self, code_4_1):
-        with pytest.raises(LengthMismatch):
-            encode(code_4_1, 1 << 4)
-        with pytest.raises(LengthMismatch):
-            encode(code_4_1, [1, 0])
-        with pytest.raises(LengthMismatch):
-            encode(code_4_1, [1, 0, 2, 0])
+        for msg in (1 << 4, -1):
+            with pytest.raises(LengthMismatch):
+                encode(code_4_1, msg)
 
     @given(st.integers(0, 15), st.integers(0, 15))
     def test_linearity(self, a, b):
@@ -165,11 +159,12 @@ class TestEncode:
 
     def test_cyclic_closure(self, code_4_1):
         # shifting any codeword stays inside the code: divisible by g
+        n = code_4_1.n
         for msg in range(16):
-            word = encode(code_4_1, msg)
-            shifted = word.shifted()
-            assert poly_mod(shifted.bits, code_4_1.generator) == 0
-            assert shifted.weight == word.weight
+            word = encode(code_4_1, msg).bits
+            rotated = ((word << 1) | (word >> (n - 1))) & ((1 << n) - 1)
+            assert poly_mod(rotated, code_4_1.generator) == 0
+            assert rotated.bit_count() == word.bit_count()
 
     def test_nonzero_words_meet_designed_distance(self, code_4_1):
         for msg in range(1, 16):

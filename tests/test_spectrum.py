@@ -3,7 +3,7 @@
 Independent oracles used here: dense ``numpy.linalg.eigvalsh`` on the
 explicit tridiagonal matrix, and the Gauss–Hermite(e) nodes from
 ``numpy.polynomial.hermite_e`` for the asymptotic operator (its Jacobi
-matrix is exactly the r -> infinity limit used by ``ball_operator(None)``).
+matrix is exactly the r -> infinity limit ``asymptotic_constant`` uses).
 The integer certificate path is checked against plain reference routes kept
 here: a Sturm count with its zero-pivot patch, and a ``Fraction`` sum with
 ``math.comb`` binomials.
@@ -18,10 +18,8 @@ import pytest
 from codebounds import spectrum as sp
 from codebounds.bounds import ball_certificate
 from codebounds.spectrum import (
-    ASYMPTOTIC,
     DegenerateWitness,
     InvalidRadius,
-    TridiagonalOperator,
     asymptotic_constant,
     ball_operator,
     certify,
@@ -59,9 +57,9 @@ def reference_count_below(offdiag_sq, x: float, zero_pivots=None) -> int:
     return count
 
 
-def reference_top(T: TridiagonalOperator, zero_pivots=None) -> float:
+def reference_top(offdiag_sq, zero_pivots=None) -> float:
     """The bisection of ``top_eigenvalue`` driven by the full count."""
-    b = [math.sqrt(s) for s in T.offdiag_sq]
+    b = [math.sqrt(s) for s in offdiag_sq]
     row_sums = [b[0]] + [b[i - 1] + b[i] for i in range(1, len(b))] + [b[-1]]
     hi = max(row_sums) + 1.0
     lo = 0.0
@@ -69,7 +67,8 @@ def reference_top(T: TridiagonalOperator, zero_pivots=None) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if reference_count_below(T.offdiag_sq, mid, zero_pivots) == T.size:
+        if reference_count_below(offdiag_sq, mid, zero_pivots) \
+                == len(offdiag_sq) + 1:
             hi = mid
         else:
             lo = mid
@@ -92,14 +91,10 @@ ORACLE_BALLS = [(n, r) for n in ORACLE_LENGTHS
 
 class TestBallOperator:
     def test_finite_15_3(self):
-        assert ball_operator(15, 3).offdiag_sq == (15, 28, 39)
-
-    def test_asymptotic_r3(self):
-        assert ball_operator(None, 3).offdiag_sq == (1, 2, 3)
-        assert ball_operator("asymptotic", 3).offdiag_sq == (1, 2, 3)
+        assert ball_operator(15, 3) == (15, 28, 39)
 
     def test_single_edge_class(self):
-        assert ball_operator(9, 1).offdiag_sq == (9,)
+        assert ball_operator(9, 1) == (9,)
 
     @pytest.mark.parametrize("n,r", [(15, 8), (4, 3), (15, 0), (15, -1)])
     def test_invalid_radius(self, n, r):
@@ -118,18 +113,17 @@ class TestTopEigenvalue:
         for _ in range(20):
             size = int(rng.integers(1, 9))
             sq = tuple(float(x) for x in rng.uniform(0.1, 50.0, size))
-            lam = top_eigenvalue(TridiagonalOperator(sq))
+            lam = top_eigenvalue(sq)
             assert abs(lam - dense_top(sq)) < 1e-9 * max(1.0, abs(lam))
 
     @pytest.mark.parametrize("n,r", [(15, 3), (63, 5), (255, 7), (40, 20)])
     def test_ball_instances_match_dense(self, n, r):
-        T = ball_operator(n, r)
-        assert abs(top_eigenvalue(T) - dense_top(T.offdiag_sq)) < 1e-8
+        sq = ball_operator(n, r)
+        assert abs(top_eigenvalue(sq) - dense_top(sq)) < 1e-8
 
     def test_one_by_one(self):
         # a single vertex: the Gershgorin start is 0 + 1, the eigenvalue 0
-        assert abs(top_eigenvalue(TridiagonalOperator(())) - dense_top(())) \
-            < 1e-12
+        assert abs(top_eigenvalue(()) - dense_top(())) < 1e-12
 
 
 class TestCertify:
@@ -163,7 +157,7 @@ class TestCertify:
         for n, r in [(15, 3), (63, 5), (255, 4)]:
             cert = certify(n, r)
             assert float(cert.lambda_certified) <= \
-                dense_top(ball_operator(n, r).offdiag_sq) + 1e-9
+                dense_top(ball_operator(n, r)) + 1e-9
 
     def test_json_fields(self):
         d = certify(15, 3).to_json_dict()
@@ -250,31 +244,30 @@ class TestSturmOracle:
 
     def test_ball_operators(self):
         for n, r in ORACLE_BALLS:
-            T = ball_operator(n, r)
-            assert top_eigenvalue(T) == reference_top(T), (n, r)
+            sq = ball_operator(n, r)
+            assert top_eigenvalue(sq) == reference_top(sq), (n, r)
 
     def test_asymptotic_operators(self):
         for r in range(1, 65):
-            T = ball_operator(ASYMPTOTIC, r)
-            assert top_eigenvalue(T) == reference_top(T), r
+            assert asymptotic_constant(r) \
+                == reference_top(tuple(range(1, r + 1))), r
 
     def test_double_precision_exhausted(self):
         # at lambda ~ 28,218 one ulp exceeds the 1e-12 width, so the
         # bisection ends on a midpoint equal to an endpoint
-        T = ball_operator(2 ** 24, 16)
-        lam = top_eigenvalue(T)
+        sq = ball_operator(2 ** 24, 16)
+        lam = top_eigenvalue(sq)
         assert math.ulp(lam) > 1e-12
-        assert lam == reference_top(T)
+        assert lam == reference_top(sq)
 
     # the first midpoint (1.0, resp. 2.0) makes the second pivot exactly 0,
     # and the zero square that follows would divide by it
     @pytest.mark.parametrize("sq,zero_at", [((1, 0), 1.0), ((4, 0, 9), 2.0)])
     def test_zero_pivot(self, sq, zero_at):
-        T = TridiagonalOperator(sq)
         hits = []
-        assert top_eigenvalue(T) == reference_top(T, hits)
+        assert top_eigenvalue(sq) == reference_top(sq, hits)
         assert hits == [zero_at]
-        assert abs(top_eigenvalue(T) - dense_top(sq)) < 1e-9
+        assert abs(top_eigenvalue(sq) - dense_top(sq)) < 1e-9
 
     @pytest.mark.parametrize("x", [0.0, -0.0, 1.0, 2.0, 3.5, -1.0,
                                    float("nan"), float("inf")])
@@ -300,12 +293,12 @@ class TestBracketedReplay:
                     sq[i] = float(rng.uniform(0.0, 50.0))
                 elif rng.random() < 0.1:
                     sq[i] = 0
-            ops.append(TridiagonalOperator(tuple(sq)))
+            ops.append(tuple(sq))
         return ops
 
     def test_random_operators(self):
-        for T in self.random_operators():
-            assert top_eigenvalue(T) == reference_top(T), T.offdiag_sq
+        for sq in self.random_operators():
+            assert top_eigenvalue(sq) == reference_top(sq), sq
 
     @pytest.mark.parametrize("bad", [
         lambda sq, hi: math.nan,
@@ -318,23 +311,22 @@ class TestBracketedReplay:
     def test_wrong_estimate(self, monkeypatch, bad):
         monkeypatch.setattr(sp, "_top_root_estimate", bad)
         ops = ([ball_operator(n, r) for n, r in ORACLE_BALLS[::3]]
-               + [ball_operator(ASYMPTOTIC, r) for r in (1, 2, 7, 64)]
-               + [TridiagonalOperator(sq)
-                  for sq in [(1, 0), (4, 0, 9), (0,), (2.5, 0.0, 3)]]
+               + [tuple(range(1, r + 1)) for r in (1, 2, 7, 64)]
+               + [(1, 0), (4, 0, 9), (0,), (2.5, 0.0, 3)]
                + self.random_operators(count=20, seed=5))
-        for T in ops:
-            assert top_eigenvalue(T) == reference_top(T), T.offdiag_sq
+        for sq in ops:
+            assert top_eigenvalue(sq) == reference_top(sq), sq
 
     def test_few_sturm_tests(self, monkeypatch):
         calls = []
         monkeypatch.setattr(sp, "_all_below",
                             lambda sq, x: calls.append(x) or _all_below(sq, x))
         ops = ([ball_operator(n, r) for n, r in ORACLE_BALLS]
-               + [ball_operator(ASYMPTOTIC, r) for r in range(1, 65)])
-        for T in ops:
+               + [tuple(range(1, r + 1)) for r in range(1, 65)])
+        for sq in ops:
             calls.clear()
-            top_eigenvalue(T)
-            assert 2 <= len(calls) <= 8, (T.offdiag_sq[0], T.size, len(calls))
+            top_eigenvalue(sq)
+            assert 2 <= len(calls) <= 8, (sq[0], len(sq) + 1, len(calls))
 
 
 class TestRayleighOracle:
@@ -357,6 +349,12 @@ class TestRayleighOracle:
     def test_degenerate_int_witness(self):
         with pytest.raises(DegenerateWitness):
             rayleigh_quotient(4, [0, 0])
+
+    def test_numpy_length(self):
+        # C(n, i) * (n - i) wraps in int64 at n = 2^20 long before i = 16
+        f = [1] * 17
+        assert rayleigh_quotient(np.int64(2 ** 20), f) \
+            == rayleigh_quotient(2 ** 20, f)
 
     def test_numpy_int_entries(self):
         # int64 products of these entries wrap; Python ints do not
