@@ -14,6 +14,7 @@ the distance engine enumerates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .gf2 import (
@@ -348,9 +349,11 @@ def best_bch_distance(spec: ConstructionSpec) -> int:
 def encode(spec: ConstructionSpec, message: int) -> Codeword:
     """Multiply the message polynomial by g(x); non-systematic encoder.
 
-    ``message`` is an int whose bit i is the coefficient of x^i; one
-    outside 0..2^k - 1 raises ``LengthMismatch``.
+    ``message`` is an integer whose bit i is the coefficient of x^i, read
+    through ``operator.index`` (numpy integers included; a float or a str
+    raises TypeError); one outside 0..2^k - 1 raises ``LengthMismatch``.
     """
+    message = operator.index(message)
     if not (0 <= message < (1 << spec.k)):
         raise LengthMismatch(f"message {message} not a {spec.k}-bit value")
     return Codeword(spec.n, poly_mul(message, spec.generator))

@@ -21,10 +21,14 @@ int64 never wraps; ``inner`` is one Python-int dot product of the
 numerators.  Results are lists: Integral entries give ints, any other
 Rational entry (or any division, as in ``wht`` and ``convolve``) gives
 Fractions, one per distinct value.  The identity suite checks all its
-functions at once as the rows of one exact array on the kernels.  The
-covering replay is numeric by nature (a square root and a Perron vector
-enter): it runs its float64 arrays through the dtype-agnostic kernels
-directly and checks each step with a relative tolerance.
+functions at once as the rows of one exact array on the kernels, and
+replays a few of them through the public primitives, whose outputs it
+compares entry by entry, cross-multiplied in integers, with the array's
+rows.  The covering replay is numeric by nature (a square root and a
+Perron vector enter): it reads 1_C * 1_C and the minimum distance from the
+integer histogram of pairwise XORs, runs its float64 arrays through the
+dtype-agnostic kernels directly and checks each step with a relative
+tolerance.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -49,6 +53,7 @@ from .spectrum import (InvalidRadius, ball_operator, clear_denominators,
 
 _REL_TOL = 1e-9  # replay steps are float; each may miss by this much
 _INT64_LIMIT = 1 << 63
+_PAIR_BLOCK = 1 << 18  # codeword XORs ``_pair_counts`` forms at once
 
 
 class DimensionMismatch(ValueError):
@@ -249,25 +254,28 @@ def indicator(code, n: int) -> list:
     return values
 
 
-def _pairwise_min_distance(code: list[int], n: int) -> int:
-    """Minimum pairwise Hamming distance; n for codes with < 2 words."""
-    if len(code) < 2:
-        return n
-    best = n
-    for i, a in enumerate(code):
-        for b in code[i + 1:]:
-            w = (a ^ b).bit_count()
-            if w < best:
-                best = w
-    return best
+def _pair_counts(code: list[int], n: int) -> np.ndarray:
+    """N(x) = #{(a, b) in C^2 : a ^ b = x} for every x in [0, 2^n).
+
+    The XORs are counted ``rows`` codewords at a time, with ``rows`` fixed
+    before any block is allocated, so a block holds at most
+    ``_PAIR_BLOCK`` entries (or one row of |C| when |C| exceeds that).
+    """
+    words = np.asarray(code, dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // max(words.size, 1))
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for start in range(0, words.size, rows):
+        block = words[start:start + rows, None] ^ words
+        counts += np.bincount(block.ravel(), minlength=1 << n)
+    return counts
 
 
 def distance_check(code, n: int, d: int) -> bool:
     """True iff (1_C * 1_C) vanishes on all weights 0 < w < d.
 
-    Computed both spectrally (exact convolution) and by a direct pairwise
-    scan; disagreement between the two routes raises, since it can only
-    come from an arithmetic bug.
+    Computed both spectrally (exact convolution) and directly, from the
+    histogram of pairwise XORs; disagreement between the two routes
+    raises, since it can only come from an arithmetic bug.
     """
     if n > 16:
         raise DimensionMismatch(f"n = {n} exceeds dense-transform cap 16")
@@ -276,11 +284,12 @@ def distance_check(code, n: int, d: int) -> bool:
     # exact integer numerators: zero exactly where the convolution is
     numerators, _ = _convolution(one_c, one_c)
     weights = np.bitwise_count(np.arange(1 << n))
-    spectral = not numerators[(weights > 0) & (weights < d)].any()
-    direct = _pairwise_min_distance(code, n) >= d
+    below_d = (weights > 0) & (weights < d)
+    spectral = not numerators[below_d].any()
+    direct = not _pair_counts(code, n)[below_d].any()
     if spectral != direct:
         raise ChainViolation(
-            f"convolution route says {spectral}, pairwise scan says "
+            f"convolution route says {spectral}, pair histogram says "
             f"{direct} for d = {d}")
     return spectral
 
@@ -337,11 +346,21 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     of one array, through ``_butterfly`` and ``_adjacency`` directly; its
     dtype is chosen once, int64 when the bound below allows it and Python
     ints otherwise.  The successors g and h are rolled copies formed where
-    a check reads them, never held.  Every 25th function is additionally
-    replayed through the public Fraction interface so that arithmetic path
-    stays exercised; ``_out`` builds the replayed function with one
-    Fraction per distinct value, and the replay's own sums stay per-entry
-    Fraction arithmetic, its independent oracle.
+    a check reads them, never held.
+
+    Every 25th function f = F_i/q_i, with g and h its successors j = i + 1
+    and k = i + 2 (mod count), is also replayed through the public
+    Fraction interface, built by ``_out`` with one Fraction per distinct
+    value.  Each public output is compared, entry by entry, with the
+    integer rows the array checks hold, as v.numerator * den ==
+    b * v.denominator: wht(wht(f)) = F_i/(q_i 2^n); wht(f) = U_i/(q_i 2^n)
+    and wht(g) = U_j/(q_j 2^n) for U = u(F); <f, g> =
+    dot(F_i, F_j)/(q_i q_j 2^n); and Af and f * L both = AF_i/q_i for
+    AF = ``_adjacency(F)``.  <f*g, h> = <f, g*h> compares the two public
+    values.  The array checks prove the five identities on those rows, so
+    equality proves them on the public path; the comparison itself runs
+    through neither ``clear_denominators`` nor ``_out``, the code under
+    test.
     """
     if not 1 <= n <= 16:
         raise DimensionMismatch(f"n = {n} outside dense range 1..16")
@@ -366,6 +385,7 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
         return np.roll(a, -k, axis=0)
 
     U = _butterfly(F)
+    AF = _adjacency(F)
     # u(U_j . U_{j+1}) appears on both sides of neighboring associativity
     # checks; compute each once
     P = _butterfly(U * succ(U))
@@ -378,25 +398,31 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
         # u is injective (the double-transform check proves it on this very
         # input), so Af = f*L iff u(AF) = U . L-hat pointwise
         ("adjacency factorization",
-         (_butterfly(_adjacency(F)) != U * np.array(mult))
-         .any(axis=1)),
+         (_butterfly(AF) != U * np.array(mult)).any(axis=1)),
     ]
     failed = np.stack([bad for _, bad in checks])
     failing = np.flatnonzero(failed.any(axis=0))
     first = int(failing[0]) if failing.size else count
 
-    def function(i):
-        i %= count
-        return _out(draws[i], Fraction(1, int(q[i])))
+    def matches(values, rows, den):
+        """values[k] == rows[k] / den for every k, cross-multiplied."""
+        return len(values) == len(rows) and all(
+            v.numerator * den == b * v.denominator
+            for v, b in zip(values, rows))
 
     for i in range(0, first, 25):
-        f, g, h = function(i), function(i + 1), function(i + 2)
-        wf = wht(f)
-        ok = (wht(wf) == [v / size for v in f]
-              and inner(f, g) == sum(a * b for a, b in zip(wf, wht(g)))
-              and wf[0] == sum(f) / size
+        j, k = (i + 1) % count, (i + 2) % count
+        f, g, h = (_out(draws[x], Fraction(1, int(q[x]))) for x in (i, j, k))
+        qi, qj = int(q[i]), int(q[j])
+        wf, af = wht(f), AF[i].tolist()
+        ok = (matches(wht(wf), F[i].tolist(), qi * size)
+              and matches(wf, U[i].tolist(), qi * size)
+              and matches(wht(g), U[j].tolist(), qj * size)
+              and matches([inner(f, g)], [int(dot(F[i], F[j]))],
+                          qi * qj * size)
               and inner(convolve(f, g), h) == inner(f, convolve(g, h))
-              and adjacency_apply(f) == convolve(f, big_l))
+              and matches(adjacency_apply(f), af, qi)
+              and matches(convolve(f, big_l), af, qi))
         if not ok:
             raise ChainViolation(
                 f"rational-path replay failed (n={n}, i={i})")
@@ -414,6 +440,11 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     phi_hat = sqrt(1_C * 1_C) >= 0, and F = phi * f, then verifies every
     inequality of the bound's derivation and the final size bound
     |C| <= n/(lambda - (n - 2d)) * |B| with d the measured minimum distance.
+    1_C * 1_C is N/2^n for the histogram N of the XORs a ^ b over ordered
+    pairs of codewords (``_pair_counts``), and d is the least nonzero
+    weight N reaches (n for a one-word code).  Both are exact: the float
+    convolution u(u(1_C)^2)/4^n forms only integers below 2^53 over a power
+    of 2, so it equals N/2^n bit for bit.
     Raises ChainViolation if any step fails beyond tolerance; OutOfRange for
     a code without the zero word, InvalidRadius unless 1 <= r <= n/2, and
     DimensionMismatch for n > 15 or a word outside the cube.
@@ -429,23 +460,23 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
         raise InvalidRadius(f"r = {r} outside 1..n/2 = {n // 2}")
     _check_words(code, n)
     size = 1 << n
-    one_c = np.zeros(size)
-    one_c[code] = 1.0
-    d = _pairwise_min_distance(code, n)
+    weights = np.bitwise_count(np.arange(size))
+    pairs = _pair_counts(code, n)
+    reached = weights[(pairs > 0) & (weights > 0)]
+    d = int(reached.min()) if reached.size else n
     lam = top_eigenvalue(ball_operator(n, r))
 
     # the radial vector on the ball, and 0 (index r + 1) off it
     rad = np.array(radial_vector(n, r, lam) + [0.0])
-    f = rad[np.minimum(np.bitwise_count(np.arange(size)), r + 1)]
+    f = rad[np.minimum(weights, r + 1)]
     af = _adjacency(f)
     worst = float((af - lam * f).min())
     scale = float(np.abs(f).max()) * lam
     perron_ok = worst >= -_REL_TOL * scale
 
-    # float convolutions u(u(f) . u(g)) / 4^n, on the kernels directly
-    conv_cc = _butterfly(_butterfly(one_c) ** 2) / size ** 2
-    phi_hat = np.sqrt(np.maximum(conv_cc, 0.0))
+    phi_hat = np.sqrt(pairs / size)          # sqrt(1_C * 1_C)
     phi = _butterfly(phi_hat)                # synthesis: sum_z phi_hat chi_z
+    # float convolution u(u(phi) . u(f)) / 4^n, on the kernels directly
     big_f = _butterfly(_butterfly(phi) * _butterfly(f)) / size ** 2
 
     def mean(vals):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,6 +151,20 @@ class TestEncode:
         for msg in (1 << 4, -1):
             with pytest.raises(LengthMismatch):
                 encode(code_4_1, msg)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int32, bool])
+    def test_integer_types_read_as_int(self, code_4_1, kind):
+        for msg in (0, 1):
+            word = encode(code_4_1, kind(msg))
+            assert word == encode(code_4_1, msg)
+            assert type(word.bits) is int
+        if kind is not bool:
+            assert encode(code_4_1, kind(15)) == encode(code_4_1, 15)
+
+    @pytest.mark.parametrize("msg", [1.0, np.float64(1.0), "1", None])
+    def test_non_integer_messages_rejected(self, code_4_1, msg):
+        with pytest.raises(TypeError):
+            encode(code_4_1, msg)
 
     @given(st.integers(0, 15), st.integers(0, 15))
     def test_linearity(self, a, b):

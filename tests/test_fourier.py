@@ -201,6 +201,54 @@ class TestDistanceCheck:
             distance_check([0, 9], 3, 1)
 
 
+def _random_code(rng, n, words):
+    return sorted({0} | {rng.randrange(1 << n) for _ in range(words)})
+
+
+class TestPairCounts:
+    """N(x) = #{(a, b) in C^2 : a ^ b = x}, the covering replay's 1_C * 1_C."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 18])
+    def test_matches_brute_force(self, monkeypatch, block):
+        monkeypatch.setattr(fr, "_PAIR_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(20):
+            n = rng.randint(1, 9)
+            code = _random_code(rng, n, rng.randint(0, 40))
+            want = [0] * (1 << n)
+            for a in code:
+                for b in code:
+                    want[a ^ b] += 1
+            assert fr._pair_counts(code, n).tolist() == want
+        assert fr._pair_counts([], 3).tolist() == [0] * 8
+
+    def test_float_convolution_is_exact(self):
+        # every value u(u(1_C)^2) forms is an integer below 2^53 and 4^n
+        # is a power of 2, so the float route gives N / 2^n bit for bit
+        rng = random.Random(3)
+        for n in (3, 8, 12):
+            code = _random_code(rng, n, 3 * n)
+            one_c = np.zeros(1 << n)
+            one_c[code] = 1.0
+            route = fr._butterfly(fr._butterfly(one_c) ** 2) / 4 ** n
+            pairs = fr._pair_counts(code, n) / (1 << n)
+            assert route.tobytes() == pairs.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 1 << 18])
+    def test_replay_distance(self, monkeypatch, block):
+        monkeypatch.setattr(fr, "_PAIR_BLOCK", block)
+        rng = random.Random(11)
+        for _ in range(15):
+            n = rng.randint(2, 10)
+            code = _random_code(rng, n, rng.randint(1, 30))
+            d = min(((a ^ b).bit_count() for a in code for b in code
+                     if a != b), default=n)
+            assert covering_replay(code, 1, n)["d"] == d
+            assert distance_check(code, n, d) is True
+            assert distance_check(code, n, d + 1) is (len(code) == 1)
+        assert covering_replay([0], 1, 5)["d"] == 5
+
+
 class TestCoveringReplay:
     def test_two_point_code(self):
         rep = covering_replay([0, 7], r=1)
@@ -340,6 +388,78 @@ class TestIdentitySuite:
     def test_exact_int_route(self):
         # size^4 * 64^3 exceeds 2^63 at n = 12: the suite runs on Python ints
         assert identity_suite(12, count=10)["pass"] is True
+
+
+def _rational(*args):
+    return any(isinstance(v, Fraction) for arg in args for v in arg)
+
+
+def _bump_last(real):
+    def broken(*args):
+        out = real(*args)
+        if _rational(*args):
+            out[-1] += Fraction(1, 3)
+        return out
+    return broken
+
+
+def _drop_last(real):
+    def broken(*args):
+        out = real(*args)
+        return out[:-1] if _rational(*args) else out
+    return broken
+
+
+def _bump_inner(real):
+    def broken(f, g):
+        out = real(f, g)
+        return out + Fraction(1, 3) if _rational(f, g) else out
+    return broken
+
+
+def _bump_numerator(real):
+    def broken(values):
+        nums, q = real(values)
+        if _rational(values):
+            nums[0] += 1
+        return nums, q
+    return broken
+
+
+class TestReplayOracle:
+    """The every-25th replay through the public Fraction interface."""
+
+    @pytest.mark.parametrize("name,perturb", [
+        ("wht", _bump_last),
+        ("inner", _bump_inner),
+        ("convolve", _bump_last),
+        ("adjacency_apply", _bump_last),
+        ("adjacency_apply", _drop_last),
+        ("clear_denominators", _bump_numerator),
+    ])
+    def test_perturbed_public_path_fails(self, monkeypatch, name, perturb):
+        # the integer array checks never call the public functions, so
+        # only the replay can see the perturbation
+        monkeypatch.setattr(fr, name, perturb(getattr(fr, name)))
+        with pytest.raises(ChainViolation,
+                           match=r"^rational-path replay failed \(n=6, i=0\)"):
+            identity_suite(6)
+
+    @pytest.mark.parametrize("count,replayed", [(1, 1), (2, 1), (26, 2)])
+    def test_successors_wrap(self, monkeypatch, count, replayed):
+        # j = i + 1 and k = i + 2 are taken mod count: at count 1 all three
+        # are function 0, and at count 26 function 25 reads 0 and 1
+        calls = []
+        real = fr.adjacency_apply
+
+        def spy(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(fr, "adjacency_apply", spy)
+        assert identity_suite(4, count=count) == \
+            {"n": 4, "count": count, "pass": True}
+        assert len(calls) == replayed
 
 
 @pytest.mark.deep
