@@ -7,14 +7,16 @@ worker counts never affect bytes.  The CSV and plain-text output print
 floats at 12 significant digits; JSON prints Python's repr, the shortest
 string that reads back to the same float (``eigen --n 15 --r 3`` prints
 8.608477839577606).  Exact integers print in full, at any length.  Exit
-codes: 0 success, 2 invalid parameters, 3 bound not applicable, 4 budget
-exceeded, 5 internal fault (an ArithmeticError: a failed certificate,
-replay or exact division).
+codes: 0 success, 2 invalid parameters (a ``table --out`` path that cannot
+be opened included, reported before any row is computed), 3 bound not
+applicable, 4 budget exceeded, 5 internal fault (an ArithmeticError: a
+failed certificate, replay or exact division).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import operator
@@ -170,6 +172,20 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    try:
+        out = (open(args.out, "w", newline="") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        _err(exc)  # a bad path is bad input, refused before any row
+        return 2
+    with out as fh:
+        fh.write("\n".join(_csv_lines(_table_rows(args))) + "\n")
+    if args.out:
+        print(f"wrote {args.out}")
+    return 0
+
+
+def _table_rows(args) -> list[dict]:
     if args.regime is not None:
         rows = bd.regime_table(args.regime, args.n_list or [100, 1024, 4096])
     else:
@@ -184,15 +200,7 @@ def _cmd_table(args) -> int:
         else:
             for n, d in args.pairs:
                 rows.extend(bound_rows(n, d, args.r_max))
-    rows.sort(key=_ROW_ORDER)
-    text = "\n".join(_csv_lines(rows)) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return sorted(rows, key=_ROW_ORDER)
 
 
 def _cmd_fourier_verify(args) -> int:
@@ -209,7 +217,8 @@ def _cmd_replay(args) -> int:
         if args.m is None or args.c is None:
             raise bd.OutOfRange("replay needs --words or both --m and --c")
         spec = cyclic.build_code(args.m, args.c)
-        code = [cyclic.encode(spec, msg).bits for msg in range(1 << spec.k)]
+        # lazy: covering_replay refuses n above its cap before any encode
+        code = (cyclic.encode(spec, msg).bits for msg in range(1 << spec.k))
         n = spec.n
     report = fourier.covering_replay(code, args.r, n=n)
     _emit_json(report)

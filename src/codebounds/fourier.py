@@ -196,12 +196,10 @@ def inner(f, g) -> Fraction:
                     len(f) * uf.denominator * ug.denominator)
 
 
-def _convolution(f, g):
-    """f * g as (numerators, unit), as ``_out`` takes them.
+def convolve(f, g) -> list:
+    """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n.
 
-    The entries are the integer numerators u(u(F) . u(G)) and the unit is
-    1/(q_f q_g 4^n) > 0, so an entry is zero exactly where f * g is.  When
-    g is f the transform is computed once.
+    Exact (Fractions out).  A self-convolution (g is f) transforms f once.
     """
     ef, uf, mf = _split(f)
     eg, ug, mg = (ef, uf, mf) if g is f else _split(g)
@@ -212,15 +210,7 @@ def _convolution(f, g):
     bound = size ** 3 * max(mf, 1) * max(mg, 1)
     tf = _butterfly(_array(ef, bound))
     tg = tf if g is f else _butterfly(_array(eg, bound))
-    return _butterfly(tf * tg), Fraction(uf * ug, size * size)
-
-
-def convolve(f, g) -> list:
-    """(f * g)(x) = E_y f(y) g(x + y), via u(u(f) . u(g)) / 4^n.
-
-    Exact (Fractions out).
-    """
-    return _out(*_convolution(f, g))
+    return _out(_butterfly(tf * tg), Fraction(uf * ug, size * size))
 
 
 def adjacency_apply(f) -> list:
@@ -238,22 +228,6 @@ def degree_function(n: int) -> list:
     return [(1 << n) if x.bit_count() == 1 else 0 for x in range(1 << n)]
 
 
-def _check_words(code, n: int) -> None:
-    """Raise DimensionMismatch naming the first word outside [0, 2^n)."""
-    for c in code:
-        if not 0 <= c < 1 << n:
-            raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
-
-
-def indicator(code, n: int) -> list:
-    """1_C as a dense 0/1 table; a word outside [0, 2^n) is a mismatch."""
-    _check_words(code, n)
-    values = [0] * (1 << n)
-    for c in code:
-        values[c] = 1
-    return values
-
-
 def _pair_counts(code: list[int], n: int) -> np.ndarray:
     """N(x) = #{(a, b) in C^2 : a ^ b = x} for every x in [0, 2^n).
 
@@ -268,30 +242,6 @@ def _pair_counts(code: list[int], n: int) -> np.ndarray:
         block = words[start:start + rows, None] ^ words
         counts += np.bincount(block.ravel(), minlength=1 << n)
     return counts
-
-
-def distance_check(code, n: int, d: int) -> bool:
-    """True iff (1_C * 1_C) vanishes on all weights 0 < w < d.
-
-    Computed both spectrally (exact convolution) and directly, from the
-    histogram of pairwise XORs; disagreement between the two routes
-    raises, since it can only come from an arithmetic bug.
-    """
-    if n > 16:
-        raise DimensionMismatch(f"n = {n} exceeds dense-transform cap 16")
-    code = sorted(set(code))
-    one_c = indicator(code, n)
-    # exact integer numerators: zero exactly where the convolution is
-    numerators, _ = _convolution(one_c, one_c)
-    weights = np.bitwise_count(np.arange(1 << n))
-    below_d = (weights > 0) & (weights < d)
-    spectral = not numerators[below_d].any()
-    direct = not _pair_counts(code, n)[below_d].any()
-    if spectral != direct:
-        raise ChainViolation(
-            f"convolution route says {spectral}, pair histogram says "
-            f"{direct} for d = {d}")
-    return spectral
 
 
 _DENOMINATORS = np.array([1, 1, 2, 4])
@@ -447,19 +397,24 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     of 2, so it equals N/2^n bit for bit.
     Raises ChainViolation if any step fails beyond tolerance; OutOfRange for
     a code without the zero word, InvalidRadius unless 1 <= r <= n/2, and
-    DimensionMismatch for n > 15 or a word outside the cube.
+    DimensionMismatch for n > 15 or a word outside the cube.  A given n
+    meets the cap before ``code`` is read, so a lazy ``code`` is never
+    consumed above it; a missing n is the largest word's bit length (>= 1).
     """
-    code = sorted(set(code))
-    if 0 not in code:
-        raise OutOfRange("code must be nonempty and contain 0")
-    if n is None:
-        n = max(1, max(code).bit_length())
+    if n is None or n <= 15:
+        code = sorted(set(code))
+        if 0 not in code:
+            raise OutOfRange("code must be nonempty and contain 0")
+        if n is None:
+            n = max(1, code[-1].bit_length())
     if n > 15:
         raise DimensionMismatch(f"n = {n} exceeds replay cap 15")
     if not 1 <= r <= n // 2:
         raise InvalidRadius(f"r = {r} outside 1..n/2 = {n // 2}")
-    _check_words(code, n)
     size = 1 << n
+    for c in code:
+        if not 0 <= c < size:
+            raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
     weights = np.bitwise_count(np.arange(size))
     pairs = _pair_counts(code, n)
     reached = weights[(pairs > 0) & (weights > 0)]

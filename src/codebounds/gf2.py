@@ -164,6 +164,9 @@ class FieldContext:
             raise UnsupportedDegree(f"m={m} outside supported range 2..16")
         if modulus is None:
             modulus = DEFAULT_MODULUS[m]
+        if modulus < 0:
+            # no GF(2)[x] polynomial; poly_divrem would never end on it
+            raise NonIrreducibleModulus(f"modulus {hex(modulus)} is negative")
         if poly_degree(modulus) != m:
             raise NonIrreducibleModulus(
                 f"modulus {hex(modulus)} does not have degree {m}")

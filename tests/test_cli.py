@@ -15,7 +15,7 @@ import pytest
 
 import codebounds
 from codebounds import bounds as bd
-from codebounds import cyclic, fourier
+from codebounds import cli, cyclic, fourier
 from codebounds.cli import CSV_COLUMNS, CSV_HEADER, bound_rows, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -225,6 +225,20 @@ class TestTable:
         with open(GOLDEN) as fh:
             assert target.read_text() == fh.read()
 
+    def test_out_into_missing_directory_exit_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the path is opened first: no row is computed for a bad one
+        def no_rows(*args):
+            raise AssertionError("rows computed")
+
+        monkeypatch.setattr(cli, "bound_rows", no_rows)
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "table", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("codebounds-error: FileNotFoundError: ")
+        assert str(target) in err and err.count("\n") == 1
+        assert not target.parent.exists()
+
     def test_custom_pairs(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--pairs", "7:3")
         assert code == 0
@@ -382,6 +396,20 @@ class TestReplay:
         with open(os.path.join(DATA, pinned)) as fh:
             assert (code, out, err) == (0, fh.read(), "")
 
+    @pytest.mark.parametrize("m, c, r, n", [("6", "2", "5", 63),
+                                            ("12", "5", "1", 4095)])
+    def test_cap_refused_before_encoding(self, capsys, monkeypatch, m, c, r,
+                                         n):
+        def no_encode(*args):
+            raise AssertionError("codeword encoded")
+
+        monkeypatch.setattr(cyclic, "encode", no_encode)
+        code, out, err = run_cli(capsys, "replay", "--m", m, "--c", c,
+                                 "--r", r)
+        assert (code, out) == (2, "")
+        assert err == (f"codebounds-error: DimensionMismatch: n = {n} "
+                       "exceeds replay cap 15\n")
+
     def test_default_n_is_left_to_covering_replay(self, capsys, monkeypatch):
         seen = []
 
@@ -496,16 +524,30 @@ def test_internal_fault_exit_5(capsys, monkeypatch, argv, target, fault):
                    f"{fault}\n")
 
 
-def test_console_script_smoke():
+def run_child(*argv, timeout=120):
+    """``python -m codebounds.cli *argv`` in a child process."""
     # the child must import the same package as this process, installed or
     # not, so its parent directory goes first on the child's PYTHONPATH
     root = os.path.dirname(os.path.dirname(codebounds.__file__))
     path = os.pathsep.join(filter(None, [root,
                                          os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "codebounds.cli", "bounds",
-         "--n", "15", "--d", "6", "--r", "1"],
-        capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "codebounds.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_smoke():
+    out = run_child("bounds", "--n", "15", "--d", "6", "--r", "1")
     assert out.returncode == 0
     assert out.stdout.strip() == "274"
+
+
+def test_negative_modulus_exit_2():
+    # in a child with a timeout: a negative modulus once sent the
+    # irreducibility test into an endless division loop
+    out = run_child("construct", "--m", "4", "--c", "1", "--modulus=-0x13",
+                    timeout=30)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("codebounds-error: NonIrreducibleModulus: "
+                          "modulus -0x13 is negative\n")

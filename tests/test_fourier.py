@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codebounds.bounds import OutOfRange, new_upper, vol
-from codebounds.cyclic import build_code, encode
 from codebounds.fourier import (
     ChainViolation,
     DimensionMismatch,
@@ -18,9 +17,7 @@ from codebounds.fourier import (
     convolve,
     covering_replay,
     degree_function,
-    distance_check,
     identity_suite,
-    indicator,
     inner,
     wht,
     wht_unnormalized,
@@ -44,7 +41,7 @@ def paired_funcs(n_max=6):
 class TestTransform:
     def test_point_mass(self):
         # the indicator of 00 spreads evenly over the dual
-        assert wht(indicator([0], 2)) == [Fraction(1, 4)] * 4
+        assert wht([1, 0, 0, 0]) == [Fraction(1, 4)] * 4
 
     def test_character_concentrates(self):
         n = 3
@@ -160,47 +157,6 @@ class TestAdjacency:
         assert adjacency_apply(ones) == [n] * (1 << n)
 
 
-class TestDistanceCheck:
-    def test_two_word_code(self):
-        assert distance_check([0, 7], 3, 3) is True
-        assert distance_check([0, 7], 3, 4) is False
-
-    def test_whole_cube(self):
-        assert distance_check(list(range(8)), 3, 1) is True
-        assert distance_check(list(range(8)), 3, 2) is False
-
-    def test_constructed_code(self):
-        spec = build_code(4, 1)
-        words = [encode(spec, msg).bits for msg in range(1 << spec.k)]
-        assert distance_check(words, spec.n, 6) is True
-        assert distance_check(words, spec.n, 7) is False
-
-    def test_cap(self):
-        with pytest.raises(DimensionMismatch):
-            distance_check([0], 17, 1)
-
-    def test_zero_test_reads_numerators(self, monkeypatch):
-        # the spectral route never converts the 2^n-entry convolution
-        import codebounds.fourier as fr
-
-        def no_conversion(*args):
-            raise AssertionError("convolution converted")
-
-        monkeypatch.setattr(fr, "_out", no_conversion)
-        spec = build_code(4, 1)
-        words = [encode(spec, msg).bits for msg in range(1 << spec.k)]
-        assert distance_check(words, spec.n, 6) is True
-        assert distance_check(words, spec.n, 7) is False
-
-    def test_words_outside_cube_rejected(self):
-        with pytest.raises(DimensionMismatch, match="codeword -1 "):
-            indicator([-1], 3)
-        with pytest.raises(DimensionMismatch, match="codeword -1 "):
-            distance_check([0, -1], 3, 2)
-        with pytest.raises(DimensionMismatch, match="codeword 9 "):
-            distance_check([0, 9], 3, 1)
-
-
 def _random_code(rng, n, words):
     return sorted({0} | {rng.randrange(1 << n) for _ in range(words)})
 
@@ -244,8 +200,6 @@ class TestPairCounts:
             d = min(((a ^ b).bit_count() for a in code for b in code
                      if a != b), default=n)
             assert covering_replay(code, 1, n)["d"] == d
-            assert distance_check(code, n, d) is True
-            assert distance_check(code, n, d + 1) is (len(code) == 1)
         assert covering_replay([0], 1, 5)["d"] == 5
 
 
@@ -308,6 +262,36 @@ class TestCoveringReplay:
             covering_replay([0, 7], r=1, n=2)
         with pytest.raises(DimensionMismatch, match="codeword -1 "):
             covering_replay([-1, 0, 7], r=1)
+
+    def test_first_word_outside_cube_named(self):
+        # words are checked in sorted order; the first outside is named
+        with pytest.raises(DimensionMismatch,
+                           match=r"^codeword 9 outside \[0, 2\^3\)$"):
+            covering_replay([0, 12, 9, 3], r=1, n=3)
+
+    def test_cap_before_code_is_read(self):
+        # a given n above the cap is refused before the words are drawn
+        def words():
+            raise AssertionError("code read")
+            yield 0
+
+        for n in (16, 63):
+            with pytest.raises(DimensionMismatch,
+                               match=f"^n = {n} exceeds replay cap 15$"):
+                covering_replay(words(), r=1, n=n)
+
+    @pytest.mark.parametrize("code, n, error", [
+        ([1, 2], 16, DimensionMismatch),    # a given n meets the cap first
+        ([1, 1 << 16], None, OutOfRange),   # an inferred n needs the words
+        ([0, 1 << 16], None, DimensionMismatch),
+    ])
+    def test_error_precedence(self, code, n, error):
+        with pytest.raises(error):
+            covering_replay(iter(code), r=1, n=n)
+
+    def test_lazy_code_within_cap(self):
+        assert covering_replay(iter([7, 0]), r=1) == \
+            covering_replay([0, 7], r=1)
 
 
 class TestIdentitySuite:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from codebounds import gf2
 from codebounds.gf2 import (
     DEFAULT_MODULUS,
     DivisionByZeroPolynomial,
@@ -125,6 +126,18 @@ class TestFieldContext:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(NonIrreducibleModulus):
             field_create(4, modulus=0b10101)
+
+    @pytest.mark.parametrize("modulus", [-0x13, -0x1F, -1])
+    def test_negative_modulus_rejected(self, monkeypatch, modulus):
+        # refused before any polynomial arithmetic, which never ends on a
+        # negative int
+        def no_arithmetic(p):
+            raise AssertionError("irreducibility test ran")
+
+        monkeypatch.setattr(gf2, "poly_is_irreducible", no_arithmetic)
+        with pytest.raises(NonIrreducibleModulus,
+                           match=f"^modulus {hex(modulus)} is negative$"):
+            field_create(4, modulus=modulus)
 
     def test_irreducible_but_imprimitive_rejected(self):
         # x^4+x^3+x^2+x+1 divides x^5 - 1, so its root has order 5, not 15

@@ -1,9 +1,12 @@
-"""Source hygiene the standard library can check: no unused imports."""
+"""Source hygiene the standard library can check: no unused imports, and
+no top-level definition that nothing exports or reads."""
 
 import ast
 import pathlib
 
 import pytest
+
+import codebounds
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "codebounds"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -22,6 +25,33 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name a tree reads, bare (``f``) or as an attribute (``mod.f``)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def orphans(modules: dict[str, str], exported) -> list[str]:
+    """``"<module> <name>"`` for each top-level ``def`` or ``class`` that is
+    not exported and that no other top-level statement of ``modules``
+    (name -> source) reads; a definition reading itself does not count."""
+    top = [(module, node, names_read(node))
+           for module, source in modules.items()
+           for node in ast.parse(source).body]
+    return [f"{module} {node.name}" for module, node, _ in top
+            if isinstance(node, DEFINITIONS) and node.name not in exported
+            and not any(node.name in read
+                        for _, other, read in top if other is not node)]
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"bounds.py", "cyclic.py", "gf2.py",
                                          "spectrum.py"}
@@ -37,3 +67,34 @@ def test_detector_flags_an_unused_name():
               "from .cyclic import InvalidParameters, _check_params\n"
               "_check_params(math.pi, os.sep)\n")
     assert unused_imports(source) == ["InvalidParameters"]
+
+
+def test_no_orphaned_definitions():
+    # each definition is public API or serves the package itself; a name
+    # only tests or the benchmark read is dead code here
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert orphans(modules, set(codebounds.__all__)) == []
+
+
+def test_orphan_detector_flags_an_unread_definition():
+    modules = {
+        "a.py": ("def exported():\n    return _helper()\n"
+                 "def _helper():\n    return 1\n"
+                 "def recursive(k):\n    return recursive(k - 1)\n"
+                 "class Unused:\n    pass\n"),
+        "b.py": "from . import a\nVALUE = a.read_by_attribute\n",
+        "c.py": "def read_by_attribute():\n    pass\n",
+    }
+    assert orphans(modules, {"exported"}) == ["a.py recursive",
+                                              "a.py Unused"]
+    del modules["a.py"]
+    assert orphans(modules, set()) == []
+
+
+def test_orphan_detector_flags_a_helper_added_back():
+    modules = {p.name: p.read_text() for p in MODULES}
+    modules["fourier.py"] += ("\n\ndef indicator(code, n):\n"
+                              "    return [int(x in code) for x in "
+                              "range(1 << n)]\n")
+    assert orphans(modules, set(codebounds.__all__)) == [
+        "fourier.py indicator"]
