@@ -129,10 +129,12 @@ def _layer_split(k: int) -> int:
     return min(_LOW_BITS, (k + 1) // 2)
 
 
-def layer_table_words(k: int) -> int:
-    """Columns of the two span tables ``layer_minima`` builds for k rows."""
+def layer_words(k: int, t: int, last: int) -> int:
+    """Words ``layer_minima`` forms on t generators of k rows to message
+    weight ``last`` (1..last), their two span tables each included."""
     k_lo = _layer_split(k)
-    return (1 << k_lo) + (1 << (k - k_lo))
+    tables = (1 << k_lo) + (1 << (k - k_lo))
+    return t * (tables + sum(math.comb(k, w) for w in range(1, last + 1)))
 
 
 def layer_minima(gens: list[list[int]], n: int, last: int | None = None):

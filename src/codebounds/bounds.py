@@ -12,11 +12,13 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .cyclic import _check_params, designed_distance
+from .cyclic import designed_distance
 from .spectrum import EigenCertificate, InvalidRadius, certify
 
 RIGOROUS = "rigorous"
 HEURISTIC = "asymptotic-heuristic"
+ROW_COLUMNS = ("n", "d", "j", "bound", "kind", "rigor", "value_log2",
+               "value_exact", "condition")
 
 
 class OutOfRange(ValueError):
@@ -39,17 +41,15 @@ class BoundValue:
     condition: str = ""
 
     def row(self, n: int, d: int) -> dict:
-        """This value as the table row at (n, d), keyed in CSV column order.
+        """This value as the table row at (n, d), keyed by ``ROW_COLUMNS``.
 
         The keys are n, d, j = n - 2d, bound (the label), kind, rigor,
-        value_log2, value_exact and condition: the one row schema of
-        ``cli.bound_rows``, ``regime_table`` and the CSV and JSON writers.
+        value_log2, value_exact and condition, in CSV column order: the one
+        row schema of ``cli.bound_rows``, ``regime_table`` and the writers.
         """
-        return {"n": n, "d": d, "j": n - 2 * d, "bound": self.label,
-                "kind": self.kind, "rigor": self.rigor,
-                "value_log2": self.value_log2,
-                "value_exact": self.value_exact,
-                "condition": self.condition}
+        return dict(zip(ROW_COLUMNS, (
+            n, d, n - 2 * d, self.label, self.kind, self.rigor,
+            self.value_log2, self.value_exact, self.condition)))
 
 
 def _log2_int(x: int) -> float:
@@ -61,6 +61,16 @@ def _log2_int(x: int) -> float:
         return math.log2(x)
     shift = bl - 53
     return math.log2(x >> shift) + shift
+
+
+def _check_float_range(n: int, r: int = 1) -> None:
+    """``OutOfRange`` unless r * n fits a float: the float stage of a ball
+    eigenvalue converts every (i + 1)(n - i) <= r n with i < r."""
+    try:
+        float(r * n)
+    except OverflowError:
+        raise OutOfRange(f"n of {n.bit_length()} bits is too large for "
+                         f"float arithmetic") from None
 
 
 def _domain(n: int, d: int) -> tuple[int, int]:
@@ -88,7 +98,8 @@ def H2(p: float) -> float:
         raise OutOfRange(f"entropy argument {p} outside [0, 1]")
     if p == 0 or p == 1:
         return 0.0
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+    # log1p, as 1 - p would round off the low bits of a tiny p
+    return -p * math.log2(p) - (1 - p) * math.log1p(-p) / math.log(2)
 
 
 def Q(x: float) -> float:
@@ -232,9 +243,11 @@ def rate_bounds(delta: float) -> dict[str, float]:
 def _ball(n: int, r: int) -> tuple[EigenCertificate, int, float]:
     """What the eigenvalue bounds need of B_r(0, n), computed once.
 
-    The certificate, n * Vol(r, n) and float(lambda_certified).
+    The certificate, n * Vol(r, n) and float(lambda_certified); an n too
+    large for the certificate's float stage raises ``OutOfRange``.
     """
     n, r = int(n), int(r)
+    _check_float_range(n, r)
     cert = certify(n, r)
     return cert, n * vol(r, n), float(cert.lambda_certified)
 
@@ -268,26 +281,27 @@ def new_upper(n: int, d: int, r: int) -> BoundValue:
                   condition=f"lambda_certified = {lam_float:.9f} > {j}")
 
 
-def new_upper_per_radius(n: int, d: int,
-                         r_max: int = 8) -> list[tuple[int, BoundValue]]:
-    """(r, new_upper(n, d, r)) for each applicable r = 1..min(r_max, n/2)."""
+def new_upper_rows(n: int, d: int, r_max: int = 8) -> list[BoundValue]:
+    """The applicable ``new_r{r}`` rows, r = 1..min(r_max, n/2) in order,
+    then their ``new_best`` row; empty when no radius applies."""
     per_radius = []
     for r in range(1, min(r_max, n // 2) + 1):
         try:
             per_radius.append((r, new_upper(n, d, r)))
         except NotApplicable:
             continue
-    return per_radius
+    rows = [bv for _, bv in per_radius]
+    return rows + [minimizing_radius(per_radius)] if rows else []
 
 
 def best_new_upper(n: int, d: int, r_max: int = 8) -> BoundValue:
     """Minimum of the applicable eigenvalue bounds over r = 1..r_max."""
-    per_radius = new_upper_per_radius(n, d, r_max)
-    if not per_radius:
+    rows = new_upper_rows(n, d, r_max)
+    if not rows:
         raise NotApplicable(
             f"no ball radius r <= {r_max} satisfies lambda > n - 2d "
             f"at (n, d) = ({n}, {d})")
-    return minimizing_radius(per_radius)
+    return rows[-1]
 
 
 def minimizing_radius(per_radius: list[tuple[int, BoundValue]]) -> BoundValue:
@@ -309,13 +323,12 @@ def cyclic_lower(m: int, c: int) -> BoundValue:
     2^(cm) > n^c is checked exactly.  The construction itself is verified
     end to end in the builder; this evaluator only does the arithmetic.
     """
-    _check_params(m, c)          # raises InvalidParameters like the builder
+    d = designed_distance(m, c)  # InvalidParameters, as build_code raises
     n = (1 << m) - 1
     value = 1 << (c * m)
     if value <= n ** c:
         raise ArithmeticError(
             f"2^(cm) = {value} fails to exceed n^c = {n ** c}")
-    d = designed_distance(m, c)
     return _exact("cyclic", "lower", value,
                   condition=f"at (n, d) = ({n}, {d})")
 
@@ -343,11 +356,8 @@ def regime_table(a: float, n_list: list[int]) -> list[dict]:
 
     rows = []
     for n in n_list:
-        try:
-            rn = math.sqrt(n)
-        except OverflowError:
-            raise OutOfRange(f"n of {n.bit_length()} bits is too large for "
-                             f"float arithmetic") from None
+        _check_float_range(n)
+        rn = math.sqrt(n)
         d = math.ceil(n / 2 - a * rn)
         if d < 1:
             raise OutOfRange(f"a = {a} too large for n = {n}")

@@ -8,9 +8,10 @@ floats at 12 significant digits; JSON prints Python's repr, the shortest
 string that reads back to the same float (``eigen --n 15 --r 3`` prints
 8.608477839577606).  Exact integers print in full, at any length.  Exit
 codes: 0 success, 2 invalid parameters (a ``table --out`` path that cannot
-be opened included, reported before any row is computed), 3 bound not
-applicable, 4 budget exceeded, 5 internal fault (an ArithmeticError: a
-failed certificate, replay or exact division).
+be opened included, reported before any row is computed; an n too large
+for float arithmetic is ``OutOfRange``), 3 bound not applicable, 4 budget
+exceeded, 5 internal fault (an ArithmeticError: a failed certificate,
+replay or exact division).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import cyclic, distance, fourier, spectrum
 from .gf2 import NonIrreducibleModulus, NonPrimitiveModulus, UnsupportedDegree
 
 CSV_HEADER = "# codebounds-table v1"
-CSV_COLUMNS = "n,d,j,bound,kind,rigor,value_log2,value_exact,condition"
+CSV_COLUMNS = ",".join(bd.ROW_COLUMNS)
 _ROW_ORDER = operator.itemgetter("n", "d", "bound")
 
 _INVALID_PARAM_ERRORS = (
@@ -91,10 +92,7 @@ def bound_rows(n: int, d: int, r_max: int = 8) -> list[dict]:
         values.append(bd.mceliece_upper(n, d))
     except bd.NotApplicable:
         pass
-    per_radius = bd.new_upper_per_radius(n, d, r_max)
-    values.extend(bv for _, bv in per_radius)
-    if per_radius:
-        values.append(bd.minimizing_radius(per_radius))
+    values.extend(bd.new_upper_rows(n, d, r_max))
     point = _construction_points().get((n, d))
     if point is not None:
         values.append(bd.cyclic_lower(*point))
@@ -322,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_table)
 
     c = sub.add_parser("fourier-verify", help="exact transform identity suite")
-    c.add_argument("--n-min", type=_int_range(1, 16), default=2)
-    c.add_argument("--n-max", type=_int_range(1, 16), default=10)
+    dense = _int_range(1, fourier.DENSE_MAX_N)
+    c.add_argument("--n-min", type=dense, default=2)
+    c.add_argument("--n-max", type=dense, default=10)
     c.add_argument("--count", type=_int_range(1), default=100)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=_cmd_fourier_verify)

@@ -132,6 +132,7 @@ def _check_params(m: int, c: int) -> None:
 
 def designed_distance(m: int, c: int) -> int:
     """Theorem 1's designed distance 2^(m-1) - 2^(m/2+c-1) of the (m, c) code."""
+    _check_params(m, c)
     return (1 << (m - 1)) - (1 << (m // 2 + c - 1))
 
 

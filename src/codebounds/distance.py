@@ -21,7 +21,6 @@ permutation, a least-weight nonzero word 1^w 0^(n-w) fixed into the code.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -134,13 +133,6 @@ def _last_weight(k: int, t: int, best: int) -> int:
     return min(k, -(-best // t) - 1)
 
 
-def _bz_words(k: int, t: int, best: int) -> int:
-    """Words the information-set route enumerates on t sets at most: each
-    set's message weights up to ``_last_weight``."""
-    last = _last_weight(k, t, best)
-    return t * sum(math.comb(k, w) for w in range(1, last + 1))
-
-
 def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
                          workers: int = 1) -> int:
     """Minimum nonzero codeword weight of the span of ``rows``.
@@ -174,9 +166,8 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
         gens.append(basis)
     # the rows of the systematic generators are the weight-1 messages
     best = min((row.bit_count() for gen in gens for row in gen), default=0)
-    # any t of the sets bound the unseen words; each one costs its tables
-    # and a share of every round
-    words = {t: t * _kernels.layer_table_words(k) + _bz_words(k, t, best)
+    # any t of the sets bound the unseen words; ``layer_words`` prices each
+    words = {t: _kernels.layer_words(k, t, _last_weight(k, t, best))
              for t in range(1, len(gens) + 1)}
     t = min(words, key=words.get, default=0)
     if not k or words[t] >= 1 << k:

@@ -11,14 +11,14 @@ The public primitives are exact only.  They take one 1-D sequence of
 Integral/Rational entries (numpy integers, Fractions with numpy parts and
 1-D integer or object ndarrays included) and raise TypeError, naming the
 entry type, for anything else: a float entry, a float ndarray, or a row of
-a 2-D array.  ``spectrum.clear_denominators``, the route
-``rayleigh_quotient`` uses too, turns the entries into Python-int
-numerators over one common denominator q.  The numerators run in int64
-only when a magnitude bound, computed from the inputs before any array is
-allocated, keeps every intermediate below 2^63; otherwise they run on
-Python ints (object arrays).  They never pass through floating point, and
-int64 never wraps; ``inner`` is one Python-int dot product of the
-numerators.  Results are lists: Integral entries give ints, any other
+a 2-D array: ``spectrum.clear_denominators``, the route
+``rayleigh_quotient`` uses too, raises it, and turns the entries into
+Python-int numerators over one common denominator q.  The numerators run
+in int64 only when a magnitude bound, computed from the inputs before any
+array is allocated, keeps every intermediate below 2^63; otherwise they
+run on Python ints (object arrays).  They never pass through floating
+point, and int64 never wraps; ``inner`` is one Python-int dot product of
+the numerators.  Results are lists: Integral entries give ints, any other
 Rational entry (or any division, as in ``wht`` and ``convolve``) gives
 Fractions, one per distinct value.  The identity suite checks all its
 functions at once as the rows of one exact array on the kernels, and
@@ -26,9 +26,9 @@ replays a few of them through the public primitives, whose outputs it
 compares entry by entry, cross-multiplied in integers, with the array's
 rows.  The covering replay is numeric by nature (a square root and a
 Perron vector enter): it reads 1_C * 1_C and the minimum distance from the
-integer histogram of pairwise XORs, runs its float64 arrays through the
-dtype-agnostic kernels directly and checks each step with a relative
-tolerance.
+integer histogram of pairwise XORs, takes lambda from the ball's cached
+certificate, runs its float64 arrays through the dtype-agnostic kernels
+directly and checks each step with a relative tolerance.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -43,14 +43,15 @@ import math
 import operator
 import random
 from fractions import Fraction
-from numbers import Integral, Rational
+from numbers import Integral
 
 import numpy as np
 
-from .bounds import OutOfRange, vol
-from .spectrum import (InvalidRadius, ball_operator, clear_denominators,
-                       radial_vector, top_eigenvalue)
+from .bounds import OutOfRange, ball_certificate, vol
+from .spectrum import clear_denominators, radial_vector
 
+DENSE_MAX_N = 16  # largest cube ``identity_suite`` holds densely
+REPLAY_MAX_N = 15  # largest cube ``covering_replay`` replays on
 _REL_TOL = 1e-9  # replay steps are float; each may miss by this much
 _INT64_LIMIT = 1 << 63
 _PAIR_BLOCK = 1 << 18  # codeword XORs ``_pair_counts`` forms at once
@@ -75,18 +76,13 @@ def _dim(values) -> int:
 def _split(values):
     """A table as (numerators, unit, magnitude).
 
-    Every entry type must be Rational (the numbers-ABC test runs once per
-    type, not per entry); any other type, a row of a 2-D array included,
-    raises TypeError naming it.  ``clear_denominators`` turns the entries
-    into Python-int numerators F over q: the unit is 1/q, or the int 1 when
-    every type is Integral, and the magnitude is max |F|.
+    ``clear_denominators`` refuses an entry type that is not Rational (a
+    row of a 2-D array included) and turns the entries into Python-int
+    numerators F over q: the unit is 1/q, or the int 1 when every type is
+    Integral, and the magnitude is max |F|.
     """
-    kinds = set(map(type, values))
-    inexact = sorted(k.__name__ for k in kinds if not issubclass(k, Rational))
-    if inexact:
-        raise TypeError(f"exact entries expected, got {', '.join(inexact)}")
     nums, q = clear_denominators(values)
-    unit = 1 if all(issubclass(k, Integral) for k in kinds) \
+    unit = 1 if all(issubclass(k, Integral) for k in set(map(type, values))) \
         else Fraction(1, q)
     return nums, unit, max(map(abs, nums), default=0)
 
@@ -312,8 +308,9 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     through neither ``clear_denominators`` nor ``_out``, the code under
     test.
     """
-    if not 1 <= n <= 16:
-        raise DimensionMismatch(f"n = {n} outside dense range 1..16")
+    if not 1 <= n <= DENSE_MAX_N:
+        raise DimensionMismatch(
+            f"n = {n} outside dense range 1..{DENSE_MAX_N}")
     if count < 1:
         raise ValueError(f"count = {count} must be at least 1")
     rng = random.Random(seed * 1000003 + n)
@@ -385,8 +382,9 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
 def covering_replay(code, r: int, n: int | None = None) -> dict:
     """Numerically replay the eigenvalue covering bound on a concrete code.
 
-    Builds the radial Perron vector of B_r(0, n) extended by zero off the
-    ball (checking Af >= lambda f pointwise), the function phi with
+    Builds the radial Perron vector of B_r(0, n) for the certificate's
+    float lambda (``ball_certificate(n, r).lambda_float``), extended by zero
+    off the ball (checking Af >= lambda f pointwise), the function phi with
     phi_hat = sqrt(1_C * 1_C) >= 0, and F = phi * f, then verifies every
     inequality of the bound's derivation and the final size bound
     |C| <= n/(lambda - (n - 2d)) * |B| with d the measured minimum distance.
@@ -397,29 +395,30 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     of 2, so it equals N/2^n bit for bit.
     Raises ChainViolation if any step fails beyond tolerance; OutOfRange for
     a code without the zero word, InvalidRadius unless 1 <= r <= n/2, and
-    DimensionMismatch for n > 15 or a word outside the cube.  A given n
-    meets the cap before ``code`` is read, so a lazy ``code`` is never
-    consumed above it; a missing n is the largest word's bit length (>= 1).
+    DimensionMismatch for n > ``REPLAY_MAX_N`` or a word outside the cube,
+    a negative one before the radius.  A given n meets the cap before
+    ``code`` is read, so a lazy ``code`` is never consumed above it; a
+    missing n is the largest word's bit length (>= 1).
     """
-    if n is None or n <= 15:
+    if n is None or n <= REPLAY_MAX_N:
         code = sorted(set(code))
         if 0 not in code:
             raise OutOfRange("code must be nonempty and contain 0")
         if n is None:
             n = max(1, code[-1].bit_length())
-    if n > 15:
-        raise DimensionMismatch(f"n = {n} exceeds replay cap 15")
-    if not 1 <= r <= n // 2:
-        raise InvalidRadius(f"r = {r} outside 1..n/2 = {n // 2}")
+        if code[0] < 0:
+            raise DimensionMismatch(f"codeword {code[0]} outside [0, 2^{n})")
+    if n > REPLAY_MAX_N:
+        raise DimensionMismatch(f"n = {n} exceeds replay cap {REPLAY_MAX_N}")
+    lam = ball_certificate(n, r).lambda_float
     size = 1 << n
     for c in code:
-        if not 0 <= c < size:
+        if c >= size:
             raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
     weights = np.bitwise_count(np.arange(size))
     pairs = _pair_counts(code, n)
     reached = weights[(pairs > 0) & (weights > 0)]
     d = int(reached.min()) if reached.size else n
-    lam = top_eigenvalue(ball_operator(n, r))
 
     # the radial vector on the ball, and 0 (index r + 1) off it
     rad = np.array(radial_vector(n, r, lam) + [0.0])

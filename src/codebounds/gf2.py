@@ -70,7 +70,10 @@ def poly_mul(a: int, b: int) -> int:
     """Carry-less product of two GF(2)[x] polynomials.
 
     The loop runs over the bits of the shorter operand, whichever it is.
+    A negative operand, which has no last bit to reach, raises ValueError.
     """
+    if a < 0 or b < 0:
+        raise ValueError(f"negative polynomial operand in {a} * {b}")
     if b.bit_length() > a.bit_length():
         a, b = b, a
     out = 0
@@ -83,7 +86,10 @@ def poly_mul(a: int, b: int) -> int:
 
 
 def poly_divrem(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of GF(2)[x] division: a = q*b + r, deg r < deg b."""
+    """Quotient and remainder of GF(2)[x] division: a = q*b + r, deg r < deg b;
+    a negative operand raises ValueError, as in ``poly_mul``."""
+    if a < 0 or b < 0:
+        raise ValueError(f"negative polynomial operand in {a} / {b}")
     if b == 0:
         raise DivisionByZeroPolynomial("division by zero polynomial")
     db = poly_degree(b)

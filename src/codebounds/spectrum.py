@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from operator import attrgetter
 
 _TOL = 1e-12  # bisection width, in absolute units of lambda
@@ -199,13 +200,17 @@ def clear_denominators(values) -> tuple[list, int]:
     """Integral/Rational entries as Python-int numerators F over q = lcm.
 
     Entry i equals F[i] / q.  A list of Python ints comes back as it is,
-    over q = 1.  Otherwise numerators and denominators are read through the
-    numbers-ABC attributes; when the set of their types holds anything but
-    int (numpy integers, or Fractions built from them), each part goes
-    through ``int()`` so no later product can wrap.
+    over q = 1; a type that is not Rational raises TypeError naming it.
+    Otherwise the parts are read through the numbers-ABC attributes; when
+    their types hold anything but int (numpy integers, or Fractions built
+    from them), each part goes through ``int()`` so no product can wrap.
     """
-    if {*map(type, values)} <= {int}:
+    kinds = {*map(type, values)}
+    if kinds <= {int}:
         return list(values), 1
+    inexact = sorted(k.__name__ for k in kinds if not issubclass(k, Rational))
+    if inexact:
+        raise TypeError(f"exact entries expected, got {', '.join(inexact)}")
     nums = list(map(attrgetter("numerator"), values))
     dens = list(map(attrgetter("denominator"), values))
     if not {*map(type, nums), *map(type, dens)} <= {int}:

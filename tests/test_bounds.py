@@ -59,6 +59,13 @@ class TestVol:
     def test_recurrence_grid(self, r, n):
         assert vol(r, n) == sum(math.comb(n, i) for i in range(r + 1))
 
+    @pytest.mark.parametrize("n", [10 ** 17, 2 ** 60, 10 ** 300])
+    def test_exact_at_huge_n(self, n):
+        # n H2(r/n) once rounded 1 - r/n first and lost about 2 bits near
+        # n = 10^17, so the entropy cap raised on a correct sum
+        for r in (1, 2, 3, 8, 16):
+            assert vol(r, n) == sum(math.comb(n, i) for i in range(r + 1))
+
     def test_entropy_cap_raises(self, monkeypatch):
         # an explicit raise, so the check also runs under python -O
         monkeypatch.setattr(bd, "H2", lambda p: 0.0)
@@ -169,6 +176,27 @@ class TestNumpyIntegers:
         assert new_upper(big_n, big_d, big_r) == new_upper(n, d, r)
 
 
+class TestFloatRange:
+    # one refusal for every n the float stage cannot hold: the ball
+    # eigenvalue's float stage once raised an internal OverflowError
+    @pytest.mark.parametrize("call", [
+        lambda n: ball_certificate(n, 1),
+        lambda n: new_upper(n, 3, 1),
+        lambda n: regime_table(1.0, [n]),
+    ])
+    def test_refused_past_float_range(self, call):
+        with pytest.raises(OutOfRange, match="^n of 1101 bits is too large "
+                                             "for float arithmetic$"):
+            call(2 ** 1100)
+
+    def test_ball_refused_when_its_products_overflow(self):
+        # (i + 1)(n - i) reaches about 2n at r = 2, past the float range
+        n = 2 ** 1023
+        assert ball_certificate(n, 1).n == n
+        with pytest.raises(OutOfRange, match="^n of 1024 bits "):
+            ball_certificate(n, 2)
+
+
 class TestLog2Int:
     def test_huge_power_is_exact(self):
         assert bd._log2_int(1 << 1000) == 1000.0
@@ -208,6 +236,15 @@ class TestEigenvalueBounds:
         assert best.condition == "minimizing r = 1"
         assert best_new_upper(63, 24).condition == "minimizing r = 3"
         assert best_new_upper(63, 24).value_exact == 791634
+
+    def test_rows_end_with_their_minimum(self):
+        rows = bd.new_upper_rows(63, 24)
+        # r = 1, 2 are not applicable at (63, 24)
+        assert rows[:-1] == [new_upper(63, 24, r) for r in range(3, 9)]
+        assert rows[-1] == best_new_upper(63, 24)
+        assert rows[-1].value_exact == min(bv.value_exact
+                                           for bv in rows[:-1])
+        assert bd.new_upper_rows(63, 16, r_max=6) == []
 
     def test_minimizing_radius_first_on_ties(self):
         b3, b4 = new_upper(63, 24, 3), new_upper(63, 24, 4)

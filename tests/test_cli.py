@@ -130,6 +130,24 @@ class TestEigen:
         assert code == 2
         assert "InvalidRadius" in err
 
+    def test_n_near_1e17(self, capsys):
+        # Vol(2, n) once tripped the entropy cap here: exit 5, internal
+        code, out, err = run_cli(capsys, "eigen", "--n", str(10 ** 17),
+                                 "--r", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 10 ** 17
+
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--n", str(2 ** 1100), "--r", "1"],
+        ["bounds", "--n", str(2 ** 1100), "--d", "3", "--r", "1"],
+    ])
+    def test_n_past_float_range_exit_2(self, capsys, argv):
+        # was exit 5, an internal OverflowError from the float stage
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("codebounds-error: OutOfRange: n of 1101 bits is "
+                       "too large for float arithmetic\n")
+
 
 class TestBounds:
     def test_csv_rows(self, capsys):
@@ -384,6 +402,15 @@ class TestReplay:
         code, out, err = run_cli(capsys, "replay", *argv)
         assert code == 2 and out == ""
         assert err.startswith("codebounds-error: InvalidRadius: ")
+
+    def test_negative_word_exit_2(self, capsys):
+        # a negative word once shrank the inferred n and read as a radius
+        # error
+        code, out, err = run_cli(capsys, "replay", "--words", "0,-5",
+                                 "--r", "1")
+        assert (code, out) == (2, "")
+        assert err == ("codebounds-error: DimensionMismatch: codeword -5 "
+                       "outside [0, 2^1)\n")
 
     @pytest.mark.parametrize("argv, pinned", [
         (["--m", "4", "--c", "1", "--r", "3"], "replay_m4_c1_r3.json"),

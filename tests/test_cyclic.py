@@ -68,6 +68,8 @@ class TestBuildCode:
     def test_invalid_parameters(self, m, c):
         with pytest.raises(InvalidParameters):
             build_code(m, c)
+        with pytest.raises(InvalidParameters):
+            designed_distance(m, c)
 
     @pytest.mark.parametrize("m,c", list(DESIGNED))
     def test_designed_distances(self, m, c):

@@ -484,6 +484,23 @@ class TestLayerMinima:
             assert [next(layers), next(layers)] == [least, least], w
 
 
+    @pytest.mark.parametrize("n,k,t,last", [
+        (40, 9, 2, 3), (130, 14, 3, 4), (70, 26, 1, 2)])
+    def test_price_counts_the_words_formed(self, monkeypatch, n, k, t, last):
+        # the price is the columns of the span tables plus the words whose
+        # weights are taken, to message weight ``last``
+        formed = []
+        real_table, real_weights = _kernels._span_table, _kernels._word_weights
+        monkeypatch.setattr(_kernels, "_span_table", lambda rows: (
+            formed.append(1 << len(rows)) or real_table(rows)))
+        monkeypatch.setattr(_kernels, "_word_weights", lambda b, bits, w: (
+            formed.append(w.size) or real_weights(b, bits, w)))
+        rng = random.Random(n + k)
+        gens = [[rng.getrandbits(n) for _ in range(k)] for _ in range(t)]
+        assert len(list(_kernels.layer_minima(gens, n, last))) == t * last
+        assert sum(formed) == _kernels.layer_words(k, t, last)
+
+
 class TestExactASearch:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_unbroken_search(self, n):

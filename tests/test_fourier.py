@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebounds.bounds import OutOfRange, new_upper, vol
+from codebounds.bounds import OutOfRange, ball_certificate, new_upper, vol
 from codebounds.fourier import (
     ChainViolation,
     DimensionMismatch,
@@ -256,6 +256,26 @@ class TestCoveringReplay:
         for r in (2, 0, -1):
             with pytest.raises(InvalidRadius):
                 covering_replay([0, 7], r=r, n=3)
+
+    def test_lambda_is_the_certificate_float(self):
+        for n, r in [(3, 1), (6, 2), (15, 7)]:
+            rep = covering_replay([0, (1 << n) - 1], r=r, n=n)
+            assert rep["lambda"] == ball_certificate(n, r).lambda_float
+
+    def test_radius_refused_before_pairs(self, monkeypatch):
+        def no_pairs(*args):
+            raise AssertionError("pairs counted")
+
+        monkeypatch.setattr(fr, "_pair_counts", no_pairs)
+        with pytest.raises(InvalidRadius, match="^radius 2 exceeds n/2 = 1$"):
+            covering_replay([0, 7], r=2, n=3)
+
+    def test_negative_word_named_before_radius(self):
+        # [-5, 0] infers n = 1, where r = 1 is out of range too; the word,
+        # which lies in no cube, is the fault named
+        with pytest.raises(DimensionMismatch,
+                           match=r"^codeword -5 outside \[0, 2\^1\)$"):
+            covering_replay([0, -5], r=1)
 
     def test_word_outside_cube_rejected(self):
         with pytest.raises(DimensionMismatch, match="codeword 7 "):

@@ -1,5 +1,9 @@
 """Field tables, polynomial arithmetic, and cyclotomic cosets."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +36,30 @@ class TestPolyArithmetic:
     def test_divrem_modulus_by_trinomial(self):
         # (x^4+x+1) / (x^2+x+1) -> q = x^2+x, r = 1
         assert poly_divrem(0x13, 0b111) == (0b110, 1)
+
+    def test_negative_operand_refused(self):
+        # in a child with a timeout: both loops once ran forever on a
+        # negative operand, so a regression fails here instead of hanging
+        script = (
+            "from codebounds.gf2 import poly_divrem, poly_mul\n"
+            "for f, a, b in ((poly_mul, 3, -1), (poly_mul, -1, 3),\n"
+            "                (poly_divrem, -4, 2), (poly_divrem, 5, -2)):\n"
+            "    try:\n"
+            "        f(a, b)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+        root = os.path.dirname(os.path.dirname(gf2.__file__))
+        path = os.pathsep.join(filter(None, [root,
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=30,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines() == [
+            "negative polynomial operand in 3 * -1",
+            "negative polynomial operand in -1 * 3",
+            "negative polynomial operand in -4 / 2",
+            "negative polynomial operand in 5 / -2"]
 
     def test_divide_by_zero(self):
         with pytest.raises(DivisionByZeroPolynomial):

@@ -1,5 +1,6 @@
-"""Source hygiene the standard library can check: no unused imports, and
-no top-level definition that nothing exports or reads."""
+"""Source hygiene the standard library can check: no unused imports, no
+private name imported from a sibling module, and no top-level definition
+that nothing exports or reads."""
 
 import ast
 import pathlib
@@ -23,6 +24,16 @@ def unused_imports(source: str) -> list[str]:
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def private_imports(source: str) -> list[str]:
+    """``"<module> <name>"`` for each underscore name a module imports from
+    a sibling module; importing a private module itself
+    (``from . import _kernels``) is not flagged."""
+    return [f"{node.module} {alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for alias in node.names if alias.name.startswith("_")]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -67,6 +78,23 @@ def test_detector_flags_an_unused_name():
               "from .cyclic import InvalidParameters, _check_params\n"
               "_check_params(math.pi, os.sep)\n")
     assert unused_imports(source) == ["InvalidParameters"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_cross_module_private_imports(path):
+    # a rule another module needs is public where it lives
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_detector_flags_a_name_imported_back():
+    source = (PACKAGE / "bounds.py").read_text().replace(
+        "from .cyclic import designed_distance",
+        "from .cyclic import _check_params, designed_distance")
+    assert private_imports(source) == ["cyclic _check_params"]
+    assert private_imports("from . import _kernels\n"
+                           "from ._kernels import layer_words\n"
+                           "from __future__ import annotations\n") == []
 
 
 def test_no_orphaned_definitions():

@@ -376,6 +376,18 @@ class TestRayleighOracle:
         assert all(type(v) is int for v in nums)
         assert [Fraction(v, q) for v in nums] == values
 
+    @pytest.mark.parametrize("f, kinds", [
+        ([1.0, 0.5], "float"),
+        ([1, np.float64(0.5)], "float64"),
+        ([Fraction(1), 0.5, 1j], "complex, float"),
+    ])
+    def test_inexact_entries_refused(self, f, kinds):
+        # the TypeError of the exact transforms, which share this route
+        for call in (clear_denominators, lambda v: rayleigh_quotient(15, v)):
+            with pytest.raises(TypeError, match="^exact entries expected, "
+                                                f"got {kinds}$"):
+                call(f)
+
     def test_certificates_match_reference(self):
         for n, r in ORACLE_BALLS:
             cert = certify(n, r)
