@@ -19,6 +19,10 @@ RIGOROUS = "rigorous"
 HEURISTIC = "asymptotic-heuristic"
 ROW_COLUMNS = ("n", "d", "j", "bound", "kind", "rigor", "value_log2",
                "value_exact", "condition")
+# the largest exponent of the power of two an exact classical row forms (n
+# for gv and hamming, whose ball volumes take up to n/2 big-int terms): at
+# n = 2^16 the slowest ``bounds`` call takes about 1 s, at 2^17 about 4 s
+EXACT_MAX_N = 1 << 16
 
 
 class OutOfRange(ValueError):
@@ -81,6 +85,13 @@ def _domain(n: int, d: int) -> tuple[int, int]:
     return n, d
 
 
+def _check_exact_size(label: str, exponent: int) -> None:
+    """``OutOfRange`` before a row forms 2^exponent past ``EXACT_MAX_N``."""
+    if exponent > EXACT_MAX_N:
+        raise OutOfRange(f"the {label} row would form 2^{exponent}; exact "
+                         f"rows stop at 2^{EXACT_MAX_N}")
+
+
 def _exact(label: str, kind: str, value: int, rigor: str = RIGOROUS,
            condition: str = "") -> BoundValue:
     return BoundValue(label=label, kind=kind, rigor=rigor,
@@ -122,14 +133,34 @@ def _g_mrrw(x: float) -> float:
 
 
 def vol(r: int, n: int) -> int:
-    """|B_r(0, n)| = sum_{i<=r} C(n, i), exactly."""
+    """|B_r(0, n)| = sum_{i<=r} C(n, i), exactly.
+
+    A radius r <= 3h/4, h = floor((n-1)/2), sums r + 1 terms upward from
+    C(n, 0).  A larger one starts from the half sum S = sum_{i<=h} C(n, i),
+    which is 2^(n-1) for odd n and (2^n - C(n, n/2))/2 for even n, and
+    walks the |r - h| terms between h and r from one ``math.comb(n, h)``:
+    a radius just below n/2 costs a few terms, not n/2 of them.  Both routes
+    must pass the entropy cap Vol <= 2^(n H2(r/n)) for 0 < r <= n/2.
+    """
     r, n = int(r), int(n)
     if not (0 <= r <= n):
         raise InvalidRadius(f"radius {r} outside [0, {n}]")
-    v = term = 1
-    for i in range(r):
-        term = term * (n - i) // (i + 1)     # C(n, i+1), exact
-        v += term
+    h = max(n - 1, 0) // 2
+    if 4 * r <= 3 * h:
+        v = term = 1
+        for i in range(r):
+            term = term * (n - i) // (i + 1)     # C(n, i+1), exact
+            v += term
+    else:
+        term = math.comb(n, h)
+        v = (1 << (n - 1) if n % 2
+             else ((1 << n) - term * (n - h) // (h + 1)) // 2)
+        for i in range(h, r, -1):                # subtract C(n, h..r+1)
+            v -= term
+            term = term * i // (n - i + 1)       # C(n, i-1), exact
+        for i in range(h, r):                    # add C(n, h+1..r)
+            term = term * (n - i) // (i + 1)     # C(n, i+1), exact
+            v += term
     if 0 < r <= n // 2 and _log2_int(v) > H2(r / n) * n + 1e-9:
         # the entropy cap on the ball size failed: an arithmetic bug
         raise ArithmeticError(
@@ -140,6 +171,7 @@ def vol(r: int, n: int) -> int:
 def gv_lower(n: int, d: int) -> BoundValue:
     """Greedy covering lower bound: A(n, d) >= 2^n / Vol(d-1, n)."""
     n, d = _domain(n, d)
+    _check_exact_size("gv", n)
     value = -((-(1 << n)) // vol(d - 1, n))        # ceil division
     return _exact("gv", "lower", value)
 
@@ -147,12 +179,14 @@ def gv_lower(n: int, d: int) -> BoundValue:
 def hamming_upper(n: int, d: int) -> BoundValue:
     """Sphere-packing bound with packing radius floor((d-1)/2)."""
     n, d = _domain(n, d)
+    _check_exact_size("hamming", n)
     e = (d - 1) // 2
     return _exact("hamming", "upper", (1 << n) // vol(e, n))
 
 
 def singleton_upper(n: int, d: int) -> BoundValue:
     n, d = _domain(n, d)
+    _check_exact_size("singleton", n - d + 1)
     return _exact("singleton", "upper", 1 << (n - d + 1))
 
 
@@ -167,6 +201,7 @@ def plotkin_upper(n: int, d: int) -> BoundValue:
     """
     n, d = _domain(n, d)
     if 2 * d < n:
+        _check_exact_size("plotkin", n - 2 * d + 2)
         return _exact("plotkin", "upper", d << (n - 2 * d + 2))
     if d % 2 == 0:
         if 2 * d == n:
@@ -238,13 +273,15 @@ def rate_bounds(delta: float) -> dict[str, float]:
 # eigenvalue-driven bounds
 
 
-# a full bound table needs ~1.2k (n, r) keys, so one pass never evicts
 @functools.lru_cache(maxsize=4096)
 def _ball(n: int, r: int) -> tuple[EigenCertificate, int, float]:
     """What the eigenvalue bounds need of B_r(0, n), computed once.
 
     The certificate, n * Vol(r, n) and float(lambda_certified); an n too
-    large for the certificate's float stage raises ``OutOfRange``.
+    large for the certificate's float stage raises ``OutOfRange``.  The
+    default table fills 15 (n, r) keys; a 50-pair table at r <= 16 plus
+    338 regime points d = n/2 - a sqrt(n) over 2^10..2^20 fills about 1,170,
+    so 4096 keys never evict within such a run.
     """
     n, r = int(n), int(r)
     _check_float_range(n, r)
@@ -255,6 +292,30 @@ def _ball(n: int, r: int) -> tuple[EigenCertificate, int, float]:
 def ball_certificate(n: int, r: int) -> EigenCertificate:
     """Cached certified eigenvalue lower bound for B_r(0, n)."""
     return _ball(n, r)[0]
+
+
+def _covering_floor(n: int, d: int, r: int) -> int | None:
+    """floor(n Vol(r, n) / (lambda_hat - j)), j = n - 2d, or None where
+    lambda_hat <= j: the applicability test and formula of every ``new_*``
+    row, in integers (lambda_hat = p/q, so lambda_hat - j = (p - jq)/q)."""
+    cert, size, _ = _ball(n, r)
+    p, q = cert.lambda_certified.numerator, cert.lambda_certified.denominator
+    j = n - 2 * d
+    return size * q // (p - j * q) if p > j * q else None
+
+
+def _new_row(n: int, d: int, r: int, value: int) -> BoundValue:
+    """The ``new_r{r}`` row of an applicable floor."""
+    return _exact(f"new_r{r}", "upper", value,
+                  condition=f"lambda_certified = {_ball(n, r)[2]:.9f} > "
+                            f"{n - 2 * d}")
+
+
+def _radius_floors(n: int, d: int, r_max: int) -> list[tuple[int, int]]:
+    """(r, floor) for the applicable radii r = 1..min(r_max, n/2), in order,
+    at an (n, d) that ``_domain`` passed."""
+    return [(r, value) for r in range(1, min(r_max, n // 2) + 1)
+            if (value := _covering_floor(n, d, r)) is not None]
 
 
 def new_upper(n: int, d: int, r: int) -> BoundValue:
@@ -270,50 +331,47 @@ def new_upper(n: int, d: int, r: int) -> BoundValue:
     certify and sum the ball once.
     """
     n, d = _domain(n, d)
-    cert, size, lam_float = _ball(n, r)
-    p, q = cert.lambda_certified.numerator, cert.lambda_certified.denominator
-    j = n - 2 * d
-    if p <= j * q:
+    value = _covering_floor(n, d, r)
+    if value is None:
         raise NotApplicable(
-            f"certified lambda {lam_float:.6f} <= n - 2d = {j} at r = {r}")
-    value = size * q // (p - j * q)                # lambda - j = (p - jq)/q
-    return _exact(f"new_r{r}", "upper", value,
-                  condition=f"lambda_certified = {lam_float:.9f} > {j}")
+            f"certified lambda {_ball(n, r)[2]:.6f} <= n - 2d = {n - 2 * d} "
+            f"at r = {r}")
+    return _new_row(n, d, r, value)
 
 
 def new_upper_rows(n: int, d: int, r_max: int = 8) -> list[BoundValue]:
     """The applicable ``new_r{r}`` rows, r = 1..min(r_max, n/2) in order,
     then their ``new_best`` row; empty when no radius applies."""
-    per_radius = []
-    for r in range(1, min(r_max, n // 2) + 1):
-        try:
-            per_radius.append((r, new_upper(n, d, r)))
-        except NotApplicable:
-            continue
-    rows = [bv for _, bv in per_radius]
-    return rows + [minimizing_radius(per_radius)] if rows else []
+    n, d = _domain(n, d)
+    floors = _radius_floors(n, d, r_max)
+    rows = [_new_row(n, d, r, value) for r, value in floors]
+    return rows + [minimizing_radius(floors)] if rows else []
 
 
 def best_new_upper(n: int, d: int, r_max: int = 8) -> BoundValue:
-    """Minimum of the applicable eigenvalue bounds over r = 1..r_max."""
-    rows = new_upper_rows(n, d, r_max)
-    if not rows:
+    """Minimum of the applicable eigenvalue bounds over r = 1..r_max.
+
+    The minimum is taken over the exact floors, and only its ``new_best``
+    row is built; it equals ``new_upper_rows(n, d, r_max)[-1]``.
+    """
+    n, d = _domain(n, d)
+    floors = _radius_floors(n, d, r_max)
+    if not floors:
         raise NotApplicable(
             f"no ball radius r <= {r_max} satisfies lambda > n - 2d "
             f"at (n, d) = ({n}, {d})")
-    return rows[-1]
+    return minimizing_radius(floors)
 
 
-def minimizing_radius(per_radius: list[tuple[int, BoundValue]]) -> BoundValue:
-    """The ``new_best`` row from (r, new_upper(n, d, r)) pairs, in r order.
+def minimizing_radius(floors: list[tuple[int, int]]) -> BoundValue:
+    """The ``new_best`` row from (r, new_upper(n, d, r).value_exact) pairs,
+    in r order.
 
     Ties go to the first (smallest) r.
     """
-    best_r, best = min(per_radius, key=lambda pair: pair[1].value_exact)
-    return BoundValue(label="new_best", kind="upper", rigor=RIGOROUS,
-                      value_log2=best.value_log2,
-                      value_exact=best.value_exact,
-                      condition=f"minimizing r = {best_r}")
+    best_r, best = min(floors, key=lambda pair: pair[1])
+    return _exact("new_best", "upper", best,
+                  condition=f"minimizing r = {best_r}")
 
 
 def cyclic_lower(m: int, c: int) -> BoundValue:

@@ -9,7 +9,8 @@ string that reads back to the same float (``eigen --n 15 --r 3`` prints
 8.608477839577606).  Exact integers print in full, at any length.  Exit
 codes: 0 success, 2 invalid parameters (a ``table --out`` path that cannot
 be opened included, reported before any row is computed; an n too large
-for float arithmetic is ``OutOfRange``), 3 bound not applicable, 4 budget
+for float arithmetic, or past the exact rows' ``bounds.EXACT_MAX_N``, is
+``OutOfRange``), 3 bound not applicable, 4 budget
 exceeded, 5 internal fault (an ArithmeticError: a failed certificate,
 replay or exact division).
 """
@@ -69,14 +70,9 @@ def _emit_json(obj) -> None:
 # row assembly shared by `bounds` and `table`
 
 
-def _construction_points() -> dict[tuple[int, int], tuple[int, int]]:
-    """Map (n, designed distance) -> (m, c) over all supported even m."""
-    points = {}
-    for m in range(4, 17, 2):
-        for c in range(1, m // 2):
-            n = (1 << m) - 1
-            points[(n, cyclic.designed_distance(m, c))] = (m, c)
-    return points
+# (n, designed distance) -> (m, c) over all supported even m
+_CONSTRUCTION_POINTS = {((1 << m) - 1, cyclic.designed_distance(m, c)): (m, c)
+                        for m in range(4, 17, 2) for c in range(1, m // 2)}
 
 
 def bound_rows(n: int, d: int, r_max: int = 8) -> list[dict]:
@@ -93,7 +89,7 @@ def bound_rows(n: int, d: int, r_max: int = 8) -> list[dict]:
     except bd.NotApplicable:
         pass
     values.extend(bd.new_upper_rows(n, d, r_max))
-    point = _construction_points().get((n, d))
+    point = _CONSTRUCTION_POINTS.get((n, d))
     if point is not None:
         values.append(bd.cyclic_lower(*point))
     return sorted((bv.row(n, d) for bv in values), key=_ROW_ORDER)

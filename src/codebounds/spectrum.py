@@ -19,6 +19,7 @@ enters an audited value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,9 @@ from numbers import Rational
 from operator import attrgetter
 
 _TOL = 1e-12  # bisection width, in absolute units of lambda
-_LAGUERRE_STEPS = 20  # a cap; from the Gershgorin start 3-5 steps suffice
+_LAGUERRE_STEPS = 20  # a cap; 1-4 steps suffice from either start
+# the asymptotic start's margin over sqrt(n) t_r, far above t_r's float error
+_START_MARGIN = 1 + 1e-9
 
 
 class InvalidRadius(ValueError):
@@ -127,11 +130,19 @@ def top_eigenvalue(offdiag_sq) -> float:
     verify stays at -inf or +inf, where every midpoint is asked, as
     without a bracket.
     """
+    return _top_eigenvalue(offdiag_sq, math.inf)
+
+
+def _top_eigenvalue(offdiag_sq, start: float) -> float:
+    """``top_eigenvalue``, with Laguerre started at min(start, Gershgorin
+    bound + 1).  A start above the top root saves Laguerre steps; any other
+    start costs only Sturm tests, since the bracket it yields is verified
+    and the bisection replay returns the same float either way."""
     b = [math.sqrt(s) for s in offdiag_sq]
     hi = max(x + y for x, y in zip([0.0] + b, b + [0.0])) + 1.0
     lo = 0.0
     a, c = -math.inf, math.inf
-    est = _top_root_estimate(offdiag_sq, hi)
+    est = _top_root_estimate(offdiag_sq, min(start, hi))
     for x in (est - 4 * math.ulp(est), est + 4 * math.ulp(est)):
         if a < x < c:                    # False for NaN, or an infinite est
             if _all_below(offdiag_sq, x):
@@ -251,19 +262,19 @@ def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
-def _decimal(x: float) -> tuple[int, int]:
-    """x rounded to 12 significant digits, as (m, e) with value m * 10^e."""
-    digits, exp = f"{x:.12e}".split("e")
-    return int(digits.replace(".", "")), int(exp) - 12
-
-
 def certify(n: int, r: int) -> EigenCertificate:
     """Certified rational lower bound on the top eigenvalue of B_r(0, n).
 
     n goes through ``int()``; ``InvalidRadius`` is raised where
     ``ball_operator(n, r)`` raises it.  Runs ``top_eigenvalue`` on that
-    operator, regenerates the radial vector and rounds each entry to 12
-    significant digits, an integer m_i times 10^(e_i).  The quotient is
+    operator, with Laguerre started at sqrt(n) t_r (1 + 1e-9) for r <= 64
+    (t_r = ``asymptotic_constant(r)``, cached) rather than at the Gershgorin
+    bound: (i+1)(n-i) <= (i+1) n entrywise, so by Perron-Frobenius
+    lambda_B <= sqrt(n) t_r, and the start lies above the top root yet close
+    to it.  The start is only a hint, so the float is the same either way.
+    It then regenerates the radial vector and rounds every entry to 12
+    significant digits, an integer m_i times 10^(e_i), by one "%.12e"
+    formatting of the whole vector and one integer parse.  The quotient is
     evaluated on the integers m_i * 10^(e_i - min e), a scaled copy of the
     witness with the same quotient.  The result is a true lower bound on
     lambda_B no matter how inaccurate the float stage was.  Rounding is
@@ -273,14 +284,24 @@ def certify(n: int, r: int) -> EigenCertificate:
     is built for the witness until ``EigenCertificate.witness`` is read.
     """
     n = int(n)
-    lam = top_eigenvalue(ball_operator(n, r))
-    rounded = [_decimal(x) for x in radial_vector(n, r, lam)]
-    low = min(e for _, e in rounded)
-    certified = rayleigh_quotient(n, [m * 10 ** (e - low) for m, e in rounded])
+    offdiag_sq = ball_operator(n, r)
+    start = (math.sqrt(n) * asymptotic_constant(r) * _START_MARGIN
+             if r <= 64 else math.inf)
+    lam = _top_eigenvalue(offdiag_sq, start)
+    f = radial_vector(n, r, lam)
+    # "d.dddddddddddde+XX" per entry: drop the point, split off the exponent
+    parts = list(map(int, ("%.12e " * len(f) % tuple(f))
+                     .replace(".", "").replace("e", " ").split()))
+    ms, es = parts[0::2], [e - 12 for e in parts[1::2]]
+    low = min(es)
+    certified = rayleigh_quotient(n, [m * 10 ** (e - low)
+                                      for m, e in zip(ms, es)])
     return EigenCertificate(n=n, r=r, lambda_float=lam,
-                            lambda_certified=certified, digits=tuple(rounded))
+                            lambda_certified=certified,
+                            digits=tuple(zip(ms, es)))
 
 
+@functools.cache
 def asymptotic_constant(r: int) -> float:
     """t_r, the top eigenvalue of the limit operator (1, ..., r), r <= 64."""
     if not (1 <= r <= 64):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from codebounds import bounds as bd
 from codebounds.bounds import (
     HEURISTIC,
     RIGOROUS,
+    BoundValue,
     NotApplicable,
     OutOfRange,
     ball_certificate,
@@ -71,6 +73,48 @@ class TestVol:
         monkeypatch.setattr(bd, "H2", lambda p: 0.0)
         with pytest.raises(ArithmeticError):
             vol(3, 15)
+
+
+def prefix_volumes(n: int) -> list[int]:
+    """Vol(r, n) for r = 0..n as running sums of math.comb."""
+    return list(accumulate(math.comb(n, i) for i in range(n + 1)))
+
+
+def switch_radius(n: int) -> int:
+    """The least r that ``vol`` sums from the half sum rather than from 0."""
+    return 3 * (max(n - 1, 0) // 2) // 4 + 1
+
+
+class TestVolNearHalf:
+    """The half-sum route against the direct binomial sum, on both sides."""
+
+    @pytest.mark.parametrize("n", range(121))
+    def test_every_radius_small_n(self, n):
+        assert [vol(r, n) for r in range(n + 1)] == prefix_volumes(n)
+
+    @pytest.mark.parametrize("n", [255, 1023, 1024, 4095, 4096])
+    def test_sampled_radii(self, n):
+        h, s = (n - 1) // 2, switch_radius(n)
+        radii = {0, 1, 2, h // 3, s - 2, s - 1, s, s + 1, h - 40,
+                 h - 3, h - 2, h - 1, h, h + 1, n // 2, n // 2 + 1,
+                 n - 1, n}
+        radii |= {int(h * k / 13) for k in range(14)}
+        want = prefix_volumes(n)
+        for r in sorted(radii):
+            assert vol(r, n) == want[r], (r, n)
+
+    @pytest.mark.parametrize("n", [1023, 1024])
+    def test_entropy_cap_raises_on_half_route(self, monkeypatch, n):
+        h = (n - 1) // 2
+        assert h - 1 >= switch_radius(n)   # both radii take the new route
+        want, comb, calls = prefix_volumes(n)[h - 1], math.comb, []
+        monkeypatch.setattr(math, "comb",
+                            lambda *args: calls.append(args) or comb(*args))
+        assert vol(h - 1, n) == want
+        assert calls == [(n, h)]
+        monkeypatch.setattr(bd, "H2", lambda p: 0.0)
+        with pytest.raises(ArithmeticError, match=f"^Vol\\({h}, {n}\\) "):
+            vol(h, n)
 
 
 class TestClassicalBounds:
@@ -197,6 +241,51 @@ class TestFloatRange:
             ball_certificate(n, 2)
 
 
+class TestExactSizeLimit:
+    """The exact classical rows refuse a power of two past EXACT_MAX_N."""
+
+    LIMIT = bd.EXACT_MAX_N
+
+    # (row, n, d) whose power of two has exponent n - shift: n for gv and
+    # hamming, n - d + 1 for singleton, n - 2d + 2 for plotkin below n/2
+    @pytest.mark.parametrize("fn,d,shift", [
+        (gv_lower, 3, 0), (hamming_upper, 3, 0),
+        (singleton_upper, 5, 4), (plotkin_upper, 5, 8)])
+    def test_limit_is_the_exponent(self, fn, d, shift):
+        n = self.LIMIT + shift
+        assert self.LIMIT - 40 < fn(n, d).value_log2 < self.LIMIT + 3
+        label = fn(7, 1).label
+        with pytest.raises(OutOfRange, match=(
+                f"^the {label} row would form 2\\^{self.LIMIT + 1}; "
+                "exact rows stop at 2\\^65536$")):
+            fn(n + 1, d)
+
+    @pytest.mark.parametrize("fn", [gv_lower, hamming_upper,
+                                    singleton_upper, plotkin_upper])
+    def test_refused_before_power_or_volume(self, monkeypatch, fn):
+        # 1 << 10^30 would raise OverflowError, an internal fault
+        def refuse(r, n):
+            raise AssertionError("vol reached")
+
+        monkeypatch.setattr(bd, "vol", refuse)
+        with pytest.raises(OutOfRange, match="exact rows stop at"):
+            fn(10 ** 30, 5)
+
+    def test_small_exponent_at_huge_n(self):
+        # the regime table's plotkin row and a singleton near d = n form
+        # small powers of two at any n
+        n = 10 ** 30
+        assert singleton_upper(n, n).value_exact == 2
+        d = n // 2 - 10 ** 4
+        assert plotkin_upper(n, d).value_exact == d << (n - 2 * d + 2)
+        assert regime_table(1.0, [10 ** 8])[4]["bound"] == "plotkin_rigorous"
+
+    def test_eigenvalue_rows_unaffected(self):
+        n = 10 ** 30
+        assert new_upper(n, n // 2 - 10 ** 14, 1).value_exact > 0
+        assert best_new_upper(n, n // 2 - 10 ** 15, 3).label == "new_best"
+
+
 class TestLog2Int:
     def test_huge_power_is_exact(self):
         assert bd._log2_int(1 << 1000) == 1000.0
@@ -248,7 +337,8 @@ class TestEigenvalueBounds:
 
     def test_minimizing_radius_first_on_ties(self):
         b3, b4 = new_upper(63, 24, 3), new_upper(63, 24, 4)
-        best = bd.minimizing_radius([(4, b4), (5, b3), (9, b3)])
+        best = bd.minimizing_radius([(4, b4.value_exact), (5, b3.value_exact),
+                                     (9, b3.value_exact)])
         assert (best.label, best.value_exact, best.condition) == \
             ("new_best", 791634, "minimizing r = 5")
 
@@ -282,6 +372,67 @@ class TestEigenvalueBounds:
             < hamming_upper(n, d).value_exact
         assert best_new_upper(n, d).value_exact \
             < plotkin_upper(n, d).value_exact
+
+
+class TestBestNewUpper:
+    """One row per call, equal to the last of ``new_upper_rows``."""
+
+    SWEEP = [(n, d, r_max) for n in (2, 3, 7, 15, 16, 63, 64, 255, 1000)
+             for d in sorted({1, 2, n // 4, n // 2 - 3, n // 2 - 1, n // 2,
+                              n // 2 + 1, n})
+             if 1 <= d <= n for r_max in (1, 2, 3, 8, 16)]
+
+    @pytest.mark.parametrize("n,d,r_max", SWEEP)
+    def test_last_row_or_refused(self, n, d, r_max):
+        rows = bd.new_upper_rows(n, d, r_max)
+        if rows:
+            assert best_new_upper(n, d, r_max) == rows[-1]
+        else:
+            with pytest.raises(NotApplicable):
+                best_new_upper(n, d, r_max)
+
+    def test_ties_go_to_smallest_radius(self, monkeypatch):
+        # real floors never tie in a scan of n < 200, so coarsen them to
+        # their bit length: then several radii share the minimum
+        floor = bd._covering_floor
+
+        def coarse(n, d, r):
+            value = floor(n, d, r)
+            return None if value is None else 1 << value.bit_length()
+
+        monkeypatch.setattr(bd, "_covering_floor", coarse)
+        tied = 0
+        for n, d, r_max in self.SWEEP:
+            rows = bd.new_upper_rows(n, d, r_max)
+            if not rows:
+                continue
+            best = best_new_upper(n, d, r_max)
+            assert best == rows[-1]
+            winners = [int(bv.label[5:]) for bv in rows[:-1]
+                       if bv.value_exact == best.value_exact]
+            assert best.condition == f"minimizing r = {winners[0]}"
+            tied += len(winners) > 1
+        assert tied >= 10
+
+    def test_one_row_built_per_call(self, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(kwargs["label"])
+            return BoundValue(*args, **kwargs)
+
+        points = [(63, 24), (255, 112), (4095, 1984),
+                  (2 ** 20, 2 ** 19 - 2048)]
+        for n, d in points:
+            best_new_upper(n, d, 16)     # fill the ball cache first
+        monkeypatch.setattr(bd, "BoundValue", spy)
+        for n, d in points:
+            built.clear()
+            best_new_upper(n, d, 16)
+            assert built == ["new_best"]
+        built.clear()
+        rows = bd.new_upper_rows(63, 24, 16)
+        assert built == [bv.label for bv in rows]
 
 
 class TestCyclicLower:

@@ -222,6 +222,30 @@ class TestBounds:
         assert code == 2
         assert "OutOfRange" in err
 
+    @pytest.mark.parametrize("n,d", [(10 ** 30, 5), (10 ** 6, 499000),
+                                     (bd.EXACT_MAX_N + 1, 3)])
+    def test_exact_rows_past_size_limit_exit_2(self, capsys, monkeypatch,
+                                               n, d):
+        # 10^30 was exit 5 (OverflowError from 1 << n); 10^6 ran past 60 s
+        def refuse(*args):
+            raise AssertionError("a ball was summed or certified")
+
+        monkeypatch.setattr(bd, "vol", refuse)
+        monkeypatch.setattr(bd, "certify", refuse)
+        code, out, err = run_cli(capsys, "bounds", "--n", str(n),
+                                 "--d", str(d))
+        assert (code, out) == (2, "")
+        assert err == (f"codebounds-error: OutOfRange: the gv row would form "
+                       f"2^{n}; exact rows stop at 2^65536\n")
+
+    def test_single_radius_at_huge_n(self, capsys):
+        # the eigenvalue row alone has no exact size limit
+        n = 10 ** 30
+        code, out, err = run_cli(capsys, "bounds", "--n", str(n), "--d",
+                                 str(n // 2 - 10 ** 14), "--r", "2")
+        assert (code, err) == (0, "")
+        assert int(out) == bd.new_upper(n, n // 2 - 10 ** 14, 2).value_exact
+
 
 class TestTable:
     def test_matches_frozen_golden(self, capsys):

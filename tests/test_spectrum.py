@@ -204,6 +204,71 @@ class TestCertify:
         assert (lam - cert.lambda_certified) / lam < Fraction(1, 10 ** 9)
 
 
+# the bound-table workload's regime lengths span [2^10, 2^20] with r <= 16
+REGIME_BALLS = [(n, r) for n in (2 ** 10, 1500, 3001, 10 ** 4, 50000,
+                                 2 ** 17 + 3, 700001, 2 ** 20)
+                for r in range(1, 17)]
+
+
+def decimal_reference(x: float) -> tuple[int, int]:
+    """x to 12 significant digits as (m, e), value m * 10^e, one entry at a
+    time: the parse ``certify`` once applied to each witness entry."""
+    digits, exp = f"{x:.12e}".split("e")
+    return int(digits.replace(".", "")), int(exp) - 12
+
+
+class TestCertifyStart:
+    """Laguerre's start at sqrt(n) t_r is a hint: the float never moves."""
+
+    def test_same_float_in_few_sturm_tests(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sp, "_all_below",
+                            lambda sq, x: calls.append(x) or _all_below(sq, x))
+        for n, r in ORACLE_BALLS + REGIME_BALLS:
+            calls.clear()
+            lam = certify(n, r).lambda_float
+            assert len(calls) <= 8, (n, r, len(calls))
+            assert lam == reference_top(ball_operator(n, r)), (n, r)
+
+    def test_start_above_the_root(self):
+        for n, r in ORACLE_BALLS + REGIME_BALLS:
+            start = math.sqrt(n) * asymptotic_constant(r) * sp._START_MARGIN
+            assert start > reference_top(ball_operator(n, r)), (n, r)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.5, 0.9, math.nan])
+    def test_start_below_the_root(self, monkeypatch, margin):
+        balls = ORACLE_BALLS[::2] + REGIME_BALLS[::3]
+        want = {ball: certify(*ball) for ball in balls}
+        monkeypatch.setattr(sp, "_START_MARGIN", margin)
+        below = 0
+        for (n, r), cert in want.items():
+            below += not (math.sqrt(n) * asymptotic_constant(r) * margin
+                          >= cert.lambda_float)
+            assert certify(n, r) == cert, (n, r)
+            assert cert.lambda_float == reference_top(ball_operator(n, r))
+        assert below >= len(balls) // 2
+
+    @pytest.mark.parametrize("n,r", [(200, 65), (4095, 70), (10 ** 6, 90)])
+    def test_gershgorin_start_past_r64(self, n, r):
+        assert certify(n, r).lambda_float == \
+            reference_top(ball_operator(n, r))
+
+    def test_digits_match_per_entry_parse(self, monkeypatch):
+        tiny = 5e-324                                  # least subnormal
+        sweep = [1.0, 0.0, -0.0, tiny, -tiny, 2.2250738585072e-308,
+                 -1.0, -3.872983346207417e-01, 9.9999999999995e-05,
+                 9.99999999999949e-05, 1.5e300, -7.25e-201, 123456789.0,
+                 1 / 3, -2 / 3, 0.1, 1e22, 5e-15]
+        rng = np.random.default_rng(7)
+        sweep += list(rng.standard_normal(20) * 10.0 ** rng.integers(
+            -300, 300, 20))
+        sweep = [float(x) for x in sweep]
+        monkeypatch.setattr(sp, "radial_vector", lambda n, r, lam: sweep)
+        cert = certify(63, 3)
+        assert cert.digits == tuple(map(decimal_reference, sweep))
+        assert cert.witness == tuple(Fraction(f"{x:.12e}") for x in sweep)
+
+
 class TestRadialVector:
     def test_recurrence_holds(self):
         n, r = 15, 3
