@@ -65,7 +65,9 @@ from .spectrum import (
     asymptotic_constant,
     ball_operator,
     certify,
+    certify_radii,
     radial_vector,
+    rayleigh_quotient,
     recurrence_polynomial_root,
     top_eigenvalue,
 )
@@ -95,6 +97,7 @@ __all__ = [
     "best_new_upper",
     "build_code",
     "certify",
+    "certify_radii",
     "convolve",
     "coset_exponents",
     "covering_replay",
@@ -113,6 +116,7 @@ __all__ = [
     "new_upper",
     "plotkin_upper",
     "radial_vector",
+    "rayleigh_quotient",
     "rate_bounds",
     "recurrence_polynomial_root",
     "regime_table",

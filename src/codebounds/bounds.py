@@ -8,12 +8,13 @@ so it can never be mistaken for a theorem.
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 from .cyclic import designed_distance
-from .spectrum import EigenCertificate, InvalidRadius, certify
+from .spectrum import (EigenCertificate, InvalidRadius, certify_radii,
+                       lambda_ceiling)
 
 RIGOROUS = "rigorous"
 HEURISTIC = "asymptotic-heuristic"
@@ -136,11 +137,13 @@ def vol(r: int, n: int) -> int:
     """|B_r(0, n)| = sum_{i<=r} C(n, i), exactly.
 
     A radius r <= 3h/4, h = floor((n-1)/2), sums r + 1 terms upward from
-    C(n, 0).  A larger one starts from the half sum S = sum_{i<=h} C(n, i),
+    C(n, 0).  A radius with n - r < r - h is the complement
+    2^n - Vol(n - r - 1, n), whose n - r terms are summed the same way.
+    Any other starts from the half sum S = sum_{i<=h} C(n, i),
     which is 2^(n-1) for odd n and (2^n - C(n, n/2))/2 for even n, and
     walks the |r - h| terms between h and r from one ``math.comb(n, h)``:
-    a radius just below n/2 costs a few terms, not n/2 of them.  Both routes
-    must pass the entropy cap Vol <= 2^(n H2(r/n)) for 0 < r <= n/2.
+    a radius just below n/2 costs a few terms, not n/2 of them.  Every
+    route must pass the entropy cap Vol <= 2^(n H2(r/n)) for 0 < r <= n/2.
     """
     r, n = int(r), int(n)
     if not (0 <= r <= n):
@@ -151,6 +154,11 @@ def vol(r: int, n: int) -> int:
         for i in range(r):
             term = term * (n - i) // (i + 1)     # C(n, i+1), exact
             v += term
+    elif n - r < r - h:
+        v, term = 1 << n, 1
+        for i in range(n - r):                   # subtract C(n, 0..n-r-1)
+            v -= term
+            term = term * (n - i) // (i + 1)     # C(n, i+1), exact
     else:
         term = math.comb(n, h)
         v = (1 << (n - 1) if n % 2
@@ -273,20 +281,56 @@ def rate_bounds(delta: float) -> dict[str, float]:
 # eigenvalue-driven bounds
 
 
-@functools.lru_cache(maxsize=4096)
-def _ball(n: int, r: int) -> tuple[EigenCertificate, int, float]:
-    """What the eigenvalue bounds need of B_r(0, n), computed once.
+class _BallCache:
+    """What the eigenvalue bounds need of B_r(0, n), computed once per
+    (n, r): the certificate, n * Vol(r, n) and float(lambda_certified).
 
-    The certificate, n * Vol(r, n) and float(lambda_certified); an n too
-    large for the certificate's float stage raises ``OutOfRange``.  The
-    default table fills 15 (n, r) keys; a 50-pair table at r <= 16 plus
-    338 regime points d = n/2 - a sqrt(n) over 2^10..2^20 fills about 1,170,
-    so 4096 keys never evict within such a run.
+    Calling the cache reads one radius.  ``fill(n, radii)`` certifies every
+    radius it has no entry for at that length in one ``certify_radii``
+    pass.  Either raises ``OutOfRange`` first for an n too large for the
+    certificate's float stage.  Past ``maxsize`` entries the oldest are
+    dropped.  The default table fills 15 keys; a bound-table benchmark pass
+    (a 50-pair table at r <= 16 plus 338 regime points d = n/2 - a sqrt(n)
+    over 2^10..2^20) fills 1,055-1,085, so 4096 keys drop none within such
+    a run.  Writes hold a lock, so ``table --workers`` threads share the
+    cache; two threads missing one key may both certify it, with equal
+    results.
     """
-    n, r = int(n), int(r)
-    _check_float_range(n, r)
-    cert = certify(n, r)
-    return cert, n * vol(r, n), float(cert.lambda_certified)
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: dict[tuple[int, int], tuple] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, n: int, r: int) -> tuple[EigenCertificate, int, float]:
+        n, r = int(n), int(r)
+        entry = self._entries.get((n, r))
+        return entry if entry is not None else self._add(n, [r])[0]
+
+    def fill(self, n: int, radii) -> None:
+        n = int(n)
+        missing = [r for r in radii if (n, r) not in self._entries]
+        if missing:
+            self._add(n, missing)
+
+    def _add(self, n: int, radii: list[int]) -> list[tuple]:
+        """Certify ``radii`` at length n in one pass; store and return their
+        entries in order."""
+        _check_float_range(n, max(radii))
+        entries = [(cert, n * vol(r, n), float(cert.lambda_certified))
+                   for r, cert in zip(radii, certify_radii(n, radii))]
+        with self._lock:
+            self._entries.update(zip([(n, r) for r in radii], entries))
+            while len(self._entries) > self.maxsize:
+                del self._entries[next(iter(self._entries))]
+        return entries
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+_ball = _BallCache(4096)
 
 
 def ball_certificate(n: int, r: int) -> EigenCertificate:
@@ -313,8 +357,21 @@ def _new_row(n: int, d: int, r: int, value: int) -> BoundValue:
 
 def _radius_floors(n: int, d: int, r_max: int) -> list[tuple[int, int]]:
     """(r, floor) for the applicable radii r = 1..min(r_max, n/2), in order,
-    at an (n, d) that ``_domain`` passed."""
-    return [(r, value) for r in range(1, min(r_max, n // 2) + 1)
+    at an (n, d) that ``_domain`` passed.
+
+    A radius whose ``lambda_ceiling`` is at most j = n - 2d is dropped
+    uncertified: its certified lambda lies below that ceiling, so it can
+    never exceed j.  The ceiling grows with r, so the dropped radii are the
+    smallest ones.  The others are certified together, in one cache fill.
+    """
+    top = min(r_max, n // 2)
+    _check_float_range(n, top)
+    low = 1
+    while low <= top and lambda_ceiling(n, low) <= n - 2 * d:
+        low += 1
+    radii = range(low, top + 1)
+    _ball.fill(n, radii)
+    return [(r, value) for r in radii
             if (value := _covering_floor(n, d, r)) is not None]
 
 

@@ -22,7 +22,6 @@ permutation, a least-weight nonzero word 1^w 0^(n-w) fixed into the code.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +93,7 @@ def _full_scan(rows: list[int], n: int, max_k: int,
     if workers == 1:
         counts = _kernels.weight_scan(rows, n, 0, total)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = sum(pool.map(
                 lambda a, b: _kernels.weight_scan(rows, n, a, b),

@@ -23,8 +23,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
-from operator import attrgetter
+from operator import add, attrgetter, mul
 
 _TOL = 1e-12  # bisection width, in absolute units of lambda
 _LAGUERRE_STEPS = 20  # a cap; 1-4 steps suffice from either start
@@ -130,16 +131,31 @@ def top_eigenvalue(offdiag_sq) -> float:
     verify stays at -inf or +inf, where every midpoint is asked, as
     without a bracket.
     """
-    return _top_eigenvalue(offdiag_sq, math.inf)
+    return _top_eigenvalue(offdiag_sq, math.inf,
+                           _row_sum_bounds(offdiag_sq)[-1])
 
 
-def _top_eigenvalue(offdiag_sq, start: float) -> float:
-    """``top_eigenvalue``, with Laguerre started at min(start, Gershgorin
-    bound + 1).  A start above the top root saves Laguerre steps; any other
-    start costs only Sturm tests, since the bracket it yields is verified
-    and the bisection replay returns the same float either way."""
-    b = [math.sqrt(s) for s in offdiag_sq]
-    hi = max(x + y for x, y in zip([0.0] + b, b + [0.0])) + 1.0
+def _row_sum_bounds(offdiag_sq) -> list[float]:
+    """Entry k is the Gershgorin bound (largest row sum of |entries|) of
+    the leading block with the first k off-diagonal squares, k = 0..len.
+
+    Row i of a block sums sqrt(s_{i-1}) + sqrt(s_i), with the squares past
+    the block's edge read as 0; the maxima run over the same float sums a
+    single block would form, so each entry is that block's bound exactly.
+    """
+    b = list(map(math.sqrt, offdiag_sq))
+    # the rows before a block's last, then its last row, which sums b alone
+    inner = accumulate(map(add, [0.0, *b], b), max)
+    return [0.0, *map(max, inner, b)]
+
+
+def _top_eigenvalue(offdiag_sq, start: float, gershgorin: float) -> float:
+    """``top_eigenvalue``, with Laguerre started at min(start, gershgorin
+    + 1), where ``gershgorin`` is the operator's ``_row_sum_bounds`` entry.
+    A start above the top root saves Laguerre steps; any other start costs
+    only Sturm tests, since the bracket it yields is verified and the
+    bisection replay returns the same float either way."""
+    hi = gershgorin + 1.0
     lo = 0.0
     a, c = -math.inf, math.inf
     est = _top_root_estimate(offdiag_sq, min(start, hi))
@@ -247,58 +263,103 @@ def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     then Python ints, with the binomials taken from the recurrence
     C(n,i+1) = C(n,i)(n-i)/(i+1), and the one Fraction is built at the end.
     """
-    n = int(n)
     f, _ = clear_denominators(f)
-    num = den = 0
-    binom = 1                                  # C(n, i)
-    for i, fi in enumerate(f):
-        den += binom * fi * fi
-        if i + 1 < len(f):
-            edges = binom * (n - i)            # C(n, i) * (n - i)
-            num += 2 * edges * fi * f[i + 1]
-            binom = edges // (i + 1)
+    return _quotient(_shell_weights(int(n), len(f)), f)
+
+
+def _shell_weights(n: int, length: int) -> tuple[list[int], list[int]]:
+    """C(n, i) for i < length, and 2 C(n, i)(n - i) for i < length - 1: the
+    weights of a radial vector's squared norm and of its edge sum."""
+    binoms, edges = [1], []
+    for i in range(length - 1):
+        edge = binoms[i] * (n - i)             # C(n, i) * (n - i)
+        edges.append(2 * edge)
+        binoms.append(edge // (i + 1))         # C(n, i+1), exact
+    return binoms, edges
+
+
+def _quotient(weights, f: list[int]) -> Fraction:
+    """The Rayleigh quotient of the Python ints ``f`` from ``_shell_weights``
+    of at least len(f) shells."""
+    binoms, edges = weights
+    den = sum(map(mul, binoms, map(mul, f, f)))
     if den == 0:
         raise DegenerateWitness("witness vector is identically zero")
-    return Fraction(num, den)
+    return Fraction(sum(map(mul, edges, map(mul, f, f[1:]))), den)
+
+
+def lambda_ceiling(n: int, r: int) -> float:
+    """A float above the top eigenvalue of B_r(0, n): sqrt(n) t_r (1 + 1e-9)
+    for r <= 64, and inf past the range of ``asymptotic_constant``.
+
+    (i+1)(n-i) <= (i+1) n entrywise, so by Perron-Frobenius
+    lambda_B <= sqrt(n) t_r; the margin lies far above the float error of
+    sqrt(n) and of t_r (bisected to 1e-12, and t_r >= 1), so no certified
+    lambda of the ball reaches this value.
+    """
+    if r > 64:
+        return math.inf
+    return math.sqrt(n) * asymptotic_constant(r) * _START_MARGIN
 
 
 def certify(n: int, r: int) -> EigenCertificate:
-    """Certified rational lower bound on the top eigenvalue of B_r(0, n).
+    """Certified rational lower bound on the top eigenvalue of B_r(0, n):
+    ``certify_radii(n, (r,))[0]``, the one certification path."""
+    return certify_radii(n, (r,))[0]
+
+
+def certify_radii(n: int, radii) -> list[EigenCertificate]:
+    """The certificates of B_r(0, n) for each r in ``radii``, in one pass.
 
     n goes through ``int()``; ``InvalidRadius`` is raised where
-    ``ball_operator(n, r)`` raises it.  Runs ``top_eigenvalue`` on that
-    operator, with Laguerre started at sqrt(n) t_r (1 + 1e-9) for r <= 64
-    (t_r = ``asymptotic_constant(r)``, cached) rather than at the Gershgorin
-    bound: (i+1)(n-i) <= (i+1) n entrywise, so by Perron-Frobenius
-    lambda_B <= sqrt(n) t_r, and the start lies above the top root yet close
-    to it.  The start is only a hint, so the float is the same either way.
-    It then regenerates the radial vector and rounds every entry to 12
-    significant digits, an integer m_i times 10^(e_i), by one "%.12e"
-    formatting of the whole vector and one integer parse.  The quotient is
-    evaluated on the integers m_i * 10^(e_i - min e), a scaled copy of the
-    witness with the same quotient.  The result is a true lower bound on
-    lambda_B no matter how inaccurate the float stage was.  Rounding is
-    relative, so the witness keeps its shape at every n (f(0) = 1 keeps it
-    nonzero) and the certificate stays within ~1e-12 relative of
-    lambda_float.  The certificate keeps the pairs (m_i, e_i); no Fraction
-    is built for the witness until ``EigenCertificate.witness`` is read.
+    ``ball_operator`` raises it for the smallest or largest radius.  One
+    operator of the largest radius and one list of its ``_row_sum_bounds``
+    serve every radius: the ball of radius r is the operator's first r
+    squares, with Gershgorin bound entry r.  ``top_eigenvalue`` runs on each,
+    with Laguerre started at ``lambda_ceiling(n, r)``, above the top root
+    yet close to it for r <= 64, rather than at the Gershgorin bound.  The
+    start is only a hint, so the float is the same either way.
+
+    Each radius's radial vector is regenerated from its float, and every
+    entry of every vector is rounded to 12 significant digits, an integer
+    m_i times 10^(e_i), by one "%.12e" formatting and one integer parse.  A
+    radius's quotient is evaluated on the integers m_i * 10^(e_i - min e),
+    a scaled copy of its witness with the same quotient, over binomial
+    weights C(n, i) formed once for all radii.  The result is a true lower
+    bound on lambda_B no matter how inaccurate the float stage was.
+    Rounding is relative, so the witness keeps its shape at every n
+    (f(0) = 1 keeps it nonzero) and the certificate stays within ~1e-12
+    relative of lambda_float.  The certificate keeps the pairs (m_i, e_i);
+    no Fraction is built for the witness until ``EigenCertificate.witness``
+    is read.
     """
-    n = int(n)
-    offdiag_sq = ball_operator(n, r)
-    start = (math.sqrt(n) * asymptotic_constant(r) * _START_MARGIN
-             if r <= 64 else math.inf)
-    lam = _top_eigenvalue(offdiag_sq, start)
-    f = radial_vector(n, r, lam)
+    n, radii = int(n), list(radii)
+    if not radii:
+        return []
+    offdiag_sq = ball_operator(n, max(radii))
+    if min(radii) < 1:
+        ball_operator(n, min(radii))         # raises InvalidRadius
+    gershgorin = _row_sum_bounds(offdiag_sq)
+    lams = [_top_eigenvalue(offdiag_sq[:r], lambda_ceiling(n, r),
+                            gershgorin[r]) for r in radii]
+    vectors = [radial_vector(n, r, lam) for r, lam in zip(radii, lams)]
+    flat = [x for f in vectors for x in f]
     # "d.dddddddddddde+XX" per entry: drop the point, split off the exponent
-    parts = list(map(int, ("%.12e " * len(f) % tuple(f))
+    parts = list(map(int, ("%.12e " * len(flat) % tuple(flat))
                      .replace(".", "").replace("e", " ").split()))
-    ms, es = parts[0::2], [e - 12 for e in parts[1::2]]
-    low = min(es)
-    certified = rayleigh_quotient(n, [m * 10 ** (e - low)
-                                      for m, e in zip(ms, es)])
-    return EigenCertificate(n=n, r=r, lambda_float=lam,
-                            lambda_certified=certified,
-                            digits=tuple(zip(ms, es)))
+    weights = _shell_weights(n, max(map(len, vectors)))
+    certs, at = [], 0
+    for r, lam, f in zip(radii, lams, vectors):
+        ms = parts[at:at + 2 * len(f):2]
+        es = [e - 12 for e in parts[at + 1:at + 2 * len(f):2]]
+        at += 2 * len(f)
+        low = min(es)
+        certified = _quotient(weights, [m * 10 ** (e - low)
+                                        for m, e in zip(ms, es)])
+        certs.append(EigenCertificate(n=n, r=r, lambda_float=lam,
+                                      lambda_certified=certified,
+                                      digits=tuple(zip(ms, es))))
+    return certs
 
 
 @functools.cache

@@ -1,6 +1,9 @@
 """Bound evaluators: exact arithmetic, applicability, rigor labeling."""
 
+import functools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
 
@@ -31,7 +34,12 @@ from codebounds.bounds import (
 )
 from codebounds.cyclic import InvalidParameters
 from codebounds.distance import exact_A_search
-from codebounds.spectrum import InvalidRadius
+from codebounds.spectrum import (
+    InvalidRadius,
+    certify,
+    certify_radii,
+    lambda_ceiling,
+)
 
 
 class TestVol:
@@ -75,6 +83,7 @@ class TestVol:
             vol(3, 15)
 
 
+@functools.cache
 def prefix_volumes(n: int) -> list[int]:
     """Vol(r, n) for r = 0..n as running sums of math.comb."""
     return list(accumulate(math.comb(n, i) for i in range(n + 1)))
@@ -115,6 +124,59 @@ class TestVolNearHalf:
         monkeypatch.setattr(bd, "H2", lambda p: 0.0)
         with pytest.raises(ArithmeticError, match=f"^Vol\\({h}, {n}\\) "):
             vol(h, n)
+
+
+def vol_lines(r: int, n: int) -> int:
+    """Lines ``vol(r, n)`` executes, counted by a tracer on its frame."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is bd.vol.__code__ else None
+
+    sys.settrace(tracer)
+    try:
+        vol(r, n)
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+class TestVolComplement:
+    """Past (n + h)/2, vol is 2^n less the n - r terms above r."""
+
+    @pytest.mark.parametrize("n", [255, 1024, 4095])
+    def test_radii_past_half(self, n):
+        h, want = (n - 1) // 2, prefix_volumes(n)
+        for r in [h + 1, (n + h) // 2 - 2, (n + h) // 2 + 2, n - 1, n]:
+            assert vol(r, n) == want[r], (r, n)
+
+    def test_radii_past_half_at_65536(self):
+        # math.comb sums of 65536-bit binomials take minutes, so h + 1 =
+        # n/2 meets its closed form, and (n + h)/2 +- 2 must add up to 2^n
+        # with the upward sum of the other side
+        n, h = 65536, 32767
+        assert vol(h + 1, n) == (1 << (n - 1)) + math.comb(n, n // 2) // 2
+        for r in ((n + h) // 2 - 2, (n + h) // 2 + 2):
+            assert vol(r, n) + vol(n - r - 1, n) == 1 << n, r
+        assert (vol(n - 1, n), vol(n, n)) == ((1 << n) - 1, 1 << n)
+
+    @pytest.mark.parametrize("n", [65536, 4095])
+    def test_walks_at_most_n_minus_r_terms(self, n):
+        # 3 loop lines per term walked, and a fixed number around them;
+        # vol(65535, 65536) once walked 32,768 terms up from the half sum
+        fixed = vol_lines(n, n)
+        for r in (n - 1, n - 5, n - 40):
+            assert vol_lines(r, n) <= fixed + 3 * (n - r + 1), r
+        assert fixed < 20
+
+    def test_gv_at_full_distance(self):
+        # gv's vol(n - 1, n) = 2^n - 1
+        assert gv_lower(65536, 65536).value_exact == 2
 
 
 class TestClassicalBounds:
@@ -434,6 +496,127 @@ class TestBestNewUpper:
         rows = bd.new_upper_rows(63, 24, 16)
         assert built == [bv.label for bv in rows]
 
+
+
+class TestPerronDrop:
+    """Radii whose ceiling sqrt(n) t_r (1 + 1e-9) is at most j = n - 2d are
+    dropped uncertified; none of them could apply."""
+
+    def test_sweep_drops_only_inapplicable_radii(self):
+        triples = dropped = 0
+        for n in range(2, 400):
+            radii = range(1, min(16, n // 2) + 1)
+            for r, cert in zip(radii, certify_radii(n, radii)):
+                ceiling = lambda_ceiling(n, r)
+                lam = cert.lambda_certified
+                p, q = lam.numerator, lam.denominator
+                for d in range(1, n + 1):
+                    j = n - 2 * d
+                    triples += 1
+                    if ceiling <= j:
+                        dropped += 1
+                        assert p <= j * q, (n, d, r)
+        assert (triples, dropped) == (1273944, 447431)
+
+    @staticmethod
+    def all_radius_floors(n, d, r_max):
+        """(r, floor) over every radius, each certified alone."""
+        floors = []
+        for r in range(1, min(r_max, n // 2) + 1):
+            lam = certify(n, r).lambda_certified
+            if lam > n - 2 * d:
+                size = n * vol(r, n)
+                floors.append((r, size * lam.denominator
+                               // (lam.numerator
+                                   - (n - 2 * d) * lam.denominator)))
+        return floors
+
+    @pytest.mark.parametrize("n", [2, 3, 15, 16, 63, 100, 255, 1000, 4095])
+    def test_floors_equal_every_radius_route(self, n):
+        step = max(1, n // 60)
+        for d in range(1, n + 1, step):
+            for r_max in (1, 8, 16):
+                assert bd._radius_floors(n, d, r_max) == \
+                    self.all_radius_floors(n, d, r_max), (n, d, r_max)
+
+    @pytest.mark.parametrize("n", [15, 63, 256, 1023, 2 ** 20])
+    def test_rows_equal_per_radius_new_upper(self, n):
+        for d in sorted({1, n // 4, n // 2 - 2 * math.isqrt(n),
+                         n // 2 - math.isqrt(n), n // 2 - 3, n // 2, n}):
+            singles = []
+            for r in range(1, min(16, n // 2) + 1):
+                try:
+                    singles.append(new_upper(n, d, r))
+                except NotApplicable:
+                    pass
+            assert bd.new_upper_rows(n, d, 16)[:-1] == singles, (n, d)
+
+    def test_huge_n_refused_before_sqrt(self):
+        # math.sqrt(2^1100) raises OverflowError, an internal fault
+        with pytest.raises(OutOfRange, match="^n of 1101 bits "):
+            best_new_upper(2 ** 1100, 3)
+        with pytest.raises(OutOfRange, match="^n of 1101 bits "):
+            bd.new_upper_rows(2 ** 1100, 3)
+
+    def test_dropped_radius_never_certified(self, monkeypatch):
+        # at (1999, 947), j = 105 is at least sqrt(1999) t_r for r <= 3
+        bd._ball.cache_clear()
+        seen = []
+        monkeypatch.setattr(bd, "certify_radii",
+                            lambda n, radii: seen.append(list(radii))
+                            or certify_radii(n, radii))
+        best_new_upper(1999, 947, 8)
+        assert seen == [[4, 5, 6, 7, 8]]
+        best_new_upper(1999, 995, 8)
+        assert seen == [[4, 5, 6, 7, 8], [1, 2, 3]]
+
+
+class TestBallCache:
+    """Entries per (n, r), filled a length at a time, bounded, shared."""
+
+    def test_one_pass_per_length(self, monkeypatch):
+        bd._ball.cache_clear()
+        seen = []
+        monkeypatch.setattr(bd, "certify_radii",
+                            lambda n, radii: seen.append((n, list(radii)))
+                            or certify_radii(n, radii))
+        bd.new_upper_rows(255, 112, 16)     # j = 31 drops r = 1, 2
+        bd.new_upper_rows(255, 127, 16)
+        ball_certificate(255, 20)
+        bd.new_upper_rows(255, 120, 20)
+        assert seen == [(255, list(range(3, 17))), (255, [1, 2]),
+                        (255, [20]), (255, [17, 18, 19])]
+
+    def test_oldest_dropped_past_maxsize(self):
+        cache = bd._BallCache(3)
+        cache.fill(63, [1, 2])
+        cache.fill(63, [2, 3, 4])
+        assert list(cache._entries) == [(63, 2), (63, 3), (63, 4)]
+        first = cache(63, 4)
+        assert cache(63, 4) is first
+        assert first[0] == certify(63, 4)
+        assert first[1:] == (63 * vol(4, 63),
+                             float(first[0].lambda_certified))
+
+    def test_threads_share_it(self, monkeypatch):
+        # more threads than cores on a cache small enough to drop entries
+        # while others read it, with a short switch interval: every row
+        # must still equal the serial one, and the bound must hold
+        points = [(n, n // 2 - k) for n in (255, 256, 1023, 1024) for k in
+                  range(1, 40, 3)]
+        serial = [bd.new_upper_rows(*p, 16) for p in points]
+        monkeypatch.setattr(bd, "_ball", bd._BallCache(24))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(bd.new_upper_rows, *p, 16)
+                           for p in points * 3]
+                shared = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == serial * 3
+        assert len(bd._ball._entries) <= 24
 
 class TestCyclicLower:
     def test_examples(self):

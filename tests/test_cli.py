@@ -15,7 +15,7 @@ import pytest
 
 import codebounds
 from codebounds import bounds as bd
-from codebounds import cli, cyclic, fourier
+from codebounds import cli, cyclic, fourier, spectrum
 from codebounds.cli import CSV_COLUMNS, CSV_HEADER, bound_rows, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -231,7 +231,8 @@ class TestBounds:
             raise AssertionError("a ball was summed or certified")
 
         monkeypatch.setattr(bd, "vol", refuse)
-        monkeypatch.setattr(bd, "certify", refuse)
+        monkeypatch.setattr(spectrum, "certify", refuse)
+        monkeypatch.setattr(bd, "certify_radii", refuse)
         code, out, err = run_cli(capsys, "bounds", "--n", str(n),
                                  "--d", str(d))
         assert (code, out) == (2, "")

@@ -1,9 +1,12 @@
 """Source hygiene the standard library can check: no unused imports, no
-private name imported from a sibling module, and no top-level definition
-that nothing exports or reads."""
+private name imported from a sibling module, no top-level definition
+that nothing exports or reads, and no thread pool loaded on import."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -126,3 +129,17 @@ def test_orphan_detector_flags_a_helper_added_back():
                               "range(1 << n)]\n")
     assert orphans(modules, set(codebounds.__all__)) == [
         "fourier.py indicator"]
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures (and the logging and queue it pulls in) loads only
+    # where a --workers pool is built
+    root = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, codebounds, codebounds.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'logging', "
+            "'queue') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout == "[]\n"

@@ -23,7 +23,9 @@ from codebounds.spectrum import (
     asymptotic_constant,
     ball_operator,
     certify,
+    certify_radii,
     clear_denominators,
+    lambda_ceiling,
     radial_vector,
     rayleigh_quotient,
     recurrence_polynomial_root,
@@ -267,6 +269,97 @@ class TestCertifyStart:
         cert = certify(63, 3)
         assert cert.digits == tuple(map(decimal_reference, sweep))
         assert cert.witness == tuple(Fraction(f"{x:.12e}") for x in sweep)
+
+
+# the 74 lengths whose balls, r <= min(16, n/2), back the bound-table
+# benchmark at seed 1: its 50 table pairs and 26 regime lengths, 1,175 keys
+BENCH_LENGTHS = (
+    15, 32, 35, 39, 44, 49, 54, 62, 63, 69, 77, 85, 95, 107, 120, 134, 147,
+    166, 184, 205, 232, 255, 257, 285, 323, 356, 400, 443, 502, 562, 627,
+    697, 778, 867, 966, 1024, 1085, 1206, 1225, 1354, 1498, 1667, 1781, 1892,
+    1980, 2087, 2333, 2595, 2641, 2904, 3230, 3631, 4082, 4146, 5143, 6875,
+    9588, 13250, 15484, 20270, 27396, 33419, 56400, 73735, 78248, 135089,
+    169819, 237379, 254896, 357678, 545244, 606253, 909056, 1048576)
+
+
+def radii_by_length(balls) -> dict[int, list[int]]:
+    out = {}
+    for n, r in balls:
+        out.setdefault(n, []).append(r)
+    return out
+
+
+class TestCertifyRadii:
+    """One pass per length gives each radius the certificate alone would."""
+
+    BENCH_BALLS = [(n, r) for n in BENCH_LENGTHS
+                   for r in range(1, min(16, n // 2) + 1)]
+
+    def test_bench_keys_counted(self):
+        assert len(self.BENCH_BALLS) == 1175
+
+    @pytest.mark.parametrize("balls", ["oracle", "regime", "bench"])
+    def test_equals_single_radius(self, balls):
+        balls = {"oracle": ORACLE_BALLS, "regime": REGIME_BALLS,
+                 "bench": self.BENCH_BALLS}[balls]
+        for n, radii in radii_by_length(balls).items():
+            certs = certify_radii(n, radii)
+            assert [c.r for c in certs] == radii
+            for r, cert in zip(radii, certs):
+                alone = certify(n, r)
+                assert (cert.n, cert.r, cert.lambda_float.hex(),
+                        cert.lambda_certified, cert.digits) == \
+                    (alone.n, alone.r, alone.lambda_float.hex(),
+                     alone.lambda_certified, alone.digits), (n, r)
+
+    def test_batch_against_reference_routes(self):
+        # the float from the full Sturm count, the quotient from Fractions
+        for n, radii in radii_by_length(REGIME_BALLS[::5]
+                                        + ORACLE_BALLS[::4]).items():
+            for r, cert in zip(radii, certify_radii(n, radii)):
+                assert cert.lambda_float == \
+                    reference_top(ball_operator(n, r)), (n, r)
+                assert cert.lambda_certified == \
+                    reference_quotient(n, cert.witness), (n, r)
+
+    @pytest.mark.parametrize("n,radii", [
+        (200, [1, 64, 65, 70, 100]), (4095, [70, 3, 65, 3]),
+        (10 ** 6, [90, 16])])
+    def test_past_r64_any_order(self, n, radii):
+        # r > 64 starts Laguerre at the Gershgorin bound; order and repeats
+        # are kept
+        certs = certify_radii(n, radii)
+        assert [c.r for c in certs] == radii
+        for r, cert in zip(radii, certs):
+            assert cert == certify(n, r)
+            assert cert.lambda_float == reference_top(ball_operator(n, r))
+
+    @pytest.mark.parametrize("radii", [[1, 8], [0, 3], [3, -1], [8]])
+    def test_invalid_radius(self, radii):
+        with pytest.raises(InvalidRadius):
+            certify_radii(15, radii)
+
+    def test_no_radii(self):
+        assert certify_radii(15, []) == []
+
+    def test_row_sum_bounds_per_block(self):
+        # entry k is the bound ``reference_top`` takes for the first k
+        # squares
+        ops = (TestBracketedReplay.random_operators(count=40, seed=3)
+               + [ball_operator(n, r) for n, r in ((15, 7), (2 ** 20, 16))])
+        for sq in ops:
+            bounds = sp._row_sum_bounds(sq)
+            assert len(bounds) == len(sq) + 1 and bounds[0] == 0.0
+            for k in range(1, len(sq) + 1):
+                b = [math.sqrt(s) for s in sq[:k]]
+                rows = [b[0]] + [b[i - 1] + b[i] for i in range(1, k)] \
+                    + [b[-1]]
+                assert bounds[k] == max(rows), (sq, k)
+
+    def test_ceiling_above_every_certificate(self):
+        for n, r in ORACLE_BALLS + REGIME_BALLS + self.BENCH_BALLS[::7]:
+            assert lambda_ceiling(n, r) > certify(n, r).lambda_certified
+        assert lambda_ceiling(4095, 65) == math.inf
 
 
 class TestRadialVector:
