@@ -1,26 +1,33 @@
 """Hot numeric kernels: codeword weight enumeration and maximum clique.
 
-The weight scan histograms the span of k generator rows by message index.
+The weight scan enumerates the span of k generator rows by message index.
 Each index splits into a low part (its first min(k, 13) bits) and a high
 part; both parts index tables of XOR combinations of the matching rows.
 The tables are limb-major, shape (ceil(n/64), 2^bits): row j holds 64-bit
 limb j of every combination, so for each high-part entry the scan XORs
-contiguous limb rows of the low table with one scalar per limb, popcounts
-them into per-word weights (for n > 64 through a uint8 buffer whose limb
-rows are added up) and histograms those.  Every step writes into buffers
-allocated once per call.  The weights are summed in the smallest unsigned
-dtype that holds n, so a weight never wraps.  ``layer_minima`` builds the
-same two tables, split at min(13, ceil(k/2)) bits and with their columns
-sorted by message popcount, to find the least weight of each
-message-weight layer of a span without enumerating the others.  The clique
-search is a branch and bound over python-int bitsets with a
+contiguous limb rows of the low table with one scalar per limb and
+popcounts them into per-word weights (for n > 64 through a uint8 buffer
+whose limb rows are added up).  Every step writes into buffers allocated
+once per call.  The weights are summed in the smallest unsigned dtype
+that holds n, so a weight never wraps.  One block loop feeds two
+reductions: ``weight_scan`` histograms each block, and ``least_weight``
+keeps only its least weight, message 0 left out, which is all a minimum
+distance needs.  ``layer_minima`` builds the same two tables, split at
+min(13, ceil(k/2)) bits and with their columns sorted by message
+popcount, to find the least weight of each message-weight layer of a span
+without enumerating the others.  ``scan_price`` and ``search_price`` price
+the two routes to a minimum distance in one unit, the limbs of the words
+they form plus a fixed charge per block and per information set.  The
+clique search is a branch and bound over python-int bitsets with a
 greedy-colouring bound (Östergård, "A fast algorithm for the maximum
 clique problem", 2002).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,12 +39,17 @@ _LOW_BITS = 13
 # weight enumeration
 
 
+def _limbs(n: int) -> int:
+    """64-bit limbs of an n-bit word, at least one."""
+    return max(1, (n + 63) >> 6)
+
+
 def pack_rows(rows: list[int], n: int) -> np.ndarray:
     """Pack n-bit int rows into a read-only (k, ceil(n/64)) uint64 array.
 
     One ``to_bytes`` per row: its little-endian bytes are limbs 0, 1, ...
     """
-    words = max(1, (n + 63) >> 6)
+    words = _limbs(n)
     data = b"".join(row.to_bytes(8 * words, "little") for row in rows)
     return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
 
@@ -56,6 +68,39 @@ def _span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def _weight_blocks(rows: list[int], n: int, start: int, stop: int):
+    """The weights of the codewords of messages [start, stop), by block.
+
+    Yields (first message, weights) for each run of at most 2^13 messages
+    that share a high part; the weights are a view of a buffer that the
+    next block overwrites.  Both span tables are limb-major (see the module
+    docstring), and the per-word weights are summed over limbs in
+    ``np.min_scalar_type(n)``, the smallest unsigned dtype that holds n
+    (uint8 only for n <= 255).  The work buffers belong to this call, so
+    concurrent calls share nothing.
+    """
+    packed = pack_rows(rows, n)
+    k_lo = min(len(rows), _LOW_BITS)
+    low = _span_table(packed[:k_lo])
+    high = _span_table(packed[k_lo:])
+    size = 1 << k_lo
+    block = np.empty_like(low)
+    bits = np.empty(low.shape, dtype=np.uint8)
+    wts = np.empty(size, dtype=np.min_scalar_type(n))
+    first, span = start >> k_lo, None
+    # high's columns as (limbs, 1) views, one per block
+    for prefix, column in enumerate(high.T[first:-(-stop >> k_lo), :, None],
+                                    first):
+        base = prefix << k_lo
+        edges = max(0, start - base), min(size, stop - base)
+        if edges != span:        # only at the range's two ends
+            span, (a, b) = edges, edges
+            views = low[:, a:b], block[:, :b - a], bits[:, :b - a], wts[:b - a]
+        np.bitwise_xor(views[0], column, out=views[1])
+        _word_weights(*views[1:])
+        yield base + a, views[3]
+
+
 def weight_scan(rows: list[int], n: int, start: int = 0,
                 stop: int | None = None) -> np.ndarray:
     """Weight histogram over a message range.
@@ -65,35 +110,33 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
     Rows must fit in n bits.  The full code is [0, 2^k); histograms of
     disjoint ranges add elementwise, which is how the full scan in
     ``distance`` shards the range across threads.
-
-    Both span tables are limb-major (see the module docstring), and the
-    per-word weights are summed over limbs in ``np.min_scalar_type(n)``,
-    the smallest unsigned dtype that holds n (uint8 only for n <= 255).
-    The work buffers belong to this call, so concurrent calls share
-    nothing.
     """
-    k = len(rows)
     if stop is None:
-        stop = 1 << k
-    packed = pack_rows(rows, n)
-    k_lo = min(k, _LOW_BITS)
-    low = _span_table(packed[:k_lo])
-    high = _span_table(packed[k_lo:])
-    size = 1 << k_lo
-    acc = np.min_scalar_type(n)
-    block = np.empty_like(low)
-    bits = np.empty(low.shape, dtype=np.uint8)
-    wts = np.empty(size, dtype=acc)
+        stop = 1 << len(rows)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for prefix in range(start >> k_lo, (stop + size - 1) >> k_lo):
-        base = prefix << k_lo
-        a, b = max(0, start - base), min(size, stop - base)
-        width = b - a
-        np.bitwise_xor(low[:, a:b], high[:, prefix:prefix + 1],
-                       out=block[:, :width])
-        _word_weights(block[:, :width], bits[:, :width], wts[:width])
-        counts += np.bincount(wts[:width], minlength=n + 1)
+    for _, wts in _weight_blocks(rows, n, start, stop):
+        counts += np.bincount(wts, minlength=n + 1)
     return counts
+
+
+def least_weight(rows: list[int], n: int, start: int = 0,
+                 stop: int | None = None) -> int:
+    """Least codeword weight over the nonzero messages in [start, stop).
+
+    The same blocks as ``weight_scan``, each reduced by its minimum instead
+    of a histogram; message 0 is left out.  Returns n + 1 when the range
+    holds no nonzero message, so the least weights of disjoint ranges
+    combine by ``min``.
+    """
+    if stop is None:
+        stop = 1 << len(rows)
+    least = n + 1
+    for first, wts in _weight_blocks(rows, n, start, stop):
+        if first == 0:
+            wts = wts[1:]
+        if wts.size:
+            least = min(least, int(wts.min()))
+    return least
 
 
 def _word_weights(block: np.ndarray, bits: np.ndarray,
@@ -118,10 +161,10 @@ def _popcount_order(bits: int, last: int) -> tuple[np.ndarray, list[int]]:
     Returns the indices and the offsets: the indices of popcount i <= last
     are entries [at[i], at[i + 1]).
     """
+    at = list(accumulate((math.comb(bits, i) for i in range(bits + 1)),
+                         initial=0))
     ones = np.bitwise_count(np.arange(1 << bits, dtype=np.uint64))
-    order = np.argsort(ones, kind="stable")[:np.count_nonzero(ones <= last)]
-    at = np.concatenate(([0], np.cumsum(np.bincount(ones))))
-    return order, at.tolist()
+    return np.argsort(ones, kind="stable")[:at[min(last, bits) + 1]], at
 
 
 def _layer_split(k: int) -> int:
@@ -135,6 +178,65 @@ def layer_words(k: int, t: int, last: int) -> int:
     k_lo = _layer_split(k)
     tables = (1 << k_lo) + (1 << (k - k_lo))
     return t * (tables + sum(math.comb(k, w) for w in range(1, last + 1)))
+
+
+@functools.cache
+def _layer_products(k: int, w: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """How ``layer_minima`` forms the message-weight-w words of k rows: the
+    generators per batch, and for each high weight h the counts of low and
+    high span-table columns it XORs, C(k_lo, w - h) and C(k - k_lo, h)."""
+    k_lo = _layer_split(k)
+    # C(k, min(w, k // 2)) bounds both C(k, w) and every C(k_lo, l)
+    batch = max(1, (1 << _LOW_BITS) // math.comb(k, min(w, k // 2)))
+    return batch, tuple((math.comb(k_lo, w - h), math.comb(k - k_lo, h))
+                        for h in range(max(0, w - k_lo), min(w, k - k_lo) + 1))
+
+
+@functools.cache
+def _batch_blocks(k: int, w: int, count: int) -> int:
+    """Blocks ``layer_minima`` forms for one batch of ``count`` generators
+    at message weight w: one per step of its innermost loop."""
+    size = 1 << _LOW_BITS
+    return sum(-(-high // (size // (count * low)))
+               for low, high in _layer_products(k, w)[1]) if count else 0
+
+
+def layer_blocks(k: int, t: int, last: int) -> int:
+    """Blocks of words ``layer_minima`` forms on t generators of k rows to
+    message weight ``last``: t // batch full batches per weight, then one
+    of the t % batch generators left."""
+    blocks = 0
+    for w in range(1, last + 1):
+        batch = _layer_products(k, w)[0]
+        blocks += (t // batch * _batch_blocks(k, w, batch)
+                   + _batch_blocks(k, w, t % batch))
+    return blocks
+
+
+# Route prices, in limbs of the words the full scan forms.  A word of
+# either kernel costs its ceil(n/64) limbs, 3/2 as much in
+# ``layer_minima``'s outer-product XOR; a block of the full scan costs
+# 2^11 limbs, one of ``layer_minima`` 2^13, and an information set (its
+# Gauss-Jordan split and its two span tables) 2^16.
+_SCAN_BLOCK = 1 << 11
+_SEARCH_BLOCK = 1 << 13
+_SET = 1 << 16
+
+
+def scan_price(k: int, n: int) -> int:
+    """Price of ``least_weight`` over all 2^k messages of k rows of n bits,
+    its two span tables included."""
+    k_lo = min(k, _LOW_BITS)
+    words = (1 << k) + (1 << k_lo) + (1 << (k - k_lo))
+    return words * _limbs(n) + _SCAN_BLOCK * -(-(1 << k) >> _LOW_BITS)
+
+
+def search_price(k: int, n: int, t: int, last: int) -> int:
+    """Price of ``layer_minima`` on t generators of k rows of n bits to
+    message weight ``last``, with the split of each one's information set;
+    it grows with t and with ``last``."""
+    return (3 * layer_words(k, t, last) * _limbs(n) // 2
+            + _SEARCH_BLOCK * layer_blocks(k, t, last) + _SET * t)
 
 
 def layer_minima(gens: list[list[int]], n: int, last: int | None = None):
@@ -191,8 +293,7 @@ def layer_minima(gens: list[list[int]], n: int, last: int | None = None):
         return least.tolist()
 
     for w in range(1, last + 1):
-        # C(k, min(w, k // 2)) bounds both C(k, w) and every C(k_lo, l)
-        batch = max(1, size // math.comb(k, min(w, k // 2)))
+        batch = _layer_products(k, w)[0]
         for first in range(0, t, batch):
             yield from minima(first, min(batch, t - first), w)
 

@@ -2,18 +2,20 @@
 
 Linear-code statistics come from the numpy span-table scan in ``_kernels``
 (one XOR and popcount per 64-bit limb of each word, over limb-major tables,
-with weights summed in the smallest unsigned dtype that holds n), which
-returns a weight histogram.  ``weight_distribution_of_rows`` scans all 2^k
-codewords of any span, the only scan sharded across threads; a
-constructed cyclic code is instead enumerated one cyclic-shift orbit at a
-time, and the full scan is its oracle.
-``min_distance_of_rows`` needs only the least weight, and gets it by the
-Brouwer-Zimmermann information-set search: t disjoint information sets,
-each systematic generator enumerated by increasing message weight until
-the best weight found meets the lower bound on every word not yet seen.
-A count of the words that search needs, made before its first round,
-picks the number of sets and hands the span to the full scan whenever
-that is cheaper.
+with weights summed in the smallest unsigned dtype that holds n).  Its
+blocks are reduced to a weight histogram for the weight distributions,
+and to their least weight for every caller that needs only the minimum
+distance.  A full scan covers all 2^k codewords of any span and is the
+only scan sharded across threads; a constructed cyclic code is instead
+enumerated one cyclic-shift orbit at a time, and the full scan is its
+oracle.
+``min_distance_of_rows`` gets the least weight either from the full scan
+or from the Brouwer-Zimmermann information-set search: t disjoint
+information sets, each systematic generator enumerated by increasing
+message weight until the best weight found meets the lower bound on every
+word not yet seen.  Both routes are priced in one unit before the search
+starts; when the full scan wins from the rank alone, the span is never
+split into information sets.
 A(n, d) for tiny n is a maximum-clique search over the graph of n-bit words
 with pairwise distance >= d, with the zero word and, up to a coordinate
 permutation, a least-weight nonzero word 1^w 0^(n-w) fixed into the code.
@@ -21,8 +23,10 @@ permutation, a least-weight nonzero word 1^w 0^(n-w) fixed into the code.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -70,36 +74,36 @@ def _check_budget(k: int, max_k: int) -> None:
             "pass a larger max_k to override")
 
 
-def _check_rows(rows: list[int], n: int) -> None:
+def _check_rows(rows: list[int], n: int) -> tuple[list[int], int]:
+    """Rows and n read through ``operator.index`` (numpy integers included;
+    a float or a str raises TypeError); a row that is negative or does not
+    fit in n bits raises ``ValueError``."""
+    n = operator.index(n)
+    rows = [operator.index(row) for row in rows]
     for i, row in enumerate(rows):
         if row < 0 or row >> n:
             raise ValueError(
                 f"generator row {i} ({row:#x}) does not fit in n = {n} bits")
+    return rows, n
 
 
-def _full_scan(rows: list[int], n: int, max_k: int,
-               workers: int) -> WeightDistribution:
-    """Histogram of all 2^k codewords of span(rows), sharded across threads.
+def _sharded(scan, rows: list[int], n: int, workers: int, combine):
+    """``scan(rows, n, start, stop)`` over all 2^k messages of ``rows``.
 
-    Shards partition the message range and their histograms add
-    elementwise, so the result does not depend on worker count or
-    completion order.
+    With more than one worker the message range is cut into one shard per
+    thread and the shards' results are merged by ``combine``: ``sum`` for
+    histograms, ``min`` for least weights.  Either merge is independent of
+    worker count and completion order.
     """
-    _check_budget(len(rows), max_k)
-    _check_rows(rows, n)
     total = 1 << len(rows)
     workers = max(1, min(workers, total))
-    cuts = [total * i // workers for i in range(workers + 1)]
     if workers == 1:
-        counts = _kernels.weight_scan(rows, n, 0, total)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(
-                lambda a, b: _kernels.weight_scan(rows, n, a, b),
-                cuts, cuts[1:]))
-    return WeightDistribution(n, len(rows), tuple(int(x) for x in counts),
-                              total)
+        return scan(rows, n, 0, total)
+    from concurrent.futures import ThreadPoolExecutor
+    cuts = [total * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return combine(pool.map(lambda a, b: scan(rows, n, a, b),
+                                cuts, cuts[1:]))
 
 
 def _systematic(rows: list[int], cols: int) -> tuple[list[int], int] | None:
@@ -145,34 +149,53 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
     not yet met has weight >= w + 1 on every set already done at weight w
     and >= w on the others, so the search stops once the best weight found
     is at most that bound; at the latest when w = ceil(best / t) - 1,
-    with best the least weight among the generator rows.  The words up to
-    that round, span tables included, are counted first: t is the number
-    of sets with the smallest count, and the span goes to the full scan
-    (sharded over ``workers`` threads) when that count is not below its
-    2^k words.  Each round only lowers best, so no later count can exceed
-    the first.
+    with best the least weight among the generator rows.
 
-    Raises ``ValueError`` for a row that is negative or does not fit in n
-    bits, and for a span with no nonzero word; ``BudgetExceeded`` when the
-    rank, not the row count, exceeds ``max_k``.
+    Both routes are priced first, in one unit: the limbs of the words
+    they form, plus a fixed charge per numpy block and per information set
+    (``_kernels.scan_price`` and ``search_price``).  Priced with best = 1,
+    a search costs no less than that on any span, so when even one set
+    costs no less than the full scan, k alone decides and no set is split.
+    Otherwise one set is split, and its least row weight prices the search
+    on each count of sets t whose lower bound is below the scan; t is the
+    cheapest count, and that many sets are split.  The span goes to the
+    full scan (``least_weight``, sharded over ``workers`` threads) unless
+    the search on them, priced with the best row weight of all, costs
+    less.  Each round only lowers best, so no later price can exceed it.
+
+    Rows and n are read through ``operator.index``.  Raises ``ValueError``
+    for a row that is negative or does not fit in n bits, and for a span
+    with no nonzero word; ``BudgetExceeded`` when the rank, not the row
+    count, exceeds ``max_k``.
     """
-    _check_rows(rows, n)
+    rows, n = _check_rows(rows, n)
     basis = row_basis(rows)
     k = len(basis)
     _check_budget(k, max_k)
-    gens, cols = [], (1 << n) - 1
-    while k and (found := _systematic(basis, cols)) is not None:
-        basis, cols = found
+    if not k:
+        raise ValueError("code has no nonzero codeword")
+
+    def price(t: int, best: int) -> int:
+        return _kernels.search_price(k, n, t, _last_weight(k, t, best))
+
+    scan, gens = _kernels.scan_price(k, n), []
+    # with best = 1 a price is a lower bound on every search on t sets
+    if price(1, 1) < scan:
+        basis, cols = _systematic(basis, (1 << n) - 1)
         gens.append(basis)
-    # the rows of the systematic generators are the weight-1 messages
-    best = min((row.bit_count() for gen in gens for row in gen), default=0)
-    # any t of the sets bound the unseen words; ``layer_words`` prices each
-    words = {t: _kernels.layer_words(k, t, _last_weight(k, t, best))
-             for t in range(1, len(gens) + 1)}
-    t = min(words, key=words.get, default=0)
-    if not k or words[t] >= 1 << k:
-        return _full_scan(basis, n, max_k, workers).min_distance
-    layers = _kernels.layer_minima(gens[:t], n, _last_weight(k, t, best))
+        # the rows of the systematic generators are the weight-1 messages
+        best = min(row.bit_count() for row in basis)
+        counts = takewhile(lambda t: price(t, 1) < scan, range(1, n // k + 1))
+        plan = min(counts, key=lambda t: price(t, best))
+        while len(gens) < plan and price(plan, best) < scan and \
+                (found := _systematic(basis, cols)) is not None:
+            basis, cols = found
+            gens.append(basis)
+            best = min(best, *(row.bit_count() for row in basis))
+    if not gens or price(len(gens), best) >= scan:
+        return _sharded(_kernels.least_weight, basis, n, workers, min)
+    t = len(gens)
+    layers = _kernels.layer_minima(gens, n, _last_weight(k, t, best))
     # value i, counted from t + 1, is set j's at message weight w: i = t w + j
     for i, least in enumerate(layers, t + 1):
         best = min(best, least)
@@ -187,49 +210,70 @@ def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 24,
 
     Dependent rows are not reduced: each codeword of a span of rank r
     counts 2^(len(rows) - r) times, so [0b011, 0b110, 0b101] gives counts
-    (2, 0, 6, 0) with k = 3.
+    (2, 0, 6, 0) with k = 3.  The message range is sharded over
+    ``workers`` threads.  Rows and n are read as in
+    ``min_distance_of_rows``.
     """
-    return _full_scan(rows, n, max_k, workers)
+    _check_budget(len(rows), max_k)
+    rows, n = _check_rows(rows, n)
+    counts = _sharded(_kernels.weight_scan, rows, n, workers, sum)
+    return WeightDistribution(n, len(rows), tuple(int(x) for x in counts),
+                              1 << len(rows))
 
 
-def _orbit_histogram(ideals: list[MinimalIdeal], n: int):
-    """Weight histogram of the direct sum of ``ideals``, and words scanned.
+def _orbit_cosets(ideals: list[MinimalIdeal], n: int, scan):
+    """``scan(rows, n, start, stop)`` on each shift-orbit coset of the
+    direct sum of ``ideals``; the pairs (orbit size, result), and the words
+    scanned.
 
     The words whose first-ideal component is a nonzero u weigh like
     u + span(later ideals), and shifting by x maps that set onto the one of
-    x*u while keeping weights, so each shift-orbit representative u counts
-    once per orbit member.  The words with u = 0 are the direct sum of the
-    later ideals, handled by the next step of the loop.
+    x*u while keeping weights, so each shift-orbit representative u stands
+    for every orbit member.  The words with u = 0 are the direct sum of
+    the later ideals, handled by the next step of the loop.  The orbit
+    sizes, with the zero word, must count all 2^k words of the sum;
+    anything else raises ``DecompositionFailure``.
     """
-    counts = np.zeros(n + 1, dtype=np.int64)
-    counts[0] = 1
-    scanned = 0
+    found, scanned, covered = [], 0, 1
     for i, ideal in enumerate(ideals):
         rest = [row for later in ideals[i + 1:] for row in later.rows()]
         lo = 1 << len(rest)
         for rep in ideal.orbit_representatives():
             # messages [2^k', 2^(k'+1)) are exactly rep + span(rest)
-            part = _kernels.weight_scan(rest + [rep], n, lo, 2 * lo)
-            counts += ideal.orbit_size * part
+            found.append((ideal.orbit_size,
+                          scan(rest + [rep], n, lo, 2 * lo)))
             scanned += lo
+            covered += ideal.orbit_size * lo
+    k = sum(ideal.dim for ideal in ideals)
+    if covered != 1 << k:
+        raise DecompositionFailure(
+            f"orbit enumeration counted {covered} words != 2^{k}")
+    return found, scanned
+
+
+def _orbit_histogram(ideals: list[MinimalIdeal], n: int):
+    """Weight histogram of the direct sum of ``ideals``, and words scanned:
+    each coset's histogram counts once per orbit member."""
+    found, scanned = _orbit_cosets(ideals, n, _kernels.weight_scan)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[0] = 1
+    for size, part in found:
+        counts += size * part
     return counts, scanned
 
 
-def _orbit_distribution(spec: ConstructionSpec,
-                        max_k: int) -> WeightDistribution:
+def _orbit_least(spec: ConstructionSpec, max_k: int) -> tuple[int, int]:
+    """Least nonzero weight of a constructed code, and words scanned: the
+    least weight over the orbit cosets, with no histogram."""
     _check_budget(spec.k, max_k)
-    counts, scanned = _orbit_histogram(minimal_ideals(spec), spec.n)
-    total = int(counts.sum())
-    if total != 1 << spec.k:
-        raise DecompositionFailure(
-            f"orbit enumeration counted {total} words != 2^{spec.k}")
-    return WeightDistribution(spec.n, spec.k, tuple(int(x) for x in counts),
-                              scanned)
+    found, scanned = _orbit_cosets(minimal_ideals(spec), spec.n,
+                                   _kernels.least_weight)
+    return min(least for _, least in found), scanned
 
 
 def min_distance(spec: ConstructionSpec, max_k: int = 24) -> int:
     """Exact minimum distance of a constructed code (orbit enumeration)."""
-    return _orbit_distribution(spec, max_k).min_distance
+    return _orbit_least(spec, max_k)[0]
 
 
 def weight_distribution(spec: ConstructionSpec,
@@ -239,21 +283,23 @@ def weight_distribution(spec: ConstructionSpec,
     Scans sum_i gcd(e_i, n) * 2^(m(c-i)) words instead of 2^k; the result
     equals ``weight_distribution_of_rows(spec.generator_rows(), ...)``.
     """
-    return _orbit_distribution(spec, max_k)
+    _check_budget(spec.k, max_k)
+    counts, scanned = _orbit_histogram(minimal_ideals(spec), spec.n)
+    return WeightDistribution(spec.n, spec.k, tuple(int(x) for x in counts),
+                              scanned)
 
 
 def distance_report(spec: ConstructionSpec, max_k: int = 24) -> dict:
     """CLI-facing summary of a distance verification run."""
     t0 = time.perf_counter()
-    wd = _orbit_distribution(spec, max_k)
-    d = wd.min_distance
+    d, scanned = _orbit_least(spec, max_k)
     return {
         "n": spec.n,
         "k": spec.k,
         "d_min": d,
         "designed_distance": spec.designed_distance,
         "meets_theorem1": d >= spec.designed_distance,
-        "words_scanned": wd.words_scanned,
+        "words_scanned": scanned,
         "seconds": round(time.perf_counter() - t0, 6),
     }
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Rational
@@ -31,6 +32,12 @@ _TOL = 1e-12  # bisection width, in absolute units of lambda
 _LAGUERRE_STEPS = 20  # a cap; 1-4 steps suffice from either start
 # the asymptotic start's margin over sqrt(n) t_r, far above t_r's float error
 _START_MARGIN = 1 + 1e-9
+# ``_radial_parts`` rescales its entries below _RESCALE_BELOW; an entry whose
+# ``math.frexp`` exponent is below _MIN_EXP is no normal float, and
+# ``_exact_digits`` rounds it in the context _DIGITS
+_RESCALE_BELOW = 2.0 ** -400
+_MIN_EXP = -1021
+_DIGITS = Context(prec=13, rounding=ROUND_HALF_EVEN)
 
 
 class InvalidRadius(ValueError):
@@ -182,11 +189,34 @@ def radial_vector(n: int, r: int, lam: float) -> list[float]:
     """Radial recurrence vector f(0..r) for trial eigenvalue ``lam``.
 
     f(0) = 1 and lam*f(i) = i*f(i-1) + (n-i)*f(i+1); at the true top
-    eigenvalue this is the (unnormalized) Perron vector of the ball.
+    eigenvalue this is the (unnormalized) Perron vector of the ball.  The
+    entries are those of ``_radial_parts`` as plain floats, so at huge n
+    the later ones underflow to 0.
     """
-    f = [1.0, lam / n]
+    return [math.ldexp(x, s) for x, s in _radial_parts(n, r, lam)]
+
+
+def _radial_parts(n: int, r: int, lam: float) -> list[tuple[float, int]]:
+    """``radial_vector`` with the entries' scale carried apart, so that
+    none underflows: pairs (x_i, s_i) for f(i) = x_i 2^(s_i).
+
+    s_i stays 0 while the entries are above 2^-400.  Past that the running
+    pair f(i-1), f(i) is scaled by the same power of two, which brings f(i)
+    into [0.5, 1), and s_i keeps the shift.  The entries fall by a factor
+    of about lam/n >= 2^-512 per step, so no next entry can underflow.  The
+    recurrence is linear and scaling by a power of two is exact, so
+    wherever the plain entries are normal floats, x_i 2^(s_i) equals them
+    bit for bit.
+    """
+    prev, cur, shift = 1.0, lam / n, 0
+    f = [(prev, 0), (cur, 0)]
     for i in range(1, r):
-        f.append((lam * f[i] - i * f[i - 1]) / (n - i))
+        prev, cur = cur, (lam * cur - i * prev) / (n - i)
+        if abs(cur) < _RESCALE_BELOW:
+            e = math.frexp(cur)[1]
+            prev, cur, shift = math.ldexp(prev, -e), math.ldexp(cur, -e), \
+                shift + e
+        f.append((cur, shift))
     return f[:r + 1]
 
 
@@ -320,13 +350,16 @@ def certify_radii(n: int, radii) -> list[EigenCertificate]:
     yet close to it for r <= 64, rather than at the Gershgorin bound.  The
     start is only a hint, so the float is the same either way.
 
-    Each radius's radial vector is regenerated from its float, and every
-    entry of every vector is rounded to 12 significant digits, an integer
-    m_i times 10^(e_i), by one "%.12e" formatting and one integer parse.  A
-    radius's quotient is evaluated on the integers m_i * 10^(e_i - min e),
-    a scaled copy of its witness with the same quotient, over binomial
-    weights C(n, i) formed once for all radii.  The result is a true lower
-    bound on lambda_B no matter how inaccurate the float stage was.
+    Each radius's radial vector is regenerated from its float with each
+    entry's scale carried apart (``_radial_parts``), and every entry of
+    every vector is rounded to 12 significant digits, an integer m_i times
+    10^(e_i), by one "%.12e" formatting and one integer parse; an entry
+    below the float range, met only at huge n, is rounded the same way
+    from its exact value (``_exact_digits``).  A radius's quotient is
+    evaluated on the integers m_i * 10^(e_i - min e), a scaled copy of its
+    witness with the same quotient, over binomial weights C(n, i) formed
+    once for all radii.  The result is a true lower bound on lambda_B no
+    matter how inaccurate the float stage was.
     Rounding is relative, so the witness keeps its shape at every n
     (f(0) = 1 keeps it nonzero) and the certificate stays within ~1e-12
     relative of lambda_float.  The certificate keeps the pairs (m_i, e_i);
@@ -342,8 +375,8 @@ def certify_radii(n: int, radii) -> list[EigenCertificate]:
     gershgorin = _row_sum_bounds(offdiag_sq)
     lams = [_top_eigenvalue(offdiag_sq[:r], lambda_ceiling(n, r),
                             gershgorin[r]) for r in radii]
-    vectors = [radial_vector(n, r, lam) for r, lam in zip(radii, lams)]
-    flat = [x for f in vectors for x in f]
+    vectors = [_radial_parts(n, r, lam) for r, lam in zip(radii, lams)]
+    flat = [math.ldexp(x, s) for f in vectors for x, s in f]
     # "d.dddddddddddde+XX" per entry: drop the point, split off the exponent
     parts = list(map(int, ("%.12e " * len(flat) % tuple(flat))
                      .replace(".", "").replace("e", " ").split()))
@@ -353,6 +386,10 @@ def certify_radii(n: int, radii) -> list[EigenCertificate]:
         ms = parts[at:at + 2 * len(f):2]
         es = [e - 12 for e in parts[at + 1:at + 2 * len(f):2]]
         at += 2 * len(f)
+        if f[-1][1]:           # rescaled: entries may lie below float range
+            for i, (x, s) in enumerate(f):
+                if math.frexp(x)[1] + s < _MIN_EXP:
+                    ms[i], es[i] = _exact_digits(x, s)
         low = min(es)
         certified = _quotient(weights, [m * 10 ** (e - low)
                                         for m, e in zip(ms, es)])
@@ -360,6 +397,18 @@ def certify_radii(n: int, radii) -> list[EigenCertificate]:
                                       lambda_certified=certified,
                                       digits=tuple(zip(ms, es))))
     return certs
+
+
+def _exact_digits(x: float, s: int) -> tuple[int, int]:
+    """x 2^s, a nonzero value below the normal float range, rounded to 13
+    significant digits half to even, as ``"%.12e"`` rounds a float: the
+    pair (m, e) of the value m 10^e, with |m| of 13 digits."""
+    x, e2 = math.frexp(x)
+    num = Decimal(int(math.ldexp(x, 53)))     # x 2^s = num / 2^(53 - s - e2)
+    q = _DIGITS.divide(num, Decimal(1 << 53 - s - e2))
+    sign, digits, exp = q.as_tuple()
+    m = int("".join(map(str, digits))) * 10 ** (13 - len(digits))
+    return -m if sign else m, exp + len(digits) - 13
 
 
 @functools.cache

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebounds import _kernels
+from codebounds import _kernels, distance
 from codebounds.cli import main
 from codebounds.distance import (
     BudgetExceeded,
@@ -146,6 +146,7 @@ class TestInformationSets:
     def test_rm_2_6_takes_the_information_set_route(self, monkeypatch):
         # RM(2, 6): n = 64, k = 22, two disjoint information sets
         monkeypatch.setattr(_kernels, "weight_scan", _fail)
+        monkeypatch.setattr(_kernels, "least_weight", _fail)
         assert min_distance_of_rows(_rm_rows(2, 6), 64) == 16
 
     def test_sets_used_are_the_cheapest_count(self, monkeypatch):
@@ -199,6 +200,38 @@ class TestInformationSets:
         with pytest.raises(BudgetExceeded, match="k = 26 exceeds"):
             min_distance_of_rows(rows, 26)
         assert min_distance_of_rows(rows, 26, max_k=26) == 1
+
+    @pytest.mark.parametrize("n,k", [(63, 15), (64, 15), (127, 14),
+                                     (255, 12)])
+    def test_full_scan_from_k_alone(self, monkeypatch, n, k):
+        # k is the largest rank whose full scan costs no more than one
+        # information set; such spans, and RM(1, 8) (k = 9), split no set
+        assert _kernels.scan_price(k, n) <= _kernels.search_price(k, n, 1, 0)
+        assert _kernels.scan_price(k + 1, n) > \
+            _kernels.search_price(k + 1, n, 1, 0)
+        monkeypatch.setattr(distance, "_systematic", _fail)
+        monkeypatch.setattr(_kernels, "layer_minima", _fail)
+        assert min_distance_of_rows(_rm_rows(1, 8), 256) == 128
+        rng = random.Random(n)
+        for density in (0.5, 0.03):
+            rows = [sum(1 << i for i in range(n) if rng.random() < density)
+                    for _ in range(k)]
+            assert min_distance_of_rows(rows, n) == \
+                weight_distribution_of_rows(rows, n).min_distance
+
+    @pytest.mark.parametrize("n", [63, 64, 127, 255])
+    def test_dense_rank_16_spans_split_one_set(self, monkeypatch, n):
+        # the first set prices the search above the scan; no second split
+        split = []
+        real = distance._systematic
+        monkeypatch.setattr(distance, "_systematic", lambda rows, cols: (
+            split.append(cols) or real(rows, cols)))
+        monkeypatch.setattr(_kernels, "layer_minima", _fail)
+        rng = random.Random(n)
+        rows = [rng.getrandbits(n) for _ in range(16)]
+        assert min_distance_of_rows(rows, n) == \
+            weight_distribution_of_rows(rows, n).min_distance
+        assert len(split) == 1
 
     def test_near_half_distance_code_goes_to_full_scan(self, monkeypatch):
         # (8,3): n = 255, k = 24, d = 96; ten sets would need message
@@ -306,6 +339,24 @@ def test_deep_8_3_orbit_histogram_matches_full_scan():
     assert weight_distribution(spec, max_k=24) == full
 
 
+def _span_scan_shapes():
+    rng = random.Random(22)
+    spans = [(n, [rng.getrandbits(n) for _ in range(22)])
+             for n in (63, 64, 127, 255)]
+    return spans + [(64, _rm_rows(2, 6))]
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("route", ["full scan", "information sets"])
+def test_deep_each_route_forced_gives_the_histograms_d(monkeypatch, route):
+    # a price of 2^64 keeps the other route from ever being taken
+    never = "search_price" if route == "full scan" else "scan_price"
+    monkeypatch.setattr(_kernels, never, lambda *args: 1 << 64)
+    for n, rows in _span_scan_shapes():
+        assert min_distance_of_rows(rows, n) == \
+            weight_distribution_of_rows(rows, n).min_distance, (n, route)
+
+
 @pytest.mark.deep
 def test_deep_12_2_full_scan_distance():
     spec = build_code(12, 2)
@@ -319,6 +370,68 @@ def test_deep_12_2_full_scan_distance():
 def test_rows_wider_than_n_rejected(entry, rows, bad):
     with pytest.raises(ValueError, match=f"row {bad} "):
         entry(rows, 3)
+
+
+def test_numpy_integers_read_as_ints():
+    rows = [np.int64(3), np.int64(5)]
+    d = min_distance_of_rows(rows, 3)
+    assert d == 2 and type(d) is int
+    wd = weight_distribution_of_rows(rows, np.int64(3))
+    assert wd == weight_distribution_of_rows([3, 5], 3)
+    assert type(wd.n) is int and wd.words_scanned == 4
+    assert min_distance_of_rows([3, 5], np.uint8(3)) == 2
+
+
+@pytest.mark.parametrize("entry", [min_distance_of_rows,
+                                   weight_distribution_of_rows])
+@pytest.mark.parametrize("rows,n", [([3.0, 5], 3), (["3"], 3), ([3, 5], 3.0),
+                                    ([3, 5], "3")])
+def test_float_or_str_is_a_type_error(entry, rows, n):
+    with pytest.raises(TypeError):
+        entry(rows, n)
+
+
+class TestLeastWeightOnly:
+    """The min-distance callers reduce each block to its least weight."""
+
+    def test_no_histogram_is_built(self, monkeypatch, code_6_2):
+        scanned = weight_distribution(build_code(8, 2)).words_scanned
+        monkeypatch.setattr(np, "bincount", _fail)
+        monkeypatch.setattr(_kernels, "weight_scan", _fail)
+        assert min_distance_of_rows(_rm_rows(1, 8), 256) == 128
+        assert min_distance_of_rows(_rm_rows(2, 6), 64) == 16
+        rows = code_6_2.generator_rows()
+        for workers in (1, 3):
+            assert min_distance_of_rows(rows, 63, workers=workers) == 24
+        assert min_distance(code_6_2) == 24
+        assert min_distance(build_code(8, 2)) == 112
+        report = distance_report(build_code(8, 2))
+        assert report["d_min"] == 112
+        assert report["words_scanned"] == scanned
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 255, 1023])
+    @pytest.mark.parametrize("k,start,stop", [
+        (1, 0, 2), (1, 1, 2), (1, 0, 1), (9, 0, 512), (14, 0, 9000),
+        (14, 3, 8193), (15, 8191, 20000), (16, 30000, 30001),
+        (16, 0, 1 << 16)])
+    def test_first_weight_of_the_histogram(self, n, k, start, stop):
+        # message 0 is left out; a range without another message gives
+        # n + 1, and dependent rows (n < k) may reach weight 0
+        rng = random.Random(n * 100 + k)
+        rows = [rng.getrandbits(n) or 1 for _ in range(k)]
+        counts = _kernels.weight_scan(rows, n, start, stop)
+        counts[0] -= start == 0
+        first = next((w for w, c in enumerate(counts) if c), n + 1)
+        assert _kernels.least_weight(rows, n, start, stop) == first
+
+    def test_shards_merge_by_min(self):
+        rng = random.Random(5)
+        rows = [rng.getrandbits(127) for _ in range(15)]
+        whole = _kernels.least_weight(rows, 127)
+        cuts = [0, 1, 4000, 8192, 20000, 1 << 15]
+        assert min(_kernels.least_weight(rows, 127, a, b)
+                   for a, b in zip(cuts, cuts[1:])) == whole
+        assert min_distance_of_rows(rows, 127, workers=3) == whole
 
 
 def _oracle_scan(rows, n, start, stop):
@@ -485,20 +598,24 @@ class TestLayerMinima:
 
 
     @pytest.mark.parametrize("n,k,t,last", [
-        (40, 9, 2, 3), (130, 14, 3, 4), (70, 26, 1, 2)])
+        (40, 9, 2, 3), (130, 14, 3, 4), (70, 26, 1, 2), (64, 22, 7, 4),
+        (255, 20, 50, 2)])
     def test_price_counts_the_words_formed(self, monkeypatch, n, k, t, last):
         # the price is the columns of the span tables plus the words whose
-        # weights are taken, to message weight ``last``
-        formed = []
+        # weights are taken, to message weight ``last``, in blocks of one
+        # ``_word_weights`` call each
+        formed, blocks = [], []
         real_table, real_weights = _kernels._span_table, _kernels._word_weights
         monkeypatch.setattr(_kernels, "_span_table", lambda rows: (
             formed.append(1 << len(rows)) or real_table(rows)))
         monkeypatch.setattr(_kernels, "_word_weights", lambda b, bits, w: (
-            formed.append(w.size) or real_weights(b, bits, w)))
+            formed.append(w.size) or blocks.append(1)
+            or real_weights(b, bits, w)))
         rng = random.Random(n + k)
         gens = [[rng.getrandbits(n) for _ in range(k)] for _ in range(t)]
         assert len(list(_kernels.layer_minima(gens, n, last))) == t * last
         assert sum(formed) == _kernels.layer_words(k, t, last)
+        assert len(blocks) == _kernels.layer_blocks(k, t, last)
 
 
 class TestExactASearch:

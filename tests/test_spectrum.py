@@ -205,6 +205,20 @@ class TestCertify:
         assert cert.lambda_certified <= lam * (1 + Fraction(1, 10 ** 12))
         assert (lam - cert.lambda_certified) / lam < Fraction(1, 10 ** 9)
 
+    @pytest.mark.parametrize("n,r", [(2 ** 600, 8), (2 ** 1000, 8),
+                                     (2 ** 1000, 4)])
+    def test_tight_past_the_float_range(self, n, r):
+        # plain float entries (lambda/n)^i underflow here; the witness keeps
+        # every entry nonzero, 13 digits each, and its quotient stays exact
+        cert = ball_certificate(n, r)
+        lam = Fraction(cert.lambda_float)
+        assert cert.lambda_certified <= lam * (1 + Fraction(1, 10 ** 12))
+        assert (lam - cert.lambda_certified) / lam < Fraction(1, 10 ** 9)
+        assert all(10 ** 12 <= m < 10 ** 13 for m, _ in cert.digits)
+        assert min(e for _, e in cert.digits) < -308
+        assert rayleigh_quotient(n, list(cert.witness)) == \
+            cert.lambda_certified
+
 
 # the bound-table workload's regime lengths span [2^10, 2^20] with r <= 16
 REGIME_BALLS = [(n, r) for n in (2 ** 10, 1500, 3001, 10 ** 4, 50000,
@@ -265,7 +279,8 @@ class TestCertifyStart:
         sweep += list(rng.standard_normal(20) * 10.0 ** rng.integers(
             -300, 300, 20))
         sweep = [float(x) for x in sweep]
-        monkeypatch.setattr(sp, "radial_vector", lambda n, r, lam: sweep)
+        monkeypatch.setattr(sp, "_radial_parts", lambda n, r, lam: [
+            (x, 0) for x in sweep])
         cert = certify(63, 3)
         assert cert.digits == tuple(map(decimal_reference, sweep))
         assert cert.witness == tuple(Fraction(f"{x:.12e}") for x in sweep)
@@ -372,6 +387,29 @@ class TestRadialVector:
             lhs = (n - i) * f[i + 1]
             rhs = lam * f[i] - (i * f[i - 1] if i else 0.0)
             assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("n,r", [(15, 3), (1000, 16), (2 ** 200, 8),
+                                     (2 ** 300 - 7, 6)])
+    def test_plain_floats_where_they_are_normal(self, n, r):
+        # the scaled entries are the plain recurrence's, bit for bit
+        lam = top_eigenvalue(ball_operator(n, r))
+        plain = [1.0, lam / n]
+        for i in range(1, r):
+            plain.append((lam * plain[i] - i * plain[i - 1]) / (n - i))
+        assert min(plain) > 2.3e-308
+        assert radial_vector(n, r, lam) == plain
+        assert [math.ldexp(x, s) for x, s in sp._radial_parts(n, r, lam)] \
+            == plain
+
+    def test_no_entry_underflows(self):
+        n, r = 2 ** 1000, 8
+        lam = top_eigenvalue(ball_operator(n, r))
+        parts = sp._radial_parts(n, r, lam)
+        assert all(x > 0 for x, _ in parts)
+        assert radial_vector(n, r, lam)[-1] == 0.0
+        # successive entries fall by about lam / n ~ 2^-500
+        exps = [math.frexp(x)[1] + s for x, s in parts]
+        assert all(-505 < b - a < -495 for a, b in zip(exps[1:], exps[2:]))
 
 
 class TestAsymptoticConstant:
