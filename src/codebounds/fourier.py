@@ -28,7 +28,10 @@ rows.  The covering replay is numeric by nature (a square root and a
 Perron vector enter): it reads 1_C * 1_C and the minimum distance from the
 integer histogram of pairwise XORs, takes lambda from the ball's cached
 certificate, runs its float64 arrays through the dtype-agnostic kernels
-directly and checks each step with a relative tolerance.
+directly and checks each step with a relative tolerance.  Only the ball's
+Perron vector f depends on the radius; the code side (the pair histogram,
+d, phi and u(phi)) is computed once per code and kept for the last code
+only, so the replays of one code at several radii share it.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -39,6 +42,7 @@ Parseval reads <f, g> = sum_z wht(f)(z) wht(g)(z).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -281,6 +285,8 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     <f*g, h> = <f, g*h>; and Af = f * L elementwise.  The degree transform
     L-hat(z) = n - 2 w(z) is checked once per dimension.  Raises
     ChainViolation on the first failure, and ValueError for count < 1.
+    n, count and seed are read through ``operator.index`` (numpy integers
+    included; a float raises TypeError).
 
     The functions are drawn in bulk by ``_random_functions``: values
     exactly uniform on [-16, 16] from ``random.Random(seed * 1000003 + n)``
@@ -308,6 +314,7 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     through neither ``clear_denominators`` nor ``_out``, the code under
     test.
     """
+    n, count, seed = map(operator.index, (n, count, seed))
     if not 1 <= n <= DENSE_MAX_N:
         raise DimensionMismatch(
             f"n = {n} outside dense range 1..{DENSE_MAX_N}")
@@ -379,6 +386,38 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     return {"n": n, "count": count, "pass": True}
 
 
+def _mean(vals: np.ndarray) -> float:
+    return float(vals.sum()) / vals.size
+
+
+def _mean_sq(vals: np.ndarray) -> float:
+    return float(np.dot(vals, vals)) / vals.size
+
+
+@functools.lru_cache(maxsize=1)
+def _code_side(code: tuple[int, ...], n: int):
+    """The radius-free half of ``covering_replay`` for one code.
+
+    ``code`` is the sorted distinct words as Python ints, all in
+    [0, 2^n).  Returns (weights, d, u(phi), E phi, E phi^2): the Hamming
+    weight of every point, the least nonzero weight the pair histogram N
+    reaches (n for a one-word code), and u(phi) with the moments of phi =
+    u(phi_hat), phi_hat = sqrt(N/2^n) = sqrt(1_C * 1_C).  Both arrays are
+    read-only: every caller is handed the same ones.
+    """
+    size = 1 << n
+    weights = np.bitwise_count(np.arange(size))
+    pairs = _pair_counts(code, n)
+    reached = weights[(pairs > 0) & (weights > 0)]
+    d = int(reached.min()) if reached.size else n
+    phi_hat = np.sqrt(pairs / size)          # sqrt(1_C * 1_C)
+    phi = _butterfly(phi_hat)                # synthesis: sum_z phi_hat chi_z
+    u_phi = _butterfly(phi)
+    weights.flags.writeable = False
+    u_phi.flags.writeable = False
+    return weights, d, u_phi, _mean(phi), _mean_sq(phi)
+
+
 def covering_replay(code, r: int, n: int | None = None) -> dict:
     """Numerically replay the eigenvalue covering bound on a concrete code.
 
@@ -393,15 +432,24 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     weight N reaches (n for a one-word code).  Both are exact: the float
     convolution u(u(1_C)^2)/4^n forms only integers below 2^53 over a power
     of 2, so it equals N/2^n bit for bit.
+    The code side (the pair histogram, d, phi and u(phi)) does not depend
+    on r: it is computed once per code by ``_code_side`` and kept for the
+    last code only, so replaying one code at several radii builds it once.
+    Words, r and n are read through ``operator.index`` (numpy integers
+    included; a float or a str raises TypeError), so the report holds
+    Python ints.
     Raises ChainViolation if any step fails beyond tolerance; OutOfRange for
     a code without the zero word, InvalidRadius unless 1 <= r <= n/2, and
     DimensionMismatch for n > ``REPLAY_MAX_N`` or a word outside the cube,
     a negative one before the radius.  A given n meets the cap before
     ``code`` is read, so a lazy ``code`` is never consumed above it; a
-    missing n is the largest word's bit length (>= 1).
+    missing n is the largest word's bit length (>= 1).  Every check runs
+    before the code side is computed or read from the cache.
     """
+    if n is not None:
+        n = operator.index(n)
     if n is None or n <= REPLAY_MAX_N:
-        code = sorted(set(code))
+        code = sorted({operator.index(c) for c in code})
         if 0 not in code:
             raise OutOfRange("code must be nonempty and contain 0")
         if n is None:
@@ -410,15 +458,13 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
             raise DimensionMismatch(f"codeword {code[0]} outside [0, 2^{n})")
     if n > REPLAY_MAX_N:
         raise DimensionMismatch(f"n = {n} exceeds replay cap {REPLAY_MAX_N}")
+    r = operator.index(r)
     lam = ball_certificate(n, r).lambda_float
     size = 1 << n
     for c in code:
         if c >= size:
             raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
-    weights = np.bitwise_count(np.arange(size))
-    pairs = _pair_counts(code, n)
-    reached = weights[(pairs > 0) & (weights > 0)]
-    d = int(reached.min()) if reached.size else n
+    weights, d, u_phi, ephi, ephi2 = _code_side(tuple(code), n)
 
     # the radial vector on the ball, and 0 (index r + 1) off it
     rad = np.array(radial_vector(n, r, lam) + [0.0])
@@ -428,20 +474,10 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     scale = float(np.abs(f).max()) * lam
     perron_ok = worst >= -_REL_TOL * scale
 
-    phi_hat = np.sqrt(pairs / size)          # sqrt(1_C * 1_C)
-    phi = _butterfly(phi_hat)                # synthesis: sum_z phi_hat chi_z
     # float convolution u(u(phi) . u(f)) / 4^n, on the kernels directly
-    big_f = _butterfly(_butterfly(phi) * _butterfly(f)) / size ** 2
-
-    def mean(vals):
-        return float(vals.sum()) / size
-
-    def mean_sq(vals):
-        return float(np.dot(vals, vals)) / size
-
-    ef, ef2 = mean(f), mean_sq(f)
-    ephi, ephi2 = mean(phi), mean_sq(phi)
-    eF, eF2 = mean(big_f), mean_sq(big_f)
+    big_f = _butterfly(u_phi * _butterfly(f)) / size ** 2
+    ef, ef2 = _mean(f), _mean_sq(f)
+    eF, eF2 = _mean(big_f), _mean_sq(big_f)
     ball = vol(r, n)
     m = len(code)
     afF = float(np.dot(_adjacency(big_f), big_f)) / size

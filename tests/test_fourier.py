@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codebounds.bounds import OutOfRange, ball_certificate, new_upper, vol
+from codebounds.cyclic import encode
 from codebounds.fourier import (
     ChainViolation,
     DimensionMismatch,
@@ -313,6 +314,83 @@ class TestCoveringReplay:
         assert covering_replay(iter([7, 0]), r=1) == \
             covering_replay([0, 7], r=1)
 
+    @pytest.mark.parametrize("code, r, n", [
+        (np.array([0, 7]), 1, None),
+        ([np.int64(0), np.uint16(7)], 1, None),
+        ([0, 7], np.int64(1), np.int64(3)),
+        (np.array([0, 7], dtype=np.uint8), np.int32(1), np.uint8(3)),
+    ])
+    def test_numpy_integers_read_as_ints(self, code, r, n):
+        rep = covering_replay(code, r, n)
+        assert repr(rep) == repr(covering_replay([0, 7], 1, 3))
+        assert type(rep["n"]) is int and type(rep["r"]) is int
+
+    @pytest.mark.parametrize("code, r, n", [
+        ([0, 7.0], 1, None),
+        (np.array([0.0, 7.0]), 1, None),
+        ([0, 7], 1.0, 3),
+        ([0, 7], 1, 3.0),
+        (["0", "7"], 1, 3),
+    ])
+    def test_non_integers_refused(self, code, r, n):
+        with pytest.raises(TypeError):
+            covering_replay(code, r, n)
+
+
+def _code_words(spec):
+    return [encode(spec, msg).bits for msg in range(1 << spec.k)]
+
+
+class TestCodeSide:
+    """The radius-free half of the replay, computed once per code."""
+
+    def test_cached_reports_equal_fresh(self, code_4_1):
+        words = _code_words(code_4_1)
+        fresh = []
+        for r in range(1, 8):
+            fr._code_side.cache_clear()
+            fresh.append(repr(covering_replay(words, r, code_4_1.n)))
+        cached = [repr(covering_replay(words, r, code_4_1.n))
+                  for r in range(1, 8)]
+        assert cached == fresh
+
+    def test_pairs_counted_once_per_code(self, monkeypatch, code_4_1):
+        calls = []
+
+        def counting(code, n):
+            calls.append(n)
+            return pair_counts(code, n)
+
+        pair_counts = fr._pair_counts
+        monkeypatch.setattr(fr, "_pair_counts", counting)
+        fr._code_side.cache_clear()
+        words = _code_words(code_4_1)
+        for r in range(1, 8):
+            covering_replay(words, r, code_4_1.n)
+        assert calls == [15]
+
+    def test_cached_arrays_read_only(self):
+        fr._code_side.cache_clear()
+        covering_replay([0, 7], 1)
+        weights, _, u_phi, _, _ = fr._code_side((0, 7), 3)
+        assert fr._code_side.cache_info().hits == 1
+        for array in (weights, u_phi):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_codes_alternate(self):
+        # a second code, the first again, then its words in a larger cube
+        calls = [([0, 3, 12, 15], 1, 6), ([0, 63], 2, 6),
+                 ([0, 3, 12, 15], 2, 6), ([0, 3, 12, 15], 2, 8)]
+        fresh = []
+        for args in calls:
+            fr._code_side.cache_clear()
+            fresh.append(repr(covering_replay(*args)))
+        assert [repr(covering_replay(*args)) for args in calls] == fresh
+
+    def test_keeps_the_last_code_only(self):
+        assert fr._code_side.cache_info().maxsize == 1
+
 
 class TestIdentitySuite:
     def test_small_run(self):
@@ -326,6 +404,23 @@ class TestIdentitySuite:
     def test_range(self, n):
         with pytest.raises(DimensionMismatch):
             identity_suite(n, count=1)
+
+    @pytest.mark.parametrize("n, count, seed, error", [
+        (np.int64(3), 3, 0, None),
+        (3, np.int32(3), np.uint8(0), None),
+        (np.uint8(3), np.int64(3), np.int64(0), None),
+        (3.0, 3, 0, TypeError),
+        (3, 3.0, 0, TypeError),
+        (3, 3, 0.0, TypeError),
+    ])
+    def test_numpy_integer_arguments(self, n, count, seed, error):
+        if error:
+            with pytest.raises(error):
+                identity_suite(n, count, seed)
+        else:
+            out = identity_suite(n, count, seed)
+            assert out == identity_suite(3, 3, 0)
+            assert type(out["n"]) is int and type(out["count"]) is int
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_nonpositive_count_rejected(self, count):
