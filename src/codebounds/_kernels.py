@@ -12,7 +12,10 @@ once per call.  The weights are summed in the smallest unsigned dtype
 that holds n, so a weight never wraps.  One block loop feeds two
 reductions: ``weight_scan`` histograms each block, and ``least_weight``
 keeps only its least weight, message 0 left out, which is all a minimum
-distance needs.  ``layer_minima`` builds the same two tables, split at
+distance needs.  ``coset_scan`` and ``coset_least`` reduce the same way
+the cosets rep + span(rest) of a minimal ideal's orbit representatives,
+off one pair of tables of ``rest`` with each rep XORed into the high
+columns.  ``layer_minima`` builds the same two tables, split at
 min(13, ceil(k/2)) bits and with their columns sorted by message
 popcount, to find the least weight of each message-weight layer of a span
 without enumerating the others.  ``scan_price`` and ``search_price`` price
@@ -68,7 +71,8 @@ def _span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _weight_blocks(rows: list[int], n: int, start: int, stop: int):
+def _weight_blocks(rows: list[int], n: int, start: int = 0,
+                   stop: int | None = None, reps: list[int] | None = None):
     """The weights of the codewords of messages [start, stop), by block.
 
     Yields (first message, weights) for each run of at most 2^13 messages
@@ -77,12 +81,25 @@ def _weight_blocks(rows: list[int], n: int, start: int, stop: int):
     docstring), and the per-word weights are summed over limbs in
     ``np.min_scalar_type(n)``, the smallest unsigned dtype that holds n
     (uint8 only for n <= 255).  The work buffers belong to this call, so
-    concurrent calls share nothing.
+    concurrent calls share nothing.  With ``reps``, message r * 2^k + m
+    is reps[r] + (word of m), each rep XORed into the high columns only.
+    ``stop`` defaults to the message count; a range outside
+    0 <= start <= stop <= that count raises ``ValueError`` before any table
+    is built.
     """
+    total = (1 if reps is None else len(reps)) << len(rows)
+    stop = total if stop is None else stop
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"message range [{start}, {stop}) is not a range "
+                         f"inside the {total} messages [0, {total})")
     packed = pack_rows(rows, n)
     k_lo = min(len(rows), _LOW_BITS)
     low = _span_table(packed[:k_lo])
     high = _span_table(packed[k_lo:])
+    if reps is not None:
+        # column r * 2^(k - k_lo) + j is rep r XOR column j
+        high = np.bitwise_xor(high[:, None], pack_rows(reps, n).T[:, :, None])
+        high = high.reshape(len(high), -1)
     size = 1 << k_lo
     block = np.empty_like(low)
     bits = np.empty(low.shape, dtype=np.uint8)
@@ -111,10 +128,18 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
     disjoint ranges add elementwise, which is how the full scan in
     ``distance`` shards the range across threads.
     """
-    if stop is None:
-        stop = 1 << len(rows)
+    return _histogram(_weight_blocks(rows, n, start, stop), n)
+
+
+def coset_scan(rest: list[int], reps: list[int], n: int) -> np.ndarray:
+    """The weight histograms of the cosets rep + span(rest), summed over
+    ``reps``, from one pair of span tables of ``rest``."""
+    return _histogram(_weight_blocks(rest, n, reps=reps), n)
+
+
+def _histogram(blocks, n: int) -> np.ndarray:
     counts = np.zeros(n + 1, dtype=np.int64)
-    for _, wts in _weight_blocks(rows, n, start, stop):
+    for _, wts in blocks:
         counts += np.bincount(wts, minlength=n + 1)
     return counts
 
@@ -128,8 +153,6 @@ def least_weight(rows: list[int], n: int, start: int = 0,
     holds no nonzero message, so the least weights of disjoint ranges
     combine by ``min``.
     """
-    if stop is None:
-        stop = 1 << len(rows)
     least = n + 1
     for first, wts in _weight_blocks(rows, n, start, stop):
         if first == 0:
@@ -137,6 +160,13 @@ def least_weight(rows: list[int], n: int, start: int = 0,
         if wts.size:
             least = min(least, int(wts.min()))
     return least
+
+
+def coset_least(rest: list[int], reps: list[int], n: int) -> int:
+    """Least weight over the cosets rep + span(rest), as ``coset_scan``
+    reads them; n + 1 when ``reps`` is empty."""
+    blocks = _weight_blocks(rest, n, reps=reps)
+    return min((int(wts.min()) for _, wts in blocks), default=n + 1)
 
 
 def _word_weights(block: np.ndarray, bits: np.ndarray,

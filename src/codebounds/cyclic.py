@@ -8,7 +8,9 @@ generator polynomial g.  The roots are read off the degree-k check
 polynomial h = (x^n - 1)/g: alpha^j is a root of g exactly when
 h(alpha^j) != 0, one evaluation per cyclotomic coset.  ``minimal_ideals``
 splits a built code into its c minimal ideals, whose cyclic-shift orbits
-the distance engine enumerates.
+the distance engine enumerates.  A spec object keeps its root flags and
+ideals, and an ideal its orbit representatives, once verified: per object,
+not per value, and handed out as tuples or new lists.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .gf2 import (
     FieldContext,
@@ -90,6 +93,14 @@ class ConstructionSpec:
     def generator_rows(self) -> list[int]:
         """Generator-matrix rows: bit images of x^i * g(x), i = 0..k-1."""
         return [self.generator << i for i in range(self.k)]
+
+    @cached_property
+    def _roots(self) -> tuple[bool, ...]:
+        return tuple(_root_flags(self))
+
+    @cached_property
+    def _ideals(self) -> tuple[MinimalIdeal, ...]:
+        return _split_ideals(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,35 +219,44 @@ class MinimalIdeal:
         is then checked by shifting: each orbit must close after exactly
         ``orbit_size`` shifts without meeting another representative, and
         the orbits must cover all 2^dim - 1 nonzero words.  Anything else
-        raises ``DecompositionFailure``.
+        raises ``DecompositionFailure``.  Both run once per ideal object.
         """
-        ctx, n, size = self.field, self.n, self.orbit_size
-        powers = [ctx.alpha_pow(self.exponent * j) for j in range(self.dim)]
-        target = {ctx.alpha_pow(r): r for r in range(n // size)}
-        messages = [0] * len(target)
-        value = 0
-        for step in range(1, 1 << self.dim):     # Gray-code walk over a
-            value ^= powers[(step & -step).bit_length() - 1]
-            if value in target:
-                messages[target[value]] = step ^ (step >> 1)
-        reps = [poly_mul(a, self.generator) for a in messages]
-        if len(reps) * size != (1 << self.dim) - 1:
+        return list(self._orbits)
+
+    @cached_property
+    def _orbits(self) -> tuple[int, ...]:
+        return _walk_orbits(self)
+
+
+def _walk_orbits(ideal: MinimalIdeal) -> tuple[int, ...]:
+    """The verified words of ``MinimalIdeal.orbit_representatives``."""
+    ctx, n, size = ideal.field, ideal.n, ideal.orbit_size
+    powers = [ctx.alpha_pow(ideal.exponent * j) for j in range(ideal.dim)]
+    target = {ctx.alpha_pow(r): r for r in range(n // size)}
+    messages = [0] * len(target)
+    value = 0
+    for step in range(1, 1 << ideal.dim):     # Gray-code walk over a
+        value ^= powers[(step & -step).bit_length() - 1]
+        if value in target:
+            messages[target[value]] = step ^ (step >> 1)
+    reps = [poly_mul(a, ideal.generator) for a in messages]
+    if len(reps) * size != (1 << ideal.dim) - 1:
+        raise DecompositionFailure(
+            f"{len(reps)} orbits of {size} words do not cover the "
+            f"ideal of coset {ideal.exponent}")
+    mask = (1 << n) - 1
+    others = set(reps)
+    for word in reps:
+        w = word
+        for shift in range(1, size + 1):
+            w = ((w << 1) | (w >> (n - 1))) & mask
+            if w in others:
+                break
+        if w != word or shift != size:
             raise DecompositionFailure(
-                f"{len(reps)} orbits of {size} words do not cover the "
-                f"ideal of coset {self.exponent}")
-        mask = (1 << n) - 1
-        others = set(reps)
-        for word in reps:
-            w = word
-            for shift in range(1, size + 1):
-                w = ((w << 1) | (w >> (n - 1))) & mask
-                if w in others:
-                    break
-            if w != word or shift != size:
-                raise DecompositionFailure(
-                    f"shift orbit in the ideal of coset {self.exponent} "
-                    f"does not close after exactly {size} shifts")
-        return reps
+                f"shift orbit in the ideal of coset {ideal.exponent} "
+                f"does not close after exactly {size} shifts")
+    return tuple(reps)
 
 
 def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
@@ -245,8 +265,14 @@ def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
     Each ideal generator is x^n - 1 divided exactly by the coset's minimal
     polynomial (``InexactDivision`` otherwise).  Every ideal must lie in the
     code and their rows together must have rank k, so that their direct sum
-    is the code; anything else raises ``DecompositionFailure``.
+    is the code; anything else raises ``DecompositionFailure``.  The split
+    and its checks run once per spec object.
     """
+    return list(spec._ideals)
+
+
+def _split_ideals(spec: ConstructionSpec) -> tuple[MinimalIdeal, ...]:
+    """The checked ideals of ``minimal_ideals``."""
     xn1 = (1 << spec.n) | 1
     ideals = []
     for cs in spec.cosets:
@@ -264,7 +290,7 @@ def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
     if rank != spec.k:
         raise DecompositionFailure(
             f"minimal ideals span rank {rank} != k = {spec.k}")
-    return ideals
+    return tuple(ideals)
 
 
 def _eval_at_alpha_pow(ctx: FieldContext, poly: int, j: int) -> int:
@@ -315,7 +341,7 @@ def bch_certificate(spec: ConstructionSpec) -> int:
     if overlap:
         raise CertificateFailure(
             f"removed exponents {sorted(overlap)} inside root window")
-    is_root = _root_flags(spec)
+    is_root = spec._roots
     for j in window:
         if not is_root[j]:
             raise CertificateFailure(
@@ -336,7 +362,7 @@ def best_bch_distance(spec: ConstructionSpec) -> int:
     distance; e.g. (m, c) = (4, 1) certifies 6 here against a designed 4.
     """
     n = spec.n
-    is_root = _root_flags(spec)
+    is_root = spec._roots
     if all(is_root):            # cannot happen for a nonzero code
         return n + 1
     # longest circular run of roots: scan doubled sequence

@@ -8,7 +8,8 @@ and to their least weight for every caller that needs only the minimum
 distance.  A full scan covers all 2^k codewords of any span and is the
 only scan sharded across threads; a constructed cyclic code is instead
 enumerated one cyclic-shift orbit at a time, and the full scan is its
-oracle.
+oracle.  Each minimal ideal is scanned off one pair of span tables of the
+later ideals, which the spec object keeps with their orbit representatives.
 ``min_distance_of_rows`` gets the least weight either from the full scan
 or from the Brouwer-Zimmermann information-set search: t disjoint
 information sets, each systematic generator enumerated by increasing
@@ -222,28 +223,26 @@ def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 24,
 
 
 def _orbit_cosets(ideals: list[MinimalIdeal], n: int, scan):
-    """``scan(rows, n, start, stop)`` on each shift-orbit coset of the
-    direct sum of ``ideals``; the pairs (orbit size, result), and the words
-    scanned.
+    """``scan(rest, reps, n)`` once per ideal, on the shift-orbit cosets
+    rep + span(rest) of the direct sum of ``ideals``; the pairs (orbit
+    size, result), and the words scanned.
 
     The words whose first-ideal component is a nonzero u weigh like
     u + span(later ideals), and shifting by x maps that set onto the one of
     x*u while keeping weights, so each shift-orbit representative u stands
-    for every orbit member.  The words with u = 0 are the direct sum of
-    the later ideals, handled by the next step of the loop.  The orbit
-    sizes, with the zero word, must count all 2^k words of the sum;
+    for every orbit member; an ideal's representatives share its orbit
+    size, so one scan covers them all.  The words with u = 0 are the direct
+    sum of the later ideals, handled by the next step of the loop.  The
+    orbit sizes, with the zero word, must count all 2^k words of the sum;
     anything else raises ``DecompositionFailure``.
     """
     found, scanned, covered = [], 0, 1
     for i, ideal in enumerate(ideals):
         rest = [row for later in ideals[i + 1:] for row in later.rows()]
-        lo = 1 << len(rest)
-        for rep in ideal.orbit_representatives():
-            # messages [2^k', 2^(k'+1)) are exactly rep + span(rest)
-            found.append((ideal.orbit_size,
-                          scan(rest + [rep], n, lo, 2 * lo)))
-            scanned += lo
-            covered += ideal.orbit_size * lo
+        reps = ideal.orbit_representatives()
+        found.append((ideal.orbit_size, scan(rest, reps, n)))
+        scanned += len(reps) << len(rest)
+        covered += ideal.orbit_size * len(reps) << len(rest)
     k = sum(ideal.dim for ideal in ideals)
     if covered != 1 << k:
         raise DecompositionFailure(
@@ -254,7 +253,7 @@ def _orbit_cosets(ideals: list[MinimalIdeal], n: int, scan):
 def _orbit_histogram(ideals: list[MinimalIdeal], n: int):
     """Weight histogram of the direct sum of ``ideals``, and words scanned:
     each coset's histogram counts once per orbit member."""
-    found, scanned = _orbit_cosets(ideals, n, _kernels.weight_scan)
+    found, scanned = _orbit_cosets(ideals, n, _kernels.coset_scan)
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[0] = 1
     for size, part in found:
@@ -267,7 +266,7 @@ def _orbit_least(spec: ConstructionSpec, max_k: int) -> tuple[int, int]:
     least weight over the orbit cosets, with no histogram."""
     _check_budget(spec.k, max_k)
     found, scanned = _orbit_cosets(minimal_ideals(spec), spec.n,
-                                   _kernels.least_weight)
+                                   _kernels.coset_least)
     return min(least for _, least in found), scanned
 
 

@@ -45,6 +45,12 @@ class TestConstruct:
         assert "bch_certificate = 4" in lines
         assert "best_bch_distance = 6" in lines
 
+    @pytest.mark.parametrize("m, c", [("8", "3"), ("10", "2")])
+    def test_text_pinned(self, capsys, m, c):
+        code, out, err = run_cli(capsys, "construct", "--m", m, "--c", c)
+        with open(os.path.join(DATA, f"construct_m{m}_c{c}.txt")) as fh:
+            assert (code, out, err) == (0, fh.read(), "")
+
     def test_explicit_modulus(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--m", "4", "--c", "1",
                                "--modulus", "0x13", "--json")

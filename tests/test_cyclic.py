@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import codebounds.cyclic as cy
+from codebounds.cli import main
 from codebounds.cyclic import (
     CertificateFailure,
+    DecompositionFailure,
     InvalidParameters,
     LengthMismatch,
     _eval_at_alpha_pow,
@@ -20,6 +23,12 @@ from codebounds.cyclic import (
     coset_exponents,
     designed_distance,
     encode,
+    minimal_ideals,
+)
+from codebounds.distance import (
+    distance_report,
+    min_distance,
+    weight_distribution,
 )
 from codebounds.gf2 import cyclotomic_coset, poly_degree, poly_mod
 
@@ -140,6 +149,93 @@ class TestBchCertificate:
         spec = build_code(m, c)
         assert bch_certificate(spec) == designed
         assert best_bch_distance(spec) == best
+
+
+def _spy(monkeypatch, name):
+    """Record the argument of every call to ``cyclic.<name>``."""
+    calls = []
+    real = getattr(cy, name)
+    monkeypatch.setattr(cy, name, lambda obj: calls.append(obj) or real(obj))
+    return calls
+
+
+class TestComputedOnce:
+    """A spec keeps its root flags and ideals, an ideal its orbits."""
+
+    def test_root_flags_once_per_spec(self, monkeypatch, capsys):
+        calls = _spy(monkeypatch, "_root_flags")
+        spec = build_code(6, 2)
+        for _ in range(2):
+            assert bch_certificate(spec) == 16
+            assert best_bch_distance(spec) == 18
+        assert len(calls) == 1 and calls[0] is spec
+        calls.clear()
+        # construct builds one spec and certifies it with both functions
+        assert main(["construct", "--m", "8", "--c", "3"]) == 0
+        assert "best_bch_distance = 66" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_ideals_and_orbits_once_per_spec(self, monkeypatch):
+        splits = _spy(monkeypatch, "_split_ideals")
+        walks = _spy(monkeypatch, "_walk_orbits")
+        spec = build_code(8, 3)
+        wd = weight_distribution(spec)
+        assert min_distance(spec) == wd.min_distance == 96
+        report = distance_report(spec)
+        assert report["words_scanned"] == wd.words_scanned == 197_891
+        ideals = minimal_ideals(spec)
+        assert len(splits) == 1 and splits[0] is spec
+        assert [id(ideal) for ideal in walks] == [id(i) for i in ideals]
+
+    def test_equal_specs_keep_their_own(self, monkeypatch):
+        # equal values over two fields: the orbit walk runs in each field
+        a, b = build_code(4, 1, 0x13), build_code(4, 1, 0x19)
+        assert a == b and a.field != b.field
+        specs = [a, b, dataclasses.replace(a), dataclasses.replace(b)]
+        flags = _spy(monkeypatch, "_root_flags")
+        splits = _spy(monkeypatch, "_split_ideals")
+        reps = []
+        for spec in specs:
+            assert best_bch_distance(spec) == 6
+            ideal, = minimal_ideals(spec)
+            assert ideal.field is spec.field
+            reps.append(ideal.orbit_representatives())
+        assert [id(s) for s in flags] == [id(s) for s in specs]
+        assert [id(s) for s in splits] == [id(s) for s in specs]
+        assert reps[0] == reps[2] != reps[1] == reps[3]
+        assert reps[1] == list(cy._walk_orbits(minimal_ideals(b)[0]))
+
+    def test_returned_lists_are_copies(self):
+        spec = build_code(6, 2)
+        ideals = minimal_ideals(spec)
+        reps = ideals[0].orbit_representatives()
+        want = list(reps)
+        reps[0] ^= 1
+        reps.append(0)
+        ideals.clear()
+        again = minimal_ideals(spec)
+        assert len(again) == 2 and again[0].orbit_representatives() == want
+        flags = _root_flags(spec)
+        flags[0] = not flags[0]
+        assert _root_flags(spec) == list(spec._roots) != flags
+
+    def test_failures_are_not_kept(self):
+        spec = build_code(4, 1)
+        bad_g = dataclasses.replace(spec, generator=spec.generator ^ 1)
+        bad_k = dataclasses.replace(spec, k=spec.k + 1)
+        # orbits of length 5 read as length 15
+        bad_orbit = dataclasses.replace(minimal_ideals(spec)[0], exponent=1)
+        for _ in range(2):
+            for certify in (bch_certificate, best_bch_distance):
+                with pytest.raises(CertificateFailure):
+                    certify(bad_g)
+            for split in (minimal_ideals, weight_distribution, min_distance):
+                with pytest.raises(DecompositionFailure):
+                    split(bad_k)
+            with pytest.raises(DecompositionFailure):
+                bad_orbit.orbit_representatives()
+        assert "_roots" not in vars(bad_g) and "_ideals" not in vars(bad_k)
+        assert "_orbits" not in vars(bad_orbit)
 
 
 class TestEncode:

@@ -331,6 +331,59 @@ class TestOrbitEnumeration:
             "codebounds-error: internal: DecompositionFailure: ")
 
 
+class TestOneTablePerIdeal:
+    """Each ideal's representatives are scanned off one pair of tables."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("m,c,modulus", ORBIT_CODES)
+    def test_matches_the_scan_per_representative(self, m, c, modulus,
+                                                 reverse):
+        spec = build_code(m, c, modulus)
+        ideals = minimal_ideals(spec)[::-1 if reverse else 1]
+        n = spec.n
+        for i, ideal in enumerate(ideals):
+            rest = [row for later in ideals[i + 1:] for row in later.rows()]
+            reps = ideal.orbit_representatives()
+            lo = 1 << len(rest)
+            # messages [2^k', 2^(k'+1)) of rest + [rep] are rep + span(rest)
+            hist = sum(_kernels.weight_scan(rest + [rep], n, lo, 2 * lo)
+                       for rep in reps)
+            least = min(_kernels.least_weight(rest + [rep], n, lo, 2 * lo)
+                        for rep in reps)
+            assert list(_kernels.coset_scan(rest, reps, n)) == list(hist)
+            assert _kernels.coset_least(rest, reps, n) == least
+
+    @pytest.mark.parametrize("m,c", [(6, 2), (8, 2), (8, 3)])
+    def test_span_tables_built_once_per_ideal(self, monkeypatch, m, c):
+        ideals = minimal_ideals(build_code(m, c))
+        n = ideals[0].n
+        # (8,3) has 3, 5 and 3 representatives: one low and one high table
+        # per ideal, where one pair per representative made 22
+        assert sum(len(i.orbit_representatives()) for i in ideals) > \
+            len(ideals)
+        built = []
+        real = _kernels._span_table
+        monkeypatch.setattr(_kernels, "_span_table",
+                            lambda rows: built.append(len(rows)) or real(rows))
+        _orbit_histogram(ideals, n)
+        assert len(built) == 2 * len(ideals)
+        built.clear()
+        distance._orbit_cosets(ideals, n, _kernels.coset_least)
+        assert len(built) == 2 * len(ideals)
+
+    def test_lost_only_orbit_is_not_bad_input(self, monkeypatch, capsys):
+        # (10,2)'s first ideal has one representative: losing it leaves an
+        # ideal scanned with none, which must still read as a lost orbit
+        real = MinimalIdeal.orbit_representatives
+        monkeypatch.setattr(MinimalIdeal, "orbit_representatives",
+                            lambda ideal: real(ideal)[1:])
+        code = main(["distance", "--m", "10", "--c", "2"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert captured.err.startswith(
+            "codebounds-error: internal: DecompositionFailure: ")
+
+
 @pytest.mark.deep
 def test_deep_8_3_orbit_histogram_matches_full_scan():
     spec = build_code(8, 3)
@@ -521,6 +574,19 @@ class TestWeightScan:
         hi = _kernels.weight_scan(rows, 15, 7, 16)
         full = _kernels.weight_scan(rows, 15, 0, 16)
         assert list(lo + hi) == list(full)
+
+    # a start below 0, a stop past 2^k and a start past the stop were read
+    # as [0, 0, 1], as 2 of 4 messages and as a numpy broadcast error
+    @pytest.mark.parametrize("scan", [_kernels.weight_scan,
+                                      _kernels.least_weight])
+    @pytest.mark.parametrize("rows,start,stop", [
+        ([1, 2], -1, 2), ([1], 0, 4), ([1, 2], 3, 1)])
+    def test_range_outside_the_messages_refused(self, monkeypatch, scan,
+                                                rows, start, stop):
+        monkeypatch.setattr(_kernels, "pack_rows", _fail)
+        with pytest.raises(ValueError,
+                           match=rf"message range \[{start}, {stop}\)"):
+            scan(rows, 2, start, stop)
 
 
 def _unbroken_A_search(n, d):
