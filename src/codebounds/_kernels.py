@@ -9,27 +9,26 @@ contiguous limb rows of the low table with one scalar per limb and
 popcounts them into per-word weights (for n > 64 through a uint8 buffer
 whose limb rows are added up).  Every step writes into buffers allocated
 once per call.  The weights are summed in the smallest unsigned dtype
-that holds n, so a weight never wraps.  One block loop feeds two
+that holds n, so a weight never wraps.  The scan has one mode: the
+cosets rep + span(rows), each rep XORed into the high table, where a
+full scan is the one coset of the zero word.  One block loop feeds two
 reductions: ``weight_scan`` histograms each block, and ``least_weight``
-keeps only its least weight, message 0 left out, which is all a minimum
-distance needs.  ``coset_scan`` and ``coset_least`` reduce the same way
-the cosets rep + span(rest) of a minimal ideal's orbit representatives,
-off one pair of tables of ``rest`` with each rep XORed into the high
-columns.  ``layer_minima`` builds the same two tables, split at
-min(13, ceil(k/2)) bits and with their columns sorted by message
-popcount, to find the least weight of each message-weight layer of a span
-without enumerating the others.  ``scan_price`` and ``search_price`` price
-the two routes to a minimum distance in one unit, the limbs of the words
-they form plus a fixed charge per block and per information set.  The
-clique search is a branch and bound over python-int bitsets with a
-greedy-colouring bound (Östergård, "A fast algorithm for the maximum
-clique problem", 2002).
+keeps only its least weight, which is all a minimum distance needs.
+``layer_minima`` builds the same two tables, split at min(13, ceil(k/2))
+bits and with their columns sorted by message popcount, to find the
+least weight of each message-weight layer of a span without enumerating
+the others.  ``scan_price`` and ``search_price`` price the two routes to
+a minimum distance in one unit, the limbs of the words they form plus a
+fixed charge per block and per information set.  The clique search is a
+branch and bound over python-int bitsets with a greedy-colouring bound
+(Östergård, "A fast algorithm for the maximum clique problem", 2002).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from itertools import accumulate
 
 import numpy as np
@@ -72,22 +71,23 @@ def _span_table(rows: np.ndarray) -> np.ndarray:
 
 
 def _weight_blocks(rows: list[int], n: int, start: int = 0,
-                   stop: int | None = None, reps: list[int] | None = None):
-    """The weights of the codewords of messages [start, stop), by block.
+                   stop: int | None = None, reps: Sequence[int] = (0,)):
+    """The weights of the words of messages [start, stop), by block.
 
+    Message r * 2^k + m is reps[r] + (the word of m in span(rows)), each
+    rep XORed into the high table's columns only; the default ``reps``,
+    the zero word alone, makes the messages the span's 2^k codewords.
     Yields (first message, weights) for each run of at most 2^13 messages
-    that share a high part; the weights are a view of a buffer that the
+    that share a high column; the weights are a view of a buffer that the
     next block overwrites.  Both span tables are limb-major (see the module
     docstring), and the per-word weights are summed over limbs in
     ``np.min_scalar_type(n)``, the smallest unsigned dtype that holds n
     (uint8 only for n <= 255).  The work buffers belong to this call, so
-    concurrent calls share nothing.  With ``reps``, message r * 2^k + m
-    is reps[r] + (word of m), each rep XORed into the high columns only.
-    ``stop`` defaults to the message count; a range outside
-    0 <= start <= stop <= that count raises ``ValueError`` before any table
-    is built.
+    concurrent calls share nothing.  ``stop`` defaults to the message
+    count; a range outside 0 <= start <= stop <= that count raises
+    ``ValueError`` before any table is built.
     """
-    total = (1 if reps is None else len(reps)) << len(rows)
+    total = len(reps) << len(rows)
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ValueError(f"message range [{start}, {stop}) is not a range "
@@ -96,10 +96,9 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
     k_lo = min(len(rows), _LOW_BITS)
     low = _span_table(packed[:k_lo])
     high = _span_table(packed[k_lo:])
-    if reps is not None:
-        # column r * 2^(k - k_lo) + j is rep r XOR column j
-        high = np.bitwise_xor(high[:, None], pack_rows(reps, n).T[:, :, None])
-        high = high.reshape(len(high), -1)
+    # column r * 2^(k - k_lo) + j is rep r XOR column j
+    high = np.bitwise_xor(high[:, None], pack_rows(reps, n).T[:, :, None])
+    high = high.reshape(len(high), -1)
     size = 1 << k_lo
     block = np.empty_like(low)
     bits = np.empty(low.shape, dtype=np.uint8)
@@ -119,54 +118,40 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
 
 
 def weight_scan(rows: list[int], n: int, start: int = 0,
-                stop: int | None = None) -> np.ndarray:
+                stop: int | None = None,
+                reps: Sequence[int] = (0,)) -> np.ndarray:
     """Weight histogram over a message range.
 
-    Enumerates codewords sum(m_i * rows[i]) for message indices in
-    [start, stop) and returns their int64 weight histogram of length n+1.
-    Rows must fit in n bits.  The full code is [0, 2^k); histograms of
-    disjoint ranges add elementwise, which is how the full scan in
+    The int64 weight histogram, of length n+1, of the words of messages
+    [start, stop) as ``_weight_blocks`` numbers them: the span's codewords,
+    or with the orbit representatives of a minimal ideal as ``reps`` its
+    cosets rep + span(rows).  Rows and reps must fit in n bits.  Histograms
+    of disjoint ranges add elementwise, which is how the full scan in
     ``distance`` shards the range across threads.
     """
-    return _histogram(_weight_blocks(rows, n, start, stop), n)
-
-
-def coset_scan(rest: list[int], reps: list[int], n: int) -> np.ndarray:
-    """The weight histograms of the cosets rep + span(rest), summed over
-    ``reps``, from one pair of span tables of ``rest``."""
-    return _histogram(_weight_blocks(rest, n, reps=reps), n)
-
-
-def _histogram(blocks, n: int) -> np.ndarray:
     counts = np.zeros(n + 1, dtype=np.int64)
-    for _, wts in blocks:
+    for _, wts in _weight_blocks(rows, n, start, stop, reps):
         counts += np.bincount(wts, minlength=n + 1)
     return counts
 
 
 def least_weight(rows: list[int], n: int, start: int = 0,
-                 stop: int | None = None) -> int:
-    """Least codeword weight over the nonzero messages in [start, stop).
+                 stop: int | None = None,
+                 reps: Sequence[int] = (0,)) -> int:
+    """Least word weight over the messages in [start, stop).
 
     The same blocks as ``weight_scan``, each reduced by its minimum instead
-    of a histogram; message 0 is left out.  Returns n + 1 when the range
-    holds no nonzero message, so the least weights of disjoint ranges
-    combine by ``min``.
+    of a histogram; message 0 is left out when it is the zero word (when
+    reps[0] is 0).  Returns n + 1 when the range holds no other message,
+    so the least weights of disjoint ranges combine by ``min``.
     """
     least = n + 1
-    for first, wts in _weight_blocks(rows, n, start, stop):
-        if first == 0:
+    for first, wts in _weight_blocks(rows, n, start, stop, reps):
+        if first == 0 and reps[0] == 0:
             wts = wts[1:]
         if wts.size:
             least = min(least, int(wts.min()))
     return least
-
-
-def coset_least(rest: list[int], reps: list[int], n: int) -> int:
-    """Least weight over the cosets rep + span(rest), as ``coset_scan``
-    reads them; n + 1 when ``reps`` is empty."""
-    blocks = _weight_blocks(rest, n, reps=reps)
-    return min((int(wts.min()) for _, wts in blocks), default=n + 1)
 
 
 def _word_weights(block: np.ndarray, bits: np.ndarray,

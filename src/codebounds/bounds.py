@@ -9,6 +9,7 @@ so it can never be mistaken for a theorem.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, replace
 
@@ -79,8 +80,8 @@ def _check_float_range(n: int, r: int = 1) -> None:
 
 
 def _domain(n: int, d: int) -> tuple[int, int]:
-    """(int(n), int(d)), or ``OutOfRange`` unless 1 <= d <= n."""
-    n, d = int(n), int(d)
+    """(n, d) via ``operator.index``; ``OutOfRange`` unless 1 <= d <= n."""
+    n, d = operator.index(n), operator.index(d)
     if not (1 <= d <= n):
         raise OutOfRange(f"need 1 <= d <= n, got d={d}, n={n}")
     return n, d
@@ -145,7 +146,7 @@ def vol(r: int, n: int) -> int:
     a radius just below n/2 costs a few terms, not n/2 of them.  Every
     route must pass the entropy cap Vol <= 2^(n H2(r/n)) for 0 < r <= n/2.
     """
-    r, n = int(r), int(n)
+    r, n = operator.index(r), operator.index(n)
     if not (0 <= r <= n):
         raise InvalidRadius(f"radius {r} outside [0, {n}]")
     h = max(n - 1, 0) // 2
@@ -303,13 +304,14 @@ class _BallCache:
         self._lock = threading.Lock()
 
     def __call__(self, n: int, r: int) -> tuple[EigenCertificate, int, float]:
-        n, r = int(n), int(r)
+        n, r = operator.index(n), operator.index(r)
         entry = self._entries.get((n, r))
         return entry if entry is not None else self._add(n, [r])[0]
 
     def fill(self, n: int, radii) -> None:
-        n = int(n)
-        missing = [r for r in radii if (n, r) not in self._entries]
+        n = operator.index(n)
+        missing = [r for r in map(operator.index, radii)
+                   if (n, r) not in self._entries]
         if missing:
             self._add(n, missing)
 
@@ -439,6 +441,7 @@ def cyclic_lower(m: int, c: int) -> BoundValue:
     end to end in the builder; this evaluator only does the arithmetic.
     """
     d = designed_distance(m, c)  # InvalidParameters, as build_code raises
+    m, c = operator.index(m), operator.index(c)
     n = (1 << m) - 1
     value = 1 << (c * m)
     if value <= n ** c:

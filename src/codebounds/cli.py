@@ -301,15 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_bounds)
 
     c = sub.add_parser("table", help="deterministic bound table as CSV")
-    c.add_argument("--pairs", default="15:6,63:16,63:24",
-                   type=_parsed(_comma_list(_pair), "a comma list of n:d"),
-                   help="comma list of n:d pairs")
+    rows = c.add_mutually_exclusive_group()
+    rows.add_argument("--pairs", default="15:6,63:16,63:24",
+                      type=_parsed(_comma_list(_pair), "a comma list of n:d"),
+                      help="comma list of n:d pairs")
     c.add_argument("--r-max", type=_int_range(1), default=8)
     c.add_argument("--workers", type=_int_range(1), default=1)
     c.add_argument("--out", help="output CSV path")
-    c.add_argument("--regime", type=_parsed(_positive_float,
-                                            "a finite number > 0"),
-                   help="emit display rows at d = n/2 - a sqrt(n) instead")
+    rows.add_argument("--regime", type=_parsed(_positive_float,
+                                               "a finite number > 0"),
+                      help="emit display rows at d = n/2 - a sqrt(n) instead")
     c.add_argument("--n-list", type=_parsed(_comma_list(_int_range(1)),
                                             "a comma list of ints"),
                    help="comma list of n >= 1 for --regime")
@@ -341,6 +342,8 @@ def main(argv=None) -> int:
     if args.command == "fourier-verify" and args.n_min > args.n_max:
         parser.error(f"fourier-verify: --n-min {args.n_min} exceeds "
                      f"--n-max {args.n_max}")
+    if args.command == "table" and args.n_list and args.regime is None:
+        parser.error("table: --n-list needs --regime")
     # exact values print in full, past Python's int -> str digit limit;
     # an in-process caller gets its own limit back when main returns
     digits = sys.get_int_max_str_digits()

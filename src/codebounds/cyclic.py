@@ -120,7 +120,7 @@ def coset_exponents(m: int, i: int) -> CyclotomicCoset:
     The orbit size must come out to exactly m; anything else indicates a
     parameter outside the construction's range and raises CosetCollision.
     """
-    _check_params(m, i)
+    m, i = _check_params(m, i)
     n = (1 << m) - 1
     rep = (1 + (1 << (m // 2 + i))) % n
     members = frozenset(((1 << j) + (1 << (m // 2 + i + j))) % n
@@ -133,17 +133,20 @@ def coset_exponents(m: int, i: int) -> CyclotomicCoset:
     return CyclotomicCoset(rep, members)
 
 
-def _check_params(m: int, c: int) -> None:
+def _check_params(m: int, c: int) -> tuple[int, int]:
+    """(m, c) as ``operator.index`` reads them, or InvalidParameters."""
+    m, c = operator.index(m), operator.index(c)
     if m % 2 or m < 4:
         raise InvalidParameters(f"m must be even and >= 4, got {m}")
     if not (1 <= c <= m // 2 - 1):
         raise InvalidParameters(
             f"c must satisfy 1 <= c <= m/2 - 1 = {m // 2 - 1}, got {c}")
+    return m, c
 
 
 def designed_distance(m: int, c: int) -> int:
     """Theorem 1's designed distance 2^(m-1) - 2^(m/2+c-1) of the (m, c) code."""
-    _check_params(m, c)
+    m, c = _check_params(m, c)
     return (1 << (m - 1)) - (1 << (m // 2 + c - 1))
 
 
@@ -155,7 +158,7 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
     remainder or a degree other than n - c*m raises.  The returned spec's
     dimension is therefore certified, not assumed.
     """
-    _check_params(m, c)
+    m, c = _check_params(m, c)
     ctx = field_create(m, modulus)
     n = (1 << m) - 1
     cosets = []

@@ -8,8 +8,9 @@ and to their least weight for every caller that needs only the minimum
 distance.  A full scan covers all 2^k codewords of any span and is the
 only scan sharded across threads; a constructed cyclic code is instead
 enumerated one cyclic-shift orbit at a time, and the full scan is its
-oracle.  Each minimal ideal is scanned off one pair of span tables of the
-later ideals, which the spec object keeps with their orbit representatives.
+oracle.  Both call the same two reductions: a full scan is the one coset
+of the zero word, and each minimal ideal's cosets rep + span(later
+ideals), one per orbit representative, share one pair of span tables.
 ``min_distance_of_rows`` gets the least weight either from the full scan
 or from the Brouwer-Zimmermann information-set search: t disjoint
 information sets, each systematic generator enumerated by increasing
@@ -223,9 +224,9 @@ def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 24,
 
 
 def _orbit_cosets(ideals: list[MinimalIdeal], n: int, scan):
-    """``scan(rest, reps, n)`` once per ideal, on the shift-orbit cosets
-    rep + span(rest) of the direct sum of ``ideals``; the pairs (orbit
-    size, result), and the words scanned.
+    """``scan(rest, n, reps=reps)`` once per ideal, on the shift-orbit
+    cosets rep + span(rest) of the direct sum of ``ideals``; the pairs
+    (orbit size, result), and the words scanned.
 
     The words whose first-ideal component is a nonzero u weigh like
     u + span(later ideals), and shifting by x maps that set onto the one of
@@ -240,7 +241,7 @@ def _orbit_cosets(ideals: list[MinimalIdeal], n: int, scan):
     for i, ideal in enumerate(ideals):
         rest = [row for later in ideals[i + 1:] for row in later.rows()]
         reps = ideal.orbit_representatives()
-        found.append((ideal.orbit_size, scan(rest, reps, n)))
+        found.append((ideal.orbit_size, scan(rest, n, reps=reps)))
         scanned += len(reps) << len(rest)
         covered += ideal.orbit_size * len(reps) << len(rest)
     k = sum(ideal.dim for ideal in ideals)
@@ -253,7 +254,7 @@ def _orbit_cosets(ideals: list[MinimalIdeal], n: int, scan):
 def _orbit_histogram(ideals: list[MinimalIdeal], n: int):
     """Weight histogram of the direct sum of ``ideals``, and words scanned:
     each coset's histogram counts once per orbit member."""
-    found, scanned = _orbit_cosets(ideals, n, _kernels.coset_scan)
+    found, scanned = _orbit_cosets(ideals, n, _kernels.weight_scan)
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[0] = 1
     for size, part in found:
@@ -266,7 +267,7 @@ def _orbit_least(spec: ConstructionSpec, max_k: int) -> tuple[int, int]:
     least weight over the orbit cosets, with no histogram."""
     _check_budget(spec.k, max_k)
     found, scanned = _orbit_cosets(minimal_ideals(spec), spec.n,
-                                   _kernels.coset_least)
+                                   _kernels.least_weight)
     return min(least for _, least in found), scanned
 
 

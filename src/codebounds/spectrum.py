@@ -26,7 +26,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Rational
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, index, mul
 
 _TOL = 1e-12  # bisection width, in absolute units of lambda
 _LAGUERRE_STEPS = 20  # a cap; 1-4 steps suffice from either start
@@ -55,8 +55,10 @@ def ball_operator(n: int, r: int) -> tuple[int, ...]:
     zero-diagonal symmetric tridiagonal operator on the r+1 weight shells.
     Its top eigenvalue equals the maximal eigenvalue of the ball subgraph:
     the ball's Perron vector can be taken radial, so nothing is lost in the
-    reduction.  Raises ``InvalidRadius`` unless 1 <= r <= n/2.
+    reduction.  Raises ``InvalidRadius`` unless 1 <= r <= n/2; n and r go
+    through ``operator.index``.
     """
+    n, r = index(n), index(r)
     if r < 1:
         raise InvalidRadius(f"radius must be >= 1, got {r}")
     if r > n // 2:
@@ -286,7 +288,8 @@ def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     <AF, F> / <F, F> = sum 2*C(n,i)(n-i) f_i f_{i+1} / sum C(n,i) f_i^2.
     Any such quotient is a true lower bound on the top ball eigenvalue.
 
-    n goes through ``int()``, so a numpy length cannot wrap the binomials.
+    n goes through ``operator.index``, so a numpy length cannot wrap the
+    binomials and a float one raises TypeError.
     ``f`` holds Integral/Rational entries (numpy integers included).
     ``clear_denominators`` turns them into Python-int numerators over one
     common denominator, which leaves the quotient unchanged; both sums are
@@ -294,7 +297,7 @@ def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     C(n,i+1) = C(n,i)(n-i)/(i+1), and the one Fraction is built at the end.
     """
     f, _ = clear_denominators(f)
-    return _quotient(_shell_weights(int(n), len(f)), f)
+    return _quotient(_shell_weights(index(n), len(f)), f)
 
 
 def _shell_weights(n: int, length: int) -> tuple[list[int], list[int]]:
@@ -341,14 +344,15 @@ def certify(n: int, r: int) -> EigenCertificate:
 def certify_radii(n: int, radii) -> list[EigenCertificate]:
     """The certificates of B_r(0, n) for each r in ``radii``, in one pass.
 
-    n goes through ``int()``; ``InvalidRadius`` is raised where
-    ``ball_operator`` raises it for the smallest or largest radius.  One
-    operator of the largest radius and one list of its ``_row_sum_bounds``
-    serve every radius: the ball of radius r is the operator's first r
-    squares, with Gershgorin bound entry r.  ``top_eigenvalue`` runs on each,
-    with Laguerre started at ``lambda_ceiling(n, r)``, above the top root
-    yet close to it for r <= 64, rather than at the Gershgorin bound.  The
-    start is only a hint, so the float is the same either way.
+    n and the radii go through ``operator.index``; ``InvalidRadius`` is
+    raised where ``ball_operator`` raises it for the smallest or largest
+    radius.  One operator of the largest radius and one list of its
+    ``_row_sum_bounds`` serve every radius: the ball of radius r is the
+    operator's first r squares, with Gershgorin bound entry r.
+    ``top_eigenvalue`` runs on each, with Laguerre started at
+    ``lambda_ceiling(n, r)``, above the top root yet close to it for
+    r <= 64, rather than at the Gershgorin bound.  The start is only a
+    hint, so the float is the same either way.
 
     Each radius's radial vector is regenerated from its float with each
     entry's scale carried apart (``_radial_parts``), and every entry of
@@ -366,7 +370,7 @@ def certify_radii(n: int, radii) -> list[EigenCertificate]:
     no Fraction is built for the witness until ``EigenCertificate.witness``
     is read.
     """
-    n, radii = int(n), list(radii)
+    n, radii = index(n), list(map(index, radii))
     if not radii:
         return []
     offdiag_sq = ball_operator(n, max(radii))

@@ -282,6 +282,34 @@ class TestNumpyIntegers:
         assert new_upper(big_n, big_d, big_r) == new_upper(n, d, r)
 
 
+class TestFloatArguments:
+    """A float n, d, r, m or c is a TypeError, not a truncated integer:
+    ``gv_lower(15.9, 6)`` once gave a rigorous-labelled value for n = 15."""
+
+    @pytest.mark.parametrize("call", [
+        *[functools.partial(fn, *args) for fn in TestNumpyIntegers.EVALUATORS
+          for args in [(15.9, 6), (15, 6.0), (np.float64(15), 6)]],
+        lambda: new_upper(63, 24, 3.9),
+        lambda: new_upper(63.0, 24, 3),
+        lambda: vol(2.7, 10),
+        lambda: vol(2, 10.0),
+        lambda: ball_certificate(15, 2.0),
+        lambda: ball_certificate(15.0, 2),
+        lambda: bd._ball.fill(63.0, [3]),
+        lambda: bd._ball.fill(63, [3.0]),
+        lambda: cyclic_lower(6.0, 2),
+        lambda: cyclic_lower(6, 2.0),
+    ])
+    def test_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_numpy_construction_parameters(self):
+        row = cyclic_lower(np.int64(6), np.int64(2))
+        assert row == cyclic_lower(6, 2)
+        assert type(row.value_exact) is int
+
+
 class TestFloatRange:
     # one refusal for every n the float stage cannot hold: the ball
     # eigenvalue's float stage once raised an internal OverflowError

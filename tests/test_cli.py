@@ -88,6 +88,17 @@ class TestDistance:
         assert obj["d_min"] == 96
         assert obj["words_scanned"] == 197_891
 
+    @pytest.mark.parametrize("m, c", [("8", "3"), ("10", "2")])
+    def test_report_pinned(self, capsys, m, c):
+        # the fixtures the CI step compares the installed script against,
+        # written the way it writes them: the report less its timing
+        code, out, err = run_cli(capsys, "distance", "--m", m, "--c", c)
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj.pop("seconds") >= 0
+        with open(os.path.join(DATA, f"distance_m{m}_c{c}.json")) as fh:
+            assert json.dumps(obj, indent=2) + "\n" == fh.read()
+
     def test_12_2_in_default_budget(self, capsys):
         code, out, _ = run_cli(capsys, "distance", "--m", "12", "--c", "2")
         assert code == 0
@@ -491,6 +502,12 @@ class TestReplay:
      "--max-k: must be at least 1, got 0"),
     (["table", "--workers", "0"], "--workers: must be at least 1, got 0"),
     (["table", "--workers", "-3"], "--workers: must be at least 1, got -3"),
+    # options the table would otherwise ignore
+    (["table", "--n-list", "256"], "table: --n-list needs --regime"),
+    (["table", "--regime", "1", "--pairs", "15:6"],
+     "argument --pairs: not allowed with argument --regime"),
+    (["table", "--pairs", "15:6", "--regime", "1"],
+     "argument --regime: not allowed with argument --pairs"),
 ])
 def test_out_of_range_int_options_exit_2(capsys, argv, message):
     # rejected by the parser, before any row is dropped or budget checked

@@ -95,6 +95,22 @@ class TestBuildCode:
         assert spec.designed_distance >= (
             spec.n / 2 - (1 << (c - 1)) * math.sqrt(spec.n))
 
+    @pytest.mark.parametrize("fn", [build_code, designed_distance,
+                                    coset_exponents])
+    @pytest.mark.parametrize("m,c", [(4.0, 1), (4, 1.0), (np.float64(8), 2)])
+    def test_float_parameters_rejected(self, fn, m, c):
+        with pytest.raises(TypeError):
+            fn(m, c)
+
+    def test_numpy_parameters_read_as_int(self):
+        spec = build_code(np.int64(8), np.int64(2))
+        assert spec.to_json_dict() == build_code(8, 2).to_json_dict()
+        assert type(spec.m) is type(spec.c) is type(spec.n) is int
+        d = designed_distance(np.uint8(8), np.int32(2))
+        assert d == designed_distance(8, 2) and type(d) is int
+        assert coset_exponents(np.int64(8), np.int64(2)) == \
+            coset_exponents(8, 2)
+
 
 class TestBchCertificate:
     def test_4_1_window(self, code_4_1):

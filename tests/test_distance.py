@@ -350,8 +350,9 @@ class TestOneTablePerIdeal:
                        for rep in reps)
             least = min(_kernels.least_weight(rest + [rep], n, lo, 2 * lo)
                         for rep in reps)
-            assert list(_kernels.coset_scan(rest, reps, n)) == list(hist)
-            assert _kernels.coset_least(rest, reps, n) == least
+            assert list(_kernels.weight_scan(rest, n, reps=reps)) == \
+                list(hist)
+            assert _kernels.least_weight(rest, n, reps=reps) == least
 
     @pytest.mark.parametrize("m,c", [(6, 2), (8, 2), (8, 3)])
     def test_span_tables_built_once_per_ideal(self, monkeypatch, m, c):
@@ -368,8 +369,22 @@ class TestOneTablePerIdeal:
         _orbit_histogram(ideals, n)
         assert len(built) == 2 * len(ideals)
         built.clear()
-        distance._orbit_cosets(ideals, n, _kernels.coset_least)
+        distance._orbit_cosets(ideals, n, _kernels.least_weight)
         assert len(built) == 2 * len(ideals)
+
+    @pytest.mark.parametrize("n", [5, 64, 65, 200])
+    def test_a_nonzero_first_rep_keeps_its_message_0(self, n):
+        # message 0 is the zero word only when reps[0] is; a coset of the
+        # empty span is its rep alone, so skipping message 0 there would
+        # read the coset as empty (n + 1) or count no word
+        w = (1 << n) - 1 ^ 0b10110
+        assert _kernels.least_weight([], n, reps=[w]) == w.bit_count()
+        counts = _kernels.weight_scan([], n, reps=[w])
+        assert counts[w.bit_count()] == 1 and counts.sum() == 1
+        rows = [0b11 << 2]
+        assert _kernels.least_weight(rows, n, reps=[0b1]) == 1
+        assert _kernels.least_weight(rows, n, reps=[0, 0b1]) == 1
+        assert _kernels.least_weight(rows, n, reps=[0]) == 2
 
     def test_lost_only_orbit_is_not_bad_input(self, monkeypatch, capsys):
         # (10,2)'s first ideal has one representative: losing it leaves an

@@ -103,6 +103,26 @@ class TestBallOperator:
         with pytest.raises(InvalidRadius):
             ball_operator(n, r)
 
+    @pytest.mark.parametrize("call", [
+        lambda: ball_operator(15.5, 2),
+        lambda: ball_operator(15, 2.0),
+        lambda: rayleigh_quotient(15.0, [1, 1]),
+        lambda: certify(15.0, 2),
+        lambda: certify(15, np.float64(2)),
+        lambda: certify_radii(15, [1, 2.0]),
+    ])
+    def test_float_length_or_radius_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_numpy_length_and_radii(self):
+        op = ball_operator(np.int64(15), np.int64(2))
+        assert op == ball_operator(15, 2)
+        assert all(type(x) is int for x in op)
+        certs = certify_radii(np.int64(63), [np.int64(1), np.uint8(3)])
+        assert certs == certify_radii(63, [1, 3])
+        assert all(type(c.n) is int and type(c.r) is int for c in certs)
+
 
 class TestTopEigenvalue:
     def test_sqrt_n_at_r1(self):
