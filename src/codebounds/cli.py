@@ -183,17 +183,16 @@ def _table_rows(args) -> list[dict]:
     if args.regime is not None:
         rows = bd.regime_table(args.regime, args.n_list or [100, 1024, 4096])
     else:
-        rows = []
-        if args.workers > 1:
+        rows, r_max, workers = [], args.r_max or 8, args.workers or 1
+        if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                for chunk in pool.map(
-                        lambda p: bound_rows(p[0], p[1], args.r_max),
-                        args.pairs):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for chunk in pool.map(lambda p: bound_rows(p[0], p[1], r_max),
+                                      args.pairs):
                     rows.extend(chunk)
         else:
             for n, d in args.pairs:
-                rows.extend(bound_rows(n, d, args.r_max))
+                rows.extend(bound_rows(n, d, r_max))
     return sorted(rows, key=_ROW_ORDER)
 
 
@@ -305,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     rows.add_argument("--pairs", default="15:6,63:16,63:24",
                       type=_parsed(_comma_list(_pair), "a comma list of n:d"),
                       help="comma list of n:d pairs")
-    c.add_argument("--r-max", type=_int_range(1), default=8)
-    c.add_argument("--workers", type=_int_range(1), default=1)
+    # 8 and 1 when not given; main refuses either one with --regime
+    c.add_argument("--r-max", type=_int_range(1))
+    c.add_argument("--workers", type=_int_range(1))
     c.add_argument("--out", help="output CSV path")
     rows.add_argument("--regime", type=_parsed(_positive_float,
                                                "a finite number > 0"),
@@ -344,6 +344,11 @@ def main(argv=None) -> int:
                      f"--n-max {args.n_max}")
     if args.command == "table" and args.n_list and args.regime is None:
         parser.error("table: --n-list needs --regime")
+    if args.command == "table" and args.regime is not None:
+        for option, value in (("--r-max", args.r_max),
+                              ("--workers", args.workers)):
+            if value is not None:
+                parser.error(f"table: {option} is not allowed with --regime")
     # exact values print in full, past Python's int -> str digit limit;
     # an in-process caller gets its own limit back when main returns
     digits = sys.get_int_max_str_digits()

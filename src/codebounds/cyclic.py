@@ -6,9 +6,12 @@ has dimension c*m and minimum distance at least 2^(m-1) - 2^(m/2+c-1),
 certified by a run of consecutive roots alpha^t, ..., alpha^(2^m - 1) of the
 generator polynomial g.  The roots are read off the degree-k check
 polynomial h = (x^n - 1)/g: alpha^j is a root of g exactly when
-h(alpha^j) != 0, one evaluation per cyclotomic coset.  ``minimal_ideals``
-splits a built code into its c minimal ideals, whose cyclic-shift orbits
-the distance engine enumerates.  A spec object keeps its root flags and
+h(alpha^j) != 0, and all n values h(alpha^j) are formed at once over the
+field's numpy exp table.  ``minimal_ideals`` splits a built code into its c
+minimal ideals, each generated by g times the other cosets' minimal
+polynomials, and the distance engine enumerates their cyclic-shift orbits:
+the representatives come from one span table of field elements, and are
+checked on the words themselves.  A spec object keeps its root flags and
 ideals, and an ideal its orbit representatives, once verified: per object,
 not per value, and handed out as tuples or new lists.
 """
@@ -20,13 +23,14 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
+import numpy as np
+
 from .gf2 import (
     FieldContext,
     cyclotomic_coset,
     field_create,
     poly_degree,
     poly_divrem,
-    poly_mod,
     poly_mul,
     row_basis,
 )
@@ -79,7 +83,11 @@ class Codeword:
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    """A built code: parameters, generator polynomial, and its field."""
+    """A built code: parameters, generator polynomial, and its field.
+
+    ``minimal_polynomials`` holds M_e for each removed coset, in the order
+    of ``cosets``; g times their product is x^n - 1.
+    """
 
     m: int
     c: int
@@ -89,6 +97,8 @@ class ConstructionSpec:
     designed_distance: int
     field: FieldContext = dc_field(repr=False, compare=False, default=None)
     cosets: tuple[CyclotomicCoset, ...] = dc_field(compare=False, default=())
+    minimal_polynomials: tuple[int, ...] = dc_field(compare=False,
+                                                    default=())
 
     def generator_rows(self) -> list[int]:
         """Generator-matrix rows: bit images of x^i * g(x), i = 0..k-1."""
@@ -161,7 +171,7 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
     m, c = _check_params(m, c)
     ctx = field_create(m, modulus)
     n = (1 << m) - 1
-    cosets = []
+    cosets, polys = [], []
     seen: set[int] = set()
     h = 1
     for i in range(1, c + 1):
@@ -172,7 +182,8 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
                 f"{sorted(seen & cs.members)}")
         seen |= cs.members
         cosets.append(cs)
-        h = poly_mul(h, ctx.minimal_polynomial(cs.representative))
+        polys.append(ctx.minimal_polynomial(cs.representative))
+        h = poly_mul(h, polys[-1])
     xn1 = (1 << n) | 1          # x^n - 1 == x^n + 1 over GF(2)
     g, rem = poly_divrem(xn1, h)
     if rem != 0:
@@ -183,18 +194,19 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
             f"deg g = {poly_degree(g)} != n - cm = {n - c * m}")
     return ConstructionSpec(m=m, c=c, n=n, k=c * m, generator=g,
                             designed_distance=designed_distance(m, c),
-                            field=ctx, cosets=tuple(cosets))
+                            field=ctx, cosets=tuple(cosets),
+                            minimal_polynomials=tuple(polys))
 
 
 @dataclass(frozen=True)
 class MinimalIdeal:
     """The codewords whose nonzeros lie in one removed cyclotomic coset.
 
-    Its generator is (x^n - 1) / M_e(x) for the coset representative e, so
-    the ideal has dimension deg M_e = m.  Evaluating a word at
-    beta = alpha^e maps the ideal one-to-one onto GF(2^m) and turns a
-    cyclic shift into multiplication by beta, an element of order
-    n / gcd(e, n).
+    Its generator is g times the other removed cosets' minimal polynomials,
+    which is (x^n - 1) / M_e(x) for the coset representative e, so the
+    ideal has dimension deg M_e = m.  Evaluating a word at beta = alpha^e
+    maps the ideal one-to-one onto GF(2^m) and turns a cyclic shift into
+    multiplication by beta, an element of order n / gcd(e, n).
     """
 
     n: int
@@ -216,13 +228,15 @@ class MinimalIdeal:
         """One word from each cyclic-shift orbit of the nonzero words.
 
         The orbits correspond to the cosets alpha^r <beta>, r < gcd(e, n).
-        A walk over all 2^dim - 1 nonzero messages a finds, for each r, the
-        a with a(beta) = alpha^r; the word a(x) * generator represents the
-        orbit.  The walk visits field elements, not n-bit words.  The result
-        is then checked by shifting: each orbit must close after exactly
-        ``orbit_size`` shifts without meeting another representative, and
-        the orbits must cover all 2^dim - 1 nonzero words.  Anything else
-        raises ``DecompositionFailure``.  Both run once per ideal object.
+        One span table holds a(beta) for all 2^dim messages a, and the log
+        table picks out, for each r in turn, the a with a(beta) = alpha^r;
+        the word a(x) * generator represents the orbit.  The words are then
+        checked by algebra (``_check_orbits``): each is fixed by
+        ``orbit_size`` shifts and nonzero at beta, so its orbit has exactly
+        that many words; their values at beta lie in distinct cosets of
+        <beta>, so no two share an orbit; and the orbits count all
+        2^dim - 1 nonzero words.  Anything else raises
+        ``DecompositionFailure``.  Both run once per ideal object.
         """
         return list(self._orbits)
 
@@ -233,43 +247,70 @@ class MinimalIdeal:
 
 def _walk_orbits(ideal: MinimalIdeal) -> tuple[int, ...]:
     """The verified words of ``MinimalIdeal.orbit_representatives``."""
+    ctx, n = ideal.field, ideal.n
+    # values[a] = a(beta), each power beta^j doubling the filled entries
+    values = np.zeros(1 << ideal.dim, dtype=np.int64)
+    for j in range(ideal.dim):
+        half = 1 << j
+        np.bitwise_xor(values[:half], ctx.alpha_pow(ideal.exponent * j),
+                       out=values[half:2 * half])
+    # message[r] is the a with a(beta) = alpha^r, or 0 if there is none
+    message = np.zeros(n, dtype=np.int64)
+    message[ctx.log_array[values[1:]]] = np.arange(1, len(values))
+    reps = [poly_mul(a, ideal.generator)
+            for a in message[:n // ideal.orbit_size].tolist()]
+    _check_orbits(ideal, reps)
+    return tuple(reps)
+
+
+def _check_orbits(ideal: MinimalIdeal, reps: list[int]) -> None:
+    """Raise ``DecompositionFailure`` unless ``reps``, words of the ideal,
+    hold one word of each cyclic-shift orbit of its nonzero words.
+
+    A shift multiplies u(beta) by beta, so the orbit of u evaluates into
+    the coset u(beta) <beta>, and where u(beta) != 0, x^d * u = u forces
+    beta^d = 1.  So each word must have x^size * u = u and u(beta) != 0,
+    which makes its orbit exactly ``size`` = ord(beta) words; the words
+    must evaluate into distinct cosets of <beta>, which makes their orbits
+    disjoint; and reps * size must count all 2^dim - 1 nonzero words.
+    """
     ctx, n, size = ideal.field, ideal.n, ideal.orbit_size
-    powers = [ctx.alpha_pow(ideal.exponent * j) for j in range(ideal.dim)]
-    target = {ctx.alpha_pow(r): r for r in range(n // size)}
-    messages = [0] * len(target)
-    value = 0
-    for step in range(1, 1 << ideal.dim):     # Gray-code walk over a
-        value ^= powers[(step & -step).bit_length() - 1]
-        if value in target:
-            messages[target[value]] = step ^ (step >> 1)
-    reps = [poly_mul(a, ideal.generator) for a in messages]
     if len(reps) * size != (1 << ideal.dim) - 1:
         raise DecompositionFailure(
             f"{len(reps)} orbits of {size} words do not cover the "
             f"ideal of coset {ideal.exponent}")
     mask = (1 << n) - 1
-    others = set(reps)
-    for word in reps:
-        w = word
-        for shift in range(1, size + 1):
-            w = ((w << 1) | (w >> (n - 1))) & mask
-            if w in others:
-                break
-        if w != word or shift != size:
-            raise DecompositionFailure(
-                f"shift orbit in the ideal of coset {ideal.exponent} "
-                f"does not close after exactly {size} shifts")
-    return tuple(reps)
+    if any(((u << size) | (u >> (n - size))) & mask != u for u in reps):
+        raise DecompositionFailure(
+            f"shift orbit in the ideal of coset {ideal.exponent} "
+            f"does not close after {size} shifts")
+    # u(beta) is the XOR of beta^i over the bits i of u
+    size_bytes = -(-n // 8)
+    words = np.frombuffer(b"".join(u.to_bytes(size_bytes, "little")
+                                   for u in reps), dtype=np.uint8)
+    bits = np.unpackbits(words.reshape(len(reps), size_bytes), axis=1,
+                         count=n, bitorder="little")
+    powers = ctx.exp_array[ideal.exponent * np.arange(n) % n]
+    values = np.bitwise_xor.reduce(bits * powers, axis=1).tolist()
+    if 0 in values:
+        raise DecompositionFailure(
+            f"a word of the ideal of coset {ideal.exponent} vanishes at "
+            f"alpha^{ideal.exponent}, so its orbit is not {size} words")
+    if len({ctx.log[v] % (n // size) for v in values}) != len(reps):
+        raise DecompositionFailure(
+            f"two shift orbits in the ideal of coset {ideal.exponent} "
+            f"meet the same coset of alpha^{ideal.exponent}")
 
 
 def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
     """Split the code into its c minimal ideals, one per removed coset.
 
-    Each ideal generator is x^n - 1 divided exactly by the coset's minimal
-    polynomial (``InexactDivision`` otherwise).  Every ideal must lie in the
-    code and their rows together must have rank k, so that their direct sum
-    is the code; anything else raises ``DecompositionFailure``.  The split
-    and its checks run once per spec object.
+    Each ideal generator is g times the minimal polynomials of the other
+    removed cosets, so every ideal lies in the code; times the coset's own
+    minimal polynomial it must give x^n - 1 (``InexactDivision``
+    otherwise).  The ideals' rows together must have rank k, so that their
+    direct sum is the code; anything else raises ``DecompositionFailure``.
+    The split and its checks run once per spec object.
     """
     return list(spec._ideals)
 
@@ -277,16 +318,16 @@ def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
 def _split_ideals(spec: ConstructionSpec) -> tuple[MinimalIdeal, ...]:
     """The checked ideals of ``minimal_ideals``."""
     xn1 = (1 << spec.n) | 1
+    polys = spec.minimal_polynomials
     ideals = []
-    for cs in spec.cosets:
-        mp = spec.field.minimal_polynomial(cs.representative)
-        gen, rem = poly_divrem(xn1, mp)
-        if rem != 0:
+    for i, (cs, mp) in enumerate(zip(spec.cosets, polys, strict=True)):
+        gen = spec.generator
+        for other in polys[:i] + polys[i + 1:]:
+            gen = poly_mul(gen, other)
+        if poly_mul(gen, mp) != xn1:
             raise InexactDivision(
-                f"x^{spec.n}-1 not divisible by M_{cs.representative}")
-        if poly_mod(gen, spec.generator) != 0:
-            raise DecompositionFailure(
-                f"ideal of coset {cs.representative} is not in the code")
+                f"x^{spec.n}-1 is not g * M_{cs.representative} times the "
+                f"other cosets' minimal polynomials")
         ideals.append(MinimalIdeal(spec.n, cs.representative, gen,
                                    poly_degree(mp), spec.field))
     rank = len(row_basis([row for ideal in ideals for row in ideal.rows()]))
@@ -296,36 +337,27 @@ def _split_ideals(spec: ConstructionSpec) -> tuple[MinimalIdeal, ...]:
     return tuple(ideals)
 
 
-def _eval_at_alpha_pow(ctx: FieldContext, poly: int, j: int) -> int:
-    """Evaluate a GF(2)[x] polynomial at alpha^j by Horner's rule."""
-    beta = ctx.alpha_pow(j)
-    res = 0
-    for bit in range(poly_degree(poly), -1, -1):
-        res = ctx.mul(res, beta) ^ ((poly >> bit) & 1)
-    return res
-
-
 def _root_flags(spec: ConstructionSpec) -> list[bool]:
     """Whether alpha^j is a root of g, for every exponent j < n.
 
     Decided through the check polynomial h = (x^n - 1)/g, of degree k, by
     exact division (``CertificateFailure`` if g does not divide x^n - 1).
     Every alpha^j is a root of x^n - 1 = g*h, and n is odd, so the roots
-    are simple: alpha^j is a root of g exactly when h(alpha^j) != 0.  h has
-    binary coefficients, so h(beta^2) = h(beta)^2 and one evaluation decides
-    the whole cyclotomic coset of j.
+    are simple: alpha^j is a root of g exactly when h(alpha^j) != 0.  All n
+    values are formed at once over the field's exp table: h(alpha^j) is
+    the XOR, over the terms x^i of h, of exp[i*j mod n], one length-n row
+    per term.
     """
     n = spec.n
     h, rem = poly_divrem((1 << n) | 1, spec.generator)
     if rem != 0:
         raise CertificateFailure(f"g does not divide x^{n}-1")
-    flags: list[bool | None] = [None] * n
-    for j in range(n):
-        if flags[j] is None:
-            is_root = _eval_at_alpha_pow(spec.field, h, j) != 0
-            for e in cyclotomic_coset(j, spec.m):
-                flags[e] = is_root
-    return flags
+    exp, j = spec.field.exp_array, np.arange(n)
+    values = np.zeros(n, dtype=np.int64)
+    for i in range(h.bit_length()):
+        if h >> i & 1:
+            values ^= exp[i * j % n]
+    return (values != 0).tolist()
 
 
 def bch_certificate(spec: ConstructionSpec) -> int:
@@ -363,17 +395,14 @@ def best_bch_distance(spec: ConstructionSpec) -> int:
     Scans all n exponents (not only the designed window) and returns the
     best BCH bound the generator supports.  Can exceed the designed
     distance; e.g. (m, c) = (4, 1) certifies 6 here against a designed 4.
+    A run lies between two circularly consecutive non-roots, so the bound
+    is the widest gap between them.
     """
     n = spec.n
-    is_root = spec._roots
-    if all(is_root):            # cannot happen for a nonzero code
+    non_roots = np.flatnonzero(~np.array(spec._roots, dtype=bool))
+    if not non_roots.size:      # cannot happen for a nonzero code
         return n + 1
-    # longest circular run of roots: scan doubled sequence
-    best = cur = 0
-    for flag in is_root + is_root:
-        cur = cur + 1 if flag else 0
-        best = max(best, cur)
-    return min(best, n - 1) + 1
+    return int((np.append(non_roots[1:], non_roots[0] + n) - non_roots).max())
 
 
 def encode(spec: ConstructionSpec, message: int) -> Codeword:

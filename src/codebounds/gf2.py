@@ -9,10 +9,17 @@ basis (bit 0 = constant term).
 Multiplication goes through log/antilog tables indexed by a primitive
 element alpha; degrees are limited to 2 <= m <= 16 so the tables stay small
 and every exhaustive check (irreducibility, primitivity) is cheap enough to
-run at construction time.
+run at construction time.  Each field is built and checked once per
+(m, modulus) and then shared, with read-only numpy copies of its tables
+for work over whole arrays of exponents or elements.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
+
+import numpy as np
 
 
 class UnsupportedDegree(ValueError):
@@ -158,12 +165,15 @@ class FieldContext:
     """GF(2^m) with log/antilog tables over a verified primitive modulus.
 
     Elements are ints < 2^m in the polynomial basis.  ``exp[i]`` holds
-    alpha^i for 0 <= i < 2^m - 1, and ``log[a]`` inverts that for nonzero a.
-    Instances are immutable after construction and safe to share across
-    threads.
+    alpha^i for 0 <= i < 2^m - 1, and ``log[a]`` inverts that for nonzero a
+    (``log[0]`` is 0).  ``exp_array`` and ``log_array`` are read-only int64
+    numpy copies of the two lists.  Instances are immutable after
+    construction; ``field_create`` shares one per (m, modulus), across
+    threads too.
     """
 
-    __slots__ = ("m", "modulus", "order", "exp", "log")
+    __slots__ = ("m", "modulus", "order", "exp", "log", "exp_array",
+                 "log_array")
 
     def __init__(self, m: int, modulus: int | None = None):
         if not (2 <= m <= 16):
@@ -202,6 +212,9 @@ class FieldContext:
                 f"x^{self.order} != 1 for modulus {hex(modulus)}")
         self.exp = exp
         self.log = log
+        self.exp_array = np.array(exp, dtype=np.int64)
+        self.log_array = np.array(log, dtype=np.int64)
+        self.exp_array.flags.writeable = self.log_array.flags.writeable = False
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -245,5 +258,19 @@ class FieldContext:
 
 
 def field_create(m: int, modulus: int | None = None) -> FieldContext:
-    """Build GF(2^m), verifying the modulus is irreducible and primitive."""
+    """GF(2^m) over ``modulus``, ``DEFAULT_MODULUS[m]`` when None.
+
+    The first call for an (m, modulus) builds the field and verifies that
+    the modulus is irreducible and primitive; later calls return that same
+    context while it is among the 16 fields used last.  A modulus that
+    fails its check raises on every call, as a failure is never kept.
+    """
+    m = operator.index(m)
+    return _shared_field(m, DEFAULT_MODULUS.get(m) if modulus is None
+                         else modulus)
+
+
+# the 15 default fields and one more; an m = 16 field holds 6 MiB of tables
+@functools.lru_cache(maxsize=16)
+def _shared_field(m: int, modulus: int | None) -> FieldContext:
     return FieldContext(m, modulus)

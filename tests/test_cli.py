@@ -45,7 +45,7 @@ class TestConstruct:
         assert "bch_certificate = 4" in lines
         assert "best_bch_distance = 6" in lines
 
-    @pytest.mark.parametrize("m, c", [("8", "3"), ("10", "2")])
+    @pytest.mark.parametrize("m, c", [("8", "3"), ("10", "2"), ("14", "2")])
     def test_text_pinned(self, capsys, m, c):
         code, out, err = run_cli(capsys, "construct", "--m", m, "--c", c)
         with open(os.path.join(DATA, f"construct_m{m}_c{c}.txt")) as fh:
@@ -508,6 +508,10 @@ class TestReplay:
      "argument --pairs: not allowed with argument --regime"),
     (["table", "--pairs", "15:6", "--regime", "1"],
      "argument --regime: not allowed with argument --pairs"),
+    (["table", "--regime", "1", "--r-max", "4"],
+     "table: --r-max is not allowed with --regime"),
+    (["table", "--workers", "1", "--regime", "1"],
+     "table: --workers is not allowed with --regime"),
 ])
 def test_out_of_range_int_options_exit_2(capsys, argv, message):
     # rejected by the parser, before any row is dropped or budget checked

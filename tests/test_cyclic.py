@@ -13,9 +13,9 @@ from codebounds.cli import main
 from codebounds.cyclic import (
     CertificateFailure,
     DecompositionFailure,
+    InexactDivision,
     InvalidParameters,
     LengthMismatch,
-    _eval_at_alpha_pow,
     _root_flags,
     bch_certificate,
     best_bch_distance,
@@ -30,10 +30,38 @@ from codebounds.distance import (
     min_distance,
     weight_distribution,
 )
-from codebounds.gf2 import cyclotomic_coset, poly_degree, poly_mod
+from codebounds.gf2 import (
+    cyclotomic_coset,
+    poly_degree,
+    poly_divrem,
+    poly_mod,
+    poly_mul,
+)
 
 DESIGNED = {(4, 1): 4, (6, 1): 24, (6, 2): 16,
             (8, 1): 112, (8, 2): 96, (8, 3): 64}
+
+
+def _horner(ctx, poly, j):
+    """A GF(2)[x] polynomial evaluated at alpha^j by Horner's rule."""
+    beta = ctx.alpha_pow(j)
+    res = 0
+    for bit in range(poly_degree(poly), -1, -1):
+        res = ctx.mul(res, beta) ^ ((poly >> bit) & 1)
+    return res
+
+
+def _coset_root_flags(spec):
+    """Root flags of g from one Horner evaluation of h = (x^n - 1)/g per
+    cyclotomic coset: h(beta^2) = h(beta)^2 decides the whole coset."""
+    h = poly_divrem((1 << spec.n) | 1, spec.generator)[0]
+    flags = [None] * spec.n
+    for j in range(spec.n):
+        if flags[j] is None:
+            is_root = _horner(spec.field, h, j) != 0
+            for e in cyclotomic_coset(j, spec.m):
+                flags[e] = is_root
+    return flags
 
 
 class TestCosetExponents:
@@ -132,30 +160,32 @@ class TestBchCertificate:
     def test_coset_root_flags_match_per_exponent(self, m, c, modulus):
         spec = build_code(m, c, modulus)
         assert _root_flags(spec) == [
-            _eval_at_alpha_pow(spec.field, spec.generator, j) == 0
+            _horner(spec.field, spec.generator, j) == 0
             for j in range(spec.n)]
 
-    def test_root_flags_from_check_polynomial(self, monkeypatch):
-        import codebounds.cyclic as cy
+    @pytest.mark.parametrize("m,c,modulus", [
+        (4, 1, None), (6, 1, None), (6, 2, None), (8, 1, None),
+        (8, 2, None), (8, 3, None), (10, 2, None), (8, 2, 0x12B),
+        (12, 2, None), (14, 2, None)])
+    def test_root_flags_match_per_coset_horner(self, m, c, modulus):
+        spec = build_code(m, c, modulus)
+        assert _root_flags(spec) == _coset_root_flags(spec)
 
+    def test_root_flags_from_check_polynomial(self):
         spec = build_code(8, 2)
-        calls = []
-        real = cy._eval_at_alpha_pow
-
-        def counted(ctx, poly, j):
-            calls.append((poly, j))
-            return real(ctx, poly, j)
-
-        monkeypatch.setattr(cy, "_eval_at_alpha_pow", counted)
-        _root_flags(spec)
-        # only h = (x^n - 1)/g, of degree k, is evaluated; once per coset
-        assert {poly_degree(poly) for poly, _ in calls} == {spec.k}
-        cosets = [frozenset(cyclotomic_coset(j, spec.m)) for _, j in calls]
-        assert len(set(cosets)) == len(cosets)
-        assert frozenset().union(*cosets) == frozenset(range(spec.n))
+        h, rem = poly_divrem((1 << spec.n) | 1, spec.generator)
+        assert rem == 0 and poly_degree(h) == spec.k
+        flags = _root_flags(spec)
+        # only h, of degree k, decides the flags: its k roots, the removed
+        # cosets, are the non-roots of g
+        assert flags == [_horner(spec.field, h, j) != 0
+                         for j in range(spec.n)]
+        removed = set().union(*(cs.members for cs in spec.cosets))
+        assert {j for j, flag in enumerate(flags) if not flag} == removed
+        assert len(removed) == spec.k
         # g + 1 is divisible by x, so it does not divide x^n - 1
         bad = dataclasses.replace(spec, generator=spec.generator ^ 1)
-        for certify in (bch_certificate, best_bch_distance):
+        for certify in (_root_flags, bch_certificate, best_bch_distance):
             with pytest.raises(CertificateFailure):
                 certify(bad)
 
@@ -165,6 +195,89 @@ class TestBchCertificate:
         spec = build_code(m, c)
         assert bch_certificate(spec) == designed
         assert best_bch_distance(spec) == best
+
+    @pytest.mark.parametrize("m,c,modulus", [
+        (4, 1, None), (6, 1, None), (6, 2, None), (8, 1, None),
+        (8, 2, None), (8, 3, None), (10, 2, None), (8, 2, 0x12B),
+        (12, 2, None)])
+    def test_best_run_matches_doubled_scan(self, m, c, modulus):
+        spec = build_code(m, c, modulus)
+        flags = _root_flags(spec)
+        best = run = 0
+        for flag in flags + flags:
+            run = run + 1 if flag else 0
+            best = max(best, run)
+        assert best_bch_distance(spec) == min(best, spec.n - 1) + 1
+
+
+def _gray_walk(ideal):
+    """Orbit words by a Gray-code walk over all nonzero messages: for each
+    r < gcd(e, n) in turn, a(x) * generator for the a with a(beta) =
+    alpha^r."""
+    ctx, n = ideal.field, ideal.n
+    powers = [ctx.alpha_pow(ideal.exponent * j) for j in range(ideal.dim)]
+    target = {ctx.alpha_pow(r): r for r in range(n // ideal.orbit_size)}
+    messages = [0] * len(target)
+    value = 0
+    for step in range(1, 1 << ideal.dim):
+        value ^= powers[(step & -step).bit_length() - 1]
+        if value in target:
+            messages[target[value]] = step ^ (step >> 1)
+    return [poly_mul(a, ideal.generator) for a in messages]
+
+
+ORACLE_CODES = [(4, 1, None), (4, 1, 0x19), (6, 1, None), (6, 2, None),
+                (8, 1, None), (8, 2, None), (8, 3, None), (10, 2, None),
+                (8, 2, 0x12B), (12, 2, None)]
+
+
+class TestIdealsAndOrbits:
+    """The split and the orbit walk against the quotient and walk they
+    replace, and every check they make."""
+
+    @pytest.mark.parametrize("m,c,modulus", ORACLE_CODES)
+    def test_generators_are_exact_quotients(self, m, c, modulus):
+        spec = build_code(m, c, modulus)
+        xn1 = (1 << spec.n) | 1
+        for ideal, cs in zip(minimal_ideals(spec), spec.cosets, strict=True):
+            mp = spec.field.minimal_polynomial(cs.representative)
+            assert ideal.generator == poly_divrem(xn1, mp)[0]
+            assert ideal.dim == poly_degree(mp) == m
+
+    @pytest.mark.parametrize("m,c,modulus", ORACLE_CODES)
+    def test_representatives_match_gray_code_walk(self, m, c, modulus):
+        for ideal in minimal_ideals(build_code(m, c, modulus)):
+            assert ideal.orbit_representatives() == _gray_walk(ideal)
+
+    def test_inexact_ideal_refused(self):
+        spec = build_code(6, 2)
+        first, second = spec.minimal_polynomials
+        # g times the other factors times a changed M_e is not x^n - 1
+        bad = dataclasses.replace(spec,
+                                  minimal_polynomials=(first ^ 0b100, second))
+        for _ in range(2):
+            with pytest.raises(InexactDivision):
+                minimal_ideals(bad)
+        assert "_ideals" not in vars(bad)
+
+    def test_corrupted_representatives_refused(self):
+        # (8,3): 3, 5 and 3 orbits of 85, 51 and 85 words
+        first, middle, last = minimal_ideals(build_code(8, 3))
+        reps = first.orbit_representatives()
+        cy._check_orbits(first, reps)
+        n = first.n
+        shifted = ((reps[0] << 7) | (reps[0] >> (n - 7))) & ((1 << n) - 1)
+        for bad in ([reps[0], shifted, reps[2]],    # two reps, one orbit
+                    reps[:2],                       # an orbit lost
+                    [0] + reps[1:],                 # the zero word
+                    # a word of another ideal, with orbits of 85 words too,
+                    # vanishes at beta
+                    reps[:2] + last.orbit_representatives()[:1],
+                    # plus a word with orbits of 51: an orbit of 255
+                    [reps[0] ^ middle.orbit_representatives()[0]]
+                    + reps[1:]):
+            with pytest.raises(DecompositionFailure):
+                cy._check_orbits(first, bad)
 
 
 def _spy(monkeypatch, name):

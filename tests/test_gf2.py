@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -181,6 +182,45 @@ class TestFieldContext:
     def test_all_supported_degrees_build(self):
         for m in range(2, 17):
             assert field_create(m).order == (1 << m) - 1
+
+
+class TestSharedField:
+    """One verified context per (m, modulus), shared by every call."""
+
+    def test_equal_specs_give_one_context(self):
+        ctx = field_create(8)
+        assert field_create(8) is ctx
+        assert field_create(8, None) is ctx
+        assert field_create(8, DEFAULT_MODULUS[8]) is ctx
+        assert field_create(np.int64(8)) is ctx and type(ctx.m) is int
+        other = field_create(8, 0x12B)
+        assert field_create(8, 0x12B) is other and other is not ctx
+
+    def test_distinct_moduli_keep_their_own(self):
+        a, b = field_create(4, 0x13), field_create(4, 0x19)
+        assert a is not b and a.exp != b.exp
+
+    @pytest.mark.parametrize("modulus, error", [
+        (0b10101, NonIrreducibleModulus), (0x1F, NonPrimitiveModulus)])
+    def test_failures_are_not_kept(self, monkeypatch, modulus, error):
+        built = []
+        real = gf2.FieldContext
+        monkeypatch.setattr(gf2, "FieldContext",
+                            lambda *args: built.append(args) or real(*args))
+        for _ in range(3):
+            with pytest.raises(error):
+                field_create(4, modulus)
+        assert built == [(4, modulus)] * 3
+
+    @pytest.mark.parametrize("m", [2, 6, 16])
+    def test_tables_are_read_only_copies(self, m):
+        ctx = field_create(m)
+        assert ctx.exp_array.tolist() == ctx.exp
+        assert ctx.log_array.tolist() == ctx.log
+        for table in (ctx.exp_array, ctx.log_array):
+            with pytest.raises(ValueError):
+                table[1] = 0
+        assert ctx.exp[1] == 2
 
 
 class TestMinimalPolynomial:
