@@ -11,9 +11,12 @@ whose limb rows are added up).  Every step writes into buffers allocated
 once per call.  The weights are summed in the smallest unsigned dtype
 that holds n, so a weight never wraps.  The scan has one mode: the
 cosets rep + span(rows), each rep XORed into the high table, where a
-full scan is the one coset of the zero word.  One block loop feeds two
-reductions: ``weight_scan`` histograms each block, and ``least_weight``
-keeps only its least weight, which is all a minimum distance needs.
+full scan is the one coset of the zero word.  A block is 2^13 words: the
+low table XORed with as many high columns as fit, so many reps over a
+few rows share a block.  One block loop feeds two reductions:
+``weight_scan`` histograms each block, each word counting its rep's
+multiplicity when given one, and ``least_weight`` keeps only its least
+weight, which is all a minimum distance needs.
 ``layer_minima`` builds the same two tables, split at min(13, ceil(k/2))
 bits and with their columns sorted by message popcount, to find the
 least weight of each message-weight layer of a span without enumerating
@@ -56,7 +59,7 @@ def pack_rows(rows: list[int], n: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
 
 
-def _span_table(rows: np.ndarray) -> np.ndarray:
+def span_table(rows: np.ndarray) -> np.ndarray:
     """All 2^k XOR combinations of k packed rows, limb-major.
 
     Returns shape (limbs, 2^k): column m is the combination selected by the
@@ -70,22 +73,32 @@ def _span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def _packed_reps(reps: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """``reps`` as a (len, ceil(n/64)) uint64 array: packed by
+    ``pack_rows`` from ints, or taken as it is when already packed."""
+    return reps if isinstance(reps, np.ndarray) else pack_rows(list(reps), n)
+
+
 def _weight_blocks(rows: list[int], n: int, start: int = 0,
-                   stop: int | None = None, reps: Sequence[int] = (0,)):
+                   stop: int | None = None,
+                   reps: Sequence[int] | np.ndarray = (0,)):
     """The weights of the words of messages [start, stop), by block.
 
     Message r * 2^k + m is reps[r] + (the word of m in span(rows)), each
     rep XORed into the high table's columns only; the default ``reps``,
     the zero word alone, makes the messages the span's 2^k codewords.
-    Yields (first message, weights) for each run of at most 2^13 messages
-    that share a high column; the weights are a view of a buffer that the
-    next block overwrites.  Both span tables are limb-major (see the module
-    docstring), and the per-word weights are summed over limbs in
-    ``np.min_scalar_type(n)``, the smallest unsigned dtype that holds n
-    (uint8 only for n <= 255).  The work buffers belong to this call, so
-    concurrent calls share nothing.  ``stop`` defaults to the message
-    count; a range outside 0 <= start <= stop <= that count raises
-    ``ValueError`` before any table is built.
+    ``reps`` holds ints, or is already packed as ``pack_rows`` packs them.
+    Yields (first message, weights) for each run of consecutive messages
+    in one block; the weights are a view of a buffer that the next block
+    overwrites.  A block holds 2^13 words: the low table XORed with as
+    many consecutive high columns as fit, one when k >= 13, so thousands
+    of reps over a few rows take a few blocks.  Both span tables are
+    limb-major (see the module docstring), and the per-word weights are
+    summed over limbs in ``np.min_scalar_type(n)``, the smallest unsigned
+    dtype that holds n (uint8 only for n <= 255).  The work buffers belong
+    to this call, so concurrent calls share nothing.  ``stop`` defaults to
+    the message count; a range outside 0 <= start <= stop <= that count
+    raises ``ValueError`` before any table is built.
     """
     total = len(reps) << len(rows)
     stop = total if stop is None else stop
@@ -94,50 +107,77 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
                          f"inside the {total} messages [0, {total})")
     packed = pack_rows(rows, n)
     k_lo = min(len(rows), _LOW_BITS)
-    low = _span_table(packed[:k_lo])
-    high = _span_table(packed[k_lo:])
+    low = span_table(packed[:k_lo])
+    high = span_table(packed[k_lo:])
     # column r * 2^(k - k_lo) + j is rep r XOR column j
-    high = np.bitwise_xor(high[:, None], pack_rows(reps, n).T[:, :, None])
+    high = np.bitwise_xor(high[:, None], _packed_reps(reps, n).T[:, :, None])
     high = high.reshape(len(high), -1)
-    size = 1 << k_lo
-    block = np.empty_like(low)
-    bits = np.empty(low.shape, dtype=np.uint8)
-    wts = np.empty(size, dtype=np.min_scalar_type(n))
-    first, span = start >> k_lo, None
-    # high's columns as (limbs, 1) views, one per block
-    for prefix, column in enumerate(high.T[first:-(-stop >> k_lo), :, None],
-                                    first):
-        base = prefix << k_lo
-        edges = max(0, start - base), min(size, stop - base)
-        if edges != span:        # only at the range's two ends
-            span, (a, b) = edges, edges
-            views = low[:, a:b], block[:, :b - a], bits[:, :b - a], wts[:b - a]
-        np.bitwise_xor(views[0], column, out=views[1])
+    # high columns per block: as many as fit in 2^13 words, and no more
+    # than the range holds
+    size, begin, end = 1 << k_lo, start >> k_lo, -(-stop >> k_lo)
+    per = min(1 << (_LOW_BITS - k_lo), end - begin)
+    block = np.empty((len(low), per * size), dtype=np.uint64)
+    bits = np.empty(block.shape, dtype=np.uint8)
+    wts = np.empty(per * size, dtype=np.min_scalar_type(n))
+    # column c of block3 is the low table XOR one high column
+    block3, low, span = block.reshape(len(low), per, size), low[:, None], None
+    for first in range(begin, end, max(per, 1)):
+        columns = high[:, first:first + per, None]
+        if columns.shape[1] != span:        # only at the last block
+            span = columns.shape[1]
+            views = (block3[:, :span], block[:, :span * size],
+                     bits[:, :span * size], wts[:span * size])
+        np.bitwise_xor(low, columns, out=views[0])
         _word_weights(*views[1:])
-        yield base + a, views[3]
+        base = first << k_lo
+        if start <= base and base + span * size <= stop:
+            yield base, views[3]
+        else:                               # only at the range's ends
+            a, b = max(0, start - base), min(span * size, stop - base)
+            yield base + a, views[3][a:b]
+
+
+def reps_per_call(n: int, k: int) -> int:
+    """Reps of n bits over k rows that one ``weight_scan`` or
+    ``least_weight`` call takes at most: their limbs, and their columns in
+    the high span table, stay within 2^21 limbs (16 MiB)."""
+    return max(1, (1 << 21) // (_limbs(n) << max(0, k - _LOW_BITS)))
 
 
 def weight_scan(rows: list[int], n: int, start: int = 0,
                 stop: int | None = None,
-                reps: Sequence[int] = (0,)) -> np.ndarray:
+                reps: Sequence[int] | np.ndarray = (0,),
+                multiplicity: np.ndarray | None = None) -> np.ndarray:
     """Weight histogram over a message range.
 
     The int64 weight histogram, of length n+1, of the words of messages
     [start, stop) as ``_weight_blocks`` numbers them: the span's codewords,
-    or with the orbit representatives of a minimal ideal as ``reps`` its
-    cosets rep + span(rows).  Rows and reps must fit in n bits.  Histograms
-    of disjoint ranges add elementwise, which is how the full scan in
+    or with the prefix words of an orbit plan as ``reps`` (ints, or packed)
+    the cosets rep + span(rows).  With ``multiplicity``, an int array
+    aligned with ``reps``, each word of rep r's coset counts
+    multiplicity[r] times (a block's counts are summed in float64, exact
+    below 2^53).  Rows and reps must fit in n bits.  Histograms of
+    disjoint ranges add elementwise, which is how the full scan in
     ``distance`` shards the range across threads.
     """
     counts = np.zeros(n + 1, dtype=np.int64)
-    for _, wts in _weight_blocks(rows, n, start, stop, reps):
-        counts += np.bincount(wts, minlength=n + 1)
+    k = len(rows)
+    for first, wts in _weight_blocks(rows, n, start, stop, reps):
+        if multiplicity is None:
+            counts += np.bincount(wts, minlength=n + 1)
+            continue
+        # message first + i is a word of rep (first + i) >> k
+        lo, hi = first >> k, (first + len(wts) - 1) >> k
+        each = multiplicity[lo:hi + 1].repeat(1 << k)
+        each = each[first - (lo << k):][:len(wts)].astype(np.float64)
+        counts += np.bincount(wts, weights=each,
+                              minlength=n + 1).astype(np.int64)
     return counts
 
 
 def least_weight(rows: list[int], n: int, start: int = 0,
                  stop: int | None = None,
-                 reps: Sequence[int] = (0,)) -> int:
+                 reps: Sequence[int] | np.ndarray = (0,)) -> int:
     """Least word weight over the messages in [start, stop).
 
     The same blocks as ``weight_scan``, each reduced by its minimum instead
@@ -147,7 +187,7 @@ def least_weight(rows: list[int], n: int, start: int = 0,
     """
     least = n + 1
     for first, wts in _weight_blocks(rows, n, start, stop, reps):
-        if first == 0 and reps[0] == 0:
+        if first == 0 and not _packed_reps(reps[:1], n).any():
             wts = wts[1:]
         if wts.size:
             least = min(least, int(wts.min()))
@@ -277,8 +317,8 @@ def layer_minima(gens: list[list[int]], n: int, last: int | None = None):
     low_order, low_at = _popcount_order(k_lo, last)
     high_order, high_at = _popcount_order(k - k_lo, last)
     packed = [pack_rows(rows, n) for rows in gens]
-    low = np.concatenate([_span_table(p[:k_lo])[:, low_order] for p in packed])
-    high = np.concatenate([_span_table(p[k_lo:])[:, high_order]
+    low = np.concatenate([span_table(p[:k_lo])[:, low_order] for p in packed])
+    high = np.concatenate([span_table(p[k_lo:])[:, high_order]
                            for p in packed])
     limbs = low.shape[0] // t
     size = 1 << _LOW_BITS

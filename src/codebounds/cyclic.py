@@ -4,16 +4,19 @@ For even m >= 4 and 1 <= c <= m/2 - 1 the construction removes c cyclotomic
 cosets, each of size m, from the root set of x^n - 1.  The resulting code
 has dimension c*m and minimum distance at least 2^(m-1) - 2^(m/2+c-1),
 certified by a run of consecutive roots alpha^t, ..., alpha^(2^m - 1) of the
-generator polynomial g.  The roots are read off the degree-k check
-polynomial h = (x^n - 1)/g: alpha^j is a root of g exactly when
+generator polynomial g.  g is the inverse of the check polynomial h to
+n - deg h + 1 coefficients, by Newton's iteration, checked by g h = x^n - 1.
+The roots are read off h: alpha^j is a root of g exactly when
 h(alpha^j) != 0, and all n values h(alpha^j) are formed at once over the
 field's numpy exp table.  ``minimal_ideals`` splits a built code into its c
 minimal ideals, each generated by g times the other cosets' minimal
-polynomials, and the distance engine enumerates their cyclic-shift orbits:
-the representatives come from one span table of field elements, and are
-checked on the words themselves.  A spec object keeps its root flags and
-ideals, and an ideal its orbit representatives, once verified: per object,
-not per value, and handed out as tuples or new lists.
+polynomials.  ``orbit_plan`` lays the code out as orbits of its group of
+cyclic shifts and squarings, one stabilizer chain over the ideals: the
+distance engine scans one word per orbit, each counted with its orbit's
+size, and every orbit, stabilizer and count is checked on the way.  A
+spec object keeps its root flags, ideals and plan, and an ideal its shift
+orbit representatives, once verified: per object, not per value, and
+handed out as tuples or new lists.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
+from . import _kernels
 from .gf2 import (
     FieldContext,
     cyclotomic_coset,
@@ -32,6 +37,7 @@ from .gf2 import (
     poly_degree,
     poly_divrem,
     poly_mul,
+    poly_square,
     row_basis,
 )
 
@@ -53,7 +59,7 @@ class CertificateFailure(ArithmeticError):
 
 
 class DecompositionFailure(ArithmeticError):
-    """The code's ideal or shift-orbit structure contradicts the theory."""
+    """The code's ideal or orbit structure contradicts the theory."""
 
 
 class LengthMismatch(ValueError):
@@ -105,12 +111,17 @@ class ConstructionSpec:
         return [self.generator << i for i in range(self.k)]
 
     @cached_property
-    def _roots(self) -> tuple[bool, ...]:
-        return tuple(_root_flags(self))
+    def _roots(self) -> np.ndarray:
+        # a read-only bool array over the flags' bytes
+        return np.frombuffer(bytes(_root_flags(self)), dtype=bool)
 
     @cached_property
     def _ideals(self) -> tuple[MinimalIdeal, ...]:
         return _split_ideals(self)
+
+    @cached_property
+    def _plan(self) -> OrbitPlan:
+        return _plan_orbits(minimal_ideals(self))
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,9 +175,9 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
     """Construct the code for (m, c), verifying every structural claim.
 
     The c cosets are rebuilt and checked pairwise disjoint, each of size m.
-    g(x) = (x^n - 1) / prod_i M_i(x) is computed by exact division; a nonzero
-    remainder or a degree other than n - c*m raises.  The returned spec's
-    dimension is therefore certified, not assumed.
+    g(x) = (x^n - 1) / prod_i M_i(x) is computed by ``_exact_quotient``;
+    an inexact division or a degree other than n - c*m raises.  The
+    returned spec's dimension is therefore certified, not assumed.
     """
     m, c = _check_params(m, c)
     ctx = field_create(m, modulus)
@@ -184,11 +195,7 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
         cosets.append(cs)
         polys.append(ctx.minimal_polynomial(cs.representative))
         h = poly_mul(h, polys[-1])
-    xn1 = (1 << n) | 1          # x^n - 1 == x^n + 1 over GF(2)
-    g, rem = poly_divrem(xn1, h)
-    if rem != 0:
-        raise InexactDivision(
-            f"x^{n}-1 not divisible by coset minimal-polynomial product")
+    g = _exact_quotient(h, n)
     if poly_degree(g) != n - c * m:
         raise CosetCollision(
             f"deg g = {poly_degree(g)} != n - cm = {n - c * m}")
@@ -198,6 +205,27 @@ def build_code(m: int, c: int, modulus: int | None = None) -> ConstructionSpec:
                             minimal_polynomials=tuple(polys))
 
 
+def _exact_quotient(h: int, n: int) -> int:
+    """(x^n - 1) / h, for h with h(0) = 1, or ``InexactDivision``.
+
+    If g h = x^n + 1 then g h = 1 mod x^(n - deg h + 1), and deg g is below
+    that, so g is the inverse of h to that many coefficients.  Newton's
+    step u -> h u^2 (over GF(2), u (2 - h u) = h u^2) doubles the
+    coefficients known at each step; squaring only spreads bits, and the
+    product loops over the at most deg h + 1 terms of h.  No step works
+    one quotient bit at a time.  The product g h must then be x^n + 1.
+    """
+    size = n - poly_degree(h) + 1
+    g, known = 1, 1
+    while known < size:
+        known = min(2 * known, size)
+        g = poly_mul(h, poly_square(g)) & ((1 << known) - 1)
+    if poly_mul(h, g) != (1 << n) | 1:
+        raise InexactDivision(
+            f"x^{n}-1 not divisible by coset minimal-polynomial product")
+    return g
+
+
 @dataclass(frozen=True)
 class MinimalIdeal:
     """The codewords whose nonzeros lie in one removed cyclotomic coset.
@@ -205,14 +233,17 @@ class MinimalIdeal:
     Its generator is g times the other removed cosets' minimal polynomials,
     which is (x^n - 1) / M_e(x) for the coset representative e, so the
     ideal has dimension deg M_e = m.  Evaluating a word at beta = alpha^e
-    maps the ideal one-to-one onto GF(2^m) and turns a cyclic shift into
-    multiplication by beta, an element of order n / gcd(e, n).
+    maps the ideal one-to-one onto GF(2^m), so a nonzero word u has a log
+    coordinate l with u(beta) = alpha^l.  The code's automorphism (t, f),
+    bit i to 2^f * i + t mod n (f squarings, then t shifts), acts on it as
+    l -> 2^f * l + e * t mod n.
     """
 
     n: int
     exponent: int
     generator: int
     dim: int
+    minimal_polynomial: int
     field: FieldContext = dc_field(repr=False, compare=False)
 
     @property
@@ -227,79 +258,397 @@ class MinimalIdeal:
     def orbit_representatives(self) -> list[int]:
         """One word from each cyclic-shift orbit of the nonzero words.
 
-        The orbits correspond to the cosets alpha^r <beta>, r < gcd(e, n).
-        One span table holds a(beta) for all 2^dim messages a, and the log
-        table picks out, for each r in turn, the a with a(beta) = alpha^r;
-        the word a(x) * generator represents the orbit.  The words are then
-        checked by algebra (``_check_orbits``): each is fixed by
-        ``orbit_size`` shifts and nonzero at beta, so its orbit has exactly
-        that many words; their values at beta lie in distinct cosets of
-        <beta>, so no two share an orbit; and the orbits count all
-        2^dim - 1 nonzero words.  Anything else raises
-        ``DecompositionFailure``.  Both run once per ideal object.
+        The orbit plan's walk (``_walk_orbits``) under the shifts alone: the
+        orbits are the cosets alpha^r <beta>, r < gcd(e, n), and the word of
+        log coordinate r represents its orbit.  Run and checked once per
+        ideal object.
         """
         return list(self._orbits)
 
     @cached_property
     def _orbits(self) -> tuple[int, ...]:
-        return _walk_orbits(self)
+        shifts = np.array([[1, 0, self.field.m]])
+        orbits = _walk_orbits(self, shifts)
+        _check_orbits(self, shifts, *orbits)
+        logs = orbits[1]
+        return tuple(int.from_bytes(word.tobytes(), "little")
+                     for word in self.words(self._messages[logs]))
+
+    def words(self, messages: np.ndarray) -> np.ndarray:
+        """The words a(x) * generator of the messages a, packed as
+        ``_kernels.pack_rows`` packs rows: a low and a high span table of
+        the rows, each of about 2^(dim/2) words, XORed by message."""
+        low, high = self._span_halves
+        split = self.dim // 2
+        words = low[messages & ((1 << split) - 1)] ^ high[messages >> split]
+        return words[:, :-1]
+
+    @cached_property
+    def _span_halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """The span tables, one column per message, of the first dim // 2
+        rows and of the rest; each row is x^j * generator, packed, with
+        beta^j as one more limb, so a column's last limb is a(beta)."""
+        ctx, n, e = self.field, self.n, self.exponent
+        packed = np.concatenate([
+            _kernels.pack_rows(self.rows(), n),
+            ctx.exp_array[e * np.arange(self.dim) % n, None].astype(np.uint64)],
+            axis=1)
+        split = self.dim // 2
+        return (_kernels.span_table(packed[:split]).T,
+                _kernels.span_table(packed[split:]).T)
+
+    @cached_property
+    def _messages(self) -> np.ndarray:
+        """messages[l] is the a with (a * generator)(beta) = alpha^l.
+
+        The span tables hold a(beta) for all 2^dim messages a.  As
+        generator * M_e = x^n - 1, the derivative at the simple root beta
+        gives generator(beta) M_e'(beta) = beta^(n-1), which adds its log;
+        beta must be a root of M_e, or it is not a nonzero of the ideal
+        (``DecompositionFailure``)."""
+        ctx, n, e = self.field, self.n, self.exponent
+        check = self.minimal_polynomial
+        # M_e' keeps the odd terms of M_e, each lowered by one degree
+        slope = check >> 1 & int("01" * self.dim, 2)
+        if _value(ctx, e, check) or not _value(ctx, e, slope):
+            raise DecompositionFailure(
+                f"alpha^{e} is not a simple root of the minimal polynomial "
+                f"of the ideal of coset {e}")
+        offset = -e - ctx.log[_value(ctx, e, slope)]
+        low, high = self._span_halves
+        # message a = lo + hi * 2^split has a(beta) = low(lo) + high(hi)
+        values = (high[:, -1, None] ^ low[:, -1]).ravel().astype(np.int64)
+        messages = np.zeros(n, dtype=np.int64)
+        messages[(ctx.log_array[values[1:]] + offset) % n] = np.arange(
+            1, len(values))
+        messages.flags.writeable = False
+        return messages
 
 
-def _walk_orbits(ideal: MinimalIdeal) -> tuple[int, ...]:
-    """The verified words of ``MinimalIdeal.orbit_representatives``."""
-    ctx, n = ideal.field, ideal.n
-    # values[a] = a(beta), each power beta^j doubling the filled entries
-    values = np.zeros(1 << ideal.dim, dtype=np.int64)
-    for j in range(ideal.dim):
-        half = 1 << j
-        np.bitwise_xor(values[:half], ctx.alpha_pow(ideal.exponent * j),
-                       out=values[half:2 * half])
-    # message[r] is the a with a(beta) = alpha^r, or 0 if there is none
-    message = np.zeros(n, dtype=np.int64)
-    message[ctx.log_array[values[1:]]] = np.arange(1, len(values))
-    reps = [poly_mul(a, ideal.generator)
-            for a in message[:n // ideal.orbit_size].tolist()]
-    _check_orbits(ideal, reps)
-    return tuple(reps)
+def _value(ctx: FieldContext, e: int, poly: int) -> int:
+    """poly(alpha^e): the XOR of alpha^(e i) over the terms x^i."""
+    value = 0
+    for i in range(poly.bit_length()):
+        if poly >> i & 1:
+            value ^= ctx.alpha_pow(e * i)
+    return value
 
 
-def _check_orbits(ideal: MinimalIdeal, reps: list[int]) -> None:
-    """Raise ``DecompositionFailure`` unless ``reps``, words of the ideal,
-    hold one word of each cyclic-shift orbit of its nonzero words.
+# A subgroup <(s, 0), (tau, phi)> of the automorphisms (t, f) of a code of
+# length n = 2^m - 1 is a triple (s, tau, phi), with s | n and phi | m:
+# s = n means no shift but the identity, and phi = m no squaring (tau is
+# then 0).  The whole group is (1, 0, 1), of n * m elements; the shifts
+# alone are (1, 0, m).  In log coordinates (see ``MinimalIdeal``) the
+# shifts (s, 0) add the multiples of g = gcd(e s, n) to the log, so the
+# group's orbits on an ideal's nonzero words are the cycles of
+# r -> 2^phi r + e tau on the residues mod g, each of (n/g) * (cycle
+# length) words.
 
-    A shift multiplies u(beta) by beta, so the orbit of u evaluates into
-    the coset u(beta) <beta>, and where u(beta) != 0, x^d * u = u forces
-    beta^d = 1.  So each word must have x^size * u = u and u(beta) != 0,
-    which makes its orbit exactly ``size`` = ord(beta) words; the words
-    must evaluate into distinct cosets of <beta>, which makes their orbits
-    disjoint; and reps * size must count all 2^dim - 1 nonzero words.
+
+# Levels of at most this many residues are walked and checked in Python:
+# below it, the fixed cost of numpy's calls exceeds the loops they save.
+_SMALL_LEVEL = 1 << 8
+
+
+def _walk_orbits(ideal: MinimalIdeal, groups: np.ndarray):
+    """The orbits of each group row (s, tau, phi) of ``groups`` on the
+    ideal's nonzero words: per orbit, its group's row, the log of its
+    representative (the least residue of its cycle) and its size, as
+    arrays.
+
+    A small level walks each cycle in Python, from its least residue,
+    marking the residues it passes.  A large one puts all groups'
+    residues side by side in one array and finds the least residue of
+    each cycle by pointer doubling.  The orbits are checked by
+    ``_check_orbits``.
     """
-    ctx, n, size = ideal.field, ideal.n, ideal.orbit_size
-    if len(reps) * size != (1 << ideal.dim) - 1:
+    n, e, m = ideal.n, ideal.exponent, ideal.field.m
+    s, tau, phi = groups.T.tolist()
+    g = [math.gcd(e * x, n) for x in s]
+    scale = [(1 << f) % x for f, x in zip(phi, g)]
+    shift = [e * t % x for t, x in zip(tau, g)]
+    if _residues(ideal, groups) <= _SMALL_LEVEL:
+        found = []
+        for row, (mod, a, b) in enumerate(zip(g, scale, shift)):
+            seen = bytearray(mod)
+            for start in range(mod):
+                at, length = start, 0
+                while not seen[at]:
+                    seen[at] = 1
+                    length += 1
+                    at = (a * at + b) % mod
+                if length:
+                    found.append((row, start, n // mod * length))
+        return tuple(np.array(column).reshape(-1) for column in zip(*found))
+    # per residue: its group's row and g, the group's first index, and
+    # 2^phi and e tau mod g
+    row, mod, first, scale, shift = np.array(
+        [range(len(g)), g, list(accumulate(g[:-1], initial=0)), scale,
+         shift]).repeat(g, axis=1)
+    residues = np.arange(len(mod)) - first
+    jump = (scale * residues + shift) % mod + first
+    least = residues
+    # a cycle has at most min(g, m / phi) residues
+    for _ in range((max(min(x, m // f) for f, x in zip(phi, g)) - 1)
+                   .bit_length()):
+        least = np.minimum(least, least[jump])
+        jump = jump[jump]
+    reps = (least == residues).nonzero()[0]
+    # the residues of a cycle share its least one
+    lengths = np.bincount(least + first)[reps]
+    return row[reps], residues[reps], n // mod[reps] * lengths
+
+
+def _check_orbits(ideal: MinimalIdeal, groups: np.ndarray, row: np.ndarray,
+                  logs: np.ndarray, sizes: np.ndarray) -> None:
+    """Raise ``DecompositionFailure`` unless, for each group row of
+    ``groups``, the logs of its orbits represent distinct orbits of the
+    given sizes, which together hold all 2^m - 1 nonzero words of the
+    ideal.
+
+    Each size must be n/g times a cycle length L, and each group's sizes
+    must sum to n.  The powers (tau, phi)^i, which move the log l to
+    2^(i phi) l + e tau (2^(i phi) - 1) / (2^phi - 1), must move each
+    representative, mod g, to residues that are distinct for i < L,
+    also across one group's representatives, and back to it at i = L.  So
+    the cycles are disjoint and, summing to g, cover every residue.  A
+    small level steps through the cycles in Python, a large one forms all
+    the powers at once.
+    """
+    n, e = ideal.n, ideal.exponent
+    small = _residues(ideal, groups) <= _SMALL_LEVEL
+    covered, disjoint = (_step_cycles if small else _power_cycles)(
+        ideal, groups, row, logs, sizes)
+    if not covered:
         raise DecompositionFailure(
-            f"{len(reps)} orbits of {size} words do not cover the "
-            f"ideal of coset {ideal.exponent}")
-    mask = (1 << n) - 1
-    if any(((u << size) | (u >> (n - size))) & mask != u for u in reps):
+            f"orbits of {sizes.tolist()} words do not cover the "
+            f"{n} nonzero words of the ideal of coset {e}")
+    if not disjoint:
         raise DecompositionFailure(
-            f"shift orbit in the ideal of coset {ideal.exponent} "
-            f"does not close after {size} shifts")
-    # u(beta) is the XOR of beta^i over the bits i of u
-    size_bytes = -(-n // 8)
-    words = np.frombuffer(b"".join(u.to_bytes(size_bytes, "little")
-                                   for u in reps), dtype=np.uint8)
-    bits = np.unpackbits(words.reshape(len(reps), size_bytes), axis=1,
-                         count=n, bitorder="little")
-    powers = ctx.exp_array[ideal.exponent * np.arange(n) % n]
-    values = np.bitwise_xor.reduce(bits * powers, axis=1).tolist()
-    if 0 in values:
+            f"two representatives in the ideal of coset {e} share a "
+            f"cycle, or a cycle does not close")
+
+
+def _residues(ideal: MinimalIdeal, groups: np.ndarray) -> int:
+    """The residues a level walks: g summed over the group rows."""
+    e, n = ideal.exponent, ideal.n
+    return sum(math.gcd(e * s, n) for s in groups[:, 0].tolist())
+
+
+def _step_cycles(ideal, groups, row, logs, sizes) -> tuple[bool, bool]:
+    """Whether the orbits cover and are disjoint, by stepping through
+    each cycle in Python."""
+    n, e = ideal.n, ideal.exponent
+    groups, total, passed, steps = groups.tolist(), [0] * len(groups), set(), 0
+    for k, log, size in zip(row.tolist(), logs.tolist(), sizes.tolist()):
+        s, tau, phi = groups[k]
+        g = math.gcd(e * s, n)
+        length, rest = divmod(size, n // g)
+        if rest:
+            return False, False
+        # a cycle of (tau, phi) has at most m / phi residues
+        if length * phi > ideal.field.m:
+            return True, False
+        total[k] += size
+        steps += length
+        at = log % g
+        for _ in range(length):
+            passed.add((k, at))
+            at = ((1 << phi) * at + e * tau) % g
+        if at != log % g:
+            return True, False
+    return all(t == n for t in total), len(passed) == steps
+
+
+def _power_cycles(ideal, groups, row, logs, sizes) -> tuple[bool, bool]:
+    """Whether the orbits cover and are disjoint, with the powers of every
+    step formed at once."""
+    n, e = ideal.n, ideal.exponent
+    _, tau, phi = groups[row].T
+    g = np.array([math.gcd(e * s, n) for s in groups[:, 0].tolist()])[row]
+    lengths = sizes // (n // g)
+    covered = not (sizes % (n // g)).any() and \
+        (np.bincount(row, sizes, minlength=len(groups)) == n).all()
+    # a cycle of (tau, phi) has at most m / phi residues
+    if not covered or (lengths * phi > ideal.field.m).any():
+        return covered, False
+    steps = np.arange(lengths.max() + 1)[:, None]
+    # steps past L repeat step L, which must be the representative again;
+    # 2^(i phi) is exact for i phi <= m, and 2^m = 1 mod g
+    power = 1 << np.minimum(steps, lengths) * phi
+    at = (power * logs + e * tau * ((power - 1) // ((1 << phi) - 1))) % g
+    # residue r of group row k passes, at a step i < L, as k * n + r
+    passed = (row * n + at)[steps < lengths]
+    return covered, bool((at[-1] == logs % g).all()
+                         and np.bincount(passed).max() == 1)
+
+
+def _stabilizers(ideal: MinimalIdeal, groups: np.ndarray, row: np.ndarray,
+                 logs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The stabilizer of each orbit representative of ``_walk_orbits``.
+
+    With g and the cycle length L as there, the stabilizer of the log r
+    in <(s, 0), (tau, phi)> is (s n/g, tau', L phi): (tau, phi)^L is
+    (tau_L, L phi) with tau_L = tau (2^(L phi) - 1) / (2^phi - 1), which
+    moves r by a multiple of g, and tau' = tau_L + s u adds the shift s u
+    that moves it back, e s u = (1 - 2^(L phi)) r - e tau_L mod n.
+    """
+    n, e, m = ideal.n, ideal.exponent, ideal.field.m
+    groups, stabs = groups.tolist(), []
+    for k, log, size in zip(row.tolist(), logs.tolist(), sizes.tolist()):
+        s, tau, phi = groups[k]
+        g = math.gcd(e * s, n)
+        turns = size // (n // g) * phi
+        power = 1 << turns
+        tau_l = tau * ((power - 1) // ((1 << phi) - 1)) % n
+        moved = ((1 - power) * log - e * tau_l) % n
+        if moved % g:
+            raise DecompositionFailure(
+                f"a stabilizer in the ideal of coset {e} moves its "
+                f"representative off its residue")
+        unit = pow(e * s // g, -1, n // g) if g < n else 0
+        shift = tau_l + s * (moved // g * unit % (n // g))
+        stabs.append((s * (n // g), shift % n if turns < m else 0, turns))
+    return np.array(stabs, dtype=np.int64).reshape(-1, 3)
+
+
+def _check_fixed(words: np.ndarray, stabs: np.ndarray, m: int) -> None:
+    """Raise ``DecompositionFailure`` unless each generator of each
+    stabilizer (s, tau, phi), read as the bit permutation
+    i -> 2^f i + t mod n with (t, f) = (s, 0) and (tau, phi), fixes its
+    packed word."""
+    n = (1 << m) - 1
+    gens = [(k, t, f) for k, (s, tau, phi) in enumerate(stabs.tolist())
+            for t, f in ((s, 0), (tau, phi)) if (t, f) not in ((n, 0),
+                                                              (0, m))]
+    if not gens:
+        return
+    word, t, f = np.array(gens).T[:, :, None]
+    i = np.arange(n)
+    per = max(1, (1 << 20) // n)
+    for first in range(0, len(word), per):
+        part = slice(first, first + per)
+        bits = np.unpackbits(words[word[part, 0]].view(np.uint8), axis=1,
+                             count=n, bitorder="little")
+        # 2^f i mod n rotates the m bits of i < n by f
+        moved = ((i << f[part]) | (i >> (m - f[part]))) & n
+        moved += t[part]
+        moved -= n * (moved >= n)
+        if (bits[np.arange(len(bits))[:, None], moved] != bits).any():
+            raise DecompositionFailure(
+                "a stabilizer generator moves the word it was found for")
+
+
+@dataclass(frozen=True)
+class OrbitScan:
+    """Words rep + span(ideals[level:]) of an orbit plan; each word of
+    rep i's coset stands for multiplicity[i] words of the code.
+
+    Rep i is the prefix word bases[parent[i]] XOR the word of message
+    messages[i] of ``ideal``, ideals[level - 1] (message 0 adds nothing).
+    """
+
+    level: int
+    bases: np.ndarray = dc_field(repr=False)
+    parent: np.ndarray = dc_field(repr=False)
+    messages: np.ndarray = dc_field(repr=False)
+    multiplicity: np.ndarray = dc_field(repr=False)
+    ideal: MinimalIdeal = dc_field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def reps(self, start: int, stop: int) -> np.ndarray:
+        """Reps start .. stop - 1, packed; all of them, when asked for at
+        once, are formed once and kept for the next scan."""
+        if start == 0 and stop >= len(self):
+            return self._reps
+        return (self.bases[self.parent[start:stop]]
+                ^ self.ideal.words(self.messages[start:stop]))
+
+    @cached_property
+    def _reps(self) -> np.ndarray:
+        reps = self.bases[self.parent] ^ self.ideal.words(self.messages)
+        reps.flags.writeable = False
+        return reps
+
+
+@dataclass(frozen=True)
+class OrbitPlan:
+    """The code's words as orbits of its shift-and-squaring group.
+
+    The group G = <x, sigma> of the cyclic shifts and the squaring
+    sigma: i -> 2i mod n fixes the code, each minimal ideal and every
+    weight; it has n * m elements.  A stabilizer chain over the ideals in
+    order: the words whose components in the first j ideals form the
+    prefix P, with stabilizer H in G, take each H-orbit of the nonzero
+    words u of ideal j to one prefix P + u, standing for the orbit's size
+    times P's count of words, with H's stabilizer of u; the component 0
+    keeps P and H.  A prefix whose stabilizer is the identity is scanned
+    with the span of the ideals after it; the prefixes left after the last
+    ideal are words of their own, the zero word aside.  ``scans`` holds
+    one ``OrbitScan`` per level that has any; multiplicity * words over
+    them is 2^k - 1.
+    """
+
+    ideals: tuple[MinimalIdeal, ...]
+    scans: tuple[OrbitScan, ...]
+
+
+def orbit_plan(spec: ConstructionSpec) -> OrbitPlan:
+    """The spec's ``OrbitPlan`` over its minimal ideals in order, built and
+    checked once per spec object."""
+    return spec._plan
+
+
+def _plan_orbits(ideals: list[MinimalIdeal]) -> OrbitPlan:
+    """The checked ``OrbitPlan`` of the direct sum of ``ideals``.
+
+    Each level's walk checks its orbits (``_check_orbits``); each prefix
+    with a nontrivial stabilizer is checked to be fixed by its generators
+    on the bits (``_check_fixed``); and multiplicity * words over the
+    scans must count all 2^k - 1 nonzero words.  Anything else raises
+    ``DecompositionFailure``.  The last ideal's prefixes are words, so
+    their stabilizers are never needed or formed.
+    """
+    n, m = ideals[0].n, ideals[0].field.m
+    # the prefixes so far: packed words, stabilizers, words each stands for
+    words = _kernels.pack_rows([0], n)
+    stabs = np.array([[1, 0, 1]], dtype=np.int64)
+    mults = np.ones(1, dtype=np.int64)
+    scans = []
+    for level, ideal in enumerate(ideals, 1):
+        row, logs, sizes = orbits = _walk_orbits(ideal, stabs)
+        _check_orbits(ideal, stabs, *orbits)
+        messages, mult = ideal._messages[logs], mults[row] * sizes
+        if level == len(ideals):
+            # with every prefix before them but the zero word, prefix 0
+            older = np.arange(1, len(words))
+            scans.append(OrbitScan(
+                level, words, np.concatenate([row, older]),
+                np.concatenate([messages, 0 * older]),
+                np.concatenate([mult, mults[1:]]), ideal))
+            break
+        kids = _stabilizers(ideal, stabs, *orbits)
+        keep = (kids[:, 0] < n) | (kids[:, 2] < m)
+        if not keep.all():
+            done = ~keep
+            scans.append(OrbitScan(level, words, row[done], messages[done],
+                                   mult[done], ideal))
+        words = np.concatenate([words, words[row[keep]]
+                                ^ ideal.words(messages[keep])])
+        stabs = np.concatenate([stabs, kids[keep]])
+        mults = np.concatenate([mults, mult[keep]])
+    # every prefix but the zero word, prefix 0, has its stabilizer checked
+    _check_fixed(words[1:], stabs[1:], m)
+    k = sum(ideal.dim for ideal in ideals)
+    covered = sum(int(scan.multiplicity.sum())
+                  << sum(ideal.dim for ideal in ideals[scan.level:])
+                  for scan in scans)
+    if covered != (1 << k) - 1:
         raise DecompositionFailure(
-            f"a word of the ideal of coset {ideal.exponent} vanishes at "
-            f"alpha^{ideal.exponent}, so its orbit is not {size} words")
-    if len({ctx.log[v] % (n // size) for v in values}) != len(reps):
-        raise DecompositionFailure(
-            f"two shift orbits in the ideal of coset {ideal.exponent} "
-            f"meet the same coset of alpha^{ideal.exponent}")
+            f"orbit plan counts {covered} nonzero words != 2^{k} - 1")
+    return OrbitPlan(tuple(ideals), tuple(scans))
 
 
 def minimal_ideals(spec: ConstructionSpec) -> list[MinimalIdeal]:
@@ -329,7 +678,7 @@ def _split_ideals(spec: ConstructionSpec) -> tuple[MinimalIdeal, ...]:
                 f"x^{spec.n}-1 is not g * M_{cs.representative} times the "
                 f"other cosets' minimal polynomials")
         ideals.append(MinimalIdeal(spec.n, cs.representative, gen,
-                                   poly_degree(mp), spec.field))
+                                   poly_degree(mp), mp, spec.field))
     rank = len(row_basis([row for ideal in ideals for row in ideal.rows()]))
     if rank != spec.k:
         raise DecompositionFailure(
@@ -370,17 +719,19 @@ def bch_certificate(spec: ConstructionSpec) -> int:
     """
     m, c, n = spec.m, spec.c, spec.n
     t = (1 << (m - 1)) + (1 << (m // 2 + c - 1)) + 1
-    window = [j % n for j in range(t, 1 << m)]
-    removed = set().union(*(cs.members for cs in spec.cosets))
-    overlap = removed & set(window)
-    if overlap:
+    window = np.arange(t, 1 << m) % n
+    removed = np.zeros(n, dtype=bool)
+    for cs in spec.cosets:
+        removed[list(cs.members)] = True
+    overlap = window[removed[window]]
+    if overlap.size:
         raise CertificateFailure(
-            f"removed exponents {sorted(overlap)} inside root window")
-    is_root = spec._roots
-    for j in window:
-        if not is_root[j]:
-            raise CertificateFailure(
-                f"g(alpha^{j}) != 0 inside claimed root window")
+            f"removed exponents {sorted(set(overlap.tolist()))} inside "
+            f"root window")
+    missed = window[~spec._roots[window]]
+    if missed.size:
+        raise CertificateFailure(
+            f"g(alpha^{missed[0]}) != 0 inside claimed root window")
     bound = len(window) + 1
     if bound != spec.designed_distance:
         raise CertificateFailure(
@@ -399,7 +750,7 @@ def best_bch_distance(spec: ConstructionSpec) -> int:
     is the widest gap between them.
     """
     n = spec.n
-    non_roots = np.flatnonzero(~np.array(spec._roots, dtype=bool))
+    non_roots = np.flatnonzero(~spec._roots)
     if not non_roots.size:      # cannot happen for a nonzero code
         return n + 1
     return int((np.append(non_roots[1:], non_roots[0] + n) - non_roots).max())

@@ -7,10 +7,12 @@ blocks are reduced to a weight histogram for the weight distributions,
 and to their least weight for every caller that needs only the minimum
 distance.  A full scan covers all 2^k codewords of any span and is the
 only scan sharded across threads; a constructed cyclic code is instead
-enumerated one cyclic-shift orbit at a time, and the full scan is its
-oracle.  Both call the same two reductions: a full scan is the one coset
-of the zero word, and each minimal ideal's cosets rep + span(later
-ideals), one per orbit representative, share one pair of span tables.
+enumerated one orbit of its group of shifts and squarings at a time
+(``cyclic.orbit_plan``), and the full scan is its oracle.  Both call the
+same two reductions: a full scan is the one coset of the zero word, and
+each level of the plan's cosets prefix + span(later ideals), formed in
+blocks, shares one pair of span tables, each word counting its prefix's
+orbit sizes.
 ``min_distance_of_rows`` gets the least weight either from the full scan
 or from the Brouwer-Zimmermann information-set search: t disjoint
 information sets, each systematic generator enumerated by increasing
@@ -33,12 +35,7 @@ from itertools import takewhile
 import numpy as np
 
 from . import _kernels
-from .cyclic import (
-    ConstructionSpec,
-    DecompositionFailure,
-    MinimalIdeal,
-    minimal_ideals,
-)
+from .cyclic import ConstructionSpec, OrbitPlan, orbit_plan
 from .gf2 import row_basis
 
 
@@ -53,7 +50,9 @@ class WeightDistribution:
     ``k`` is the number of generator rows, and the counts always sum to
     2^k: from dependent rows of rank r, each codeword counts 2^(k - r)
     times.  ``words_scanned`` counts the codewords the enumeration
-    visited; it is not part of equality.
+    visited: all 2^k for a span, one per orbit's coset word for a
+    constructed code.  It is the route's work count, not part of
+    equality.
     """
 
     n: int
@@ -223,52 +222,47 @@ def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 24,
                               1 << len(rows))
 
 
-def _orbit_cosets(ideals: list[MinimalIdeal], n: int, scan):
-    """``scan(rest, n, reps=reps)`` once per ideal, on the shift-orbit
-    cosets rep + span(rest) of the direct sum of ``ideals``; the pairs
-    (orbit size, result), and the words scanned.
+def _orbit_scans(plan: OrbitPlan, n: int, scan):
+    """``scan(rest, n, reps, multiplicity)`` over the scans of an orbit
+    plan, rest being the rows of the ideals after the scan's level; the
+    results, and the words scanned.
 
-    The words whose first-ideal component is a nonzero u weigh like
-    u + span(later ideals), and shifting by x maps that set onto the one of
-    x*u while keeping weights, so each shift-orbit representative u stands
-    for every orbit member; an ideal's representatives share its orbit
-    size, so one scan covers them all.  The words with u = 0 are the direct
-    sum of the later ideals, handled by the next step of the loop.  The
-    orbit sizes, with the zero word, must count all 2^k words of the sum;
-    anything else raises ``DecompositionFailure``.
+    Each scan's reps are formed and scanned in blocks of
+    ``_kernels.reps_per_call``, so a level of many thousands of prefixes
+    is never held as a whole.
     """
-    found, scanned, covered = [], 0, 1
-    for i, ideal in enumerate(ideals):
-        rest = [row for later in ideals[i + 1:] for row in later.rows()]
-        reps = ideal.orbit_representatives()
-        found.append((ideal.orbit_size, scan(rest, n, reps=reps)))
-        scanned += len(reps) << len(rest)
-        covered += ideal.orbit_size * len(reps) << len(rest)
-    k = sum(ideal.dim for ideal in ideals)
-    if covered != 1 << k:
-        raise DecompositionFailure(
-            f"orbit enumeration counted {covered} words != 2^{k}")
+    found, scanned = [], 0
+    for part in plan.scans:
+        rest = [row for ideal in plan.ideals[part.level:]
+                for row in ideal.rows()]
+        step = _kernels.reps_per_call(n, len(rest))
+        for start in range(0, len(part), step):
+            reps = part.reps(start, start + step)
+            found.append(scan(rest, n, reps,
+                              part.multiplicity[start:start + step]))
+            scanned += len(reps) << len(rest)
     return found, scanned
 
 
-def _orbit_histogram(ideals: list[MinimalIdeal], n: int):
-    """Weight histogram of the direct sum of ``ideals``, and words scanned:
-    each coset's histogram counts once per orbit member."""
-    found, scanned = _orbit_cosets(ideals, n, _kernels.weight_scan)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    counts[0] = 1
-    for size, part in found:
-        counts += size * part
+def _orbit_histogram(plan: OrbitPlan, n: int):
+    """Weight histogram of the words an orbit plan covers, and words
+    scanned: each scanned word counts its rep's multiplicity."""
+    found, scanned = _orbit_scans(
+        plan, n, lambda rows, n, reps, mult:
+        _kernels.weight_scan(rows, n, reps=reps, multiplicity=mult))
+    counts = sum(found, np.zeros(n + 1, dtype=np.int64))
+    counts[0] += 1
     return counts, scanned
 
 
 def _orbit_least(spec: ConstructionSpec, max_k: int) -> tuple[int, int]:
     """Least nonzero weight of a constructed code, and words scanned: the
-    least weight over the orbit cosets, with no histogram."""
+    least weight over the plan's scans, with no histogram."""
     _check_budget(spec.k, max_k)
-    found, scanned = _orbit_cosets(minimal_ideals(spec), spec.n,
-                                   _kernels.least_weight)
-    return min(least for _, least in found), scanned
+    found, scanned = _orbit_scans(
+        orbit_plan(spec), spec.n,
+        lambda rows, n, reps, _: _kernels.least_weight(rows, n, reps=reps))
+    return min(found), scanned
 
 
 def min_distance(spec: ConstructionSpec, max_k: int = 24) -> int:
@@ -280,12 +274,14 @@ def weight_distribution(spec: ConstructionSpec,
                         max_k: int = 24) -> WeightDistribution:
     """Full weight histogram of a constructed code by orbit enumeration.
 
-    Scans sum_i gcd(e_i, n) * 2^(m(c-i)) words instead of 2^k; the result
-    equals ``weight_distribution_of_rows(spec.generator_rows(), ...)``.
+    Scans one word per orbit of the code's shifts and squarings, each
+    prefix with the span of the ideals after it (``cyclic.orbit_plan``),
+    instead of 2^k; the result equals
+    ``weight_distribution_of_rows(spec.generator_rows(), ...)``.
     """
     _check_budget(spec.k, max_k)
-    counts, scanned = _orbit_histogram(minimal_ideals(spec), spec.n)
-    return WeightDistribution(spec.n, spec.k, tuple(int(x) for x in counts),
+    counts, scanned = _orbit_histogram(orbit_plan(spec), spec.n)
+    return WeightDistribution(spec.n, spec.k, tuple(counts.tolist()),
                               scanned)
 
 

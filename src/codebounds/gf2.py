@@ -92,6 +92,15 @@ def poly_mul(a: int, b: int) -> int:
     return out
 
 
+def poly_square(a: int) -> int:
+    """Square of a GF(2)[x] polynomial: bit i of ``a`` moves to bit 2i, as
+    the cross terms cancel in pairs.  A zero digit goes between every two
+    binary digits of ``a``; a negative operand raises ValueError."""
+    if a < 0:
+        raise ValueError(f"negative polynomial operand in {a}^2")
+    return int("0".join(format(a, "b")), 2)
+
+
 def poly_divrem(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of GF(2)[x] division: a = q*b + r, deg r < deg b;
     a negative operand raises ValueError, as in ``poly_mul``."""

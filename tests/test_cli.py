@@ -81,23 +81,29 @@ class TestDistance:
         assert obj["seconds"] >= 0
 
     def test_words_scanned(self, capsys):
-        # gcd(e_i, 255) = 3, 5, 3 orbits per ideal: 3*2^16 + 5*2^8 + 3 words
+        # one word per orbit of the shifts and squarings: 30 prefixes over
+        # the last ideal's 2^8 words, and 659 words of their own
         code, out, _ = run_cli(capsys, "distance", "--m", "8", "--c", "3")
         assert code == 0
         obj = json.loads(out)
         assert obj["d_min"] == 96
-        assert obj["words_scanned"] == 197_891
+        assert obj["words_scanned"] == 30 * 2**8 + 659 == 8_339
 
     @pytest.mark.parametrize("m, c", [("8", "3"), ("10", "2")])
-    def test_report_pinned(self, capsys, m, c):
+    def test_report_pinned(self, capsys, m, c, budget="24"):
         # the fixtures the CI step compares the installed script against,
         # written the way it writes them: the report less its timing
-        code, out, err = run_cli(capsys, "distance", "--m", m, "--c", c)
+        code, out, err = run_cli(capsys, "distance", "--m", m, "--c", c,
+                                 "--max-k", budget)
         assert (code, err) == (0, "")
         obj = json.loads(out)
         assert obj.pop("seconds") >= 0
         with open(os.path.join(DATA, f"distance_m{m}_c{c}.json")) as fh:
             assert json.dumps(obj, indent=2) + "\n" == fh.read()
+
+    def test_report_pinned_12_3(self, capsys):
+        # 2^36 words are past the default budget of 2^24
+        self.test_report_pinned(capsys, "12", "3", budget="36")
 
     def test_12_2_in_default_budget(self, capsys):
         code, out, _ = run_cli(capsys, "distance", "--m", "12", "--c", "2")

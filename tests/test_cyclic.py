@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,10 +213,12 @@ class TestBchCertificate:
 
 def _gray_walk(ideal):
     """Orbit words by a Gray-code walk over all nonzero messages: for each
-    r < gcd(e, n) in turn, a(x) * generator for the a with a(beta) =
-    alpha^r."""
+    r < gcd(e, n) in turn, the word u = a(x) * generator with
+    u(beta) = alpha^r, its value at beta tracked through the bits of a."""
     ctx, n = ideal.field, ideal.n
-    powers = [ctx.alpha_pow(ideal.exponent * j) for j in range(ideal.dim)]
+    at_beta = _horner(ctx, ideal.generator, ideal.exponent)
+    powers = [ctx.mul(ctx.alpha_pow(ideal.exponent * j), at_beta)
+              for j in range(ideal.dim)]
     target = {ctx.alpha_pow(r): r for r in range(n // ideal.orbit_size)}
     messages = [0] * len(target)
     value = 0
@@ -260,24 +263,60 @@ class TestIdealsAndOrbits:
                 minimal_ideals(bad)
         assert "_ideals" not in vars(bad)
 
-    def test_corrupted_representatives_refused(self):
-        # (8,3): 3, 5 and 3 orbits of 85, 51 and 85 words
-        first, middle, last = minimal_ideals(build_code(8, 3))
-        reps = first.orbit_representatives()
-        cy._check_orbits(first, reps)
-        n = first.n
-        shifted = ((reps[0] << 7) | (reps[0] >> (n - 7))) & ((1 << n) - 1)
-        for bad in ([reps[0], shifted, reps[2]],    # two reps, one orbit
-                    reps[:2],                       # an orbit lost
-                    [0] + reps[1:],                 # the zero word
-                    # a word of another ideal, with orbits of 85 words too,
-                    # vanishes at beta
-                    reps[:2] + last.orbit_representatives()[:1],
-                    # plus a word with orbits of 51: an orbit of 255
-                    [reps[0] ^ middle.orbit_representatives()[0]]
-                    + reps[1:]):
+    def test_corrupted_representatives_refused(self, monkeypatch):
+        # both ways of checking a level: in Python and with numpy
+        for small in (0, 1 << 20):
+            monkeypatch.setattr(cy, "_SMALL_LEVEL", small)
+            self._refuse_corrupted_representatives()
+
+    @staticmethod
+    def _refuse_corrupted_representatives():
+        # (8,3)'s first ideal under the shifts: 3 orbits of 85 words; its
+        # second under the whole group, from the plan's second level
+        first, middle, _ = minimal_ideals(build_code(8, 3))
+        shifts = np.array([[1, 0, 8]])
+        row, logs, sizes = cy._walk_orbits(first, shifts)
+        assert (logs.tolist(), sizes.tolist()) == ([0, 1, 2], [85] * 3)
+        cy._check_orbits(first, shifts, row, logs, sizes)
+        for bad_logs, bad_sizes in (
+                ([0, 3, 2], [85] * 3),          # two reps, one orbit
+                ([0, 1], [85] * 2),             # an orbit lost
+                ([0, 1, 2], [85, 85, 84]),      # an orbit size off by one
+                ([0, 1, 2], [85, 170, 0]),      # a size for two orbits
+                ([0, 1, 2], [85 << 40] * 3)):   # no cycle is that long
             with pytest.raises(DecompositionFailure):
-                cy._check_orbits(first, bad)
+                cy._check_orbits(first, shifts, row[:len(bad_logs)],
+                                 np.array(bad_logs), np.array(bad_sizes))
+        whole = np.array([[1, 0, 1], [85, 0, 1]])
+        row, logs, sizes = cy._walk_orbits(middle, whole)
+        cy._check_orbits(middle, whole, row, logs, sizes)
+        # the second group's orbits are the cosets of doubling mod 255:
+        # the rep 3 moved to 2 leaves two reps on the coset of 1
+        moved = np.where((row == 1) & (logs == 3), 2, logs)
+        for bad in ((row, moved, sizes), (row, logs, sizes + (sizes > 3)),
+                    (row[1:], logs[1:], sizes[1:])):
+            with pytest.raises(DecompositionFailure):
+                cy._check_orbits(middle, whole, *bad)
+
+    @pytest.mark.parametrize("m,c", [(8, 3), (10, 2), (10, 3)])
+    def test_python_and_numpy_walks_agree(self, monkeypatch, m, c):
+        # each level walked both ways gives the same orbits, which both
+        # checks accept
+        levels = []
+        real = cy._walk_orbits
+        monkeypatch.setattr(cy, "_walk_orbits", lambda ideal, groups:
+                            levels.append((ideal, groups))
+                            or real(ideal, groups))
+        cy._plan_orbits(minimal_ideals(build_code(m, c)))
+        monkeypatch.setattr(cy, "_walk_orbits", real)
+        for ideal, groups in levels:
+            found = []
+            for small in (0, 1 << 20):
+                monkeypatch.setattr(cy, "_SMALL_LEVEL", small)
+                orbits = real(ideal, groups)
+                cy._check_orbits(ideal, groups, *orbits)
+                found.append([x.tolist() for x in orbits])
+            assert found[0] == found[1]
 
 
 def _spy(monkeypatch, name):
@@ -306,15 +345,16 @@ class TestComputedOnce:
 
     def test_ideals_and_orbits_once_per_spec(self, monkeypatch):
         splits = _spy(monkeypatch, "_split_ideals")
-        walks = _spy(monkeypatch, "_walk_orbits")
+        plans = _spy(monkeypatch, "_plan_orbits")
         spec = build_code(8, 3)
         wd = weight_distribution(spec)
         assert min_distance(spec) == wd.min_distance == 96
         report = distance_report(spec)
-        assert report["words_scanned"] == wd.words_scanned == 197_891
+        assert report["words_scanned"] == wd.words_scanned == 8_339
         ideals = minimal_ideals(spec)
         assert len(splits) == 1 and splits[0] is spec
-        assert [id(ideal) for ideal in walks] == [id(i) for i in ideals]
+        assert len(plans) == 1 and plans[0] == ideals
+        assert cy.orbit_plan(spec).ideals == tuple(ideals)
 
     def test_equal_specs_keep_their_own(self, monkeypatch):
         # equal values over two fields: the orbit walk runs in each field
@@ -332,7 +372,7 @@ class TestComputedOnce:
         assert [id(s) for s in flags] == [id(s) for s in specs]
         assert [id(s) for s in splits] == [id(s) for s in specs]
         assert reps[0] == reps[2] != reps[1] == reps[3]
-        assert reps[1] == list(cy._walk_orbits(minimal_ideals(b)[0]))
+        assert reps[1] == list(minimal_ideals(b)[0]._orbits)
 
     def test_returned_lists_are_copies(self):
         spec = build_code(6, 2)
@@ -411,3 +451,48 @@ class TestEncode:
     def test_nonzero_words_meet_designed_distance(self, code_4_1):
         for msg in range(1, 16):
             assert encode(code_4_1, msg).weight >= 4
+
+
+class TestQuotientAndWindow:
+    """The Newton quotient and the array window against the division and
+    the loop they replace."""
+
+    @pytest.mark.parametrize("m,c,modulus", ORACLE_CODES + [(14, 2, None),
+                                                          (16, 2, None)])
+    def test_quotient_is_the_exact_division(self, m, c, modulus):
+        spec = build_code(m, c, modulus)
+        h = 1
+        for mp in spec.minimal_polynomials:
+            h = poly_mul(h, mp)
+        assert cy._exact_quotient(h, spec.n) == spec.generator
+        assert poly_divrem((1 << spec.n) | 1, h) == (spec.generator, 0)
+
+    def test_inexact_quotient_refused(self):
+        spec = build_code(6, 2)
+        h = poly_mul(*spec.minimal_polynomials)
+        # h with a term more, or squared, keeps h(0) = 1 but does not divide
+        for bad in (h ^ 0b10, h ^ (1 << 5), poly_mul(h, h)):
+            with pytest.raises(InexactDivision):
+                cy._exact_quotient(bad, spec.n)
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_window_failures_name_the_loops_exponent(self, c):
+        # read with another c, the (8, 2) code's window starts elsewhere:
+        # the message names the same exponent as a loop over the window
+        spec = build_code(8, 2)
+        bad = dataclasses.replace(spec, c=c)
+        n, t = spec.n, (1 << 7) + (1 << (4 + c - 1)) + 1
+        window = [j % n for j in range(t, 1 << 8)]
+        removed = set().union(*(cs.members for cs in spec.cosets))
+        flags = _root_flags(spec)
+        if removed & set(window):
+            want = f"removed exponents {sorted(removed & set(window))} "
+        elif not all(flags[j] for j in window):
+            want = f"g(alpha^{next(j for j in window if not flags[j])}) "
+        else:
+            want = "window length"
+        if c == 2:
+            assert bch_certificate(bad) == spec.designed_distance
+            return
+        with pytest.raises(CertificateFailure, match=re.escape(want)):
+            bch_certificate(bad)

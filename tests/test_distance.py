@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebounds import _kernels, distance
+from codebounds import _kernels, cyclic, distance
 from codebounds.cli import main
 from codebounds.distance import (
     BudgetExceeded,
@@ -27,10 +27,10 @@ from codebounds.distance import (
 )
 from codebounds.cyclic import (
     DecompositionFailure,
-    MinimalIdeal,
     build_code,
     minimal_ideals,
 )
+from codebounds.gf2 import row_basis
 
 # ground truth for small n, from exhaustive search (standard tables)
 A_TABLE = {
@@ -294,8 +294,9 @@ class TestOrbitEnumeration:
     def test_reverse_ideal_order(self, m, c):
         spec = build_code(m, c)
         ideals = minimal_ideals(spec)
-        forward, _ = _orbit_histogram(ideals, spec.n)
-        backward, _ = _orbit_histogram(ideals[::-1], spec.n)
+        forward, _ = _orbit_histogram(cyclic._plan_orbits(ideals), spec.n)
+        backward, _ = _orbit_histogram(cyclic._plan_orbits(ideals[::-1]),
+                                       spec.n)
         assert list(forward) == list(backward)
 
     def test_orbit_counts(self):
@@ -321,14 +322,116 @@ class TestOrbitEnumeration:
     def test_lost_orbit_is_not_bad_input(self, monkeypatch, capsys):
         # a dropped orbit breaks sum A_w = 2^k; the CLI must report that as
         # an internal fault (exit 5), not as invalid parameters (exit 2)
-        real = MinimalIdeal.orbit_representatives
-        monkeypatch.setattr(MinimalIdeal, "orbit_representatives",
-                            lambda ideal: real(ideal)[1:])
+        real = cyclic._walk_orbits
+        monkeypatch.setattr(cyclic, "_walk_orbits", lambda ideal, groups:
+                            tuple(x[1:] for x in real(ideal, groups)))
         code = main(["distance", "--m", "8", "--c", "2"])
         captured = capsys.readouterr()
         assert code == 5 and captured.out == ""
         assert captured.err.startswith(
             "codebounds-error: internal: DecompositionFailure: ")
+
+
+# the nonzero histogram entries and d of the shift-orbit route this chain
+# replaced, each made once by that route (words scanned there: 1,051,649,
+# 12,289, 16,387 and 196,613)
+PARENT_HISTOGRAMS = {
+    (10, 3): (448, {448: 797940, 480: 79832192, 496: 232032768,
+                    512: 472005039, 528: 218065408, 544: 70382400,
+                    576: 626076}),
+    (12, 2): (1984, {1984: 1380015, 2016: 3319680, 2048: 7305480,
+                     2080: 3734640, 2112: 1033305, 2176: 4095}),
+    (14, 2): (8064, {8064: 20762722, 8128: 54391560, 8192: 116663343,
+                     8256: 60333128, 8320: 15825978, 8448: 458724}),
+    (16, 2): (32512, {32512: 326429835, 32640: 874988368,
+                      32768: 1867485360, 32896: 952092480,
+                      33024: 268453205, 33280: 5518047}),
+}
+
+
+class TestOrbitChain:
+    """The chain over the group of shifts and squarings, against pinned
+    histograms and every check it makes."""
+
+    @pytest.mark.parametrize("m,c,words", [(10, 3, 105_078), (12, 2, 354),
+                                           (14, 2, 1_184), (16, 2, 4_119)])
+    def test_matches_the_shift_orbit_route(self, m, c, words):
+        spec = build_code(m, c)
+        d, pinned = PARENT_HISTOGRAMS[m, c]
+        wd = weight_distribution(spec, max_k=32)
+        assert {w: a for w, a in enumerate(wd.counts) if a and w} == pinned
+        assert wd.counts[0] == 1 and sum(wd.counts) == 1 << spec.k
+        assert min_distance(spec, max_k=32) == wd.min_distance == d
+        assert wd.words_scanned == words
+
+    def test_12_3_distance(self):
+        # 2^(m-1) - 2^(m/2+c-2), from 1.4 million of 2^36 words
+        report = distance_report(build_code(12, 3), max_k=36)
+        assert (report["d_min"], report["words_scanned"]) == (1920,
+                                                             1_399_555)
+
+    @pytest.mark.parametrize("m,c,column,part", [
+        (8, 3, 0, 3), (8, 3, 2, 2), (10, 2, 0, 3)])
+    def test_stabilizer_too_large_refused(self, monkeypatch, m, c, column,
+                                          part):
+        # a third of the shift part, or half the squaring part, added to
+        # each stabilizer moves some prefix word's bits
+        real = cyclic._stabilizers
+
+        def larger(*args):
+            stabs = real(*args)
+            step = stabs[:, column]
+            stabs[:, column] = np.where(step % part == 0, step // part, step)
+            return stabs
+        monkeypatch.setattr(cyclic, "_stabilizers", larger)
+        with pytest.raises(DecompositionFailure, match="stabilizer"):
+            cyclic.orbit_plan(build_code(m, c))
+
+    def test_log_of_the_message_refused(self, monkeypatch):
+        # logs of a(beta) instead of u(beta) = a(beta) * generator(beta):
+        # the prefixes are words of other logs, which their stabilizers
+        # move
+        real = cyclic.MinimalIdeal._messages.func
+
+        def of_message(ideal):
+            ctx = ideal.field
+            value = 0
+            for i in range(ideal.generator.bit_length()):
+                if ideal.generator >> i & 1:
+                    value ^= ctx.alpha_pow(ideal.exponent * i)
+            return np.roll(real(ideal), -ctx.log[value])
+        monkeypatch.setattr(cyclic.MinimalIdeal._messages, "func", of_message)
+        with pytest.raises(DecompositionFailure):
+            cyclic.orbit_plan(build_code(8, 3))
+
+    def test_size_off_by_one_refused_by_the_count(self, monkeypatch):
+        # with the orbit check off, the plan's count still refuses it
+        real = cyclic._walk_orbits
+        monkeypatch.setattr(cyclic, "_check_orbits", lambda *args: None)
+        monkeypatch.setattr(cyclic, "_walk_orbits", lambda ideal, groups:
+                            (lambda row, logs, sizes:
+                             (row, logs, sizes + (np.arange(len(sizes)) == 0))
+                             )(*real(ideal, groups)))
+        with pytest.raises(DecompositionFailure, match="counts"):
+            cyclic.orbit_plan(build_code(6, 2))
+
+    def test_plan_levels(self):
+        # (8,3): 30 prefixes whose stabilizer is the identity after the
+        # second ideal, each scanned with the third; then 659 words
+        plan = cyclic.orbit_plan(build_code(8, 3))
+        assert [(p.level, len(p)) for p in plan.scans] == [(2, 30), (3, 659)]
+        assert set(plan.scans[0].multiplicity.tolist()) == {255 * 8}
+        n = 255
+        assert sum(int(p.multiplicity.sum()) << 8 * (3 - p.level)
+                   for p in plan.scans) == (1 << 24) - 1
+        # every rep is a word of the code
+        rows = build_code(8, 3).generator_rows()
+        basis = row_basis(rows)
+        for part in plan.scans:
+            for word in part.reps(0, len(part))[:40]:
+                w = int.from_bytes(word.tobytes(), "little")
+                assert w and len(row_basis(basis + [w])) == len(basis)
+                assert w >> n == 0
 
 
 class TestOneTablePerIdeal:
@@ -356,21 +459,51 @@ class TestOneTablePerIdeal:
 
     @pytest.mark.parametrize("m,c", [(6, 2), (8, 2), (8, 3)])
     def test_span_tables_built_once_per_ideal(self, monkeypatch, m, c):
-        ideals = minimal_ideals(build_code(m, c))
-        n = ideals[0].n
-        # (8,3) has 3, 5 and 3 representatives: one low and one high table
-        # per ideal, where one pair per representative made 22
-        assert sum(len(i.orbit_representatives()) for i in ideals) > \
-            len(ideals)
+        # the plan's prefixes at a level share one low and one high table:
+        # (8,3) scans 30 prefixes over the last ideal and 659 words of
+        # their own, one pair of tables per level, for either reduction
+        spec = build_code(m, c)
+        plan = cyclic.orbit_plan(spec)
+        assert sum(len(part) for part in plan.scans) > len(plan.scans)
+        for part in plan.scans:      # the word tables of each ideal
+            part.reps(0, len(part))
         built = []
-        real = _kernels._span_table
-        monkeypatch.setattr(_kernels, "_span_table",
+        real = _kernels.span_table
+        monkeypatch.setattr(_kernels, "span_table",
                             lambda rows: built.append(len(rows)) or real(rows))
-        _orbit_histogram(ideals, n)
-        assert len(built) == 2 * len(ideals)
+        _orbit_histogram(plan, spec.n)
+        assert len(built) == 2 * len(plan.scans)
         built.clear()
-        distance._orbit_cosets(ideals, n, _kernels.least_weight)
-        assert len(built) == 2 * len(ideals)
+        assert min_distance(spec) == weight_distribution(spec).min_distance
+        assert len(built) == 4 * len(plan.scans)
+
+    @pytest.mark.parametrize("n", [31, 64, 200])
+    @pytest.mark.parametrize("k", [0, 3, 12, 13, 14])
+    def test_packed_reps_and_multiplicities(self, n, k):
+        # many reps over few rows share blocks of 2^13 words; each word
+        # counts its rep's multiplicity, and packed reps read as ints
+        rng = random.Random(n * 31 + k)
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        reps = [rng.getrandbits(n) for _ in range(300 if k < 13 else 3)]
+        mult = np.array([rng.randrange(1, 50) for _ in reps])
+        packed = _kernels.pack_rows(reps, n)
+        want = sum(int(m) * _kernels.weight_scan(rows, n, reps=[r])
+                   for m, r in zip(mult, reps))
+        assert list(_kernels.weight_scan(rows, n, reps=packed,
+                                         multiplicity=mult)) == list(want)
+        least = min(_kernels.least_weight(rows, n, reps=[r]) for r in reps)
+        assert _kernels.least_weight(rows, n, reps=packed) == least
+        total = len(reps) << k
+        blocks = list(_kernels._weight_blocks(rows, n, reps=packed))
+        assert len(blocks) == -(-total // (1 << 13))
+        assert [first for first, _ in blocks] == \
+            list(range(0, total, 1 << 13))
+        # ranges cut inside a block keep their words
+        cut = total // 3 + 1
+        parts = [_kernels.weight_scan(rows, n, a, b, reps=packed,
+                                      multiplicity=mult)
+                 for a, b in ((0, cut), (cut, total))]
+        assert list(parts[0] + parts[1]) == list(want)
 
     @pytest.mark.parametrize("n", [5, 64, 65, 200])
     def test_a_nonzero_first_rep_keeps_its_message_0(self, n):
@@ -387,11 +520,11 @@ class TestOneTablePerIdeal:
         assert _kernels.least_weight(rows, n, reps=[0]) == 2
 
     def test_lost_only_orbit_is_not_bad_input(self, monkeypatch, capsys):
-        # (10,2)'s first ideal has one representative: losing it leaves an
-        # ideal scanned with none, which must still read as a lost orbit
-        real = MinimalIdeal.orbit_representatives
-        monkeypatch.setattr(MinimalIdeal, "orbit_representatives",
-                            lambda ideal: real(ideal)[1:])
+        # (10,2)'s first ideal is one orbit of the whole group: losing it
+        # leaves a group with no orbit, which must still read as lost
+        real = cyclic._walk_orbits
+        monkeypatch.setattr(cyclic, "_walk_orbits", lambda ideal, groups:
+                            tuple(x[1:] for x in real(ideal, groups)))
         code = main(["distance", "--m", "10", "--c", "2"])
         captured = capsys.readouterr()
         assert code == 5 and captured.out == ""
@@ -423,6 +556,13 @@ def test_deep_each_route_forced_gives_the_histograms_d(monkeypatch, route):
     for n, rows in _span_scan_shapes():
         assert min_distance_of_rows(rows, n) == \
             weight_distribution_of_rows(rows, n).min_distance, (n, route)
+
+
+@pytest.mark.deep
+def test_deep_14_3_orbit_distance():
+    # 2^(m-1) - 2^(m/2+c-2) = 7936, from 19.2 million of 2^42 words
+    report = distance_report(build_code(14, 3), max_k=42)
+    assert (report["d_min"], report["words_scanned"]) == (7936, 19_176_324)
 
 
 @pytest.mark.deep
@@ -686,8 +826,8 @@ class TestLayerMinima:
         # weights are taken, to message weight ``last``, in blocks of one
         # ``_word_weights`` call each
         formed, blocks = [], []
-        real_table, real_weights = _kernels._span_table, _kernels._word_weights
-        monkeypatch.setattr(_kernels, "_span_table", lambda rows: (
+        real_table, real_weights = _kernels.span_table, _kernels._word_weights
+        monkeypatch.setattr(_kernels, "span_table", lambda rows: (
             formed.append(1 << len(rows)) or real_table(rows)))
         monkeypatch.setattr(_kernels, "_word_weights", lambda b, bits, w: (
             formed.append(w.size) or blocks.append(1)

@@ -23,6 +23,7 @@ from codebounds.gf2 import (
     poly_is_irreducible,
     poly_mod,
     poly_mul,
+    poly_square,
     row_basis,
 )
 
@@ -263,3 +264,13 @@ class TestCyclotomicCoset:
         n = (1 << m) - 1
         coset = cyclotomic_coset(e % n, m)
         assert {(2 * x) % n for x in coset} == set(coset)
+
+
+@given(polys)
+def test_square_spreads_bits(a):
+    assert poly_square(a) == poly_mul(a, a)
+
+
+def test_square_of_a_negative_refused():
+    with pytest.raises(ValueError, match="negative"):
+        poly_square(-3)

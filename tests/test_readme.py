@@ -47,11 +47,11 @@ def test_cli_quickstart_line_runs(line, tmp_path, monkeypatch):
 
 
 def test_quoted_distance():
-    assert "it comes out 24" in README and "the 67 codewords" in README
+    assert "it comes out 24" in README and "the 16 codewords" in README
     code, out = run(["distance", "--m", "6", "--c", "2"])
     report = json.loads(out)
     assert code == 0
-    assert (report["d_min"], report["words_scanned"]) == (24, 67)
+    assert (report["d_min"], report["words_scanned"]) == (24, 16)
 
 
 def test_quoted_asymptotic_constant():
