@@ -167,9 +167,7 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
             counts += np.bincount(wts, minlength=n + 1)
             continue
         # message first + i is a word of rep (first + i) >> k
-        lo, hi = first >> k, (first + len(wts) - 1) >> k
-        each = multiplicity[lo:hi + 1].repeat(1 << k)
-        each = each[first - (lo << k):][:len(wts)].astype(np.float64)
+        each = multiplicity[np.arange(first, first + len(wts)) >> k]
         counts += np.bincount(wts, weights=each,
                               minlength=n + 1).astype(np.int64)
     return counts

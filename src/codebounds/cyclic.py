@@ -14,9 +14,9 @@ polynomials.  ``orbit_plan`` lays the code out as orbits of its group of
 cyclic shifts and squarings, one stabilizer chain over the ideals: the
 distance engine scans one word per orbit, each counted with its orbit's
 size, and every orbit, stabilizer and count is checked on the way.  A
-spec object keeps its root flags, ideals and plan, and an ideal its shift
-orbit representatives, once verified: per object, not per value, and
-handed out as tuples or new lists.
+spec object keeps its root flags, ideals and plan, and an ideal its word
+tables, once verified: per object, not per value, and handed out as
+tuples, new lists or read-only arrays.
 """
 
 from __future__ import annotations
@@ -246,83 +246,77 @@ class MinimalIdeal:
     minimal_polynomial: int
     field: FieldContext = dc_field(repr=False, compare=False)
 
-    @property
-    def orbit_size(self) -> int:
-        """Length of the cyclic-shift orbit of every nonzero word."""
-        return self.n // math.gcd(self.exponent, self.n)
-
     def rows(self) -> list[int]:
         """Basis rows x^j * generator for j = 0..dim-1."""
         return [self.generator << j for j in range(self.dim)]
 
-    def orbit_representatives(self) -> list[int]:
-        """One word from each cyclic-shift orbit of the nonzero words.
-
-        The orbit plan's walk (``_walk_orbits``) under the shifts alone: the
-        orbits are the cosets alpha^r <beta>, r < gcd(e, n), and the word of
-        log coordinate r represents its orbit.  Run and checked once per
-        ideal object.
-        """
-        return list(self._orbits)
-
-    @cached_property
-    def _orbits(self) -> tuple[int, ...]:
-        shifts = np.array([[1, 0, self.field.m]])
-        orbits = _walk_orbits(self, shifts)
-        _check_orbits(self, shifts, *orbits)
-        logs = orbits[1]
-        return tuple(int.from_bytes(word.tobytes(), "little")
-                     for word in self.words(self._messages[logs]))
-
-    def words(self, messages: np.ndarray) -> np.ndarray:
-        """The words a(x) * generator of the messages a, packed as
-        ``_kernels.pack_rows`` packs rows: a low and a high span table of
-        the rows, each of about 2^(dim/2) words, XORed by message."""
-        low, high = self._span_halves
+    def words(self, values: np.ndarray) -> np.ndarray:
+        """The words u of the ideal with u(beta) = value, for each value a
+        field element as the field stores it (0 gives the zero word),
+        packed as ``_kernels.pack_rows`` packs rows: the XOR of a low and a
+        high table row, the spans of the words of value alpha^j for the
+        low and the high bits j of the value."""
+        low, high = self._tables
         split = self.dim // 2
-        words = low[messages & ((1 << split) - 1)] ^ high[messages >> split]
-        return words[:, :-1]
+        return low[values & ((1 << split) - 1)] ^ high[values >> split]
 
     @cached_property
-    def _span_halves(self) -> tuple[np.ndarray, np.ndarray]:
-        """The span tables, one column per message, of the first dim // 2
-        rows and of the rest; each row is x^j * generator, packed, with
-        beta^j as one more limb, so a column's last limb is a(beta)."""
-        ctx, n, e = self.field, self.n, self.exponent
-        packed = np.concatenate([
-            _kernels.pack_rows(self.rows(), n),
-            ctx.exp_array[e * np.arange(self.dim) % n, None].astype(np.uint64)],
-            axis=1)
-        split = self.dim // 2
-        return (_kernels.span_table(packed[:split]).T,
-                _kernels.span_table(packed[split:]).T)
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of ``words``, each of about 2^(dim/2) words, built and
+        checked once per ideal object."""
+        basis, split = self._basis(), self.dim // 2
+        return tuple(_kernels.pack_rows(_span(part), self.n)
+                     for part in (basis[:split], basis[split:]))
 
-    @cached_property
-    def _messages(self) -> np.ndarray:
-        """messages[l] is the a with (a * generator)(beta) = alpha^l.
+    def _basis(self) -> list[int]:
+        """The words of value alpha^j at beta, j = 0..dim-1: Gauss-Jordan
+        on the values beta^i generator(beta) of the rows x^i generator
+        leaves the rows of values 1, ..., alpha^(dim-1).
+        ``DecompositionFailure`` unless the values are independent, so that
+        evaluation at beta is one-to-one on the ideal."""
+        ctx, e = self.field, self.exponent
+        offset = self._generator_log()
+        pivots: dict[int, tuple[int, int]] = {}
+        for i, row in enumerate(self.rows()):
+            value = ctx.alpha_pow(e * i + offset)
+            for bit, (v, w) in pivots.items():
+                if value >> bit & 1:
+                    value, row = value ^ v, row ^ w
+            if not value:
+                break
+            bit = value.bit_length() - 1
+            for other, (v, w) in pivots.items():
+                if v >> bit & 1:
+                    pivots[other] = v ^ value, w ^ row
+            pivots[bit] = value, row
+        if sorted(pivots) != list(range(self.dim)):
+            raise DecompositionFailure(
+                f"evaluation at alpha^{e} is not one-to-one on the ideal of "
+                f"coset {e}")
+        return [pivots[j][1] for j in range(self.dim)]
 
-        The span tables hold a(beta) for all 2^dim messages a.  As
-        generator * M_e = x^n - 1, the derivative at the simple root beta
-        gives generator(beta) M_e'(beta) = beta^(n-1), which adds its log;
-        beta must be a root of M_e, or it is not a nonzero of the ideal
-        (``DecompositionFailure``)."""
-        ctx, n, e = self.field, self.n, self.exponent
-        check = self.minimal_polynomial
+    def _generator_log(self) -> int:
+        """The log of generator(beta).  As generator * M_e = x^n - 1, the
+        derivative at a simple root beta of M_e gives
+        generator(beta) M_e'(beta) = beta^(n-1); beta must be one, or it is
+        not a nonzero of the ideal (``DecompositionFailure``)."""
+        ctx, e, check = self.field, self.exponent, self.minimal_polynomial
         # M_e' keeps the odd terms of M_e, each lowered by one degree
-        slope = check >> 1 & int("01" * self.dim, 2)
-        if _value(ctx, e, check) or not _value(ctx, e, slope):
+        slope = _value(ctx, e, check >> 1 & int("01" * self.dim, 2))
+        if _value(ctx, e, check) or not slope:
             raise DecompositionFailure(
                 f"alpha^{e} is not a simple root of the minimal polynomial "
                 f"of the ideal of coset {e}")
-        offset = -e - ctx.log[_value(ctx, e, slope)]
-        low, high = self._span_halves
-        # message a = lo + hi * 2^split has a(beta) = low(lo) + high(hi)
-        values = (high[:, -1, None] ^ low[:, -1]).ravel().astype(np.int64)
-        messages = np.zeros(n, dtype=np.int64)
-        messages[(ctx.log_array[values[1:]] + offset) % n] = np.arange(
-            1, len(values))
-        messages.flags.writeable = False
-        return messages
+        return -e - ctx.log[slope]
+
+
+def _span(rows: list[int]) -> list[int]:
+    """All 2^len(rows) XOR combinations of int rows; combination i takes
+    the rows of the bits of i."""
+    span = [0]
+    for row in rows:
+        span += [word ^ row for word in span]
+    return span
 
 
 def _value(ctx: FieldContext, e: int, poly: int) -> int:
@@ -345,46 +339,25 @@ def _value(ctx: FieldContext, e: int, poly: int) -> int:
 # length) words.
 
 
-# Levels of at most this many residues are walked and checked in Python:
-# below it, the fixed cost of numpy's calls exceeds the loops they save.
-_SMALL_LEVEL = 1 << 8
-
-
 def _walk_orbits(ideal: MinimalIdeal, groups: np.ndarray):
     """The orbits of each group row (s, tau, phi) of ``groups`` on the
     ideal's nonzero words: per orbit, its group's row, the log of its
     representative (the least residue of its cycle) and its size, as
     arrays.
 
-    A small level walks each cycle in Python, from its least residue,
-    marking the residues it passes.  A large one puts all groups'
-    residues side by side in one array and finds the least residue of
-    each cycle by pointer doubling.  The orbits are checked by
-    ``_check_orbits``.
+    All groups' residues lie side by side in one array, and pointer
+    doubling finds the least residue of each cycle.  The orbits are
+    checked by ``_check_orbits``.
     """
     n, e, m = ideal.n, ideal.exponent, ideal.field.m
     s, tau, phi = groups.T.tolist()
     g = [math.gcd(e * x, n) for x in s]
-    scale = [(1 << f) % x for f, x in zip(phi, g)]
-    shift = [e * t % x for t, x in zip(tau, g)]
-    if _residues(ideal, groups) <= _SMALL_LEVEL:
-        found = []
-        for row, (mod, a, b) in enumerate(zip(g, scale, shift)):
-            seen = bytearray(mod)
-            for start in range(mod):
-                at, length = start, 0
-                while not seen[at]:
-                    seen[at] = 1
-                    length += 1
-                    at = (a * at + b) % mod
-                if length:
-                    found.append((row, start, n // mod * length))
-        return tuple(np.array(column).reshape(-1) for column in zip(*found))
     # per residue: its group's row and g, the group's first index, and
     # 2^phi and e tau mod g
     row, mod, first, scale, shift = np.array(
-        [range(len(g)), g, list(accumulate(g[:-1], initial=0)), scale,
-         shift]).repeat(g, axis=1)
+        [range(len(g)), g, list(accumulate(g[:-1], initial=0)),
+         [(1 << f) % x for f, x in zip(phi, g)],
+         [e * t % x for t, x in zip(tau, g)]]).repeat(g, axis=1)
     residues = np.arange(len(mod)) - first
     jump = (scale * residues + shift) % mod + first
     least = residues
@@ -411,76 +384,32 @@ def _check_orbits(ideal: MinimalIdeal, groups: np.ndarray, row: np.ndarray,
     2^(i phi) l + e tau (2^(i phi) - 1) / (2^phi - 1), must move each
     representative, mod g, to residues that are distinct for i < L,
     also across one group's representatives, and back to it at i = L.  So
-    the cycles are disjoint and, summing to g, cover every residue.  A
-    small level steps through the cycles in Python, a large one forms all
-    the powers at once.
+    the cycles are disjoint and, summing to g, cover every residue.  All
+    the powers are formed at once.
     """
-    n, e = ideal.n, ideal.exponent
-    small = _residues(ideal, groups) <= _SMALL_LEVEL
-    covered, disjoint = (_step_cycles if small else _power_cycles)(
-        ideal, groups, row, logs, sizes)
-    if not covered:
+    n, e, m = ideal.n, ideal.exponent, ideal.field.m
+    _, tau, phi = groups[row].T
+    g = np.array([math.gcd(e * s, n) for s in groups[:, 0].tolist()])[row]
+    lengths, rest = np.divmod(sizes, n // g)
+    if rest.any() or (np.bincount(row, sizes, len(groups)) != n).any():
         raise DecompositionFailure(
             f"orbits of {sizes.tolist()} words do not cover the "
             f"{n} nonzero words of the ideal of coset {e}")
-    if not disjoint:
+    # a cycle of (tau, phi) has at most m / phi residues
+    closed = not (lengths * phi > m).any()
+    if closed:
+        steps = np.arange(lengths.max() + 1)[:, None]
+        # steps past L repeat step L, which must be the representative
+        # again; 2^(i phi) is exact for i phi <= m, and 2^m = 1 mod g
+        power = 1 << np.minimum(steps, lengths) * phi
+        at = (power * logs + e * tau * ((power - 1) // ((1 << phi) - 1))) % g
+        # residue r of group row k passes, at a step i < L, as k * n + r
+        passed = (row * n + at)[steps < lengths]
+        closed = (at[-1] == logs % g).all() and np.bincount(passed).max() < 2
+    if not closed:
         raise DecompositionFailure(
             f"two representatives in the ideal of coset {e} share a "
             f"cycle, or a cycle does not close")
-
-
-def _residues(ideal: MinimalIdeal, groups: np.ndarray) -> int:
-    """The residues a level walks: g summed over the group rows."""
-    e, n = ideal.exponent, ideal.n
-    return sum(math.gcd(e * s, n) for s in groups[:, 0].tolist())
-
-
-def _step_cycles(ideal, groups, row, logs, sizes) -> tuple[bool, bool]:
-    """Whether the orbits cover and are disjoint, by stepping through
-    each cycle in Python."""
-    n, e = ideal.n, ideal.exponent
-    groups, total, passed, steps = groups.tolist(), [0] * len(groups), set(), 0
-    for k, log, size in zip(row.tolist(), logs.tolist(), sizes.tolist()):
-        s, tau, phi = groups[k]
-        g = math.gcd(e * s, n)
-        length, rest = divmod(size, n // g)
-        if rest:
-            return False, False
-        # a cycle of (tau, phi) has at most m / phi residues
-        if length * phi > ideal.field.m:
-            return True, False
-        total[k] += size
-        steps += length
-        at = log % g
-        for _ in range(length):
-            passed.add((k, at))
-            at = ((1 << phi) * at + e * tau) % g
-        if at != log % g:
-            return True, False
-    return all(t == n for t in total), len(passed) == steps
-
-
-def _power_cycles(ideal, groups, row, logs, sizes) -> tuple[bool, bool]:
-    """Whether the orbits cover and are disjoint, with the powers of every
-    step formed at once."""
-    n, e = ideal.n, ideal.exponent
-    _, tau, phi = groups[row].T
-    g = np.array([math.gcd(e * s, n) for s in groups[:, 0].tolist()])[row]
-    lengths = sizes // (n // g)
-    covered = not (sizes % (n // g)).any() and \
-        (np.bincount(row, sizes, minlength=len(groups)) == n).all()
-    # a cycle of (tau, phi) has at most m / phi residues
-    if not covered or (lengths * phi > ideal.field.m).any():
-        return covered, False
-    steps = np.arange(lengths.max() + 1)[:, None]
-    # steps past L repeat step L, which must be the representative again;
-    # 2^(i phi) is exact for i phi <= m, and 2^m = 1 mod g
-    power = 1 << np.minimum(steps, lengths) * phi
-    at = (power * logs + e * tau * ((power - 1) // ((1 << phi) - 1))) % g
-    # residue r of group row k passes, at a step i < L, as k * n + r
-    passed = (row * n + at)[steps < lengths]
-    return covered, bool((at[-1] == logs % g).all()
-                         and np.bincount(passed).max() == 1)
 
 
 def _stabilizers(ideal: MinimalIdeal, groups: np.ndarray, row: np.ndarray,
@@ -544,14 +473,15 @@ class OrbitScan:
     """Words rep + span(ideals[level:]) of an orbit plan; each word of
     rep i's coset stands for multiplicity[i] words of the code.
 
-    Rep i is the prefix word bases[parent[i]] XOR the word of message
-    messages[i] of ``ideal``, ideals[level - 1] (message 0 adds nothing).
+    Rep i is the prefix word bases[parent[i]] XOR the word of ``ideal``,
+    ideals[level - 1], whose value at beta is values[i] (value 0 adds
+    nothing).
     """
 
     level: int
     bases: np.ndarray = dc_field(repr=False)
     parent: np.ndarray = dc_field(repr=False)
-    messages: np.ndarray = dc_field(repr=False)
+    values: np.ndarray = dc_field(repr=False)
     multiplicity: np.ndarray = dc_field(repr=False)
     ideal: MinimalIdeal = dc_field(repr=False)
 
@@ -564,11 +494,11 @@ class OrbitScan:
         if start == 0 and stop >= len(self):
             return self._reps
         return (self.bases[self.parent[start:stop]]
-                ^ self.ideal.words(self.messages[start:stop]))
+                ^ self.ideal.words(self.values[start:stop]))
 
     @cached_property
     def _reps(self) -> np.ndarray:
-        reps = self.bases[self.parent] ^ self.ideal.words(self.messages)
+        reps = self.bases[self.parent] ^ self.ideal.words(self.values)
         reps.flags.writeable = False
         return reps
 
@@ -620,23 +550,23 @@ def _plan_orbits(ideals: list[MinimalIdeal]) -> OrbitPlan:
     for level, ideal in enumerate(ideals, 1):
         row, logs, sizes = orbits = _walk_orbits(ideal, stabs)
         _check_orbits(ideal, stabs, *orbits)
-        messages, mult = ideal._messages[logs], mults[row] * sizes
+        values, mult = ideal.field.exp_array[logs], mults[row] * sizes
         if level == len(ideals):
             # with every prefix before them but the zero word, prefix 0
             older = np.arange(1, len(words))
             scans.append(OrbitScan(
                 level, words, np.concatenate([row, older]),
-                np.concatenate([messages, 0 * older]),
+                np.concatenate([values, 0 * older]),
                 np.concatenate([mult, mults[1:]]), ideal))
             break
         kids = _stabilizers(ideal, stabs, *orbits)
         keep = (kids[:, 0] < n) | (kids[:, 2] < m)
         if not keep.all():
             done = ~keep
-            scans.append(OrbitScan(level, words, row[done], messages[done],
+            scans.append(OrbitScan(level, words, row[done], values[done],
                                    mult[done], ideal))
         words = np.concatenate([words, words[row[keep]]
-                                ^ ideal.words(messages[keep])])
+                                ^ ideal.words(values[keep])])
         stabs = np.concatenate([stabs, kids[keep]])
         mults = np.concatenate([mults, mult[keep]])
     # every prefix but the zero word, prefix 0, has its stabilizer checked
@@ -695,18 +625,15 @@ def _root_flags(spec: ConstructionSpec) -> list[bool]:
     are simple: alpha^j is a root of g exactly when h(alpha^j) != 0.  All n
     values are formed at once over the field's exp table: h(alpha^j) is
     the XOR, over the terms x^i of h, of exp[i*j mod n], one length-n row
-    per term.
+    per term, all rows in one array.
     """
     n = spec.n
     h, rem = poly_divrem((1 << n) | 1, spec.generator)
     if rem != 0:
         raise CertificateFailure(f"g does not divide x^{n}-1")
-    exp, j = spec.field.exp_array, np.arange(n)
-    values = np.zeros(n, dtype=np.int64)
-    for i in range(h.bit_length()):
-        if h >> i & 1:
-            values ^= exp[i * j % n]
-    return (values != 0).tolist()
+    terms = [i for i in range(h.bit_length()) if h >> i & 1]
+    powers = spec.field.exp_array[np.multiply.outer(terms, np.arange(n)) % n]
+    return np.bitwise_xor.reduce(powers).astype(bool).tolist()
 
 
 def bch_certificate(spec: ConstructionSpec) -> int:

@@ -212,21 +212,24 @@ class TestBchCertificate:
 
 
 def _gray_walk(ideal):
-    """Orbit words by a Gray-code walk over all nonzero messages: for each
-    r < gcd(e, n) in turn, the word u = a(x) * generator with
-    u(beta) = alpha^r, its value at beta tracked through the bits of a."""
+    """The word of each log by a Gray-code walk over all nonzero messages:
+    for each l < n, the word u = a(x) * generator with u(beta) = alpha^l,
+    its value at beta tracked through the bits of a."""
     ctx, n = ideal.field, ideal.n
     at_beta = _horner(ctx, ideal.generator, ideal.exponent)
     powers = [ctx.mul(ctx.alpha_pow(ideal.exponent * j), at_beta)
               for j in range(ideal.dim)]
-    target = {ctx.alpha_pow(r): r for r in range(n // ideal.orbit_size)}
-    messages = [0] * len(target)
+    messages = [0] * n
     value = 0
     for step in range(1, 1 << ideal.dim):
         value ^= powers[(step & -step).bit_length() - 1]
-        if value in target:
-            messages[target[value]] = step ^ (step >> 1)
+        messages[ctx.log[value]] = step ^ (step >> 1)
     return [poly_mul(a, ideal.generator) for a in messages]
+
+
+def _ints(words):
+    """Packed words as ints."""
+    return [int.from_bytes(word.tobytes(), "little") for word in words]
 
 
 ORACLE_CODES = [(4, 1, None), (4, 1, 0x19), (6, 1, None), (6, 2, None),
@@ -249,8 +252,12 @@ class TestIdealsAndOrbits:
 
     @pytest.mark.parametrize("m,c,modulus", ORACLE_CODES)
     def test_representatives_match_gray_code_walk(self, m, c, modulus):
+        # the word of each value alpha^l at beta, as the plan forms its
+        # representatives
         for ideal in minimal_ideals(build_code(m, c, modulus)):
-            assert ideal.orbit_representatives() == _gray_walk(ideal)
+            words = ideal.words(ideal.field.exp_array)
+            assert _ints(words) == _gray_walk(ideal)
+            assert _ints(ideal.words(np.zeros(2, dtype=np.int64))) == [0, 0]
 
     def test_inexact_ideal_refused(self):
         spec = build_code(6, 2)
@@ -263,14 +270,7 @@ class TestIdealsAndOrbits:
                 minimal_ideals(bad)
         assert "_ideals" not in vars(bad)
 
-    def test_corrupted_representatives_refused(self, monkeypatch):
-        # both ways of checking a level: in Python and with numpy
-        for small in (0, 1 << 20):
-            monkeypatch.setattr(cy, "_SMALL_LEVEL", small)
-            self._refuse_corrupted_representatives()
-
-    @staticmethod
-    def _refuse_corrupted_representatives():
+    def test_corrupted_representatives_refused(self):
         # (8,3)'s first ideal under the shifts: 3 orbits of 85 words; its
         # second under the whole group, from the plan's second level
         first, middle, _ = minimal_ideals(build_code(8, 3))
@@ -298,25 +298,54 @@ class TestIdealsAndOrbits:
             with pytest.raises(DecompositionFailure):
                 cy._check_orbits(middle, whole, *bad)
 
+    def test_dependent_values_refused(self, monkeypatch):
+        # row 1's value at beta read as row 0's: evaluation is then not
+        # one-to-one, so some value would have no word
+        spec = build_code(8, 3)
+        ideal = dataclasses.replace(minimal_ideals(spec)[1])
+        n, e, offset = ideal.n, ideal.exponent, ideal._generator_log()
+        real = cy.FieldContext.alpha_pow
+        monkeypatch.setattr(
+            cy.FieldContext, "alpha_pow", lambda ctx, x: real(
+                ctx, offset if (x - e - offset) % n == 0 else x))
+        values = ideal.field.exp_array
+        for _ in range(2):
+            with pytest.raises(DecompositionFailure, match="one-to-one"):
+                ideal.words(values)
+        assert "_tables" not in vars(ideal)
+        # unbroken, the n values have n distinct nonzero words
+        monkeypatch.setattr(cy.FieldContext, "alpha_pow", real)
+        words = set(_ints(ideal.words(values)))
+        assert len(words) == n and 0 not in words
+
     @pytest.mark.parametrize("m,c", [(8, 3), (10, 2), (10, 3)])
-    def test_python_and_numpy_walks_agree(self, monkeypatch, m, c):
-        # each level walked both ways gives the same orbits, which both
-        # checks accept
+    def test_walk_matches_the_cycles_stepped_through(self, monkeypatch, m,
+                                                     c):
+        # each level's orbits against the cycles of r -> 2^phi r + e tau
+        # mod g, stepped through one residue at a time
         levels = []
         real = cy._walk_orbits
         monkeypatch.setattr(cy, "_walk_orbits", lambda ideal, groups:
                             levels.append((ideal, groups))
                             or real(ideal, groups))
         cy._plan_orbits(minimal_ideals(build_code(m, c)))
-        monkeypatch.setattr(cy, "_walk_orbits", real)
+        assert len(levels) == c
         for ideal, groups in levels:
-            found = []
-            for small in (0, 1 << 20):
-                monkeypatch.setattr(cy, "_SMALL_LEVEL", small)
-                orbits = real(ideal, groups)
-                cy._check_orbits(ideal, groups, *orbits)
-                found.append([x.tolist() for x in orbits])
-            assert found[0] == found[1]
+            n, e = ideal.n, ideal.exponent
+            want = []
+            for row, (s, tau, phi) in enumerate(groups.tolist()):
+                g = math.gcd(e * s, n)
+                seen = set()
+                for start in range(g):
+                    at, length = start, 0
+                    while at not in seen:
+                        seen.add(at)
+                        length += 1
+                        at = ((1 << phi) * at + e * tau) % g
+                    if length:
+                        want.append([row, start, n // g * length])
+            got = [x.tolist() for x in real(ideal, groups)]
+            assert [list(x) for x in zip(*got)] == want
 
 
 def _spy(monkeypatch, name):
@@ -357,7 +386,7 @@ class TestComputedOnce:
         assert cy.orbit_plan(spec).ideals == tuple(ideals)
 
     def test_equal_specs_keep_their_own(self, monkeypatch):
-        # equal values over two fields: the orbit walk runs in each field
+        # equal values over two fields: the orbit plan is made in each field
         a, b = build_code(4, 1, 0x13), build_code(4, 1, 0x19)
         assert a == b and a.field != b.field
         specs = [a, b, dataclasses.replace(a), dataclasses.replace(b)]
@@ -368,22 +397,29 @@ class TestComputedOnce:
             assert best_bch_distance(spec) == 6
             ideal, = minimal_ideals(spec)
             assert ideal.field is spec.field
-            reps.append(ideal.orbit_representatives())
+            part, = cy.orbit_plan(spec).scans
+            reps.append(_ints(part.reps(0, len(part))))
         assert [id(s) for s in flags] == [id(s) for s in specs]
         assert [id(s) for s in splits] == [id(s) for s in specs]
         assert reps[0] == reps[2] != reps[1] == reps[3]
-        assert reps[1] == list(minimal_ideals(b)[0]._orbits)
+        ideal, = minimal_ideals(b)
+        assert reps[1] == _ints(ideal.words(b.field.exp_array[[0, 1]]))
+        assert ideal._tables is minimal_ideals(b)[0]._tables
 
     def test_returned_lists_are_copies(self):
         spec = build_code(6, 2)
         ideals = minimal_ideals(spec)
-        reps = ideals[0].orbit_representatives()
-        want = list(reps)
-        reps[0] ^= 1
-        reps.append(0)
+        first = ideals[0]
         ideals.clear()
         again = minimal_ideals(spec)
-        assert len(again) == 2 and again[0].orbit_representatives() == want
+        assert len(again) == 2 and again[0] is first
+        # the kept words are read-only; the words of values are new arrays
+        part = cy.orbit_plan(spec).scans[0]
+        with pytest.raises(ValueError):
+            part.reps(0, len(part))[0] ^= 1
+        words = first.words(spec.field.exp_array[:2])
+        words[0] ^= 1
+        assert (first.words(spec.field.exp_array[:2])[0] != words[0]).any()
         flags = _root_flags(spec)
         flags[0] = not flags[0]
         assert _root_flags(spec) == list(spec._roots) != flags
@@ -392,7 +428,7 @@ class TestComputedOnce:
         spec = build_code(4, 1)
         bad_g = dataclasses.replace(spec, generator=spec.generator ^ 1)
         bad_k = dataclasses.replace(spec, k=spec.k + 1)
-        # orbits of length 5 read as length 15
+        # alpha^1 is not a root of the ideal's minimal polynomial
         bad_orbit = dataclasses.replace(minimal_ideals(spec)[0], exponent=1)
         for _ in range(2):
             for certify in (bch_certificate, best_bch_distance):
@@ -402,9 +438,9 @@ class TestComputedOnce:
                 with pytest.raises(DecompositionFailure):
                     split(bad_k)
             with pytest.raises(DecompositionFailure):
-                bad_orbit.orbit_representatives()
+                bad_orbit.words(np.ones(1, dtype=np.int64))
         assert "_roots" not in vars(bad_g) and "_ideals" not in vars(bad_k)
-        assert "_orbits" not in vars(bad_orbit)
+        assert "_tables" not in vars(bad_orbit)
 
 
 class TestEncode:

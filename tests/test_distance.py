@@ -300,18 +300,25 @@ class TestOrbitEnumeration:
         assert list(forward) == list(backward)
 
     def test_orbit_counts(self):
-        # (8,3): gcd(33, 255) = 3, gcd(65, 255) = 5, gcd(129, 255) = 3
+        # (8,3) under the shifts alone: gcd(33, 255) = 3, gcd(65, 255) = 5,
+        # gcd(129, 255) = 3 orbits, each of 255 / gcd words
         ideals = minimal_ideals(build_code(8, 3))
-        assert [len(i.orbit_representatives()) for i in ideals] == [3, 5, 3]
-        assert [i.orbit_size for i in ideals] == [85, 51, 85]
+        shifts = np.array([[1, 0, 8]])
+        orbits = [cyclic._walk_orbits(i, shifts) for i in ideals]
+        assert [len(logs) for _, logs, _ in orbits] == [3, 5, 3]
+        assert [set(sizes.tolist()) for _, _, sizes in orbits] == \
+            [{85}, {51}, {85}]
 
     def test_10_3_distance(self):
         assert min_distance(build_code(10, 3), max_k=30) == 448
 
     def test_wrong_orbit_size_is_internal_error(self):
-        ideal = minimal_ideals(build_code(4, 1))[0]   # orbits of length 5
+        # orbits of length 5 read as length 15: alpha^1 is no nonzero of
+        # the ideal, so its words have no log coordinates
+        ideal = minimal_ideals(build_code(4, 1))[0]
+        bad = cyclic._plan_orbits([dataclasses.replace(ideal, exponent=1)])
         with pytest.raises(DecompositionFailure):
-            dataclasses.replace(ideal, exponent=1).orbit_representatives()
+            _orbit_histogram(bad, ideal.n)
         assert issubclass(DecompositionFailure, ArithmeticError)
         assert not issubclass(DecompositionFailure, ValueError)
 
@@ -388,19 +395,11 @@ class TestOrbitChain:
             cyclic.orbit_plan(build_code(m, c))
 
     def test_log_of_the_message_refused(self, monkeypatch):
-        # logs of a(beta) instead of u(beta) = a(beta) * generator(beta):
-        # the prefixes are words of other logs, which their stabilizers
-        # move
-        real = cyclic.MinimalIdeal._messages.func
-
-        def of_message(ideal):
-            ctx = ideal.field
-            value = 0
-            for i in range(ideal.generator.bit_length()):
-                if ideal.generator >> i & 1:
-                    value ^= ctx.alpha_pow(ideal.exponent * i)
-            return np.roll(real(ideal), -ctx.log[value])
-        monkeypatch.setattr(cyclic.MinimalIdeal._messages, "func", of_message)
+        # generator(beta) read as 1, so that each word is taken for the log
+        # of a(beta) instead of u(beta) = a(beta) generator(beta): the
+        # prefixes are words of other logs, which their stabilizers move
+        monkeypatch.setattr(cyclic.MinimalIdeal, "_generator_log",
+                            lambda ideal: 0)
         with pytest.raises(DecompositionFailure):
             cyclic.orbit_plan(build_code(8, 3))
 
@@ -446,7 +445,11 @@ class TestOneTablePerIdeal:
         n = spec.n
         for i, ideal in enumerate(ideals):
             rest = [row for later in ideals[i + 1:] for row in later.rows()]
-            reps = ideal.orbit_representatives()
+            # the words of u(beta) = alpha^r, r < gcd(e, n): one per orbit
+            # of the shifts
+            logs = np.arange(math.gcd(ideal.exponent, n))
+            reps = [int.from_bytes(word.tobytes(), "little")
+                    for word in ideal.words(ideal.field.exp_array[logs])]
             lo = 1 << len(rest)
             # messages [2^k', 2^(k'+1)) of rest + [rep] are rep + span(rest)
             hist = sum(_kernels.weight_scan(rest + [rep], n, lo, 2 * lo)
@@ -603,7 +606,11 @@ class TestLeastWeightOnly:
     """The min-distance callers reduce each block to its least weight."""
 
     def test_no_histogram_is_built(self, monkeypatch, code_6_2):
-        scanned = weight_distribution(build_code(8, 2)).words_scanned
+        code_8_2 = build_code(8, 2)
+        scanned = weight_distribution(code_8_2).words_scanned
+        # the orbit plans are made first: their walks count each cycle's
+        # residues with np.bincount
+        cyclic.orbit_plan(code_6_2)
         monkeypatch.setattr(np, "bincount", _fail)
         monkeypatch.setattr(_kernels, "weight_scan", _fail)
         assert min_distance_of_rows(_rm_rows(1, 8), 256) == 128
@@ -612,8 +619,8 @@ class TestLeastWeightOnly:
         for workers in (1, 3):
             assert min_distance_of_rows(rows, 63, workers=workers) == 24
         assert min_distance(code_6_2) == 24
-        assert min_distance(build_code(8, 2)) == 112
-        report = distance_report(build_code(8, 2))
+        assert min_distance(code_8_2) == 112
+        report = distance_report(code_8_2)
         assert report["d_min"] == 112
         assert report["words_scanned"] == scanned
 
