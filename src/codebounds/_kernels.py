@@ -59,7 +59,7 @@ def pack_rows(rows: list[int], n: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(rows), words)
 
 
-def span_table(rows: np.ndarray) -> np.ndarray:
+def _span_table(rows: np.ndarray) -> np.ndarray:
     """All 2^k XOR combinations of k packed rows, limb-major.
 
     Returns shape (limbs, 2^k): column m is the combination selected by the
@@ -107,8 +107,8 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
                          f"inside the {total} messages [0, {total})")
     packed = pack_rows(rows, n)
     k_lo = min(len(rows), _LOW_BITS)
-    low = span_table(packed[:k_lo])
-    high = span_table(packed[k_lo:])
+    low = _span_table(packed[:k_lo])
+    high = _span_table(packed[k_lo:])
     # column r * 2^(k - k_lo) + j is rep r XOR column j
     high = np.bitwise_xor(high[:, None], _packed_reps(reps, n).T[:, :, None])
     high = high.reshape(len(high), -1)
@@ -315,8 +315,8 @@ def layer_minima(gens: list[list[int]], n: int, last: int | None = None):
     low_order, low_at = _popcount_order(k_lo, last)
     high_order, high_at = _popcount_order(k - k_lo, last)
     packed = [pack_rows(rows, n) for rows in gens]
-    low = np.concatenate([span_table(p[:k_lo])[:, low_order] for p in packed])
-    high = np.concatenate([span_table(p[k_lo:])[:, high_order]
+    low = np.concatenate([_span_table(p[:k_lo])[:, low_order] for p in packed])
+    high = np.concatenate([_span_table(p[k_lo:])[:, high_order]
                            for p in packed])
     limbs = low.shape[0] // t
     size = 1 << _LOW_BITS

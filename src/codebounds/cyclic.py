@@ -251,11 +251,11 @@ class MinimalIdeal:
         return [self.generator << j for j in range(self.dim)]
 
     def words(self, values: np.ndarray) -> np.ndarray:
-        """The words u of the ideal with u(beta) = value, for each value a
-        field element as the field stores it (0 gives the zero word),
-        packed as ``_kernels.pack_rows`` packs rows: the XOR of a low and a
-        high table row, the spans of the words of value alpha^j for the
-        low and the high bits j of the value."""
+        """The words u of the ideal with u(beta) = value, for an array of
+        field elements as the field stores them (0 gives the zero word),
+        packed as ``_kernels.pack_rows`` packs rows.  The value's bits
+        j < dim/2 pick a row of the low table, its other bits one of the
+        high table: the spans of the words of value alpha^j for those j."""
         low, high = self._tables
         split = self.dim // 2
         return low[values & ((1 << split) - 1)] ^ high[values >> split]
@@ -388,8 +388,8 @@ def _check_orbits(ideal: MinimalIdeal, groups: np.ndarray, row: np.ndarray,
     the powers are formed at once.
     """
     n, e, m = ideal.n, ideal.exponent, ideal.field.m
-    _, tau, phi = groups[row].T
-    g = np.array([math.gcd(e * s, n) for s in groups[:, 0].tolist()])[row]
+    s, tau, phi = groups[row].T
+    g = np.gcd(e * s, n)
     lengths, rest = np.divmod(sizes, n // g)
     if rest.any() or (np.bincount(row, sizes, len(groups)) != n).any():
         raise DecompositionFailure(
@@ -398,9 +398,9 @@ def _check_orbits(ideal: MinimalIdeal, groups: np.ndarray, row: np.ndarray,
     # a cycle of (tau, phi) has at most m / phi residues
     closed = not (lengths * phi > m).any()
     if closed:
-        steps = np.arange(lengths.max() + 1)[:, None]
         # steps past L repeat step L, which must be the representative
         # again; 2^(i phi) is exact for i phi <= m, and 2^m = 1 mod g
+        steps = np.arange(m + 1)[:, None]
         power = 1 << np.minimum(steps, lengths) * phi
         at = (power * logs + e * tau * ((power - 1) // ((1 << phi) - 1))) % g
         # residue r of group row k passes, at a step i < L, as k * n + r

@@ -175,14 +175,12 @@ class FieldContext:
 
     Elements are ints < 2^m in the polynomial basis.  ``exp[i]`` holds
     alpha^i for 0 <= i < 2^m - 1, and ``log[a]`` inverts that for nonzero a
-    (``log[0]`` is 0).  ``exp_array`` and ``log_array`` are read-only int64
-    numpy copies of the two lists.  Instances are immutable after
-    construction; ``field_create`` shares one per (m, modulus), across
-    threads too.
+    (``log[0]`` is 0).  ``exp_array`` is a read-only int64 numpy copy of
+    ``exp``.  Instances are immutable after construction; ``field_create``
+    shares one per (m, modulus), across threads too.
     """
 
-    __slots__ = ("m", "modulus", "order", "exp", "log", "exp_array",
-                 "log_array")
+    __slots__ = ("m", "modulus", "order", "exp", "log", "exp_array")
 
     def __init__(self, m: int, modulus: int | None = None):
         if not (2 <= m <= 16):
@@ -222,8 +220,7 @@ class FieldContext:
         self.exp = exp
         self.log = log
         self.exp_array = np.array(exp, dtype=np.int64)
-        self.log_array = np.array(log, dtype=np.int64)
-        self.exp_array.flags.writeable = self.log_array.flags.writeable = False
+        self.exp_array.flags.writeable = False
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -471,8 +471,8 @@ class TestOneTablePerIdeal:
         for part in plan.scans:      # the word tables of each ideal
             part.reps(0, len(part))
         built = []
-        real = _kernels.span_table
-        monkeypatch.setattr(_kernels, "span_table",
+        real = _kernels._span_table
+        monkeypatch.setattr(_kernels, "_span_table",
                             lambda rows: built.append(len(rows)) or real(rows))
         _orbit_histogram(plan, spec.n)
         assert len(built) == 2 * len(plan.scans)
@@ -833,8 +833,8 @@ class TestLayerMinima:
         # weights are taken, to message weight ``last``, in blocks of one
         # ``_word_weights`` call each
         formed, blocks = [], []
-        real_table, real_weights = _kernels.span_table, _kernels._word_weights
-        monkeypatch.setattr(_kernels, "span_table", lambda rows: (
+        real_table, real_weights = _kernels._span_table, _kernels._word_weights
+        monkeypatch.setattr(_kernels, "_span_table", lambda rows: (
             formed.append(1 << len(rows)) or real_table(rows)))
         monkeypatch.setattr(_kernels, "_word_weights", lambda b, bits, w: (
             formed.append(w.size) or blocks.append(1)
