@@ -95,8 +95,7 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
     of reps over a few rows take a few blocks.  Both span tables are
     limb-major (see the module docstring), and the per-word weights are
     summed over limbs in ``np.min_scalar_type(n)``, the smallest unsigned
-    dtype that holds n (uint8 only for n <= 255).  The work buffers belong
-    to this call, so concurrent calls share nothing.  ``stop`` defaults to
+    dtype that holds n (uint8 only for n <= 255).  ``stop`` defaults to
     the message count; a range outside 0 <= start <= stop <= that count
     raises ``ValueError`` before any table is built.
     """
@@ -157,8 +156,9 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
     aligned with ``reps``, each word of rep r's coset counts
     multiplicity[r] times (a block's counts are summed in float64, exact
     below 2^53).  Rows and reps must fit in n bits.  Histograms of
-    disjoint ranges add elementwise, which is how the full scan in
-    ``distance`` shards the range across threads.
+    disjoint ranges add elementwise.  The package itself scans whole
+    ranges; ``start`` and ``stop`` stay because the benchmark's tracer
+    binds them by name to count the words of each call.
     """
     counts = np.zeros(n + 1, dtype=np.int64)
     k = len(rows)

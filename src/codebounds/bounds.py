@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass, replace
 
 from .cyclic import designed_distance
@@ -293,15 +292,12 @@ class _BallCache:
     dropped.  The default table fills 15 keys; a bound-table benchmark pass
     (a 50-pair table at r <= 16 plus 338 regime points d = n/2 - a sqrt(n)
     over 2^10..2^20) fills 1,055-1,085, so 4096 keys drop none within such
-    a run.  Writes hold a lock, so ``table --workers`` threads share the
-    cache; two threads missing one key may both certify it, with equal
-    results.
+    a run.  The cache is not locked: the package runs in one thread.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._entries: dict[tuple[int, int], tuple] = {}
-        self._lock = threading.Lock()
 
     def __call__(self, n: int, r: int) -> tuple[EigenCertificate, int, float]:
         n, r = operator.index(n), operator.index(r)
@@ -321,15 +317,13 @@ class _BallCache:
         _check_float_range(n, max(radii))
         entries = [(cert, n * vol(r, n), float(cert.lambda_certified))
                    for r, cert in zip(radii, certify_radii(n, radii))]
-        with self._lock:
-            self._entries.update(zip([(n, r) for r in radii], entries))
-            while len(self._entries) > self.maxsize:
-                del self._entries[next(iter(self._entries))]
+        self._entries.update(zip([(n, r) for r in radii], entries))
+        while len(self._entries) > self.maxsize:
+            del self._entries[next(iter(self._entries))]
         return entries
 
     def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
 
 _ball = _BallCache(4096)

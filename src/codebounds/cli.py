@@ -183,16 +183,8 @@ def _table_rows(args) -> list[dict]:
     if args.regime is not None:
         rows = bd.regime_table(args.regime, args.n_list or [100, 1024, 4096])
     else:
-        rows, r_max, workers = [], args.r_max or 8, args.workers or 1
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for chunk in pool.map(lambda p: bound_rows(p[0], p[1], r_max),
-                                      args.pairs):
-                    rows.extend(chunk)
-        else:
-            for n, d in args.pairs:
-                rows.extend(bound_rows(n, d, r_max))
+        rows = [row for n, d in args.pairs
+                for row in bound_rows(n, d, args.r_max or 8)]
     return sorted(rows, key=_ROW_ORDER)
 
 
@@ -304,9 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     rows.add_argument("--pairs", default="15:6,63:16,63:24",
                       type=_parsed(_comma_list(_pair), "a comma list of n:d"),
                       help="comma list of n:d pairs")
-    # 8 and 1 when not given; main refuses either one with --regime
+    # --r-max is 8 when not given; main refuses either one with --regime
     c.add_argument("--r-max", type=_int_range(1))
-    c.add_argument("--workers", type=_int_range(1))
+    c.add_argument("--workers", type=_int_range(1),
+                   help="ignored (one thread); the benchmark passes it")
     c.add_argument("--out", help="output CSV path")
     rows.add_argument("--regime", type=_parsed(_positive_float,
                                                "a finite number > 0"),

@@ -112,8 +112,7 @@ class ConstructionSpec:
 
     @cached_property
     def _roots(self) -> np.ndarray:
-        # a read-only bool array over the flags' bytes
-        return np.frombuffer(bytes(_root_flags(self)), dtype=bool)
+        return _root_flags(self)
 
     @cached_property
     def _ideals(self) -> tuple[MinimalIdeal, ...]:
@@ -616,8 +615,8 @@ def _split_ideals(spec: ConstructionSpec) -> tuple[MinimalIdeal, ...]:
     return tuple(ideals)
 
 
-def _root_flags(spec: ConstructionSpec) -> list[bool]:
-    """Whether alpha^j is a root of g, for every exponent j < n.
+def _root_flags(spec: ConstructionSpec) -> np.ndarray:
+    """Read-only bool array: whether alpha^j is a root of g, each j < n.
 
     Decided through the check polynomial h = (x^n - 1)/g, of degree k, by
     exact division (``CertificateFailure`` if g does not divide x^n - 1).
@@ -633,7 +632,9 @@ def _root_flags(spec: ConstructionSpec) -> list[bool]:
         raise CertificateFailure(f"g does not divide x^{n}-1")
     terms = [i for i in range(h.bit_length()) if h >> i & 1]
     powers = spec.field.exp_array[np.multiply.outer(terms, np.arange(n)) % n]
-    return np.bitwise_xor.reduce(powers).astype(bool).tolist()
+    flags = np.bitwise_xor.reduce(powers).astype(bool)
+    flags.flags.writeable = False
+    return flags
 
 
 def bch_certificate(spec: ConstructionSpec) -> int:

@@ -5,10 +5,10 @@ Linear-code statistics come from the numpy span-table scan in ``_kernels``
 with weights summed in the smallest unsigned dtype that holds n).  Its
 blocks are reduced to a weight histogram for the weight distributions,
 and to their least weight for every caller that needs only the minimum
-distance.  A full scan covers all 2^k codewords of any span and is the
-only scan sharded across threads; a constructed cyclic code is instead
-enumerated one orbit of its group of shifts and squarings at a time
-(``cyclic.orbit_plan``), and the full scan is its oracle.  Both call the
+distance.  A full scan covers all 2^k codewords of any span; a
+constructed cyclic code is instead enumerated one orbit of its group of
+shifts and squarings at a time (``cyclic.orbit_plan``), and the full scan
+is its oracle.  Every scan runs in the calling thread.  Both call the
 same two reductions: a full scan is the one coset of the zero word, and
 each level of the plan's cosets prefix + span(later ideals), formed in
 blocks, shares one pair of span tables, each word counting its prefix's
@@ -88,25 +88,6 @@ def _check_rows(rows: list[int], n: int) -> tuple[list[int], int]:
     return rows, n
 
 
-def _sharded(scan, rows: list[int], n: int, workers: int, combine):
-    """``scan(rows, n, start, stop)`` over all 2^k messages of ``rows``.
-
-    With more than one worker the message range is cut into one shard per
-    thread and the shards' results are merged by ``combine``: ``sum`` for
-    histograms, ``min`` for least weights.  Either merge is independent of
-    worker count and completion order.
-    """
-    total = 1 << len(rows)
-    workers = max(1, min(workers, total))
-    if workers == 1:
-        return scan(rows, n, 0, total)
-    from concurrent.futures import ThreadPoolExecutor
-    cuts = [total * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return combine(pool.map(lambda a, b: scan(rows, n, a, b),
-                                cuts, cuts[1:]))
-
-
 def _systematic(rows: list[int], cols: int) -> tuple[list[int], int] | None:
     """Gauss-Jordan on the columns in the mask ``cols``.
 
@@ -160,14 +141,15 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
     Otherwise one set is split, and its least row weight prices the search
     on each count of sets t whose lower bound is below the scan; t is the
     cheapest count, and that many sets are split.  The span goes to the
-    full scan (``least_weight``, sharded over ``workers`` threads) unless
-    the search on them, priced with the best row weight of all, costs
-    less.  Each round only lowers best, so no later price can exceed it.
+    full scan (``least_weight``) unless the search on them, priced with
+    the best row weight of all, costs less.  Each round only lowers best,
+    so no later price can exceed it.
 
     Rows and n are read through ``operator.index``.  Raises ``ValueError``
     for a row that is negative or does not fit in n bits, and for a span
     with no nonzero word; ``BudgetExceeded`` when the rank, not the row
-    count, exceeds ``max_k``.
+    count, exceeds ``max_k``.  ``workers`` is ignored (one thread); the
+    benchmark's 1-vs-2-worker probe passes it.
     """
     rows, n = _check_rows(rows, n)
     basis = row_basis(rows)
@@ -194,7 +176,7 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
             gens.append(basis)
             best = min(best, *(row.bit_count() for row in basis))
     if not gens or price(len(gens), best) >= scan:
-        return _sharded(_kernels.least_weight, basis, n, workers, min)
+        return _kernels.least_weight(basis, n)
     t = len(gens)
     layers = _kernels.layer_minima(gens, n, _last_weight(k, t, best))
     # value i, counted from t + 1, is set j's at message weight w: i = t w + j
@@ -205,19 +187,18 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
     return best
 
 
-def weight_distribution_of_rows(rows: list[int], n: int, max_k: int = 24,
-                                workers: int = 1) -> WeightDistribution:
+def weight_distribution_of_rows(rows: list[int], n: int,
+                                max_k: int = 24) -> WeightDistribution:
     """Weight histogram of all 2^len(rows) messages' codewords.
 
     Dependent rows are not reduced: each codeword of a span of rank r
     counts 2^(len(rows) - r) times, so [0b011, 0b110, 0b101] gives counts
-    (2, 0, 6, 0) with k = 3.  The message range is sharded over
-    ``workers`` threads.  Rows and n are read as in
+    (2, 0, 6, 0) with k = 3.  Rows and n are read as in
     ``min_distance_of_rows``.
     """
     _check_budget(len(rows), max_k)
     rows, n = _check_rows(rows, n)
-    counts = _sharded(_kernels.weight_scan, rows, n, workers, sum)
+    counts = _kernels.weight_scan(rows, n)
     return WeightDistribution(n, len(rows), tuple(int(x) for x in counts),
                               1 << len(rows))
 

@@ -177,7 +177,7 @@ class FieldContext:
     alpha^i for 0 <= i < 2^m - 1, and ``log[a]`` inverts that for nonzero a
     (``log[0]`` is 0).  ``exp_array`` is a read-only int64 numpy copy of
     ``exp``.  Instances are immutable after construction; ``field_create``
-    shares one per (m, modulus), across threads too.
+    shares one per (m, modulus).
     """
 
     __slots__ = ("m", "modulus", "order", "exp", "log", "exp_array")

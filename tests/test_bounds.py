@@ -3,7 +3,6 @@
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
 
@@ -600,7 +599,7 @@ class TestPerronDrop:
 
 
 class TestBallCache:
-    """Entries per (n, r), filled a length at a time, bounded, shared."""
+    """Entries per (n, r), filled a length at a time, bounded."""
 
     def test_one_pass_per_length(self, monkeypatch):
         bd._ball.cache_clear()
@@ -626,25 +625,6 @@ class TestBallCache:
         assert first[1:] == (63 * vol(4, 63),
                              float(first[0].lambda_certified))
 
-    def test_threads_share_it(self, monkeypatch):
-        # more threads than cores on a cache small enough to drop entries
-        # while others read it, with a short switch interval: every row
-        # must still equal the serial one, and the bound must hold
-        points = [(n, n // 2 - k) for n in (255, 256, 1023, 1024) for k in
-                  range(1, 40, 3)]
-        serial = [bd.new_upper_rows(*p, 16) for p in points]
-        monkeypatch.setattr(bd, "_ball", bd._BallCache(24))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(bd.new_upper_rows, *p, 16)
-                           for p in points * 3]
-                shared = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert shared == serial * 3
-        assert len(bd._ball._entries) <= 24
 
 class TestCyclicLower:
     def test_examples(self):

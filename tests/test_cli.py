@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -282,6 +283,17 @@ class TestTable:
         _, serial, _ = run_cli(capsys, "table")
         _, parallel, _ = run_cli(capsys, "table", "--workers", "4")
         assert serial == parallel
+
+    def test_workers_start_no_thread(self, capsys, monkeypatch):
+        # --workers is validated, then ignored: the rows are built here
+        def refuse(thread):
+            raise AssertionError(f"thread started: {thread!r}")
+        _, serial, _ = run_cli(capsys, "table")
+        bd._ball.cache_clear()      # so the rows are certified again
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out, err = run_cli(capsys, "table", "--workers", "4")
+        assert (code, err) == (0, "")
+        assert out == serial
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "t.csv"

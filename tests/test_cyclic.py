@@ -160,7 +160,7 @@ class TestBchCertificate:
         (8, 2, None), (10, 2, None), (8, 2, 0x12B)])
     def test_coset_root_flags_match_per_exponent(self, m, c, modulus):
         spec = build_code(m, c, modulus)
-        assert _root_flags(spec) == [
+        assert _root_flags(spec).tolist() == [
             _horner(spec.field, spec.generator, j) == 0
             for j in range(spec.n)]
 
@@ -170,13 +170,13 @@ class TestBchCertificate:
         (12, 2, None), (14, 2, None)])
     def test_root_flags_match_per_coset_horner(self, m, c, modulus):
         spec = build_code(m, c, modulus)
-        assert _root_flags(spec) == _coset_root_flags(spec)
+        assert _root_flags(spec).tolist() == _coset_root_flags(spec)
 
     def test_root_flags_from_check_polynomial(self):
         spec = build_code(8, 2)
         h, rem = poly_divrem((1 << spec.n) | 1, spec.generator)
         assert rem == 0 and poly_degree(h) == spec.k
-        flags = _root_flags(spec)
+        flags = _root_flags(spec).tolist()
         # only h, of degree k, decides the flags: its k roots, the removed
         # cosets, are the non-roots of g
         assert flags == [_horner(spec.field, h, j) != 0
@@ -203,7 +203,7 @@ class TestBchCertificate:
         (12, 2, None)])
     def test_best_run_matches_doubled_scan(self, m, c, modulus):
         spec = build_code(m, c, modulus)
-        flags = _root_flags(spec)
+        flags = _root_flags(spec).tolist()
         best = run = 0
         for flag in flags + flags:
             run = run + 1 if flag else 0
@@ -421,8 +421,12 @@ class TestComputedOnce:
         words[0] ^= 1
         assert (first.words(spec.field.exp_array[:2])[0] != words[0]).any()
         flags = _root_flags(spec)
-        flags[0] = not flags[0]
-        assert _root_flags(spec) == list(spec._roots) != flags
+        assert flags.dtype == bool and flags.shape == (spec.n,)
+        with pytest.raises(ValueError):
+            flags[0] = not flags[0]
+        with pytest.raises(ValueError):
+            spec._roots[0] = not spec._roots[0]
+        assert spec._roots.tolist() == flags.tolist()
 
     def test_failures_are_not_kept(self):
         spec = build_code(4, 1)

@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -72,12 +73,28 @@ class TestMinDistance:
         assert weight_distribution(build_code(8, 3)).min_distance == 96
 
     def test_workers_option_removed(self, code_4_1):
-        # the orbit route runs in one thread; only the full scan shards
+        # every scan runs in the calling thread
         with pytest.raises(SystemExit) as exc:
             main(["distance", "--m", "4", "--c", "1", "--workers", "2"])
         assert exc.value.code == 2
         with pytest.raises(TypeError):
             min_distance(code_4_1, workers=2)
+
+    def test_weight_distribution_of_rows_has_no_workers(self, code_4_1):
+        with pytest.raises(TypeError):
+            weight_distribution_of_rows(code_4_1.generator_rows(), 15,
+                                        workers=2)
+
+    def test_workers_of_rows_starts_no_thread(self, monkeypatch, code_6_2):
+        # workers is accepted for the benchmark's probe and ignored; with
+        # layer_minima refused, the span goes to the full scan
+        def refuse(thread):
+            raise AssertionError(f"thread started: {thread!r}")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(_kernels, "layer_minima", _fail)
+        rows = code_6_2.generator_rows()
+        assert min_distance_of_rows(rows, 63, workers=4) == 24
+        assert min_distance_of_rows(rows, 63) == 24
 
     def test_zero_code_rejected(self):
         with pytest.raises(ValueError):
@@ -270,13 +287,10 @@ ORBIT_CODES = [(4, 1, None), (6, 1, None), (6, 2, None), (8, 1, None),
 
 
 class TestOrbitEnumeration:
-    # workers shards the full-scan oracle; the orbit route has no workers
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("m,c,modulus", ORBIT_CODES)
-    def test_matches_full_scan(self, m, c, modulus, workers):
+    def test_matches_full_scan(self, m, c, modulus):
         spec = build_code(m, c, modulus)
-        full = weight_distribution_of_rows(spec.generator_rows(), spec.n,
-                                           workers=workers)
+        full = weight_distribution_of_rows(spec.generator_rows(), spec.n)
         wd = weight_distribution(spec)
         assert wd.counts == full.counts
         assert min_distance(spec) == full.min_distance
@@ -615,9 +629,7 @@ class TestLeastWeightOnly:
         monkeypatch.setattr(_kernels, "weight_scan", _fail)
         assert min_distance_of_rows(_rm_rows(1, 8), 256) == 128
         assert min_distance_of_rows(_rm_rows(2, 6), 64) == 16
-        rows = code_6_2.generator_rows()
-        for workers in (1, 3):
-            assert min_distance_of_rows(rows, 63, workers=workers) == 24
+        assert min_distance_of_rows(code_6_2.generator_rows(), 63) == 24
         assert min_distance(code_6_2) == 24
         assert min_distance(code_8_2) == 112
         report = distance_report(code_8_2)
@@ -646,7 +658,7 @@ class TestLeastWeightOnly:
         cuts = [0, 1, 4000, 8192, 20000, 1 << 15]
         assert min(_kernels.least_weight(rows, 127, a, b)
                    for a, b in zip(cuts, cuts[1:])) == whole
-        assert min_distance_of_rows(rows, 127, workers=3) == whole
+        assert min_distance_of_rows(rows, 127) == whole
 
 
 def _oracle_scan(rows, n, start, stop):
@@ -701,18 +713,6 @@ class TestWeightScan:
         counts = _kernels.weight_scan(rows, n, 0, 9000)
         assert counts[n] == 2
         assert list(counts) == _oracle_scan(rows, n, 0, 9000)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_sharded_scan_matches_single(self, workers):
-        # shard edges fall inside 2^13 blocks; buffers shared between
-        # threads would corrupt some round of the repeated scan
-        rng = random.Random(255)
-        rows = [rng.getrandbits(255) for _ in range(18)]
-        single = weight_distribution_of_rows(rows, 255, workers=1)
-        assert single.counts == tuple(_kernels.weight_scan(rows, 255))
-        for _ in range(20):
-            assert weight_distribution_of_rows(
-                rows, 255, workers=workers) == single
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 255, 256, 1023, 4095])
     @pytest.mark.parametrize("k", [0, 1, 16, 24])

@@ -1,6 +1,8 @@
 """Source hygiene the standard library can check: no unused imports, no
 private name imported from a sibling module, no top-level definition
-that nothing exports or reads, and no thread pool loaded on import."""
+that nothing exports or reads, and no concurrency: the package runs in one
+thread, so no module imports a thread, process or queue module, at any
+depth, and importing the package loads none of them."""
 
 import ast
 import os
@@ -37,6 +39,21 @@ def private_imports(source: str) -> list[str]:
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ImportFrom) and node.level and node.module
             for alias in node.names if alias.name.startswith("_")]
+
+
+CONCURRENCY = {"threading", "concurrent", "multiprocessing", "queue"}
+
+
+def concurrency_imports(source: str) -> list[str]:
+    """Each absolute import, anywhere in a module (a function body
+    included), of a module whose top-level package is in ``CONCURRENCY``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] in CONCURRENCY]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -100,6 +117,26 @@ def test_private_import_detector_flags_a_name_imported_back():
                            "from __future__ import annotations\n") == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_concurrency_imports(path):
+    assert concurrency_imports(path.read_text()) == []
+
+
+def test_concurrency_detector_flags_a_function_local_pool():
+    # the lazy form an import-time check cannot see
+    source = (PACKAGE / "cli.py").read_text().replace(
+        "def _table_rows(args) -> list[dict]:\n",
+        "def _table_rows(args) -> list[dict]:\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n")
+    assert concurrency_imports(source) == ["concurrent.futures"]
+    assert concurrency_imports("import threading as t, os\n"
+                               "from multiprocessing.pool import Pool\n"
+                               "from . import queue\n"
+                               "import queue_tools\n") == [
+        "threading", "multiprocessing.pool"]
+
+
 def test_no_orphaned_definitions():
     # each definition is public API or serves the package itself; a name
     # only tests or the benchmark read is dead code here
@@ -132,8 +169,7 @@ def test_orphan_detector_flags_a_helper_added_back():
 
 
 def test_import_loads_no_thread_pool():
-    # concurrent.futures (and the logging and queue it pulls in) loads only
-    # where a --workers pool is built
+    # nor through a dependency: concurrent.futures pulls in logging and queue
     root = str(PACKAGE.parent)
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     code = ("import sys, codebounds, codebounds.cli\n"
