@@ -13,10 +13,11 @@ that holds n, so a weight never wraps.  The scan has one mode: the
 cosets rep + span(rows), each rep XORed into the high table, where a
 full scan is the one coset of the zero word.  A block is 2^13 words: the
 low table XORed with as many high columns as fit, so many reps over a
-few rows share a block.  One block loop feeds two reductions:
+few rows share a block; with no rows, the reps' own weights are the one
+block, and no table is built.  One block loop feeds two reductions:
 ``weight_scan`` histograms each block, each word counting its rep's
-multiplicity when given one, and ``least_weight`` keeps only its least
-weight, which is all a minimum distance needs.
+multiplicity when given one, in int64 throughout, and ``least_weight``
+keeps only its least weight, which is all a minimum distance needs.
 ``layer_minima`` builds the same two tables, split at min(13, ceil(k/2))
 bits and with their columns sorted by message popcount, to find the
 least weight of each message-weight layer of a span without enumerating
@@ -92,18 +93,29 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
     in one block; the weights are a view of a buffer that the next block
     overwrites.  A block holds 2^13 words: the low table XORed with as
     many consecutive high columns as fit, one when k >= 13, so thousands
-    of reps over a few rows take a few blocks.  Both span tables are
-    limb-major (see the module docstring), and the per-word weights are
-    summed over limbs in ``np.min_scalar_type(n)``, the smallest unsigned
-    dtype that holds n (uint8 only for n <= 255).  ``stop`` defaults to
-    the message count; a range outside 0 <= start <= stop <= that count
-    raises ``ValueError`` before any table is built.
+    of reps over a few rows take a few blocks.  With no rows the messages
+    are the reps themselves, and their weights are the one block, read
+    off the packed reps with no span table, XOR or block buffer.  Both
+    span tables are limb-major (see the module docstring), and the
+    per-word weights are summed over limbs in ``np.min_scalar_type(n)``,
+    the smallest unsigned dtype that holds n (uint8 only for n <= 255).
+    ``stop`` defaults to the message count; a range outside
+    0 <= start <= stop <= that count raises ``ValueError`` before any
+    table is built.
     """
     total = len(reps) << len(rows)
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ValueError(f"message range [{start}, {stop}) is not a range "
                          f"inside the {total} messages [0, {total})")
+    dtype = np.min_scalar_type(n)
+    if not rows:
+        # message r is reps[r] itself: the reps' weights are the one block
+        words = _packed_reps(reps, n)[start:stop].T
+        wts = np.empty(words.shape[1], dtype=dtype)
+        _word_weights(words, np.empty(words.shape, dtype=np.uint8), wts)
+        yield start, wts
+        return
     packed = pack_rows(rows, n)
     k_lo = min(len(rows), _LOW_BITS)
     low = _span_table(packed[:k_lo])
@@ -117,7 +129,7 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
     per = min(1 << (_LOW_BITS - k_lo), end - begin)
     block = np.empty((len(low), per * size), dtype=np.uint64)
     bits = np.empty(block.shape, dtype=np.uint8)
-    wts = np.empty(per * size, dtype=np.min_scalar_type(n))
+    wts = np.empty(per * size, dtype=dtype)
     # column c of block3 is the low table XOR one high column
     block3, low, span = block.reshape(len(low), per, size), low[:, None], None
     for first in range(begin, end, max(per, 1)):
@@ -152,11 +164,13 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
     The int64 weight histogram, of length n+1, of the words of messages
     [start, stop) as ``_weight_blocks`` numbers them: the span's codewords,
     or with the prefix words of an orbit plan as ``reps`` (ints, or packed)
-    the cosets rep + span(rows).  With ``multiplicity``, an int array
-    aligned with ``reps``, each word of rep r's coset counts
-    multiplicity[r] times (a block's counts are summed in float64, exact
-    below 2^53).  Rows and reps must fit in n bits.  Histograms of
-    disjoint ranges add elementwise.  The package itself scans whole
+    the cosets rep + span(rows).  With ``multiplicity``, ints aligned
+    with ``reps``, each word of rep r's coset counts multiplicity[r]
+    times: a block of one rep adds multiplicity[r] times its plain
+    histogram, a block of several adds each word's multiplicity at its
+    weight, all in int64, so every count below 2^63 is exact.  Rows and
+    reps must fit in n bits.  Histograms of disjoint ranges add
+    elementwise.  The package itself scans whole
     ranges; ``start`` and ``stop`` stay because the benchmark's tracer
     binds them by name to count the words of each call.
     """
@@ -167,9 +181,12 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
             counts += np.bincount(wts, minlength=n + 1)
             continue
         # message first + i is a word of rep (first + i) >> k
-        each = multiplicity[np.arange(first, first + len(wts)) >> k]
-        counts += np.bincount(wts, weights=each,
-                              minlength=n + 1).astype(np.int64)
+        lo, hi = first >> k, (first + len(wts) - 1) >> k
+        if lo == hi:
+            counts += multiplicity[lo] * np.bincount(wts, minlength=n + 1)
+        else:
+            each = np.repeat(multiplicity[lo:hi + 1], 1 << k)
+            np.add.at(counts, wts, each[first - (lo << k):][:len(wts)])
     return counts
 
 

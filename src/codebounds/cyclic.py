@@ -25,7 +25,6 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -344,31 +343,37 @@ def _walk_orbits(ideal: MinimalIdeal, groups: np.ndarray):
     representative (the least residue of its cycle) and its size, as
     arrays.
 
-    All groups' residues lie side by side in one array, and pointer
-    doubling finds the least residue of each cycle.  The orbits are
-    checked by ``_check_orbits``.
+    All groups' residues lie side by side in one array, residue r of a
+    group with first index f at index f + r, and pointer doubling finds
+    the least index of each cycle.  The numbers of each group row are
+    Python ints; only the residues and the orbits are arrays.  The orbits
+    are checked by ``_check_orbits``.
     """
     n, e, m = ideal.n, ideal.exponent, ideal.field.m
-    s, tau, phi = groups.T.tolist()
-    g = [math.gcd(e * x, n) for x in s]
-    # per residue: its group's row and g, the group's first index, and
-    # 2^phi and e tau mod g
-    row, mod, first, scale, shift = np.array(
-        [range(len(g)), g, list(accumulate(g[:-1], initial=0)),
-         [(1 << f) % x for f, x in zip(phi, g)],
-         [e * t % x for t, x in zip(tau, g)]]).repeat(g, axis=1)
-    residues = np.arange(len(mod)) - first
-    jump = (scale * residues + shift) % mod + first
-    least = residues
-    # a cycle has at most min(g, m / phi) residues
-    for _ in range((max(min(x, m // f) for f, x in zip(phi, g)) - 1)
-                   .bit_length()):
+    # per group row: g, its first index f, r -> 2^phi r + e tau mod g as a
+    # jump i -> f + (a i + c) mod g between indices, the row and n / g
+    table, first, longest = [], 0, 1
+    for k, (s, tau, phi) in enumerate(groups.tolist()):
+        g = math.gcd(e * s, n)
+        a = pow(2, phi, g)
+        table.append((g, first, a, (e * tau - a * first) % g, k, n // g))
+        first += g
+        # a cycle has at most min(g, m / phi) residues
+        longest = max(longest, min(g, m // phi))
+    cols = np.array(table).T
+    spread = cols.repeat(cols[0], axis=1)
+    g, first, a, c = spread[:4]
+    index = np.arange(len(g))
+    jump = (a * index + c) % g + first
+    least = index
+    for _ in range((longest - 1).bit_length()):
         least = np.minimum(least, least[jump])
         jump = jump[jump]
-    reps = (least == residues).nonzero()[0]
-    # the residues of a cycle share its least one
-    lengths = np.bincount(least + first)[reps]
-    return row[reps], residues[reps], n // mod[reps] * lengths
+    # the indices of a cycle share its least one, and no other shares it
+    counts = np.bincount(least)
+    reps = np.flatnonzero(counts)
+    _, first, _, _, row, per = spread[:, reps]
+    return row, reps - first, per * counts[reps]
 
 
 def _check_orbits(ideal: MinimalIdeal, groups: np.ndarray, row: np.ndarray,
@@ -378,34 +383,43 @@ def _check_orbits(ideal: MinimalIdeal, groups: np.ndarray, row: np.ndarray,
     given sizes, which together hold all 2^m - 1 nonzero words of the
     ideal.
 
-    Each size must be n/g times a cycle length L, and each group's sizes
-    must sum to n.  The powers (tau, phi)^i, which move the log l to
+    Each size must be n/g times a cycle length L, with 1 <= L <= m/phi.
+    The powers (tau, phi)^i, which move the log l to
     2^(i phi) l + e tau (2^(i phi) - 1) / (2^phi - 1), must move each
     representative, mod g, to residues that are distinct for i < L,
-    also across one group's representatives, and back to it at i = L.  So
-    the cycles are disjoint and, summing to g, cover every residue.  All
-    the powers are formed at once.
+    also across one group's representatives, and back to it at i = L; and
+    the residues passed must number the g of every group together.  So
+    the cycles are disjoint and cover every residue, and each group's
+    sizes sum to n.  All the powers are formed at once; the numbers of
+    each group row are Python ints, gathered per orbit.
     """
     n, e, m = ideal.n, ideal.exponent, ideal.field.m
-    s, tau, phi = groups[row].T
-    g = np.gcd(e * s, n)
-    lengths, rest = np.divmod(sizes, n // g)
-    if rest.any() or (np.bincount(row, sizes, len(groups)) != n).any():
-        raise DecompositionFailure(
-            f"orbits of {sizes.tolist()} words do not cover the "
-            f"{n} nonzero words of the ideal of coset {e}")
-    # a cycle of (tau, phi) has at most m / phi residues
-    closed = not (lengths * phi > m).any()
+    # per group row: g, the first index of its residues when all groups'
+    # residues lie side by side, n / g, phi, e tau mod g and 2^phi - 1
+    table, total = [], 0
+    for s, tau, phi in groups.tolist():
+        g = math.gcd(e * s, n)
+        table.append((g, total, n // g, phi, e * tau % g, (1 << phi) - 1))
+        total += g
+    g, first, per, phi, shift, ratio = np.array(table).T[:, row]
+    lengths, rest = np.divmod(sizes, per)
+    # a cycle of (tau, phi) has at least one and at most m / phi residues
+    closed = not ((lengths < 1) | (lengths * phi > m)).any()
     if closed:
         # steps past L repeat step L, which must be the representative
         # again; 2^(i phi) is exact for i phi <= m, and 2^m = 1 mod g
         steps = np.arange(m + 1)[:, None]
         power = 1 << np.minimum(steps, lengths) * phi
-        at = (power * logs + e * tau * ((power - 1) // ((1 << phi) - 1))) % g
-        # residue r of group row k passes, at a step i < L, as k * n + r
-        passed = (row * n + at)[steps < lengths]
-        closed = (at[-1] == logs % g).all() and np.bincount(passed).max() < 2
-    if not closed:
+        at = (power * logs + shift * ((power - 1) // ratio)) % g
+        # residue r of a group with first index f passes, at a step
+        # i < L, as index f + r
+        passed = (first + at)[steps < lengths]
+    if rest.any() or closed and len(passed) != total:
+        raise DecompositionFailure(
+            f"orbits of {sizes.tolist()} words do not cover the "
+            f"{n} nonzero words of the ideal of coset {e}")
+    if not (closed and (at[-1] == logs % g).all()
+            and np.bincount(passed).max() < 2):
         raise DecompositionFailure(
             f"two representatives in the ideal of coset {e} share a "
             f"cycle, or a cycle does not close")
@@ -624,15 +638,24 @@ def _root_flags(spec: ConstructionSpec) -> np.ndarray:
     are simple: alpha^j is a root of g exactly when h(alpha^j) != 0.  All n
     values are formed at once over the field's exp table: h(alpha^j) is
     the XOR, over the terms x^i of h, of exp[i*j mod n], one length-n row
-    per term, all rows in one array.
+    per term, all rows in one array.  As 2^m = 1 mod n, i*j mod n is
+    (i*j & n) + (i*j >> m), less n once if that is n or more: no division.
+    The table is read in the smallest dtype that holds n.
     """
-    n = spec.n
+    n, m = spec.n, spec.m
     h, rem = poly_divrem((1 << n) | 1, spec.generator)
     if rem != 0:
         raise CertificateFailure(f"g does not divide x^{n}-1")
     terms = [i for i in range(h.bit_length()) if h >> i & 1]
-    powers = spec.field.exp_array[np.multiply.outer(terms, np.arange(n)) % n]
-    flags = np.bitwise_xor.reduce(powers).astype(bool)
+    # i*j < n^2 < 2^32 for m <= 16, and (i*j & n) + (i*j >> m) < 2n
+    exps = np.multiply.outer(np.array(terms, dtype=np.uint32),
+                             np.arange(n, dtype=np.uint32))
+    high = exps >> m
+    exps &= n
+    exps += high
+    np.subtract(exps, n, out=exps, where=exps >= n)
+    table = spec.field.exp_array.astype(np.min_scalar_type(n))
+    flags = np.bitwise_xor.reduce(np.take(table, exps)).astype(bool)
     flags.flags.writeable = False
     return flags
 

@@ -12,7 +12,8 @@ is its oracle.  Every scan runs in the calling thread.  Both call the
 same two reductions: a full scan is the one coset of the zero word, and
 each level of the plan's cosets prefix + span(later ideals), formed in
 blocks, shares one pair of span tables, each word counting its prefix's
-orbit sizes.
+orbit sizes in int64.  The last level has no later ideal: its words are
+weighed straight off the packed words, with no span table.
 ``min_distance_of_rows`` gets the least weight either from the full scan
 or from the Brouwer-Zimmermann information-set search: t disjoint
 information sets, each systematic generator enumerated by increasing

@@ -173,22 +173,25 @@ class TestBchCertificate:
         assert _root_flags(spec).tolist() == _coset_root_flags(spec)
 
     def test_root_flags_from_check_polynomial(self):
-        spec = build_code(8, 2)
-        h, rem = poly_divrem((1 << spec.n) | 1, spec.generator)
-        assert rem == 0 and poly_degree(h) == spec.k
-        flags = _root_flags(spec).tolist()
-        # only h, of degree k, decides the flags: its k roots, the removed
-        # cosets, are the non-roots of g
-        assert flags == [_horner(spec.field, h, j) != 0
-                         for j in range(spec.n)]
-        removed = set().union(*(cs.members for cs in spec.cosets))
-        assert {j for j, flag in enumerate(flags) if not flag} == removed
-        assert len(removed) == spec.k
-        # g + 1 is divisible by x, so it does not divide x^n - 1
-        bad = dataclasses.replace(spec, generator=spec.generator ^ 1)
-        for certify in (_root_flags, bch_certificate, best_bch_distance):
-            with pytest.raises(CertificateFailure):
-                certify(bad)
+        # i*j mod n is reduced without division, i*j reaching n^2 - 2n + 1
+        # on 8, 10 and 12 bits
+        for m in (8, 10, 12):
+            spec = build_code(m, 2)
+            h, rem = poly_divrem((1 << spec.n) | 1, spec.generator)
+            assert rem == 0 and poly_degree(h) == spec.k
+            flags = _root_flags(spec).tolist()
+            # only h, of degree k, decides the flags: its k roots, the
+            # removed cosets, are the non-roots of g
+            assert flags == [_horner(spec.field, h, j) != 0
+                             for j in range(spec.n)]
+            removed = set().union(*(cs.members for cs in spec.cosets))
+            assert {j for j, flag in enumerate(flags) if not flag} == removed
+            assert len(removed) == spec.k
+            # g + 1 is divisible by x, so it does not divide x^n - 1
+            bad = dataclasses.replace(spec, generator=spec.generator ^ 1)
+            for certify in (_root_flags, bch_certificate, best_bch_distance):
+                with pytest.raises(CertificateFailure):
+                    certify(bad)
 
     @pytest.mark.parametrize("m,c,designed,best", [
         (12, 2, 1920, 1936), (14, 2, 7936, 7968)])

@@ -477,8 +477,9 @@ class TestOneTablePerIdeal:
     @pytest.mark.parametrize("m,c", [(6, 2), (8, 2), (8, 3)])
     def test_span_tables_built_once_per_ideal(self, monkeypatch, m, c):
         # the plan's prefixes at a level share one low and one high table:
-        # (8,3) scans 30 prefixes over the last ideal and 659 words of
-        # their own, one pair of tables per level, for either reduction
+        # (8,3) scans 30 prefixes over the last ideal, with one pair of
+        # tables for either reduction, and 659 words of their own, with
+        # none; (6,2) and (8,2) scan only words of their own
         spec = build_code(m, c)
         plan = cyclic.orbit_plan(spec)
         assert sum(len(part) for part in plan.scans) > len(plan.scans)
@@ -489,10 +490,12 @@ class TestOneTablePerIdeal:
         monkeypatch.setattr(_kernels, "_span_table",
                             lambda rows: built.append(len(rows)) or real(rows))
         _orbit_histogram(plan, spec.n)
-        assert len(built) == 2 * len(plan.scans)
+        with_rows = sum(part.level < c for part in plan.scans)
+        assert with_rows == (c == 3)
+        assert len(built) == 2 * with_rows
         built.clear()
         assert min_distance(spec) == weight_distribution(spec).min_distance
-        assert len(built) == 4 * len(plan.scans)
+        assert len(built) == 4 * with_rows
 
     @pytest.mark.parametrize("n", [31, 64, 200])
     @pytest.mark.parametrize("k", [0, 3, 12, 13, 14])
@@ -535,6 +538,47 @@ class TestOneTablePerIdeal:
         assert _kernels.least_weight(rows, n, reps=[0b1]) == 1
         assert _kernels.least_weight(rows, n, reps=[0, 0b1]) == 1
         assert _kernels.least_weight(rows, n, reps=[0]) == 2
+
+    @pytest.mark.parametrize("rows", [[], [0b100]])
+    def test_multiplicities_past_2_to_the_53_are_exact(self, rows):
+        # a float64 sum would read 2^53 + 1 as 2^53; one rep makes a block
+        # of its own, two share one
+        big = 2**53 + 1
+        one = _kernels.weight_scan(rows, 3, reps=[1], multiplicity=[big])
+        two = _kernels.weight_scan(rows, 3, reps=[1, 3],
+                                   multiplicity=np.array([big, 5]))
+        if rows:
+            # the cosets {1, 5} and {3, 7}
+            assert one.tolist() == [0, big, big, 0]
+            assert two.tolist() == [0, big, big + 5, 5]
+        else:
+            assert one.tolist() == [0, big, 0, 0]
+            assert two.tolist() == [0, big, 5, 0]
+        assert two.dtype == np.int64
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_rowless_least_weight(self, packed):
+        # with no rows the messages are the reps: a zero rep is left out
+        # only as message 0
+        def least(reps):
+            reps = _kernels.pack_rows(reps, 70) if packed else reps
+            return _kernels.least_weight([], 70, reps=reps)
+        wide = (1 << 69) | 0b111
+        assert least([0, wide, 0b11 << 64]) == 2
+        assert least([0]) == 71
+        assert least([wide, 0, 0b1]) == 0
+        assert least([wide]) == 4
+        assert least([wide, 0b11 << 64]) == 2
+
+    def test_rowless_scans_build_no_span_table(self, monkeypatch):
+        # a c = 1 code is one level of words of their own
+        spec = build_code(8, 1)
+        full = weight_distribution_of_rows(spec.generator_rows(), spec.n)
+        assert [part.level for part in cyclic.orbit_plan(spec).scans] == [1]
+        monkeypatch.setattr(_kernels, "_span_table", _fail)
+        wd = weight_distribution(spec)
+        assert wd == full and wd.words_scanned == 2
+        assert min_distance(spec) == wd.min_distance == 120
 
     def test_lost_only_orbit_is_not_bad_input(self, monkeypatch, capsys):
         # (10,2)'s first ideal is one orbit of the whole group: losing it

@@ -1,8 +1,9 @@
 """Source hygiene the standard library can check: no unused imports, no
 private name imported from a sibling module, no top-level definition
-that nothing exports or reads, and no concurrency: the package runs in one
+that nothing exports or reads, no concurrency: the package runs in one
 thread, so no module imports a thread, process or queue module, at any
-depth, and importing the package loads none of them."""
+depth, and importing the package loads none of them; and no
+float-weighted ``np.bincount``, so that counts stay integer."""
 
 import ast
 import os
@@ -166,6 +167,34 @@ def test_orphan_detector_flags_a_helper_added_back():
                               "range(1 << n)]\n")
     assert orphans(modules, set(codebounds.__all__)) == [
         "fourier.py indicator"]
+
+
+def weighted_bincounts(source: str) -> list[int]:
+    """The line of each ``bincount`` call given weights, as a ``weights=``
+    keyword or a second positional argument: it sums them in float64,
+    which is exact only below 2^53."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None)
+                 or getattr(node.func, "id", None)) == "bincount"
+            and (len(node.args) > 1
+                 or any(k.arg == "weights" for k in node.keywords))]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_float_weighted_bincount(path):
+    # counts stay integer: weighted sums go through int64 arithmetic
+    assert weighted_bincounts(path.read_text()) == []
+
+
+def test_weighted_bincount_detector_flags_both_spellings():
+    source = ("import numpy as np\nfrom numpy import bincount\n"
+              "np.bincount(a, minlength=3)\n"
+              "np.bincount(a, w)\n"
+              "bincount(a, weights=w, minlength=3)\n"
+              "np.bincount(a)\n")
+    assert weighted_bincounts(source) == [4, 5]
 
 
 def test_import_loads_no_thread_pool():
