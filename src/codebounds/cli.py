@@ -3,8 +3,9 @@
 Subcommands: construct | distance | eigen | bounds | table | fourier-verify
 | replay.  All output is deterministic for a fixed configuration, except
 the wall-time ``seconds`` field of ``distance``: stable row ordering, and
-worker counts never affect bytes.  The CSV and plain-text output print
-floats at 12 significant digits; JSON prints Python's repr, the shortest
+neither worker counts nor BLAS thread counts affect bytes (no module calls
+BLAS; the replay's sums are ``math.fsum``).  The CSV and plain-text output
+print floats at 12 significant digits; JSON prints Python's repr, the shortest
 string that reads back to the same float (``eigen --n 15 --r 3`` prints
 8.608477839577606).  Exact integers print in full, at any length.  Exit
 codes: 0 success, 2 invalid parameters (a ``table --out`` path that cannot

@@ -25,12 +25,12 @@ functions at once as the rows of one exact array on the kernels, and
 replays a few of them through the public primitives, whose outputs it
 compares entry by entry, cross-multiplied in integers, with the array's
 rows.  The covering replay is numeric by nature (a square root and a
-Perron vector enter): it reads 1_C * 1_C and the minimum distance from the
-integer histogram of pairwise XORs, takes lambda from the ball's cached
-certificate, runs its float64 arrays through the dtype-agnostic kernels
-directly and checks each step with a relative tolerance.  Only the ball's
-Perron vector f depends on the radius; the code side (the pair histogram,
-d, phi and u(phi)) is computed once per code and kept for the last code
+Perron vector enter) but holds no float table of the cube: it works on
+the n + 1 weight shells, through exact Krawtchouk values and Parseval
+(see ``covering_replay``), reduces every sum with ``math.fsum`` and checks
+each step with a relative tolerance.  Only the ball's Perron vector f
+depends on the radius; the code side (the distance distribution B and the
+minimum distance d) is computed once per code and kept for the last code
 only, so the replays of one code at several radii share it.
 
 Two transform normalizations appear, and both are real:
@@ -123,8 +123,8 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     is natural; ``a`` is never written.  Each entry sees the operations of
     the in-place loop over (size/2h, 2, h) blocks in the same order, so
     float, int64 and object results are identical to it.  Callers: the
-    public primitives (one exact table), the identity suite (its int64 or
-    object array, one function per row), the covering replay (float64).
+    public primitives (one exact table) and the identity suite (its int64
+    or object array, one function per row).
     """
     lead, size = a.shape[:-1], a.shape[-1]
     src, bufs = a, (np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype))
@@ -386,12 +386,15 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     return {"n": n, "count": count, "pass": True}
 
 
-def _mean(vals: np.ndarray) -> float:
-    return float(vals.sum()) / vals.size
-
-
-def _mean_sq(vals: np.ndarray) -> float:
-    return float(np.dot(vals, vals)) / vals.size
+def _krawtchouk(n: int, r: int) -> list[list[int]]:
+    """K_w(t) for w = 0..r and t = 0..n, exact, by the recurrence
+    (w + 1) K_{w+1}(t) = (n - 2t) K_w(t) - (n - w + 1) K_{w-1}(t) from
+    K_0 = 1 and K_1(t) = n - 2t; every division is exact."""
+    rows = [[1] * (n + 1), [n - 2 * t for t in range(n + 1)]]
+    for w in range(1, r):
+        rows.append([((n - 2 * t) * k - (n - w + 1) * j) // (w + 1)
+                     for t, (k, j) in enumerate(zip(rows[w], rows[w - 1]))])
+    return rows[:r + 1]
 
 
 @functools.lru_cache(maxsize=1)
@@ -399,23 +402,19 @@ def _code_side(code: tuple[int, ...], n: int):
     """The radius-free half of ``covering_replay`` for one code.
 
     ``code`` is the sorted distinct words as Python ints, all in
-    [0, 2^n).  Returns (weights, d, u(phi), E phi, E phi^2): the Hamming
-    weight of every point, the least nonzero weight the pair histogram N
-    reaches (n for a one-word code), and u(phi) with the moments of phi =
-    u(phi_hat), phi_hat = sqrt(N/2^n) = sqrt(1_C * 1_C).  Both arrays are
-    read-only: every caller is handed the same ones.
+    [0, 2^n).  Returns (B, d): the distance distribution B_t = sum over
+    |x| = t of the pair histogram N(x), a read-only int64 array of n + 1
+    exact counts (every caller is handed the same one), and the least
+    t >= 1 with B_t > 0 (n for a one-word code).
     """
-    size = 1 << n
-    weights = np.bitwise_count(np.arange(size))
     pairs = _pair_counts(code, n)
-    reached = weights[(pairs > 0) & (weights > 0)]
-    d = int(reached.min()) if reached.size else n
-    phi_hat = np.sqrt(pairs / size)          # sqrt(1_C * 1_C)
-    phi = _butterfly(phi_hat)                # synthesis: sum_z phi_hat chi_z
-    u_phi = _butterfly(phi)
-    weights.flags.writeable = False
-    u_phi.flags.writeable = False
-    return weights, d, u_phi, _mean(phi), _mean_sq(phi)
+    support = np.flatnonzero(pairs != 0)     # a bool mask scans faster
+    dist = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(dist, np.bitwise_count(support), pairs[support])
+    reached = np.flatnonzero(dist[1:])
+    d = int(reached[0]) + 1 if reached.size else n
+    dist.flags.writeable = False
+    return dist, d
 
 
 def covering_replay(code, r: int, n: int | None = None) -> dict:
@@ -428,13 +427,22 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     inequality of the bound's derivation and the final size bound
     |C| <= n/(lambda - (n - 2d)) * |B| with d the measured minimum distance.
     1_C * 1_C is N/2^n for the histogram N of the XORs a ^ b over ordered
-    pairs of codewords (``_pair_counts``), and d is the least nonzero
-    weight N reaches (n for a one-word code).  Both are exact: the float
-    convolution u(u(1_C)^2)/4^n forms only integers below 2^53 over a power
-    of 2, so it equals N/2^n bit for bit.
-    The code side (the pair histogram, d, phi and u(phi)) does not depend
-    on r: it is computed once per code by ``_code_side`` and kept for the
-    last code only, so replaying one code at several radii builds it once.
+    pairs of codewords (``_pair_counts``).
+
+    Every quantity lives on the n + 1 weight shells.  f is radial, so
+    (Af)_w = w f_{w-1} + (n - w) f_{w+1}, E f and E f^2 are sums weighted
+    by C(n, w), and u(f)(z) = sum_{w <= r} f_w K_w(|z|) with the
+    Krawtchouk values K_w(t) exact in ints.  The rest follows by Parseval
+    from the distance distribution B_t = sum_{|x| = t} N(x):
+    E phi = sqrt(m/2^n), E phi^2 = sum_t B_t/2^n, E F = E phi u(f)(0)/2^n,
+    E F^2 = sum_t (B_t/2^n) (u(f)(t)/2^n)^2 and <AF, F> = sum_t (n - 2t)
+    (B_t/2^n) (u(f)(t)/2^n)^2, since A is diagonal in the characters with
+    eigenvalue n - 2|z|.  Each sum is a ``math.fsum`` of floats, so the
+    report depends on no machine setting; each step is checked with a
+    relative tolerance.  d is the least t >= 1 with B_t > 0 (n for a
+    one-word code).  B and d do not depend on r: they are computed once
+    per code by ``_code_side`` and kept for the last code only, so
+    replaying one code at several radii counts its pairs once.
     Words, r and n are read through ``operator.index`` (numpy integers
     included; a float or a str raises TypeError), so the report holds
     Python ints.
@@ -464,23 +472,28 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     for c in code:
         if c >= size:
             raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
-    weights, d, u_phi, ephi, ephi2 = _code_side(tuple(code), n)
+    dist, d = _code_side(tuple(code), n)
 
-    # the radial vector on the ball, and 0 (index r + 1) off it
-    rad = np.array(radial_vector(n, r, lam) + [0.0])
-    f = rad[np.minimum(weights, r + 1)]
-    af = _adjacency(f)
-    worst = float((af - lam * f).min())
-    scale = float(np.abs(f).max()) * lam
-    perron_ok = worst >= -_REL_TOL * scale
+    # the radial vector on the ball, 0 off it, padded by a 0 at each end
+    rad = radial_vector(n, r, lam)
+    pad = [0.0, *rad] + [0.0] * (n - r + 1)
+    worst = min(w * pad[w] + (n - w) * pad[w + 2] - lam * pad[w + 1]
+                for w in range(n + 1))
+    perron_ok = worst >= -_REL_TOL * max(map(abs, rad)) * lam
 
-    # float convolution u(u(phi) . u(f)) / 4^n, on the kernels directly
-    big_f = _butterfly(u_phi * _butterfly(f)) / size ** 2
-    ef, ef2 = _mean(f), _mean_sq(f)
-    eF, eF2 = _mean(big_f), _mean_sq(big_f)
+    shells = [math.comb(n, w) for w in range(r + 1)]
+    ef = math.fsum(c * v for c, v in zip(shells, rad)) / size
+    ef2 = math.fsum(c * v * v for c, v in zip(shells, rad)) / size
+    u_f = [math.fsum(map(operator.mul, rad, col))
+           for col in zip(*_krawtchouk(n, r))]
+    m, counts = len(code), dist.tolist()
+    ephi, ephi2 = math.sqrt(m / size), math.fsum(counts) / size
+    eF = ephi * u_f[0] / size
+    # (B_t/2^n) (u(f)(t)/2^n)^2 = F_hat(z)^2 summed over the shell |z| = t
+    energy = [b / size * (u / size) ** 2 for b, u in zip(counts, u_f)]
+    eF2 = math.fsum(energy)
+    afF = math.fsum((n - 2 * t) * e for t, e in enumerate(energy))
     ball = vol(r, n)
-    m = len(code)
-    afF = float(np.dot(_adjacency(big_f), big_f)) / size
 
     def step(name, lhs, rhs, kind):
         if kind == "le":

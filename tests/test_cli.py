@@ -621,8 +621,9 @@ def test_internal_fault_exit_5(capsys, monkeypatch, argv, target, fault):
                    f"{fault}\n")
 
 
-def run_child(*argv, timeout=120):
-    """``python -m codebounds.cli *argv`` in a child process."""
+def run_child(*argv, timeout=120, env=()):
+    """``python -m codebounds.cli *argv`` in a child process, with the
+    variables of ``env`` added to its environment."""
     # the child must import the same package as this process, installed or
     # not, so its parent directory goes first on the child's PYTHONPATH
     root = os.path.dirname(os.path.dirname(codebounds.__file__))
@@ -631,7 +632,7 @@ def run_child(*argv, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "codebounds.cli", *argv],
         capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path})
+        env={**os.environ, **dict(env), "PYTHONPATH": path})
 
 
 def test_console_script_smoke():
@@ -648,3 +649,20 @@ def test_negative_modulus_exit_2():
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == ("codebounds-error: NonIrreducibleModulus: "
                           "modulus -0x13 is negative\n")
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["--m", "4", "--c", "1", "--r", "3"], "replay_m4_c1_r3.json"),
+    (["--words", "0,7", "--r", "1"], "replay_words_0_7_r1.json"),
+])
+def test_replay_bytes_independent_of_blas_threads(argv, pinned):
+    # the replay reduces with math.fsum, not BLAS, whose threaded sums
+    # change the last bits with the thread count
+    with open(os.path.join(DATA, pinned)) as fh:
+        want = fh.read()
+    for threads in ("1", "2"):
+        out = run_child("replay", *argv,
+                        env={"OPENBLAS_NUM_THREADS": threads,
+                             "OMP_NUM_THREADS": threads})
+        assert (out.returncode, out.stdout, out.stderr) == (0, want, ""), \
+            threads

@@ -1,6 +1,8 @@
 """Exact Walsh-Hadamard layer and the covering-bound numerical replay."""
 
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -23,7 +25,12 @@ from codebounds.fourier import (
     wht,
     wht_unnormalized,
 )
-from codebounds.spectrum import InvalidRadius, ball_operator, top_eigenvalue
+from codebounds.spectrum import (
+    InvalidRadius,
+    ball_operator,
+    radial_vector,
+    top_eigenvalue,
+)
 
 import codebounds.fourier as fr
 
@@ -372,11 +379,11 @@ class TestCodeSide:
     def test_cached_arrays_read_only(self):
         fr._code_side.cache_clear()
         covering_replay([0, 7], 1)
-        weights, _, u_phi, _, _ = fr._code_side((0, 7), 3)
+        dist, d = fr._code_side((0, 7), 3)
         assert fr._code_side.cache_info().hits == 1
-        for array in (weights, u_phi):
-            with pytest.raises(ValueError):
-                array[0] = 1
+        assert (dist.tolist(), d) == ([2, 0, 0, 2], 3)
+        with pytest.raises(ValueError):
+            dist[0] = 1
 
     def test_codes_alternate(self):
         # a second code, the first again, then its words in a larger cube
@@ -390,6 +397,150 @@ class TestCodeSide:
 
     def test_keeps_the_last_code_only(self):
         assert fr._code_side.cache_info().maxsize == 1
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def _dense_replay(code, r, n):
+    """The replay's report computed on dense float64 tables of the cube,
+    through ``_butterfly`` and ``_adjacency``: the route the shells
+    replaced, kept as their oracle."""
+    size, lam = 1 << n, ball_certificate(n, r).lambda_float
+    weights = np.bitwise_count(np.arange(size))
+    pairs = fr._pair_counts(code, n)
+    reached = weights[(pairs > 0) & (weights > 0)]
+    d = int(reached.min()) if reached.size else n
+    phi = fr._butterfly(np.sqrt(pairs / size))
+    u_phi = fr._butterfly(phi)
+    f = np.array(radial_vector(n, r, lam) + [0.0])[np.minimum(weights, r + 1)]
+    worst = float((fr._adjacency(f) - lam * f).min())
+    big_f = fr._butterfly(u_phi * fr._butterfly(f)) / size ** 2
+
+    def mean(v):
+        return float(v.sum()) / size
+
+    def mean_sq(v):
+        return float((v * v).sum()) / size
+
+    ef, ef2, ephi, ephi2 = mean(f), mean_sq(f), mean(phi), mean_sq(phi)
+    eF, eF2 = mean(big_f), mean_sq(big_f)
+    afF = float((fr._adjacency(big_f) * big_f).sum()) / size
+    ball, m = vol(r, n), len(code)
+    tol = fr._REL_TOL
+
+    def step(name, lhs, rhs, kind):
+        slack = tol * max(1.0, abs(rhs))
+        ok = {"le": lhs <= rhs + slack, "ge": lhs >= rhs - slack,
+              "eq": abs(lhs - rhs) <= slack}[kind]
+        return {"name": name, "lhs": lhs, "rhs": rhs, "pass": bool(ok)}
+
+    steps = [
+        {"name": "perron_pointwise", "lhs": worst, "rhs": 0.0,
+         "pass": worst >= -tol * float(np.abs(f).max()) * lam},
+        step("support_cauchy", ef * ef, ef2 * ball / size, "le"),
+        step("phi_moment_ratio", ephi2 / (ephi * ephi), float(m), "eq"),
+        step("AF_lower_estimate", afF, lam * eF2, "ge"),
+        step("EF_product_identity", eF * eF, (ephi * ef) ** 2, "eq"),
+        step("EF2_product_lower", eF2, ephi2 * ef2 / size, "ge"),
+        step("two_estimates", n * ephi ** 2 * ef ** 2,
+             (lam - (n - 2 * d)) / size * ephi2 * ef2, "ge"),
+    ]
+    bound = (n / (lam - (n - 2 * d)) * ball if lam > n - 2 * d
+             else math.inf)
+    steps.append(step("final_bound", float(m), bound, "le"))
+    return {"n": n, "r": r, "d": d, "lambda": lam, "code_size": m,
+            "ball_size": ball, "bound": bound, "steps": steps,
+            "pass": all(s["pass"] for s in steps)}
+
+
+def _close(a, b, tol):
+    return a == b or abs(a - b) <= tol
+
+
+def _assert_agrees(shell, dense):
+    """Ints, names and flags equal; floats within 1e-12 relative, and the
+    Perron residual, which is a rounding error near 0, within
+    1e-12 lambda max f."""
+    assert list(shell) == list(dense)
+    for key, value in dense.items():
+        if key == "steps":
+            continue
+        if isinstance(value, float):
+            assert _close(shell[key], value, 1e-12 * abs(value)), key
+        else:
+            assert (type(shell[key]), shell[key]) == (type(value), value), key
+    lam = dense["lambda"]
+    top = max(radial_vector(dense["n"], dense["r"], lam))
+    assert [s["name"] for s in shell["steps"]] == \
+        [s["name"] for s in dense["steps"]]
+    for new, old in zip(shell["steps"], dense["steps"]):
+        assert new["pass"] is old["pass"], new["name"]
+        for side in ("lhs", "rhs"):
+            tol = (1e-12 * lam * top
+                   if new["name"] == "perron_pointwise" and side == "lhs"
+                   else 1e-12 * abs(old[side]))
+            assert _close(new[side], old[side], tol), (new["name"], side)
+
+
+def _seeded_codes():
+    """Seeded random codes with n <= 12: 30 of up to 24 words, and one
+    of 30 words in n = 12, whose pair support holds several hundred
+    points."""
+    rng = random.Random(2009)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        cases.append((_random_code(rng, n, rng.randint(0, 24)),
+                      rng.randint(1, n // 2), n))
+    cases.append((_random_code(rng, 12, 30), 4, 12))
+    return cases
+
+
+class TestDenseOracle:
+    """The shell replay against the dense tables it replaced."""
+
+    def test_code_4_1_every_radius(self, code_4_1):
+        words = sorted(_code_words(code_4_1))
+        for r in range(1, 8):
+            _assert_agrees(covering_replay(words, r, code_4_1.n),
+                           _dense_replay(words, r, code_4_1.n))
+
+    @pytest.mark.parametrize("code, r, n", [([0, 7], 1, 3), ([0], 1, 3),
+                                            ([0], 3, 7)])
+    def test_small_codes(self, code, r, n):
+        _assert_agrees(covering_replay(code, r, n), _dense_replay(code, r, n))
+
+    def test_seeded_codes(self):
+        cases = _seeded_codes()
+        support = np.count_nonzero(fr._pair_counts(cases[-1][0], 12))
+        assert len(cases) == 31 and support >= 300
+        for code, r, n in cases:
+            _assert_agrees(covering_replay(code, r, n),
+                           _dense_replay(code, r, n))
+
+    @pytest.mark.parametrize("argv, name", [
+        (([0, 7], 1, None), "replay_words_0_7_r1"),
+        ((None, 3, 15), "replay_m4_c1_r3"),
+    ])
+    def test_dense_fixtures(self, code_4_1, argv, name):
+        # the reports the dense route pinned, before the shells
+        code, r, n = argv
+        if code is None:
+            code = _code_words(code_4_1)
+        dense = json.loads((DATA / f"{name}_dense.json").read_text())
+        shell = json.loads(json.dumps(covering_replay(code, r, n)))
+        _assert_agrees(shell, dense)
+
+    def test_no_dense_float_table(self, monkeypatch, code_4_1):
+        # the replay forms no table of the cube but the pair histogram
+        def refuse(*args):
+            raise AssertionError("dense kernel called")
+
+        monkeypatch.setattr(fr, "_butterfly", refuse)
+        monkeypatch.setattr(fr, "_adjacency", refuse)
+        fr._code_side.cache_clear()
+        assert covering_replay(_code_words(code_4_1), 3, 15)["pass"]
 
 
 class TestIdentitySuite:
@@ -661,8 +812,8 @@ class TestBatchOracle:
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_float_rows_convolve(self, n):
-        # the covering replay's float route, u(u(f) . u(g)) / 4^n on the
-        # kernels, against the exact convolution of the same rows
+        # the dense replay oracle's float route, u(u(f) . u(g)) / 4^n on
+        # the kernels, against the exact convolution of the same rows
         rng = random.Random(100 + n)
         f, g = (np.array([[rng.uniform(-1, 1) for _ in range(1 << n)]
                           for _ in range(4)]) for _ in range(2))

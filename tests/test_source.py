@@ -2,8 +2,14 @@
 private name imported from a sibling module, no top-level definition
 that nothing exports or reads, no concurrency: the package runs in one
 thread, so no module imports a thread, process or queue module, at any
-depth, and importing the package loads none of them; and no
-float-weighted ``np.bincount``, so that counts stay integer."""
+depth, and importing the package loads none of them; no float-weighted
+``np.bincount``, so that counts stay integer; and no BLAS call
+(``np.dot``, ``.dot``, ``np.vdot``, ``np.inner``, ``np.matmul``, ``@``,
+``np.tensordot``, ``np.linalg``).  A threaded BLAS reduction splits its
+sum by the thread count, so its last bits, and every byte pinned from
+them, change with ``OPENBLAS_NUM_THREADS``; and on a shared 2-vCPU host
+a two-thread ``ddot`` of 32 K entries was measured, in some runs, to stall
+for about 8 ms per call, against 6-9 us on one thread."""
 
 import ast
 import os
@@ -208,3 +214,57 @@ def test_import_loads_no_thread_pool():
                          text=True, timeout=60, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout == "[]\n"
+
+
+BLAS_CALLS = {"dot", "vdot", "matmul", "tensordot"}
+NUMPY = {"np", "numpy"}
+
+
+def blas_calls(source: str) -> list[int]:
+    """The line of each BLAS route: a ``dot``, ``vdot``, ``matmul`` or
+    ``tensordot`` attribute (``np.dot`` and the ``.dot`` method alike),
+    ``np.inner``, any ``linalg`` attribute, ``@`` or ``@=``, and an import
+    of one of them from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in BLAS_CALLS or node.attr == "linalg"
+                or (node.attr == "inner"
+                    and getattr(node.value, "id", None) in NUMPY)):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.MatMult):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in (
+                "numpy", "numpy.linalg"):
+            names = {a.name for a in node.names}
+            if node.module == "numpy.linalg" or \
+                    names & (BLAS_CALLS | {"inner", "linalg"}):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_blas_calls(path):
+    # results must not depend on the BLAS thread count
+    assert blas_calls(path.read_text()) == []
+
+
+def test_blas_detector_flags_every_route():
+    source = ("import numpy as np\nfrom numpy import dot\n"
+              "np.dot(a, b)\n"
+              "a.dot(b)\n"
+              "np.vdot(a, b)\n"
+              "np.inner(a, b)\n"
+              "np.matmul(a, b)\n"
+              "a @ b\n"
+              "a @= b\n"
+              "np.tensordot(a, b)\n"
+              "np.linalg.norm(a)\n"
+              "inner(f, g)\n"
+              "math.fsum(a)\n"
+              "(a * b).sum()\n"
+              "from numpy.linalg import eigh\n"
+              "from numpy import add, inner\n")
+    assert blas_calls(source) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16]
