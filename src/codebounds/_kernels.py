@@ -190,18 +190,17 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
     return counts
 
 
-def least_weight(rows: list[int], n: int, start: int = 0,
-                 stop: int | None = None,
+def least_weight(rows: list[int], n: int,
                  reps: Sequence[int] | np.ndarray = (0,)) -> int:
-    """Least word weight over the messages in [start, stop).
+    """Least word weight over all the cosets rep + span(rows).
 
-    The same blocks as ``weight_scan``, each reduced by its minimum instead
-    of a histogram; message 0 is left out when it is the zero word (when
-    reps[0] is 0).  Returns n + 1 when the range holds no other message,
-    so the least weights of disjoint ranges combine by ``min``.
+    The same blocks as ``weight_scan`` over all its messages, each reduced
+    by its minimum instead of a histogram; message 0 is left out when it
+    is the zero word (when reps[0] is 0).  Returns n + 1 when no other
+    message is left, so the least weights of calls combine by ``min``.
     """
     least = n + 1
-    for first, wts in _weight_blocks(rows, n, start, stop, reps):
+    for first, wts in _weight_blocks(rows, n, reps=reps):
         if first == 0 and not _packed_reps(reps[:1], n).any():
             wts = wts[1:]
         if wts.size:

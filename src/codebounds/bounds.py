@@ -359,7 +359,12 @@ def _radius_floors(n: int, d: int, r_max: int) -> list[tuple[int, int]]:
     uncertified: its certified lambda lies below that ceiling, so it can
     never exceed j.  The ceiling grows with r, so the dropped radii are the
     smallest ones.  The others are certified together, in one cache fill.
+    ``r_max`` is read through ``operator.index``; below 1 it raises
+    ``InvalidRadius``.
     """
+    r_max = operator.index(r_max)
+    if r_max < 1:
+        raise InvalidRadius(f"r_max must be >= 1, got {r_max}")
     top = min(r_max, n // 2)
     _check_float_range(n, top)
     low = 1

@@ -28,10 +28,10 @@ rows.  The covering replay is numeric by nature (a square root and a
 Perron vector enter) but holds no float table of the cube: it works on
 the n + 1 weight shells, through exact Krawtchouk values and Parseval
 (see ``covering_replay``), reduces every sum with ``math.fsum`` and checks
-each step with a relative tolerance.  Only the ball's Perron vector f
-depends on the radius; the code side (the distance distribution B and the
-minimum distance d) is computed once per code and kept for the last code
-only, so the replays of one code at several radii share it.
+each step with a relative tolerance.  The code enters only through its
+distance distribution B on the shells, counted afresh by each call from
+blocks of pairwise XORs binned by weight; no table of the cube and no
+cache is kept.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -42,7 +42,6 @@ Parseval reads <f, g> = sum_z wht(f)(z) wht(g)(z).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import random
@@ -58,7 +57,7 @@ DENSE_MAX_N = 16  # largest cube ``identity_suite`` holds densely
 REPLAY_MAX_N = 15  # largest cube ``covering_replay`` replays on
 _REL_TOL = 1e-9  # replay steps are float; each may miss by this much
 _INT64_LIMIT = 1 << 63
-_PAIR_BLOCK = 1 << 18  # codeword XORs ``_pair_counts`` forms at once
+_PAIR_BLOCK = 1 << 18  # codeword XORs ``_code_side`` forms at once
 
 
 class DimensionMismatch(ValueError):
@@ -228,22 +227,6 @@ def degree_function(n: int) -> list:
     return [(1 << n) if x.bit_count() == 1 else 0 for x in range(1 << n)]
 
 
-def _pair_counts(code: list[int], n: int) -> np.ndarray:
-    """N(x) = #{(a, b) in C^2 : a ^ b = x} for every x in [0, 2^n).
-
-    The XORs are counted ``rows`` codewords at a time, with ``rows`` fixed
-    before any block is allocated, so a block holds at most
-    ``_PAIR_BLOCK`` entries (or one row of |C| when |C| exceeds that).
-    """
-    words = np.asarray(code, dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK // max(words.size, 1))
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for start in range(0, words.size, rows):
-        block = words[start:start + rows, None] ^ words
-        counts += np.bincount(block.ravel(), minlength=1 << n)
-    return counts
-
-
 _DENOMINATORS = np.array([1, 1, 2, 4])
 
 
@@ -397,24 +380,24 @@ def _krawtchouk(n: int, r: int) -> list[list[int]]:
     return rows[:r + 1]
 
 
-@functools.lru_cache(maxsize=1)
-def _code_side(code: tuple[int, ...], n: int):
+def _code_side(code: list[int], n: int) -> tuple[list[int], int]:
     """The radius-free half of ``covering_replay`` for one code.
 
     ``code`` is the sorted distinct words as Python ints, all in
-    [0, 2^n).  Returns (B, d): the distance distribution B_t = sum over
-    |x| = t of the pair histogram N(x), a read-only int64 array of n + 1
-    exact counts (every caller is handed the same one), and the least
-    t >= 1 with B_t > 0 (n for a one-word code).
+    [0, 2^n).  Returns (B, d): the n + 1 exact counts B_t = #{(a, b) in
+    C^2 : |a ^ b| = t}, and the least t >= 1 with B_t > 0 (n for a
+    one-word code).  The XORs of ``rows`` codewords at a time, at most
+    ``_PAIR_BLOCK`` (or one row of |C|), are binned by weight at once.
     """
-    pairs = _pair_counts(code, n)
-    support = np.flatnonzero(pairs != 0)     # a bool mask scans faster
+    words = np.asarray(code, dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // max(words.size, 1))
     dist = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(dist, np.bitwise_count(support), pairs[support])
+    for start in range(0, words.size, rows):
+        block = words[start:start + rows, None] ^ words
+        dist += np.bincount(np.bitwise_count(block).ravel(), minlength=n + 1)
     reached = np.flatnonzero(dist[1:])
     d = int(reached[0]) + 1 if reached.size else n
-    dist.flags.writeable = False
-    return dist, d
+    return dist.tolist(), d
 
 
 def covering_replay(code, r: int, n: int | None = None) -> dict:
@@ -427,7 +410,7 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     inequality of the bound's derivation and the final size bound
     |C| <= n/(lambda - (n - 2d)) * |B| with d the measured minimum distance.
     1_C * 1_C is N/2^n for the histogram N of the XORs a ^ b over ordered
-    pairs of codewords (``_pair_counts``).
+    pairs of codewords.
 
     Every quantity lives on the n + 1 weight shells.  f is radial, so
     (Af)_w = w f_{w-1} + (n - w) f_{w+1}, E f and E f^2 are sums weighted
@@ -440,9 +423,10 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     eigenvalue n - 2|z|.  Each sum is a ``math.fsum`` of floats, so the
     report depends on no machine setting; each step is checked with a
     relative tolerance.  d is the least t >= 1 with B_t > 0 (n for a
-    one-word code).  B and d do not depend on r: they are computed once
-    per code by ``_code_side`` and kept for the last code only, so
-    replaying one code at several radii counts its pairs once.
+    one-word code).  ``_code_side`` counts B and d on every call, binning
+    blocks of pair XORs by weight, with no table of the cube and no cache.
+    ``REPLAY_MAX_N`` bounds that work at |C|^2 <= 2^30 pairs and keeps the
+    words in int64.
     Words, r and n are read through ``operator.index`` (numpy integers
     included; a float or a str raises TypeError), so the report holds
     Python ints.
@@ -452,7 +436,7 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     a negative one before the radius.  A given n meets the cap before
     ``code`` is read, so a lazy ``code`` is never consumed above it; a
     missing n is the largest word's bit length (>= 1).  Every check runs
-    before the code side is computed or read from the cache.
+    before the code side is computed.
     """
     if n is not None:
         n = operator.index(n)
@@ -472,7 +456,7 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     for c in code:
         if c >= size:
             raise DimensionMismatch(f"codeword {c} outside [0, 2^{n})")
-    dist, d = _code_side(tuple(code), n)
+    counts, d = _code_side(code, n)
 
     # the radial vector on the ball, 0 off it, padded by a 0 at each end
     rad = radial_vector(n, r, lam)
@@ -486,7 +470,7 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     ef2 = math.fsum(c * v * v for c, v in zip(shells, rad)) / size
     u_f = [math.fsum(map(operator.mul, rad, col))
            for col in zip(*_krawtchouk(n, r))]
-    m, counts = len(code), dist.tolist()
+    m = len(code)
     ephi, ephi2 = math.sqrt(m / size), math.fsum(counts) / size
     eF = ephi * u_f[0] / size
     # (B_t/2^n) (u(f)(t)/2^n)^2 = F_hat(z)^2 summed over the shell |z| = t

@@ -183,10 +183,11 @@ class FieldContext:
     __slots__ = ("m", "modulus", "order", "exp", "log", "exp_array")
 
     def __init__(self, m: int, modulus: int | None = None):
+        m = operator.index(m)
         if not (2 <= m <= 16):
             raise UnsupportedDegree(f"m={m} outside supported range 2..16")
-        if modulus is None:
-            modulus = DEFAULT_MODULUS[m]
+        modulus = operator.index(DEFAULT_MODULUS[m] if modulus is None
+                                 else modulus)
         if modulus < 0:
             # no GF(2)[x] polynomial; poly_divrem would never end on it
             raise NonIrreducibleModulus(f"modulus {hex(modulus)} is negative")
@@ -273,7 +274,7 @@ def field_create(m: int, modulus: int | None = None) -> FieldContext:
     """
     m = operator.index(m)
     return _shared_field(m, DEFAULT_MODULUS.get(m) if modulus is None
-                         else modulus)
+                         else operator.index(modulus))
 
 
 # the 15 default fields and one more; an m = 16 field holds 6 MiB of tables

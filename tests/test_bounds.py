@@ -424,6 +424,15 @@ class TestEigenvalueBounds:
                                            for bv in rows[:-1])
         assert bd.new_upper_rows(63, 16, r_max=6) == []
 
+    @pytest.mark.parametrize("fn", [best_new_upper, bd.new_upper_rows])
+    def test_radius_limit_below_one_refused(self, fn):
+        for r_max in (0, -1):
+            with pytest.raises(InvalidRadius, match=f"got {r_max}$"):
+                fn(63, 24, r_max)
+        with pytest.raises(TypeError):
+            fn(63, 24, 2.0)
+        assert fn(15, 6, np.int64(8)) == fn(15, 6, 8)
+
     def test_minimizing_radius_first_on_ties(self):
         b3, b4 = new_upper(63, 24, 3), new_upper(63, 24, 4)
         best = bd.minimizing_radius([(4, b4.value_exact), (5, b3.value_exact),

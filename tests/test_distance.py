@@ -466,10 +466,11 @@ class TestOneTablePerIdeal:
                     for word in ideal.words(ideal.field.exp_array[logs])]
             lo = 1 << len(rest)
             # messages [2^k', 2^(k'+1)) of rest + [rep] are rep + span(rest)
-            hist = sum(_kernels.weight_scan(rest + [rep], n, lo, 2 * lo)
-                       for rep in reps)
-            least = min(_kernels.least_weight(rest + [rep], n, lo, 2 * lo)
-                        for rep in reps)
+            hists = [_kernels.weight_scan(rest + [rep], n, lo, 2 * lo)
+                     for rep in reps]
+            hist = sum(hists)
+            least = min(next((w for w, c in enumerate(h) if c), n + 1)
+                        for h in hists)
             assert list(_kernels.weight_scan(rest, n, reps=reps)) == \
                 list(hist)
             assert _kernels.least_weight(rest, n, reps=reps) == least
@@ -686,23 +687,17 @@ class TestLeastWeightOnly:
         (14, 3, 8193), (15, 8191, 20000), (16, 30000, 30001),
         (16, 0, 1 << 16)])
     def test_first_weight_of_the_histogram(self, n, k, start, stop):
-        # message 0 is left out; a range without another message gives
-        # n + 1, and dependent rows (n < k) may reach weight 0
+        # the whole span's histogram, added up from the ranges cut at start
+        # and stop; message 0 is left out, and dependent rows (n < k) may
+        # reach weight 0
         rng = random.Random(n * 100 + k)
         rows = [rng.getrandbits(n) or 1 for _ in range(k)]
-        counts = _kernels.weight_scan(rows, n, start, stop)
-        counts[0] -= start == 0
+        cuts = [0, start, stop, 1 << k]
+        counts = sum(_kernels.weight_scan(rows, n, a, b)
+                     for a, b in zip(cuts, cuts[1:]))
+        counts[0] -= 1
         first = next((w for w, c in enumerate(counts) if c), n + 1)
-        assert _kernels.least_weight(rows, n, start, stop) == first
-
-    def test_shards_merge_by_min(self):
-        rng = random.Random(5)
-        rows = [rng.getrandbits(127) for _ in range(15)]
-        whole = _kernels.least_weight(rows, 127)
-        cuts = [0, 1, 4000, 8192, 20000, 1 << 15]
-        assert min(_kernels.least_weight(rows, 127, a, b)
-                   for a, b in zip(cuts, cuts[1:])) == whole
-        assert min_distance_of_rows(rows, 127) == whole
+        assert _kernels.least_weight(rows, n) == first
 
 
 def _oracle_scan(rows, n, start, stop):
@@ -783,8 +778,7 @@ class TestWeightScan:
 
     # a start below 0, a stop past 2^k and a start past the stop were read
     # as [0, 0, 1], as 2 of 4 messages and as a numpy broadcast error
-    @pytest.mark.parametrize("scan", [_kernels.weight_scan,
-                                      _kernels.least_weight])
+    @pytest.mark.parametrize("scan", [_kernels.weight_scan])
     @pytest.mark.parametrize("rows,start,stop", [
         ([1, 2], -1, 2), ([1], 0, 4), ([1, 2], 3, 1)])
     def test_range_outside_the_messages_refused(self, monkeypatch, scan,

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -169,8 +170,16 @@ def _random_code(rng, n, words):
     return sorted({0} | {rng.randrange(1 << n) for _ in range(words)})
 
 
+def _pair_histogram(code, n):
+    """N(x) = #{(a, b) in C^2 : a ^ b = x} as a dense table of the cube:
+    the oracle of the replay's distance distribution."""
+    words = np.asarray(code, dtype=np.int64)
+    return np.bincount((words[:, None] ^ words).ravel(), minlength=1 << n)
+
+
 class TestPairCounts:
-    """N(x) = #{(a, b) in C^2 : a ^ b = x}, the covering replay's 1_C * 1_C."""
+    """B_t = #{(a, b) in C^2 : |a ^ b| = t}, the covering replay's 1_C * 1_C
+    summed over each weight shell."""
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 18])
     def test_matches_brute_force(self, monkeypatch, block):
@@ -179,12 +188,13 @@ class TestPairCounts:
         for _ in range(20):
             n = rng.randint(1, 9)
             code = _random_code(rng, n, rng.randint(0, 40))
-            want = [0] * (1 << n)
+            want = [0] * (n + 1)
             for a in code:
                 for b in code:
-                    want[a ^ b] += 1
-            assert fr._pair_counts(code, n).tolist() == want
-        assert fr._pair_counts([], 3).tolist() == [0] * 8
+                    want[(a ^ b).bit_count()] += 1
+            d = next((t for t in range(1, n + 1) if want[t]), n)
+            assert fr._code_side(code, n) == (want, d)
+        assert fr._code_side([], 3) == ([0] * 4, 3)
 
     def test_float_convolution_is_exact(self):
         # every value u(u(1_C)^2) forms is an integer below 2^53 and 4^n
@@ -195,7 +205,7 @@ class TestPairCounts:
             one_c = np.zeros(1 << n)
             one_c[code] = 1.0
             route = fr._butterfly(fr._butterfly(one_c) ** 2) / 4 ** n
-            pairs = fr._pair_counts(code, n) / (1 << n)
+            pairs = _pair_histogram(code, n) / (1 << n)
             assert route.tobytes() == pairs.tobytes()
 
     @pytest.mark.parametrize("block", [1, 1 << 18])
@@ -274,7 +284,7 @@ class TestCoveringReplay:
         def no_pairs(*args):
             raise AssertionError("pairs counted")
 
-        monkeypatch.setattr(fr, "_pair_counts", no_pairs)
+        monkeypatch.setattr(fr, "_code_side", no_pairs)
         with pytest.raises(InvalidRadius, match="^radius 2 exceeds n/2 = 1$"):
             covering_replay([0, 7], r=2, n=3)
 
@@ -348,57 +358,6 @@ def _code_words(spec):
     return [encode(spec, msg).bits for msg in range(1 << spec.k)]
 
 
-class TestCodeSide:
-    """The radius-free half of the replay, computed once per code."""
-
-    def test_cached_reports_equal_fresh(self, code_4_1):
-        words = _code_words(code_4_1)
-        fresh = []
-        for r in range(1, 8):
-            fr._code_side.cache_clear()
-            fresh.append(repr(covering_replay(words, r, code_4_1.n)))
-        cached = [repr(covering_replay(words, r, code_4_1.n))
-                  for r in range(1, 8)]
-        assert cached == fresh
-
-    def test_pairs_counted_once_per_code(self, monkeypatch, code_4_1):
-        calls = []
-
-        def counting(code, n):
-            calls.append(n)
-            return pair_counts(code, n)
-
-        pair_counts = fr._pair_counts
-        monkeypatch.setattr(fr, "_pair_counts", counting)
-        fr._code_side.cache_clear()
-        words = _code_words(code_4_1)
-        for r in range(1, 8):
-            covering_replay(words, r, code_4_1.n)
-        assert calls == [15]
-
-    def test_cached_arrays_read_only(self):
-        fr._code_side.cache_clear()
-        covering_replay([0, 7], 1)
-        dist, d = fr._code_side((0, 7), 3)
-        assert fr._code_side.cache_info().hits == 1
-        assert (dist.tolist(), d) == ([2, 0, 0, 2], 3)
-        with pytest.raises(ValueError):
-            dist[0] = 1
-
-    def test_codes_alternate(self):
-        # a second code, the first again, then its words in a larger cube
-        calls = [([0, 3, 12, 15], 1, 6), ([0, 63], 2, 6),
-                 ([0, 3, 12, 15], 2, 6), ([0, 3, 12, 15], 2, 8)]
-        fresh = []
-        for args in calls:
-            fr._code_side.cache_clear()
-            fresh.append(repr(covering_replay(*args)))
-        assert [repr(covering_replay(*args)) for args in calls] == fresh
-
-    def test_keeps_the_last_code_only(self):
-        assert fr._code_side.cache_info().maxsize == 1
-
-
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
@@ -408,7 +367,7 @@ def _dense_replay(code, r, n):
     replaced, kept as their oracle."""
     size, lam = 1 << n, ball_certificate(n, r).lambda_float
     weights = np.bitwise_count(np.arange(size))
-    pairs = fr._pair_counts(code, n)
+    pairs = _pair_histogram(code, n)
     reached = weights[(pairs > 0) & (weights > 0)]
     d = int(reached.min()) if reached.size else n
     phi = fr._butterfly(np.sqrt(pairs / size))
@@ -513,7 +472,7 @@ class TestDenseOracle:
 
     def test_seeded_codes(self):
         cases = _seeded_codes()
-        support = np.count_nonzero(fr._pair_counts(cases[-1][0], 12))
+        support = np.count_nonzero(_pair_histogram(cases[-1][0], 12))
         assert len(cases) == 31 and support >= 300
         for code, r, n in cases:
             _assert_agrees(covering_replay(code, r, n),
@@ -533,14 +492,24 @@ class TestDenseOracle:
         _assert_agrees(shell, dense)
 
     def test_no_dense_float_table(self, monkeypatch, code_4_1):
-        # the replay forms no table of the cube but the pair histogram
+        # the replay forms no table of the cube
         def refuse(*args):
             raise AssertionError("dense kernel called")
 
         monkeypatch.setattr(fr, "_butterfly", refuse)
         monkeypatch.setattr(fr, "_adjacency", refuse)
-        fr._code_side.cache_clear()
         assert covering_replay(_code_words(code_4_1), 3, 15)["pass"]
+
+    def test_memory_stays_off_the_cube(self, code_4_1):
+        # a table of the 2^15 cube in int64 alone would take 256 KiB
+        words = _code_words(code_4_1)
+        tracemalloc.start()
+        try:
+            covering_replay(words, 3, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
 
 class TestIdentitySuite:

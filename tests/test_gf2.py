@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codebounds import gf2
+from codebounds.cyclic import build_code
 from codebounds.gf2 import (
     DEFAULT_MODULUS,
     DivisionByZeroPolynomial,
@@ -196,6 +197,16 @@ class TestSharedField:
         assert field_create(np.int64(8)) is ctx and type(ctx.m) is int
         other = field_create(8, 0x12B)
         assert field_create(8, 0x12B) is other and other is not ctx
+
+    def test_numpy_modulus_read_as_int(self):
+        spec = build_code(4, 1, modulus=np.int64(0x13))
+        assert spec == build_code(4, 1, modulus=0x13)
+        ctx = field_create(4, np.int64(0x13))
+        assert ctx is field_create(4, 0x13) and type(ctx.modulus) is int
+        with pytest.raises(TypeError):
+            field_create(4, 19.0)
+        with pytest.raises(TypeError):
+            build_code(4, 1, modulus=19.0)
 
     def test_distinct_moduli_keep_their_own(self):
         a, b = field_create(4, 0x13), field_create(4, 0x19)
