@@ -281,84 +281,64 @@ def rate_bounds(delta: float) -> dict[str, float]:
 # eigenvalue-driven bounds
 
 
-class _BallCache:
-    """What the eigenvalue bounds need of B_r(0, n), computed once per
-    (n, r): the certificate, n * Vol(r, n) and float(lambda_certified).
-
-    Calling the cache reads one radius.  ``fill(n, radii)`` certifies every
-    radius it has no entry for at that length in one ``certify_radii``
-    pass.  Either raises ``OutOfRange`` first for an n too large for the
-    certificate's float stage.  Past ``maxsize`` entries the oldest are
-    dropped.  The default table fills 15 keys; a bound-table benchmark pass
-    (a 50-pair table at r <= 16 plus 338 regime points d = n/2 - a sqrt(n)
-    over 2^10..2^20) fills 1,055-1,085, so 4096 keys drop none within such
-    a run.  The cache is not locked: the package runs in one thread.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._entries: dict[tuple[int, int], tuple] = {}
-
-    def __call__(self, n: int, r: int) -> tuple[EigenCertificate, int, float]:
-        n, r = operator.index(n), operator.index(r)
-        entry = self._entries.get((n, r))
-        return entry if entry is not None else self._add(n, [r])[0]
-
-    def fill(self, n: int, radii) -> None:
-        n = operator.index(n)
-        missing = [r for r in map(operator.index, radii)
-                   if (n, r) not in self._entries]
-        if missing:
-            self._add(n, missing)
-
-    def _add(self, n: int, radii: list[int]) -> list[tuple]:
-        """Certify ``radii`` at length n in one pass; store and return their
-        entries in order."""
-        _check_float_range(n, max(radii))
-        entries = [(cert, n * vol(r, n), float(cert.lambda_certified))
-                   for r, cert in zip(radii, certify_radii(n, radii))]
-        self._entries.update(zip([(n, r) for r in radii], entries))
-        while len(self._entries) > self.maxsize:
-            del self._entries[next(iter(self._entries))]
-        return entries
-
-    def cache_clear(self) -> None:
-        self._entries.clear()
+# What the eigenvalue bounds need of B_r(0, n), by (n, r): the certificate,
+# n * Vol(r, n) and float(lambda_certified).  The default table stores 13
+# keys (7 at n = 15, 6 at n = 63); a bound-table benchmark pass, seed 1 (a
+# 50-pair table at r <= 16 plus 338 regime points d = n/2 - a sqrt(n) over
+# 2^10..2^20), stores 1,085, so _BALLS_MAX keys drop none within such a run.
+# Past it the oldest keys are dropped.  Not locked: the package runs in one
+# thread.
+_balls: dict[tuple[int, int], tuple[EigenCertificate, int, float]] = {}
+_BALLS_MAX = 4096
 
 
-_ball = _BallCache(4096)
+def _ball(n: int, radii) -> list[tuple[EigenCertificate, int, float]]:
+    """The entry of B_r(0, n) for each r in ``radii``, in order: the
+    missing radii are certified in one ``certify_radii`` pass, after
+    ``OutOfRange`` for an n too large for its float stage, and returned
+    from that pass, so a batch past ``_BALLS_MAX`` is certified once."""
+    n, radii = operator.index(n), list(map(operator.index, radii))
+    entries = {r: _balls[(n, r)] for r in radii if (n, r) in _balls}
+    missing = [r for r in radii if r not in entries]
+    if missing:
+        _check_float_range(n, max(missing))
+        for r, cert in zip(missing, certify_radii(n, missing)):
+            entries[r] = _balls[(n, r)] = (cert, n * vol(r, n),
+                                           float(cert.lambda_certified))
+        while len(_balls) > _BALLS_MAX:
+            del _balls[next(iter(_balls))]
+    return [entries[r] for r in radii]
 
 
 def ball_certificate(n: int, r: int) -> EigenCertificate:
     """Cached certified eigenvalue lower bound for B_r(0, n)."""
-    return _ball(n, r)[0]
+    return _ball(n, [r])[0][0]
 
 
-def _covering_floor(n: int, d: int, r: int) -> int | None:
-    """floor(n Vol(r, n) / (lambda_hat - j)), j = n - 2d, or None where
-    lambda_hat <= j: the applicability test and formula of every ``new_*``
-    row, in integers (lambda_hat = p/q, so lambda_hat - j = (p - jq)/q)."""
-    cert, size, _ = _ball(n, r)
+def _covering_floor(entry: tuple, j: int) -> int | None:
+    """floor(n Vol(r, n) / (lambda_hat - j)) of a ``_ball`` entry, or None
+    where lambda_hat <= j: every ``new_*`` row's test and formula, in
+    integers (lambda_hat = p/q, so lambda_hat - j = (p - jq)/q)."""
+    cert, size, _ = entry
     p, q = cert.lambda_certified.numerator, cert.lambda_certified.denominator
-    j = n - 2 * d
     return size * q // (p - j * q) if p > j * q else None
 
 
-def _new_row(n: int, d: int, r: int, value: int) -> BoundValue:
-    """The ``new_r{r}`` row of an applicable floor."""
+def _new_row(j: int, r: int, value: int, lam: float) -> BoundValue:
+    """The ``new_r{r}`` row of an applicable floor, lam its float lambda."""
     return _exact(f"new_r{r}", "upper", value,
-                  condition=f"lambda_certified = {_ball(n, r)[2]:.9f} > "
-                            f"{n - 2 * d}")
+                  condition=f"lambda_certified = {lam:.9f} > {j}")
 
 
-def _radius_floors(n: int, d: int, r_max: int) -> list[tuple[int, int]]:
-    """(r, floor) for the applicable radii r = 1..min(r_max, n/2), in order,
-    at an (n, d) that ``_domain`` passed.
+def _radius_floors(n: int, d: int,
+                   r_max: int) -> list[tuple[int, int, float]]:
+    """(r, floor, float lambda) for the applicable radii
+    r = 1..min(r_max, n/2), in order, at an (n, d) that ``_domain`` passed.
 
     A radius whose ``lambda_ceiling`` is at most j = n - 2d is dropped
     uncertified: its certified lambda lies below that ceiling, so it can
     never exceed j.  The ceiling grows with r, so the dropped radii are the
-    smallest ones.  The others are certified together, in one cache fill.
+    smallest ones.  The others are read in one ``_ball`` call.
     ``r_max`` is read through ``operator.index``; below 1 it raises
     ``InvalidRadius``.
     """
@@ -371,9 +351,8 @@ def _radius_floors(n: int, d: int, r_max: int) -> list[tuple[int, int]]:
     while low <= top and lambda_ceiling(n, low) <= n - 2 * d:
         low += 1
     radii = range(low, top + 1)
-    _ball.fill(n, radii)
-    return [(r, value) for r in radii
-            if (value := _covering_floor(n, d, r)) is not None]
+    return [(r, value, entry[2]) for r, entry in zip(radii, _ball(n, radii))
+            if (value := _covering_floor(entry, n - 2 * d)) is not None]
 
 
 def new_upper(n: int, d: int, r: int) -> BoundValue:
@@ -389,12 +368,13 @@ def new_upper(n: int, d: int, r: int) -> BoundValue:
     certify and sum the ball once.
     """
     n, d = _domain(n, d)
-    value = _covering_floor(n, d, r)
+    entry = _ball(n, [r])[0]
+    value = _covering_floor(entry, n - 2 * d)
     if value is None:
         raise NotApplicable(
-            f"certified lambda {_ball(n, r)[2]:.6f} <= n - 2d = {n - 2 * d} "
+            f"certified lambda {entry[2]:.6f} <= n - 2d = {n - 2 * d} "
             f"at r = {r}")
-    return _new_row(n, d, r, value)
+    return _new_row(n - 2 * d, r, value, entry[2])
 
 
 def new_upper_rows(n: int, d: int, r_max: int = 8) -> list[BoundValue]:
@@ -402,8 +382,8 @@ def new_upper_rows(n: int, d: int, r_max: int = 8) -> list[BoundValue]:
     then their ``new_best`` row; empty when no radius applies."""
     n, d = _domain(n, d)
     floors = _radius_floors(n, d, r_max)
-    rows = [_new_row(n, d, r, value) for r, value in floors]
-    return rows + [minimizing_radius(floors)] if rows else []
+    rows = [_new_row(n - 2 * d, r, value, lam) for r, value, lam in floors]
+    return rows + [minimizing_radius([f[:2] for f in floors])] if rows else []
 
 
 def best_new_upper(n: int, d: int, r_max: int = 8) -> BoundValue:
@@ -418,7 +398,7 @@ def best_new_upper(n: int, d: int, r_max: int = 8) -> BoundValue:
         raise NotApplicable(
             f"no ball radius r <= {r_max} satisfies lambda > n - 2d "
             f"at (n, d) = ({n}, {d})")
-    return minimizing_radius(floors)
+    return minimizing_radius([f[:2] for f in floors])
 
 
 def minimizing_radius(floors: list[tuple[int, int]]) -> BoundValue:

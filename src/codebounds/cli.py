@@ -157,7 +157,7 @@ def _cmd_bounds(args) -> int:
         else:
             print(bv.value_exact)
         return 0
-    rows = bound_rows(args.n, args.d, r_max=args.r_max)
+    rows = bound_rows(args.n, args.d, r_max=args.r_max or 8)
     if args.json:
         _emit_json(rows)
     else:
@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int,
                    help="single eigenvalue-bound radius (exit 3 if "
                         "not applicable)")
-    c.add_argument("--r-max", type=_int_range(1), default=8)
+    # --r-max is 8 when not given; main refuses it with --r
+    c.add_argument("--r-max", type=_int_range(1))
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=_cmd_bounds)
 
@@ -343,6 +344,16 @@ def main(argv=None) -> int:
                               ("--workers", args.workers)):
             if value is not None:
                 parser.error(f"table: {option} is not allowed with --regime")
+    if args.command == "bounds" and args.r is not None \
+            and args.r_max is not None:
+        parser.error("bounds: --r-max is not allowed with --r")
+    if args.command == "eigen" and args.asymptotic and args.n is not None:
+        parser.error("eigen: --n is not allowed with --asymptotic")
+    if args.command == "replay" and args.words is None and args.n is not None:
+        parser.error("replay: --n needs --words")
+    if args.command == "replay" and args.words is not None \
+            and (args.m is not None or args.c is not None):
+        parser.error("replay: --m/--c are not allowed with --words")
     # exact values print in full, past Python's int -> str digit limit;
     # an in-process caller gets its own limit back when main returns
     digits = sys.get_int_max_str_digits()

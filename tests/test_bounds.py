@@ -294,8 +294,8 @@ class TestFloatArguments:
         lambda: vol(2, 10.0),
         lambda: ball_certificate(15, 2.0),
         lambda: ball_certificate(15.0, 2),
-        lambda: bd._ball.fill(63.0, [3]),
-        lambda: bd._ball.fill(63, [3.0]),
+        lambda: bd._ball(63.0, [3]),
+        lambda: bd._ball(63, [3.0]),
         lambda: cyclic_lower(6.0, 2),
         lambda: cyclic_lower(6, 2.0),
     ])
@@ -449,7 +449,7 @@ class TestEigenvalueBounds:
     def test_volume_once_per_radius(self, monkeypatch):
         # 13 distances at one length share each ball's n * Vol(r, n)
         n = 1999
-        bd._ball.cache_clear()
+        bd._balls.clear()
         calls = []
         monkeypatch.setattr(bd, "vol",
                             lambda r, m, vol=vol: calls.append((r, m))
@@ -494,8 +494,8 @@ class TestBestNewUpper:
         # their bit length: then several radii share the minimum
         floor = bd._covering_floor
 
-        def coarse(n, d, r):
-            value = floor(n, d, r)
+        def coarse(entry, j):
+            value = floor(entry, j)
             return None if value is None else 1 << value.bit_length()
 
         monkeypatch.setattr(bd, "_covering_floor", coarse)
@@ -556,7 +556,8 @@ class TestPerronDrop:
 
     @staticmethod
     def all_radius_floors(n, d, r_max):
-        """(r, floor) over every radius, each certified alone."""
+        """(r, floor, float lambda) over every radius, each certified
+        alone."""
         floors = []
         for r in range(1, min(r_max, n // 2) + 1):
             lam = certify(n, r).lambda_certified
@@ -564,7 +565,8 @@ class TestPerronDrop:
                 size = n * vol(r, n)
                 floors.append((r, size * lam.denominator
                                // (lam.numerator
-                                   - (n - 2 * d) * lam.denominator)))
+                                   - (n - 2 * d) * lam.denominator),
+                               float(lam)))
         return floors
 
     @pytest.mark.parametrize("n", [2, 3, 15, 16, 63, 100, 255, 1000, 4095])
@@ -596,7 +598,7 @@ class TestPerronDrop:
 
     def test_dropped_radius_never_certified(self, monkeypatch):
         # at (1999, 947), j = 105 is at least sqrt(1999) t_r for r <= 3
-        bd._ball.cache_clear()
+        bd._balls.clear()
         seen = []
         monkeypatch.setattr(bd, "certify_radii",
                             lambda n, radii: seen.append(list(radii))
@@ -608,10 +610,10 @@ class TestPerronDrop:
 
 
 class TestBallCache:
-    """Entries per (n, r), filled a length at a time, bounded."""
+    """Entries per (n, r), certified a call at a time, bounded."""
 
     def test_one_pass_per_length(self, monkeypatch):
-        bd._ball.cache_clear()
+        bd._balls.clear()
         seen = []
         monkeypatch.setattr(bd, "certify_radii",
                             lambda n, radii: seen.append((n, list(radii)))
@@ -623,16 +625,43 @@ class TestBallCache:
         assert seen == [(255, list(range(3, 17))), (255, [1, 2]),
                         (255, [20]), (255, [17, 18, 19])]
 
-    def test_oldest_dropped_past_maxsize(self):
-        cache = bd._BallCache(3)
-        cache.fill(63, [1, 2])
-        cache.fill(63, [2, 3, 4])
-        assert list(cache._entries) == [(63, 2), (63, 3), (63, 4)]
-        first = cache(63, 4)
-        assert cache(63, 4) is first
+    def test_oldest_dropped_past_maxsize(self, monkeypatch):
+        monkeypatch.setattr(bd, "_balls", {})
+        monkeypatch.setattr(bd, "_BALLS_MAX", 3)
+        bd._ball(63, [1, 2])
+        bd._ball(63, [2, 3, 4])
+        assert list(bd._balls) == [(63, 2), (63, 3), (63, 4)]
+        [first] = bd._ball(63, [4])
+        assert bd._ball(63, [4])[0] is first
         assert first[0] == certify(63, 4)
         assert first[1:] == (63 * vol(4, 63),
                              float(first[0].lambda_certified))
+
+    def test_batch_past_maxsize_certified_once(self, monkeypatch):
+        # six radii past a bound of 3: each entry comes from the one pass,
+        # none is certified again after the bound drops it
+        want = bd.new_upper_rows(63, 24, 8)
+        monkeypatch.setattr(bd, "_balls", {})
+        monkeypatch.setattr(bd, "_BALLS_MAX", 3)
+        seen = []
+        monkeypatch.setattr(bd, "certify_radii",
+                            lambda n, radii: seen.append((n, list(radii)))
+                            or certify_radii(n, radii))
+        rows = bd.new_upper_rows(63, 24, 8)
+        assert seen == [(63, [3, 4, 5, 6, 7, 8])]
+        assert len(rows) == 7 and rows == want
+        assert list(bd._balls) == [(63, 6), (63, 7), (63, 8)]
+
+    def test_hits_kept_past_maxsize(self, monkeypatch):
+        # a call that hits some radii and drops them by certifying others
+        # still returns every entry it asked for
+        monkeypatch.setattr(bd, "_balls", {})
+        monkeypatch.setattr(bd, "_BALLS_MAX", 3)
+        [two] = bd._ball(63, [2])
+        got = bd._ball(63, [2, 5, 6, 7])
+        assert got[0] is two
+        assert [e[0] for e in got] == [certify(63, r) for r in (2, 5, 6, 7)]
+        assert list(bd._balls) == [(63, 5), (63, 6), (63, 7)]
 
 
 class TestCyclicLower:

@@ -289,7 +289,7 @@ class TestTable:
         def refuse(thread):
             raise AssertionError(f"thread started: {thread!r}")
         _, serial, _ = run_cli(capsys, "table")
-        bd._ball.cache_clear()      # so the rows are certified again
+        bd._balls.clear()           # so the rows are certified again
         monkeypatch.setattr(threading.Thread, "start", refuse)
         code, out, err = run_cli(capsys, "table", "--workers", "4")
         assert (code, err) == (0, "")
@@ -530,6 +530,16 @@ class TestReplay:
      "table: --r-max is not allowed with --regime"),
     (["table", "--workers", "1", "--regime", "1"],
      "table: --workers is not allowed with --regime"),
+    (["replay", "--m", "4", "--c", "1", "--n", "9", "--r", "3"],
+     "replay: --n needs --words"),
+    (["replay", "--words", "0,7", "--m", "4", "--c", "1", "--r", "1"],
+     "replay: --m/--c are not allowed with --words"),
+    (["replay", "--words", "0,7", "--c", "1", "--r", "1"],
+     "replay: --m/--c are not allowed with --words"),
+    (["eigen", "--n", "15", "--r", "3", "--asymptotic"],
+     "eigen: --n is not allowed with --asymptotic"),
+    (["bounds", "--n", "15", "--d", "6", "--r", "3", "--r-max", "2"],
+     "bounds: --r-max is not allowed with --r"),
 ])
 def test_out_of_range_int_options_exit_2(capsys, argv, message):
     # rejected by the parser, before any row is dropped or budget checked
@@ -539,6 +549,23 @@ def test_out_of_range_int_options_exit_2(capsys, argv, message):
     assert exc.value.code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_ball_reads_pinned(capsys):
+    # the fixtures the CI step compares the installed script against: one
+    # certificate, one eigenvalue row, and a radius that does not apply
+    for argv, pinned in [(["eigen", "--n", "15", "--r", "3"],
+                          "eigen_n15_r3.json"),
+                         (["bounds", "--n", "63", "--d", "24", "--r", "3",
+                           "--json"], "bounds_n63_d24_r3.json")]:
+        code, out, err = run_cli(capsys, *argv)
+        with open(os.path.join(DATA, pinned)) as fh:
+            assert (code, out, err) == (0, fh.read(), ""), pinned
+    code, out, err = run_cli(capsys, "bounds", "--n", "63", "--d", "16",
+                             "--r", "3")
+    assert (code, out) == (3, "")
+    assert err == ("codebounds-error: NotApplicable: certified lambda "
+                   "18.320806 <= n - 2d = 31 at r = 3\n")
 
 
 @pytest.mark.parametrize("argv, option", [
