@@ -315,6 +315,16 @@ def ball_certificate(n: int, r: int) -> EigenCertificate:
     return _ball(n, [r])[0][0]
 
 
+def _covering_refusal(n: int, d: int) -> str:
+    """Why the covering bound cannot be applied at (n, d), or "" where it
+    can: its derivation bounds <AF, F> by 2d F_hat(0)^2 + (n - 2d) E F^2
+    and then widens 2d to n, which holds only when 2d <= n.  Every
+    ``new_*`` entry point asks this before it reads a ball."""
+    if 2 * d > n:
+        return f"the covering bound needs 2d <= n, got (n, d) = ({n}, {d})"
+    return ""
+
+
 def _covering_floor(entry: tuple, j: int) -> int | None:
     """floor(n Vol(r, n) / (lambda_hat - j)) of a ``_ball`` entry, or None
     where lambda_hat <= j: every ``new_*`` row's test and formula, in
@@ -333,7 +343,8 @@ def _new_row(j: int, r: int, value: int, lam: float) -> BoundValue:
 def _radius_floors(n: int, d: int,
                    r_max: int) -> list[tuple[int, int, float]]:
     """(r, floor, float lambda) for the applicable radii
-    r = 1..min(r_max, n/2), in order, at an (n, d) that ``_domain`` passed.
+    r = 1..min(r_max, n/2), in order, at an (n, d) that ``_domain`` passed;
+    none where ``_covering_refusal`` refuses (n, d).
 
     A radius whose ``lambda_ceiling`` is at most j = n - 2d is dropped
     uncertified: its certified lambda lies below that ceiling, so it can
@@ -345,6 +356,8 @@ def _radius_floors(n: int, d: int,
     r_max = operator.index(r_max)
     if r_max < 1:
         raise InvalidRadius(f"r_max must be >= 1, got {r_max}")
+    if _covering_refusal(n, d):
+        return []
     top = min(r_max, n // 2)
     _check_float_range(n, top)
     low = 1
@@ -356,18 +369,23 @@ def _radius_floors(n: int, d: int,
 
 
 def new_upper(n: int, d: int, r: int) -> BoundValue:
-    """Eigenvalue covering bound: A(n,d) <= n/(lambda - (n-2d)) * Vol(r,n).
+    """Eigenvalue covering bound: A(n,d) <= n/(lambda - (n-2d)) * Vol(r,n)
+    for 2d <= n.
 
     Uses the certified rational lower bound lambda_hat in place of the true
     ball eigenvalue; any lambda_hat <= lambda_B only weakens the bound, so
-    the floor below is rigorous.  Raises NotApplicable when
-    lambda_hat <= n - 2d (ball radius too small for this distance).
+    the floor below is rigorous.  Raises NotApplicable when 2d > n, where
+    the derivation's step from 2d to n fails (``_covering_refusal``),
+    before any ball is read, and when lambda_hat <= n - 2d (ball radius
+    too small for this distance).
 
     The certificate, n * Vol(r, n) and float(lambda_hat) share one cache
     entry per (n, r), so the many distances a table asks at one (n, r)
     certify and sum the ball once.
     """
     n, d = _domain(n, d)
+    if why := _covering_refusal(n, d):
+        raise NotApplicable(why)
     entry = _ball(n, [r])[0]
     value = _covering_floor(entry, n - 2 * d)
     if value is None:
@@ -379,7 +397,9 @@ def new_upper(n: int, d: int, r: int) -> BoundValue:
 
 def new_upper_rows(n: int, d: int, r_max: int = 8) -> list[BoundValue]:
     """The applicable ``new_r{r}`` rows, r = 1..min(r_max, n/2) in order,
-    then their ``new_best`` row; empty when no radius applies."""
+    then their ``new_best`` row; empty when no radius applies, and when
+    2d > n, where the covering bound's step from 2d to n fails
+    (``_covering_refusal``)."""
     n, d = _domain(n, d)
     floors = _radius_floors(n, d, r_max)
     rows = [_new_row(n - 2 * d, r, value, lam) for r, value, lam in floors]
@@ -387,17 +407,21 @@ def new_upper_rows(n: int, d: int, r_max: int = 8) -> list[BoundValue]:
 
 
 def best_new_upper(n: int, d: int, r_max: int = 8) -> BoundValue:
-    """Minimum of the applicable eigenvalue bounds over r = 1..r_max.
+    """Minimum of the applicable eigenvalue bounds over r = 1..r_max, for
+    2d <= n.
 
     The minimum is taken over the exact floors, and only its ``new_best``
-    row is built; it equals ``new_upper_rows(n, d, r_max)[-1]``.
+    row is built; it equals ``new_upper_rows(n, d, r_max)[-1]``.  Raises
+    NotApplicable when no radius applies, and when 2d > n, where the
+    covering bound's step from 2d to n fails (``_covering_refusal``).
     """
     n, d = _domain(n, d)
     floors = _radius_floors(n, d, r_max)
     if not floors:
         raise NotApplicable(
-            f"no ball radius r <= {r_max} satisfies lambda > n - 2d "
-            f"at (n, d) = ({n}, {d})")
+            _covering_refusal(n, d)
+            or f"no ball radius r <= {r_max} satisfies lambda > n - 2d "
+               f"at (n, d) = ({n}, {d})")
     return minimizing_radius([f[:2] for f in floors])
 
 

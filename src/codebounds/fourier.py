@@ -26,12 +26,12 @@ replays a few of them through the public primitives, whose outputs it
 compares entry by entry, cross-multiplied in integers, with the array's
 rows.  The covering replay is numeric by nature (a square root and a
 Perron vector enter) but holds no float table of the cube: it works on
-the n + 1 weight shells, through exact Krawtchouk values and Parseval
-(see ``covering_replay``), reduces every sum with ``math.fsum`` and checks
-each step with a relative tolerance.  The code enters only through its
-distance distribution B on the shells, counted afresh by each call from
-blocks of pairwise XORs binned by weight; no table of the cube and no
-cache is kept.
+the n + 1 weight shells, through the exact Krawtchouk values of
+``krawtchouk.values`` and Parseval (see ``covering_replay``), reduces
+every sum with ``math.fsum`` and checks each step with a relative
+tolerance.  The code enters only through its distance distribution B on
+the shells, counted afresh by each call from blocks of pairwise XORs
+binned by weight; no table of the cube and no cache is kept.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -50,6 +50,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import krawtchouk
 from .bounds import OutOfRange, ball_certificate, vol
 from .spectrum import clear_denominators, radial_vector
 
@@ -369,17 +370,6 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     return {"n": n, "count": count, "pass": True}
 
 
-def _krawtchouk(n: int, r: int) -> list[list[int]]:
-    """K_w(t) for w = 0..r and t = 0..n, exact, by the recurrence
-    (w + 1) K_{w+1}(t) = (n - 2t) K_w(t) - (n - w + 1) K_{w-1}(t) from
-    K_0 = 1 and K_1(t) = n - 2t; every division is exact."""
-    rows = [[1] * (n + 1), [n - 2 * t for t in range(n + 1)]]
-    for w in range(1, r):
-        rows.append([((n - 2 * t) * k - (n - w + 1) * j) // (w + 1)
-                     for t, (k, j) in enumerate(zip(rows[w], rows[w - 1]))])
-    return rows[:r + 1]
-
-
 def _code_side(code: list[int], n: int) -> tuple[list[int], int]:
     """The radius-free half of ``covering_replay`` for one code.
 
@@ -413,9 +403,10 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     pairs of codewords.
 
     Every quantity lives on the n + 1 weight shells.  f is radial, so
-    (Af)_w = w f_{w-1} + (n - w) f_{w+1}, E f and E f^2 are sums weighted
-    by C(n, w), and u(f)(z) = sum_{w <= r} f_w K_w(|z|) with the
-    Krawtchouk values K_w(t) exact in ints.  The rest follows by Parseval
+    (Af)_w = w f_{w-1} + (n - w) f_{w+1}, u(f)(z) = sum_{w <= r} f_w K_w(|z|)
+    with the Krawtchouk values K_w(t) of ``krawtchouk.values``, exact in
+    ints, E f = u(f)(0)/2^n, and E f^2 is a sum weighted by
+    C(n, w) = K_w(0).  The rest follows by Parseval
     from the distance distribution B_t = sum_{|x| = t} N(x):
     E phi = sqrt(m/2^n), E phi^2 = sum_t B_t/2^n, E F = E phi u(f)(0)/2^n,
     E F^2 = sum_t (B_t/2^n) (u(f)(t)/2^n)^2 and <AF, F> = sum_t (n - 2t)
@@ -465,11 +456,11 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
                 for w in range(n + 1))
     perron_ok = worst >= -_REL_TOL * max(map(abs, rad)) * lam
 
-    shells = [math.comb(n, w) for w in range(r + 1)]
-    ef = math.fsum(c * v for c, v in zip(shells, rad)) / size
+    kraw = krawtchouk.values(n, r)
+    shells = [row[0] for row in kraw]             # K_w(0) = C(n, w)
     ef2 = math.fsum(c * v * v for c, v in zip(shells, rad)) / size
-    u_f = [math.fsum(map(operator.mul, rad, col))
-           for col in zip(*_krawtchouk(n, r))]
+    u_f = [math.fsum(map(operator.mul, rad, col)) for col in zip(*kraw)]
+    ef = u_f[0] / size
     m = len(code)
     ephi, ephi2 = math.sqrt(m / size), math.fsum(counts) / size
     eF = ephi * u_f[0] / size

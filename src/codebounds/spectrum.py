@@ -28,6 +28,8 @@ from itertools import accumulate
 from numbers import Rational
 from operator import add, attrgetter, index, mul
 
+from .krawtchouk import shell_weights
+
 _TOL = 1e-12  # bisection width, in absolute units of lambda
 _LAGUERRE_STEPS = 20  # a cap; 1-4 steps suffice from either start
 # the asymptotic start's margin over sqrt(n) t_r, far above t_r's float error
@@ -193,8 +195,13 @@ def radial_vector(n: int, r: int, lam: float) -> list[float]:
     f(0) = 1 and lam*f(i) = i*f(i-1) + (n-i)*f(i+1); at the true top
     eigenvalue this is the (unnormalized) Perron vector of the ball.  The
     entries are those of ``_radial_parts`` as plain floats, so at huge n
-    the later ones underflow to 0.
+    the later ones underflow to 0.  n and r go through ``operator.index``;
+    ``InvalidRadius`` unless n >= 1 and 0 <= r <= n/2.
     """
+    n, r = index(n), index(r)
+    if not (n >= 1 and 0 <= r <= n // 2):
+        raise InvalidRadius(f"need n >= 1 and 0 <= r <= n/2, got n = {n}, "
+                            f"r = {r}")
     return [math.ldexp(x, s) for x, s in _radial_parts(n, r, lam)]
 
 
@@ -289,30 +296,19 @@ def rayleigh_quotient(n: int, f: list[int | Fraction]) -> Fraction:
     Any such quotient is a true lower bound on the top ball eigenvalue.
 
     n goes through ``operator.index``, so a numpy length cannot wrap the
-    binomials and a float one raises TypeError.
+    binomials, a float one raises TypeError and a negative one ValueError.
     ``f`` holds Integral/Rational entries (numpy integers included).
     ``clear_denominators`` turns them into Python-int numerators over one
     common denominator, which leaves the quotient unchanged; both sums are
-    then Python ints, with the binomials taken from the recurrence
-    C(n,i+1) = C(n,i)(n-i)/(i+1), and the one Fraction is built at the end.
+    then Python ints over the weights of ``krawtchouk.shell_weights`` (its
+    binomial recurrence), and the one Fraction is built at the end.
     """
     f, _ = clear_denominators(f)
-    return _quotient(_shell_weights(index(n), len(f)), f)
-
-
-def _shell_weights(n: int, length: int) -> tuple[list[int], list[int]]:
-    """C(n, i) for i < length, and 2 C(n, i)(n - i) for i < length - 1: the
-    weights of a radial vector's squared norm and of its edge sum."""
-    binoms, edges = [1], []
-    for i in range(length - 1):
-        edge = binoms[i] * (n - i)             # C(n, i) * (n - i)
-        edges.append(2 * edge)
-        binoms.append(edge // (i + 1))         # C(n, i+1), exact
-    return binoms, edges
+    return _quotient(shell_weights(n, len(f)), f)
 
 
 def _quotient(weights, f: list[int]) -> Fraction:
-    """The Rayleigh quotient of the Python ints ``f`` from ``_shell_weights``
+    """The Rayleigh quotient of the Python ints ``f`` from ``shell_weights``
     of at least len(f) shells."""
     binoms, edges = weights
     den = sum(map(mul, binoms, map(mul, f, f)))
@@ -384,7 +380,7 @@ def certify_radii(n: int, radii) -> list[EigenCertificate]:
     # "d.dddddddddddde+XX" per entry: drop the point, split off the exponent
     parts = list(map(int, ("%.12e " * len(flat) % tuple(flat))
                      .replace(".", "").replace("e", " ").split()))
-    weights = _shell_weights(n, max(map(len, vectors)))
+    weights = shell_weights(n, max(map(len, vectors)))
     certs, at = [], 0
     for r, lam, f in zip(radii, lams, vectors):
         ms = parts[at:at + 2 * len(f):2]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codebounds import bounds as bd
+from codebounds import cli
 from codebounds.bounds import (
     HEURISTIC,
     RIGOROUS,
@@ -208,12 +209,17 @@ class TestClassicalBounds:
         # shortened Plotkin corollary A(10,6) = 6 is met with equality
         assert plotkin_upper(10, 6).value_exact == 6
 
-    def test_plotkin_sound_against_exhaustive(self):
-        # every 2d >= n case must upper-bound the true A(n, d)
+    def test_rigorous_rows_sound_against_exhaustive(self):
+        # every rigorous row of the table brackets the true A(n, d); the
+        # covering rows once claimed A(2, 2) <= 1 against {00, 11}
         for n in range(2, 8):
-            for d in range(max(1, (n + 1) // 2), n + 1):
+            for d in range(1, n + 1):
                 a = exact_A_search(n, d)
-                assert plotkin_upper(n, d).value_exact >= a, (n, d, a)
+                for row in cli.bound_rows(n, d):
+                    if row["rigor"] == RIGOROUS:
+                        lower = row["kind"] == "lower"
+                        assert (row["value_exact"] <= a if lower
+                                else a <= row["value_exact"]), (row, a)
 
     def test_mceliece(self):
         mv = mceliece_upper(15, 6)
@@ -395,12 +401,27 @@ class TestEigenvalueBounds:
         assert new_upper(15, 6, 3).value_exact == 1540
 
     def test_rational_pipeline(self):
-        for n, d, r in [(15, 6, 3), (3, 3, 1), (63, 24, 3), (1000, 480, 4),
+        for n, d, r in [(15, 6, 3), (4, 2, 1), (63, 24, 3), (1000, 480, 4),
                         (4095, 1984, 7), (2 ** 20, 2 ** 19 - 2048, 16)]:
             lam = ball_certificate(n, r).lambda_certified
             exact = Fraction(n) * vol(r, n) / (lam - (n - 2 * d))
             assert new_upper(n, d, r).value_exact == \
                 exact.numerator // exact.denominator, (n, d, r)
+
+    def test_refused_past_half_before_any_ball(self, monkeypatch):
+        # the step from 2d to n needs 2d <= n: at (2, 2) the bound read 1
+        def refuse(*args):
+            raise AssertionError("a ball was read")
+
+        monkeypatch.setattr(bd, "_ball", refuse)
+        for n, d in [(2, 2), (3, 3), (15, 8), (4095, 2048)]:
+            message = (f"^the covering bound needs 2d <= n, got "
+                       f"\\(n, d\\) = \\({n}, {d}\\)$")
+            with pytest.raises(NotApplicable, match=message):
+                new_upper(n, d, 1)
+            with pytest.raises(NotApplicable, match=message):
+                best_new_upper(n, d)
+            assert bd.new_upper_rows(n, d) == []
 
     def test_not_applicable_small_ball(self):
         # lambda(B_1) = sqrt(15) < 15 - 2*2
@@ -557,8 +578,10 @@ class TestPerronDrop:
     @staticmethod
     def all_radius_floors(n, d, r_max):
         """(r, floor, float lambda) over every radius, each certified
-        alone."""
+        alone; none where 2d > n, the covering bound's hypothesis."""
         floors = []
+        if 2 * d > n:
+            return floors
         for r in range(1, min(r_max, n // 2) + 1):
             lam = certify(n, r).lambda_certified
             if lam > n - 2 * d:

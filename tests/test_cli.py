@@ -234,12 +234,13 @@ class TestBounds:
 
     def test_mceliece_row_skipped_past_half(self, capsys):
         # d = 9 >= n/2 + 1: mceliece_upper raises NotApplicable, and the
-        # table goes on without that row
+        # table goes on without that row; 2d > n drops the covering rows
         code, out, _ = run_cli(capsys, "bounds", "--n", "15", "--d", "9")
         assert code == 0
         labels = [ln.split(",")[3] for ln in out.splitlines()[2:]]
         assert "mceliece" not in labels
-        assert {"gv", "hamming", "plotkin", "new_best"} <= set(labels)
+        assert not any(label.startswith("new_") for label in labels)
+        assert {"gv", "hamming", "plotkin"} <= set(labels)
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "15", "--d", "0")
@@ -553,7 +554,8 @@ def test_out_of_range_int_options_exit_2(capsys, argv, message):
 
 def test_ball_reads_pinned(capsys):
     # the fixtures the CI step compares the installed script against: one
-    # certificate, one eigenvalue row, and a radius that does not apply
+    # certificate, one eigenvalue row, a radius that does not apply, and a
+    # distance past n/2, where the covering bound does not hold
     for argv, pinned in [(["eigen", "--n", "15", "--r", "3"],
                           "eigen_n15_r3.json"),
                          (["bounds", "--n", "63", "--d", "24", "--r", "3",
@@ -566,6 +568,11 @@ def test_ball_reads_pinned(capsys):
     assert (code, out) == (3, "")
     assert err == ("codebounds-error: NotApplicable: certified lambda "
                    "18.320806 <= n - 2d = 31 at r = 3\n")
+    code, out, err = run_cli(capsys, "bounds", "--n", "2", "--d", "2",
+                             "--r", "1")
+    assert (code, out) == (3, "")
+    assert err == ("codebounds-error: NotApplicable: the covering bound "
+                   "needs 2d <= n, got (n, d) = (2, 2)\n")
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -247,9 +247,10 @@ class TestCoveringReplay:
         assert ratio["lhs"] == pytest.approx(1.0, abs=1e-12)
         assert ratio["rhs"] == 1.0
 
-    def test_agrees_with_certified_bound(self):
-        rep = covering_replay([0, 7], r=1)
-        bv = new_upper(3, 3, 1)
+    def test_agrees_with_certified_bound(self, code_4_1):
+        rep = covering_replay(_code_words(code_4_1), r=3)
+        bv = new_upper(15, 6, 3)
+        assert (rep["d"], bv.value_exact) == (6, 1540)
         # the certified evaluator floors the same quantity
         assert bv.value_exact == math.floor(rep["bound"] + 1e-9)
         assert rep["code_size"] <= bv.value_exact

@@ -175,6 +175,29 @@ def test_orphan_detector_flags_a_helper_added_back():
         "fourier.py indicator"]
 
 
+def package_imports(source: str) -> list[str]:
+    """Each import of the package itself: a relative one (as ``.module``)
+    or an absolute one of ``codebounds``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append(node.module)
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+    return [name for name in found
+            if name.startswith(".") or name.split(".")[0] == "codebounds"]
+
+
+def test_krawtchouk_is_a_leaf():
+    # spectrum, bounds and fourier may all import it without a cycle
+    assert package_imports((PACKAGE / "krawtchouk.py").read_text()) == []
+    assert package_imports("from . import gf2\nimport codebounds.cli\n"
+                           "from .. import x\nimport math\n") == [
+        ".", "codebounds.cli", ".."]
+
+
 def weighted_bincounts(source: str) -> list[int]:
     """The line of each ``bincount`` call given weights, as a ``weights=``
     keyword or a second positional argument: it sums them in float64,

@@ -432,6 +432,23 @@ class TestRadialVector:
         assert all(-505 < b - a < -495 for a, b in zip(exps[1:], exps[2:]))
 
 
+    @pytest.mark.parametrize("n, r", [(4, 7), (4, 3), (-5, 2), (0, 0),
+                                      (-1, 0), (15, -1)])
+    def test_bad_input_refused(self, n, r):
+        # (4, 7) divided by zero; (-5, 2) returned a vector
+        with pytest.raises(InvalidRadius, match="^need n >= 1 and "
+                                                "0 <= r <= n/2, got "):
+            radial_vector(n, r, 1.0)
+
+    def test_lengths_read_as_ints(self):
+        assert radial_vector(4, 0, 2.0) == [1.0]
+        assert radial_vector(np.int64(15), np.int64(3), 3.0) \
+            == radial_vector(15, 3, 3.0)
+        for n, r in [(15.0, 3), (15, 3.0)]:
+            with pytest.raises(TypeError):
+                radial_vector(n, r, 3.0)
+
+
 class TestAsymptoticConstant:
     def test_closed_forms(self):
         assert abs(asymptotic_constant(2) - math.sqrt(3)) < 1e-9
@@ -571,6 +588,11 @@ class TestRayleighOracle:
         f = [1] * 17
         assert rayleigh_quotient(np.int64(2 ** 20), f) \
             == rayleigh_quotient(2 ** 20, f)
+
+    def test_negative_length_refused(self):
+        # it returned 3 before
+        with pytest.raises(ValueError, match="^need n >= 0, got -3$"):
+            rayleigh_quotient(-3, [1, 1])
 
     def test_numpy_int_entries(self):
         # int64 products of these entries wrap; Python ints do not
