@@ -210,8 +210,8 @@ class TestClassicalBounds:
         assert plotkin_upper(10, 6).value_exact == 6
 
     def test_rigorous_rows_sound_against_exhaustive(self):
-        # every rigorous row of the table brackets the true A(n, d); the
-        # covering rows once claimed A(2, 2) <= 1 against {00, 11}
+        # every rigorous row of the table brackets the true A(n, d), also
+        # past n/2, where the covering rows would claim A(2, 2) <= 1
         for n in range(2, 8):
             for d in range(1, n + 1):
                 a = exact_A_search(n, d)
@@ -409,7 +409,7 @@ class TestEigenvalueBounds:
                 exact.numerator // exact.denominator, (n, d, r)
 
     def test_refused_past_half_before_any_ball(self, monkeypatch):
-        # the step from 2d to n needs 2d <= n: at (2, 2) the bound read 1
+        # the step from 2d to n needs 2d <= n; at (2, 2) it gives 1 < 2
         def refuse(*args):
             raise AssertionError("a ball was read")
 

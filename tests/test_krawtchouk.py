@@ -39,11 +39,6 @@ class TestValues:
                     assert got == ((1 << n) * shells[w] if v == w else 0), \
                         (n, v, w)
 
-    def test_column_zero_holds_shell_sizes(self):
-        for n in range(16):
-            assert [row[0] for row in krawtchouk.values(n, n)] == \
-                [math.comb(n, w) for w in range(n + 1)]
-
     def test_numpy_ints(self):
         got = krawtchouk.values(np.int64(15), np.int64(7))
         assert got == krawtchouk.values(15, 7)

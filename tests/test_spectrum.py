@@ -590,7 +590,7 @@ class TestRayleighOracle:
             == rayleigh_quotient(2 ** 20, f)
 
     def test_negative_length_refused(self):
-        # it returned 3 before
+        # the shell weights of n = -3 give a quotient of 3
         with pytest.raises(ValueError, match="^need n >= 0, got -3$"):
             rayleigh_quotient(-3, [1, 1])
 
