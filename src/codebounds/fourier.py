@@ -9,29 +9,30 @@ blocks bit for bit.  A self-convolution f * f transforms f once.
 
 The public primitives are exact only.  They take one 1-D sequence of
 Integral/Rational entries (numpy integers, Fractions with numpy parts and
-1-D integer or object ndarrays included) and raise TypeError, naming the
-entry type, for anything else: a float entry, a float ndarray, or a row of
-a 2-D array: ``spectrum.clear_denominators``, the route
-``rayleigh_quotient`` uses too, raises it, and turns the entries into
-Python-int numerators over one common denominator q.  The numerators run
-in int64 only when a magnitude bound, computed from the inputs before any
-array is allocated, keeps every intermediate below 2^63; otherwise they
-run on Python ints (object arrays).  They never pass through floating
-point, and int64 never wraps; ``inner`` is one Python-int dot product of
-the numerators.  Results are lists: Integral entries give ints, any other
-Rational entry (or any division, as in ``wht`` and ``convolve``) gives
-Fractions, one per distinct value.  The identity suite checks all its
-functions at once as the rows of one exact array on the kernels, and
-replays a few of them through the public primitives, whose outputs it
-compares entry by entry, cross-multiplied in integers, with the array's
-rows.  The covering replay is numeric by nature (a square root and a
-Perron vector enter) but holds no float table of the cube: it works on
+1-D integer or object ndarrays and generators included) and raise
+TypeError, naming the entry type, for anything else: a float entry, a float
+ndarray, or a row of a 2-D array: ``spectrum.clear_denominators``, the
+route ``rayleigh_quotient`` uses too, raises it.  Each distinct entry
+object of a table is read once: that route clears the distinct entries to
+numerators over one common denominator q, and the numerators of the whole
+table reach numpy as one int64 array when they fit, Python ints (object)
+otherwise.  An operation runs in int64 only when a magnitude bound,
+computed from the inputs before its array is allocated, keeps every
+intermediate below 2^63; otherwise it runs on Python ints.  Nothing passes
+through floating point, and int64 never wraps.  Results are lists: Integral
+entries give ints, any other Rational entry (or any division, as in ``wht``
+and ``convolve``) gives Fractions, one per distinct value.  The identity
+suite checks all its functions at once as the rows of one exact array on
+the kernels, and replays a few of them through the public primitives, whose
+outputs it compares entry by entry, cross-multiplied in integers, with the
+array's rows.  The covering replay is numeric by nature (a square root and
+a Perron vector enter) but holds no float table of the cube: it works on
 the n + 1 weight shells, through the exact Krawtchouk values of
-``krawtchouk.values`` and Parseval (see ``covering_replay``), reduces
-every sum with ``math.fsum`` and checks each step with a relative
-tolerance.  The code enters only through its distance distribution B on
-the shells, counted afresh by each call from blocks of pairwise XORs
-binned by weight; no table of the cube and no cache is kept.
+``krawtchouk.values`` and Parseval (see ``covering_replay``), reduces every
+sum with ``math.fsum`` and checks each step with a relative tolerance.  The
+code enters only through its distance distribution B on the shells, counted
+afresh by each call from blocks of pairwise XORs binned by weight; no table
+of the cube and no cache is kept.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -78,17 +79,28 @@ def _dim(values) -> int:
 
 
 def _split(values):
-    """A table as (numerators, unit, magnitude).
+    """A table as (numerators, unit, magnitude), each distinct entry read once.
 
-    ``clear_denominators`` refuses an entry type that is not Rational (a
-    row of a 2-D array included) and turns the entries into Python-int
-    numerators F over q: the unit is 1/q, or the int 1 when every type is
-    Integral, and the magnitude is max |F|.
+    The entries are held in one list first: a generator is read once, and
+    ``id`` names an object only while it lives (iterating an ndarray makes
+    a fresh scalar per entry, and a freed one's id is reused).  The distinct
+    objects, by id, go through ``clear_denominators``, which refuses an
+    entry type that is not Rational (a row of a 2-D array included) and
+    turns them into Python-int numerators over q.  Returns the numerators
+    F of every entry as one ndarray, int64 when the magnitude max |F|
+    stays below 2^63 and Python ints (object) otherwise; the unit 1/q, or
+    the int 1 when every type is Integral; and that magnitude.
     """
-    nums, q = clear_denominators(values)
-    unit = 1 if all(issubclass(k, Integral) for k in set(map(type, values))) \
-        else Fraction(1, q)
-    return nums, unit, max(map(abs, nums), default=0)
+    values = list(values)
+    _, first, inverse = np.unique(
+        np.fromiter(map(id, values), np.uint64, len(values)),
+        return_index=True, return_inverse=True)
+    distinct = list(map(values.__getitem__, first.tolist()))
+    nums, q = clear_denominators(distinct)
+    integral = all(issubclass(k, Integral) for k in set(map(type, distinct)))
+    unit = 1 if integral else Fraction(1, q)
+    mag = max(map(abs, nums), default=0)
+    return _array(nums, mag)[inverse], unit, mag
 
 
 def _array(entries, bound: int) -> np.ndarray:
@@ -110,7 +122,7 @@ def _out(result: np.ndarray, unit) -> list:
         return values
     num, den = unit.numerator, unit.denominator
     scaled = {v: Fraction(v * num, den) for v in set(values)}
-    return [scaled[v] for v in values]
+    return list(map(scaled.__getitem__, values))
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
@@ -188,12 +200,14 @@ def inner(f, g) -> Fraction:
     Raises ``DimensionMismatch`` unless both tables have one power-of-2
     length.
     """
-    ef, uf, _ = _split(f)
-    eg, ug, _ = _split(g)
+    ef, uf, mf = _split(f)
+    eg, ug, mg = _split(g)
     if _dim(ef) != _dim(eg):
         raise DimensionMismatch(f"{len(ef)} vs {len(eg)}")
-    return Fraction(sum(map(operator.mul, ef, eg)),
-                    len(f) * uf.denominator * ug.denominator)
+    # size |F| |G| bounds every partial sum; max(., 1) keeps it above |F|, |G|
+    bound = len(ef) * max(mf, 1) * max(mg, 1)
+    dot = (_array(ef, bound) * _array(eg, bound)).sum()
+    return Fraction(int(dot), len(ef) * uf.denominator * ug.denominator)
 
 
 def convolve(f, g) -> list:
@@ -220,7 +234,8 @@ def adjacency_apply(f) -> list:
     """
     entries, unit, mag = _split(f)
     n = _dim(entries)
-    return _out(_adjacency(_array(entries, mag * n)), unit)
+    # n |F| bounds every sum; at n = 0 the entries still have to fit
+    return _out(_adjacency(_array(entries, mag * max(n, 1))), unit)
 
 
 def degree_function(n: int) -> list:
@@ -248,7 +263,7 @@ def _random_functions(rng: random.Random, count: int, size: int):
         # 33 of 64 six-bit values are kept: ask for about twice the need
         draws = np.frombuffer(rng.randbytes(2 * (total - have) + 64),
                               dtype=np.uint8) & 63
-        parts.append(draws[draws < 33])
+        parts.append(np.extract(draws < 33, draws))
         have += parts[-1].size
     values = np.concatenate(parts)[:total].astype(np.int64) - 16
     values = values.reshape(count, size)
@@ -342,11 +357,14 @@ def identity_suite(n: int, count: int = 100, seed: int = 0) -> dict:
     failing = np.flatnonzero(failed.any(axis=0))
     first = int(failing[0]) if failing.size else count
 
+    numerator = operator.attrgetter("numerator")
+    denominator = operator.attrgetter("denominator")
+
     def matches(values, rows, den):
         """values[k] == rows[k] / den for every k, cross-multiplied."""
-        return len(values) == len(rows) and all(
-            v.numerator * den == b * v.denominator
-            for v, b in zip(values, rows))
+        return len(values) == len(rows) and \
+            list(map(den.__mul__, map(numerator, values))) == \
+            list(map(operator.mul, rows, map(denominator, values)))
 
     for i in range(0, first, 25):
         j, k = (i + 1) % count, (i + 2) % count

@@ -265,15 +265,18 @@ class EigenCertificate:
 def clear_denominators(values) -> tuple[list, int]:
     """Integral/Rational entries as Python-int numerators F over q = lcm.
 
-    Entry i equals F[i] / q.  A list of Python ints comes back as it is,
-    over q = 1; a type that is not Rational raises TypeError naming it.
-    Otherwise the parts are read through the numbers-ABC attributes; when
-    their types hold anything but int (numpy integers, or Fractions built
-    from them), each part goes through ``int()`` so no product can wrap.
+    Entry i equals F[i] / q.  The entries are read once, into a list, so a
+    generator gives what its list gives.  Python ints come back as they
+    are, over q = 1; a type that is not Rational raises TypeError naming
+    it.  Otherwise the parts are read through the numbers-ABC attributes;
+    when their types hold anything but int (numpy integers, or Fractions
+    built from them), each part goes through ``int()`` so no product can
+    wrap.
     """
+    values = list(values)
     kinds = {*map(type, values)}
     if kinds <= {int}:
-        return list(values), 1
+        return values, 1
     inexact = sorted(k.__name__ for k in kinds if not issubclass(k, Rational))
     if inexact:
         raise TypeError(f"exact entries expected, got {', '.join(inexact)}")

@@ -1,11 +1,13 @@
 """Exact Walsh-Hadamard layer and the covering-bound numerical replay."""
 
+import hashlib
 import json
 import math
 import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 import pytest
@@ -696,6 +698,9 @@ class TestExactness:
         big = [2 ** 40, 0, 0, 0]
         # (f * f)(0) = E_y f(y)^2 = 2^80 / 4
         assert convolve(big, big) == [Fraction(2 ** 80, 4), 0, 0, 0]
+        # a zero bound on the results still holds the entries: Python ints
+        assert adjacency_apply([2 ** 70]) == [0]
+        assert inner([2 ** 70, 0], [0, 0]) == 0
 
     def test_inner_numpy_int_entries(self):
         # int64 products of these entries wrap; the numerators do not
@@ -729,6 +734,16 @@ class TestExactness:
         assert all(type(v) is int for v in fn([1, -2, 3, 4]))
         assert all(type(v) is Fraction
                    for v in fn([Fraction(1, 2), 2, 0, Fraction(-3)]))
+
+    @pytest.mark.parametrize("call", [
+        wht_unnormalized, wht, adjacency_apply,
+        lambda t: inner(t, [1, Fraction(1, 2), 0, 3]),
+        lambda t: convolve(t, [1, Fraction(1, 2), 0, 3]),
+    ], ids=["wht_unnormalized", "wht", "adjacency_apply", "inner",
+            "convolve"])
+    def test_generator_reads_as_its_list(self, call):
+        table = [Fraction(1, 3), 2, np.int64(-1), Fraction(5, 4)]
+        assert call(v for v in table) == call(table)
 
     @pytest.mark.parametrize("table", [
         pytest.param([0.5, 2.0, 0.0, -1.0], id="float list"),
@@ -927,6 +942,46 @@ class TestOut:
             [Fraction(u, 8 * q) for u in _reference_wht(big)]
 
 
+class Third(Fraction):
+    pass
+
+
+SHARED, THIRD = Fraction(2, 3), Third(-1, 3)
+# tables for ``_split`` and the public primitives; ids are positional, so
+# new cases go at the end
+SPLIT_TABLES = [
+    [1, -2, 3, 0],
+    [Fraction(1, 2), Fraction(-3, 4), Fraction(5), Fraction(0)],
+    [1, Fraction(1, 6), -4, Fraction(2, 9)],
+    [],
+    [True, False, True, True],
+    [np.int64(3), np.int64(-7)],
+    [3, np.int64(-7)],
+    [Third(1, 3), Third(2)],
+    [Fraction(1, 2), np.int64(1)],
+    [0.5, 1],
+    [SHARED] * 4,                               # one object, read once
+    np.array([2 ** 62, 1, -3, 2 ** 62]),        # fresh scalar per entry
+    [2 ** 70, -1, Fraction(1, 3), 0],           # past 2^63: object route
+    [THIRD, Third(2), THIRD, THIRD],            # a Fraction subclass
+    [7, SHARED, 7, Fraction(-5, 6)],            # int and Fraction mixed
+    [Fraction(4, 2), 3, Fraction(-1), 0],       # q = 1, yet Fractions out
+]
+
+
+# sha256 of _random_functions(random.Random(seed), count, size)'s two arrays
+DRAW_DIGESTS = [
+    (5, 100, 1024,
+     "4877bc6e52e9ec44a91723298c2e1577eb62bc1adac5c86d1f7a8ec5ce2aa45f"),
+    (0, 1, 2,
+     "e1d9dfe857aee3c3ddcc834a64e601071d995474419dfe49562557ff4639dcbe"),
+    (7, 30, 64,
+     "2cb2127f75b777894f5ae63e4a011dbfc99f87f97f46c749cec870126f29379b"),
+    (11, 3, 4096,
+     "d81ef0d0592a25b8a21633bd9befb9f6a570558a1c9e2d5183be2dd57c5d26a1"),
+]
+
+
 class TestFastPaths:
     @pytest.mark.parametrize("n", [1, 3, 10, 15])
     @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
@@ -975,31 +1030,43 @@ class TestFastPaths:
         convolve(f, list(f))
         assert len(calls) == 5
 
-    class Third(Fraction):
-        pass
-
-    @pytest.mark.parametrize("values", [
-        [1, -2, 3, 0],
-        [Fraction(1, 2), Fraction(-3, 4), Fraction(5), Fraction(0)],
-        [1, Fraction(1, 6), -4, Fraction(2, 9)],
-        [],
-        [True, False, True, True],
-        [np.int64(3), np.int64(-7)],
-        [3, np.int64(-7)],
-        [Third(1, 3), Third(2)],
-        [Fraction(1, 2), np.int64(1)],
-        [0.5, 1],
-    ])
+    @pytest.mark.parametrize("values", SPLIT_TABLES)
     def test_split_clears_to_python_ints(self, values):
         if any(isinstance(v, float) for v in values):
             with pytest.raises(TypeError, match="float"):
                 fr._split(values)
             return
         entries, unit, mag = fr._split(values)
-        assert all(type(v) is int for v in entries)
-        assert [Fraction(v) * unit for v in entries] == \
+        # exact integers: int64 below 2^63, Python ints (object) past it
+        assert entries.dtype == (np.int64 if mag < 2 ** 63 else object)
+        nums = entries.tolist()
+        assert all(type(v) is int for v in nums)
+        assert (type(unit) is int) == all(isinstance(v, Integral)
+                                          for v in values)
+        assert [Fraction(v) * unit for v in nums] == \
             [Fraction(v) for v in values]
-        assert mag == max((abs(v) for v in entries), default=0)
+        assert mag == max(map(abs, nums), default=0)
+
+    @pytest.mark.parametrize("values", [
+        t for t in SPLIT_TABLES
+        if len(t) and not any(isinstance(v, float) for v in t)])
+    def test_public_values_and_types(self, values):
+        # each primitive against its definition in Fraction arithmetic: ints
+        # out for all-Integral tables, Fractions otherwise and after division
+        f = [Fraction(int(v.numerator), int(v.denominator)) for v in values]
+        size = len(f)
+        integral = all(isinstance(v, Integral) for v in values)
+        for got, want, ints in [
+            (wht_unnormalized(values), _reference_wht(f), integral),
+            (wht(values), [u / size for u in _reference_wht(f)], False),
+            (adjacency_apply(values), _reference_adjacency(f), integral),
+            (convolve(values, values),
+             [sum(f[y] * f[x ^ y] for y in range(size)) / size
+              for x in range(size)], False),
+            ([inner(values, values)], [sum(v * v for v in f) / size], False),
+        ]:
+            assert got == want
+            assert all(type(v) is (int if ints else Fraction) for v in got)
 
     def test_draws_deterministic_per_seed(self):
         a = fr._random_functions(random.Random(5), 30, 64)
@@ -1008,6 +1075,14 @@ class TestFastPaths:
         assert all((x == y).all() for x, y in zip(a, b))
         assert not (a[0] == c[0]).all()
         assert a[0].shape == (30, 64) and a[1].shape == (30,)
+        # the suite's functions, byte for byte: a change to the rejection
+        # filter or to the order the bytes are read moves these digests
+        for seed, count, size, digest in DRAW_DIGESTS:
+            values, q = fr._random_functions(random.Random(seed), count, size)
+            assert values.dtype == q.dtype == np.int64
+            assert values.shape == (count, size) and q.shape == (count,)
+            assert hashlib.sha256(values.tobytes() + q.tobytes()) \
+                .hexdigest() == digest
 
     def test_draws_exactly_uniform(self):
         count, size = 1000, 1024

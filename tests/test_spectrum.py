@@ -613,6 +613,13 @@ class TestRayleighOracle:
         assert got == q and type(got) is int
         assert all(type(v) is int for v in nums)
         assert [Fraction(v, q) for v in nums] == values
+        # a generator is read once and gives what its list gives
+        assert clear_denominators(v for v in values) == (nums, q)
+
+    def test_generator_reads_as_its_list(self):
+        f = [1, 2, 1]
+        assert rayleigh_quotient(15, (v for v in f)) == \
+            rayleigh_quotient(15, f) == Fraction(450, 83)
 
     @pytest.mark.parametrize("f, kinds", [
         ([1.0, 0.5], "float"),
