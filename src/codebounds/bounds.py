@@ -51,7 +51,10 @@ class BoundValue:
         The keys are n, d, j = n - 2d, bound (the label), kind, rigor,
         value_log2, value_exact and condition, in CSV column order: the one
         row schema of ``cli.bound_rows``, ``regime_table`` and the writers.
+        n and d are read through ``operator.index``, so numpy integers give
+        Python ints.
         """
+        n, d = operator.index(n), operator.index(d)
         return dict(zip(ROW_COLUMNS, (
             n, d, n - 2 * d, self.label, self.kind, self.rigor,
             self.value_log2, self.value_exact, self.condition)))
@@ -464,7 +467,8 @@ def regime_table(a: float, n_list: list[int]) -> list[dict]:
     Every row is flagged heuristic except the shortened-Plotkin row, which
     is evaluated at the integer d = ceil(n/2 - a*sqrt(n)) and is a theorem.
     Rows are ``BoundValue.row`` dicts, seven per n in a fixed label order;
-    display rows have value_exact None.
+    display rows have value_exact None.  Each n is read through
+    ``operator.index``.
     """
     if not 0 < a < math.inf:
         raise OutOfRange(f"a must be positive and finite, got {a}")
@@ -476,7 +480,7 @@ def regime_table(a: float, n_list: list[int]) -> list[dict]:
         return BoundValue(label, kind, HEURISTIC, log2, condition=cond)
 
     rows = []
-    for n in n_list:
+    for n in map(operator.index, n_list):
         _check_float_range(n)
         rn = math.sqrt(n)
         d = math.ceil(n / 2 - a * rn)

@@ -38,6 +38,7 @@ from .gf2 import (
     poly_mul,
     poly_square,
     row_basis,
+    systematic,
 )
 
 
@@ -267,31 +268,25 @@ class MinimalIdeal:
                      for part in (basis[:split], basis[split:]))
 
     def _basis(self) -> list[int]:
-        """The words of value alpha^j at beta, j = 0..dim-1: Gauss-Jordan
-        on the values beta^i generator(beta) of the rows x^i generator
+        """The words of value alpha^j at beta, j = 0..dim-1.  Each row
+        x^i generator is carried as the int value | row << dim, with value
+        beta^i generator(beta), and ``systematic`` on the dim value bits
         leaves the rows of values 1, ..., alpha^(dim-1).
         ``DecompositionFailure`` unless the values are independent, so that
         evaluation at beta is one-to-one on the ideal."""
-        ctx, e = self.field, self.exponent
-        offset = self._generator_log()
-        pivots: dict[int, tuple[int, int]] = {}
-        for i, row in enumerate(self.rows()):
-            value = ctx.alpha_pow(e * i + offset)
-            for bit, (v, w) in pivots.items():
-                if value >> bit & 1:
-                    value, row = value ^ v, row ^ w
-            if not value:
-                break
-            bit = value.bit_length() - 1
-            for other, (v, w) in pivots.items():
-                if v >> bit & 1:
-                    pivots[other] = v ^ value, w ^ row
-            pivots[bit] = value, row
-        if sorted(pivots) != list(range(self.dim)):
+        ctx, e, dim = self.field, self.exponent, self.dim
+        offset, values = self._generator_log(), (1 << dim) - 1
+        found = systematic([ctx.alpha_pow(e * i + offset)
+                            | self.generator << i + dim for i in range(dim)],
+                           values)
+        if found is None:
             raise DecompositionFailure(
                 f"evaluation at alpha^{e} is not one-to-one on the ideal of "
                 f"coset {e}")
-        return [pivots[j][1] for j in range(self.dim)]
+        basis = [0] * dim
+        for row in found[0]:
+            basis[(row & values).bit_length() - 1] = row >> dim
+        return basis
 
     def _generator_log(self) -> int:
         """The log of generator(beta).  As generator * M_e = x^n - 1, the

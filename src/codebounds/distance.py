@@ -16,11 +16,13 @@ orbit sizes in int64.  The last level has no later ideal: its words are
 weighed straight off the packed words, with no span table.
 ``min_distance_of_rows`` gets the least weight either from the full scan
 or from the Brouwer-Zimmermann information-set search: t disjoint
-information sets, each systematic generator enumerated by increasing
-message weight until the best weight found meets the lower bound on every
-word not yet seen.  Both routes are priced in one unit before the search
-starts; when the full scan wins from the rank alone, the span is never
-split into information sets.
+information sets, each found by ``gf2.systematic`` on the columns the
+earlier ones left (the same reduction gives ``cyclic``'s minimal ideals
+their value bases), and each systematic generator enumerated by
+increasing message weight until the best weight found meets the lower
+bound on every word not yet seen.  Both routes are priced in one unit
+before the search starts; when the full scan wins from the rank alone,
+the span is never split into information sets.
 A(n, d) for tiny n is a maximum-clique search over the graph of n-bit words
 with pairwise distance >= d, with the zero word and, up to a coordinate
 permutation, a least-weight nonzero word 1^w 0^(n-w) fixed into the code.
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .cyclic import ConstructionSpec, OrbitPlan, orbit_plan
-from .gf2 import row_basis
+from .gf2 import row_basis, systematic
 
 
 class BudgetExceeded(RuntimeError):
@@ -78,41 +80,17 @@ def _check_budget(k: int, max_k: int) -> None:
 
 def _check_rows(rows: list[int], n: int) -> tuple[list[int], int]:
     """Rows and n read through ``operator.index`` (numpy integers included;
-    a float or a str raises TypeError); a row that is negative or does not
-    fit in n bits raises ``ValueError``."""
+    a float or a str raises TypeError); a negative n, or a row that is
+    negative or does not fit in n bits, raises ``ValueError``."""
     n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     rows = [operator.index(row) for row in rows]
     for i, row in enumerate(rows):
         if row < 0 or row >> n:
             raise ValueError(
                 f"generator row {i} ({row:#x}) does not fit in n = {n} bits")
     return rows, n
-
-
-def _systematic(rows: list[int], cols: int) -> tuple[list[int], int] | None:
-    """Gauss-Jordan on the columns in the mask ``cols``.
-
-    Returns the reduced rows, systematic on an information set inside
-    ``cols`` (row i is the i-th unit vector there), and ``cols`` less that
-    set; ``None`` when the rows restricted to ``cols`` have rank below
-    ``len(rows)``.
-    """
-    if cols.bit_count() < len(rows):
-        return None
-    rows = list(rows)
-    for r in range(len(rows)):
-        for s in range(r, len(rows)):
-            if rows[s] & cols:
-                break
-        else:
-            return None
-        pivot = rows[s]
-        rows[s] = rows[r]
-        bit = pivot & cols & -(pivot & cols)
-        cols ^= bit
-        rows = [row ^ pivot if row & bit else row for row in rows]
-        rows[r] = pivot
-    return rows, cols
 
 
 def _last_weight(k: int, t: int, best: int) -> int:
@@ -147,10 +125,10 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
     so no later price can exceed it.
 
     Rows and n are read through ``operator.index``.  Raises ``ValueError``
-    for a row that is negative or does not fit in n bits, and for a span
-    with no nonzero word; ``BudgetExceeded`` when the rank, not the row
-    count, exceeds ``max_k``.  ``workers`` is ignored (one thread); the
-    benchmark's 1-vs-2-worker probe passes it.
+    for a negative n, for a row that is negative or does not fit in n
+    bits, and for a span with no nonzero word; ``BudgetExceeded`` when the
+    rank, not the row count, exceeds ``max_k``.  ``workers`` is ignored
+    (one thread); the benchmark's 1-vs-2-worker probe passes it.
     """
     rows, n = _check_rows(rows, n)
     basis = row_basis(rows)
@@ -165,14 +143,14 @@ def min_distance_of_rows(rows: list[int], n: int, max_k: int = 24,
     scan, gens = _kernels.scan_price(k, n), []
     # with best = 1 a price is a lower bound on every search on t sets
     if price(1, 1) < scan:
-        basis, cols = _systematic(basis, (1 << n) - 1)
+        basis, cols = systematic(basis, (1 << n) - 1)
         gens.append(basis)
         # the rows of the systematic generators are the weight-1 messages
         best = min(row.bit_count() for row in basis)
         counts = takewhile(lambda t: price(t, 1) < scan, range(1, n // k + 1))
         plan = min(counts, key=lambda t: price(t, best))
         while len(gens) < plan and price(plan, best) < scan and \
-                (found := _systematic(basis, cols)) is not None:
+                (found := systematic(basis, cols)) is not None:
             basis, cols = found
             gens.append(basis)
             best = min(best, *(row.bit_count() for row in basis))

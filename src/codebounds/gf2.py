@@ -154,6 +154,33 @@ def row_basis(rows: list[int]) -> list[int]:
     return list(lead.values())
 
 
+def systematic(rows: list[int], cols: int) -> tuple[list[int], int] | None:
+    """Gauss-Jordan on the columns in the mask ``cols``.
+
+    Returns the reduced rows, systematic on an information set inside
+    ``cols`` (row i is the i-th unit vector there), and ``cols`` less that
+    set; ``None`` when the rows restricted to ``cols`` have rank below
+    ``len(rows)``.  Each row, reduced by the earlier pivot rows, takes the
+    lowest column of ``cols`` it still holds as its pivot and clears that
+    column from the earlier pivot rows; the rows keep their order.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        for bit, pivot in pivots.items():
+            if row & bit:
+                row ^= pivot
+        free = row & cols
+        if not free:
+            return None
+        bit = free & -free
+        cols ^= bit
+        for other, pivot in pivots.items():
+            if pivot & bit:
+                pivots[other] = pivot ^ row
+        pivots[bit] = row
+    return list(pivots.values()), cols
+
+
 def cyclotomic_coset(e: int, m: int) -> list[int]:
     """Orbit of exponent e under doubling mod 2^m - 1, starting at e.
 

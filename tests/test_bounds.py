@@ -1,6 +1,7 @@
 """Bound evaluators: exact arithmetic, applicability, rigor labeling."""
 
 import functools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -285,6 +286,20 @@ class TestNumpyIntegers:
         assert type(vol(big_r, big_n)) is int
         assert ball_certificate(big_n, big_r) == ball_certificate(n, r)
         assert new_upper(big_n, big_d, big_r) == new_upper(n, d, r)
+
+    def test_table_rows(self):
+        # n, d and j = n - 2d come out as Python ints and value_log2 as a
+        # Python float, so rows serialize as from Python-int input
+        for want, got in [
+                (cli.bound_rows(15, 6), cli.bound_rows(np.int64(15),
+                                                       np.int64(6))),
+                (regime_table(1.0, [100]), regime_table(1.0,
+                                                        [np.int64(100)]))]:
+            assert got == want
+            assert all(type(row[key]) is int
+                       for row in got for key in ("n", "d", "j"))
+            assert all(type(row["value_log2"]) is float for row in got)
+            assert json.dumps(got) == json.dumps(want)
 
 
 class TestFloatArguments:

@@ -90,8 +90,10 @@ class TestDistance:
         assert obj["d_min"] == 96
         assert obj["words_scanned"] == 30 * 2**8 + 659 == 8_339
 
-    @pytest.mark.parametrize("m, c", [("8", "3"), ("10", "2")])
-    def test_report_pinned(self, capsys, m, c, budget="24"):
+    @pytest.mark.parametrize("m, c, budget", [
+        ("8", "3", "24"), ("10", "2", "24"), ("16", "2", "32"),
+    ], ids=["8-3", "10-2", "16-2"])
+    def test_report_pinned(self, capsys, m, c, budget):
         # the fixtures the CI step compares the installed script against,
         # written the way it writes them: the report less its timing
         code, out, err = run_cli(capsys, "distance", "--m", m, "--c", c,

@@ -226,7 +226,7 @@ class TestInformationSets:
         assert _kernels.scan_price(k, n) <= _kernels.search_price(k, n, 1, 0)
         assert _kernels.scan_price(k + 1, n) > \
             _kernels.search_price(k + 1, n, 1, 0)
-        monkeypatch.setattr(distance, "_systematic", _fail)
+        monkeypatch.setattr(distance, "systematic", _fail)
         monkeypatch.setattr(_kernels, "layer_minima", _fail)
         assert min_distance_of_rows(_rm_rows(1, 8), 256) == 128
         rng = random.Random(n)
@@ -240,8 +240,8 @@ class TestInformationSets:
     def test_dense_rank_16_spans_split_one_set(self, monkeypatch, n):
         # the first set prices the search above the scan; no second split
         split = []
-        real = distance._systematic
-        monkeypatch.setattr(distance, "_systematic", lambda rows, cols: (
+        real = distance.systematic
+        monkeypatch.setattr(distance, "systematic", lambda rows, cols: (
             split.append(cols) or real(rows, cols)))
         monkeypatch.setattr(_kernels, "layer_minima", _fail)
         rng = random.Random(n)
@@ -640,6 +640,16 @@ def test_deep_12_2_full_scan_distance():
 def test_rows_wider_than_n_rejected(entry, rows, bad):
     with pytest.raises(ValueError, match=f"row {bad} "):
         entry(rows, 3)
+
+
+def test_negative_length_rejected():
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        weight_distribution_of_rows([], -1)
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        min_distance_of_rows([], np.int64(-1))
+    # n = 0 is a length: the one word is the empty zero word
+    wd = weight_distribution_of_rows([0], 0)
+    assert wd.counts == (2,) and wd.n == 0
 
 
 def test_numpy_integers_read_as_ints():

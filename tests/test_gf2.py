@@ -26,6 +26,7 @@ from codebounds.gf2 import (
     poly_mul,
     poly_square,
     row_basis,
+    systematic,
 )
 
 polys = st.integers(min_value=0, max_value=(1 << 24) - 1)
@@ -126,6 +127,39 @@ class TestRowBasis:
         assert row_basis([]) == [] and row_basis([0, 0]) == []
         assert len(row_basis([0b011, 0b110, 0b101])) == 2
         assert len(row_basis([1] * 30)) == 1
+
+
+class TestSystematic:
+    @given(st.lists(st.integers(0, (1 << 10) - 1), max_size=8),
+           st.integers(0, (1 << 10) - 1))
+    def test_reduction_on_the_masked_columns(self, rows, cols):
+        found = systematic(rows, cols)
+        rank = len(row_basis([row & cols for row in rows]))
+        assert (found is None) == (rank < len(rows))
+        if found is None:
+            return
+        out, left = found
+        # row i's pivot is the lowest column of cols, not an earlier pivot,
+        # that keeps the first i + 1 input rows independent on the earlier
+        # pivots and itself
+        pivots = []
+        for i in range(len(rows)):
+            done, free = sum(pivots), cols & ~sum(pivots)
+            pivots.append(next(
+                1 << c for c in range(10) if free >> c & 1
+                and len(row_basis([row & (done | 1 << c)
+                                   for row in rows[:i + 1]])) == i + 1))
+        # each row holds its own pivot column and no other one
+        assert [row & sum(pivots) for row in out] == pivots
+        assert left == cols & ~sum(pivots)
+        # the same span
+        assert len(row_basis(rows + out)) == len(row_basis(out)) == len(rows)
+
+    def test_rank_deficient_and_empty(self):
+        assert systematic([], 0) == ([], 0)
+        assert systematic([0b011, 0b110, 0b101], 0b111) is None
+        assert systematic([0b100], 0b011) is None
+        assert systematic([0b110, 0b011], 0b111) == ([0b110, 0b101], 0b100)
 
 
 class TestFieldContext:
