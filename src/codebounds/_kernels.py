@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from itertools import accumulate
 
 import numpy as np
@@ -74,21 +73,14 @@ def _span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _packed_reps(reps: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
-    """``reps`` as a (len, ceil(n/64)) uint64 array: packed by
-    ``pack_rows`` from ints, or taken as it is when already packed."""
-    return reps if isinstance(reps, np.ndarray) else pack_rows(list(reps), n)
-
-
 def _weight_blocks(rows: list[int], n: int, start: int = 0,
-                   stop: int | None = None,
-                   reps: Sequence[int] | np.ndarray = (0,)):
+                   stop: int | None = None, reps: np.ndarray | None = None):
     """The weights of the words of messages [start, stop), by block.
 
     Message r * 2^k + m is reps[r] + (the word of m in span(rows)), each
-    rep XORed into the high table's columns only; the default ``reps``,
-    the zero word alone, makes the messages the span's 2^k codewords.
-    ``reps`` holds ints, or is already packed as ``pack_rows`` packs them.
+    rep XORed into the high table's columns only.  ``reps`` is packed as
+    ``pack_rows`` packs words; a missing one is the zero word alone, which
+    makes the messages the span's 2^k codewords.
     Yields (first message, weights) for each run of consecutive messages
     in one block; the weights are a view of a buffer that the next block
     overwrites.  A block holds 2^13 words: the low table XORed with as
@@ -103,6 +95,7 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
     0 <= start <= stop <= that count raises ``ValueError`` before any
     table is built.
     """
+    reps = np.zeros((1, _limbs(n)), np.uint64) if reps is None else reps
     total = len(reps) << len(rows)
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
@@ -111,7 +104,7 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
     dtype = np.min_scalar_type(n)
     if not rows:
         # message r is reps[r] itself: the reps' weights are the one block
-        words = _packed_reps(reps, n)[start:stop].T
+        words = reps[start:stop].T
         wts = np.empty(words.shape[1], dtype=dtype)
         _word_weights(words, np.empty(words.shape, dtype=np.uint8), wts)
         yield start, wts
@@ -121,7 +114,7 @@ def _weight_blocks(rows: list[int], n: int, start: int = 0,
     low = _span_table(packed[:k_lo])
     high = _span_table(packed[k_lo:])
     # column r * 2^(k - k_lo) + j is rep r XOR column j
-    high = np.bitwise_xor(high[:, None], _packed_reps(reps, n).T[:, :, None])
+    high = np.bitwise_xor(high[:, None], reps.T[:, :, None])
     high = high.reshape(len(high), -1)
     # high columns per block: as many as fit in 2^13 words, and no more
     # than the range holds
@@ -156,15 +149,14 @@ def reps_per_call(n: int, k: int) -> int:
 
 
 def weight_scan(rows: list[int], n: int, start: int = 0,
-                stop: int | None = None,
-                reps: Sequence[int] | np.ndarray = (0,),
+                stop: int | None = None, reps: np.ndarray | None = None,
                 multiplicity: np.ndarray | None = None) -> np.ndarray:
     """Weight histogram over a message range.
 
     The int64 weight histogram, of length n+1, of the words of messages
     [start, stop) as ``_weight_blocks`` numbers them: the span's codewords,
-    or with the prefix words of an orbit plan as ``reps`` (ints, or packed)
-    the cosets rep + span(rows).  With ``multiplicity``, ints aligned
+    or with the prefix words of an orbit plan as ``reps`` (packed) the
+    cosets rep + span(rows).  With ``multiplicity``, ints aligned
     with ``reps``, each word of rep r's coset counts multiplicity[r]
     times: a block of one rep adds multiplicity[r] times its plain
     histogram, a block of several adds each word's multiplicity at its
@@ -191,17 +183,19 @@ def weight_scan(rows: list[int], n: int, start: int = 0,
 
 
 def least_weight(rows: list[int], n: int,
-                 reps: Sequence[int] | np.ndarray = (0,)) -> int:
+                 reps: np.ndarray | None = None) -> int:
     """Least word weight over all the cosets rep + span(rows).
 
     The same blocks as ``weight_scan`` over all its messages, each reduced
     by its minimum instead of a histogram; message 0 is left out when it
-    is the zero word (when reps[0] is 0).  Returns n + 1 when no other
-    message is left, so the least weights of calls combine by ``min``.
+    is the zero word (when reps is missing or reps[0] is 0).  Returns
+    n + 1 when no other message is left, so the least weights of calls
+    combine by ``min``.
     """
     least = n + 1
+    zero_first = reps is None or not reps[:1].any()
     for first, wts in _weight_blocks(rows, n, reps=reps):
-        if first == 0 and not _packed_reps(reps[:1], n).any():
+        if first == 0 and zero_first:
             wts = wts[1:]
         if wts.size:
             least = min(least, int(wts.min()))
@@ -308,10 +302,10 @@ def search_price(k: int, n: int, t: int, last: int) -> int:
             + _SEARCH_BLOCK * layer_blocks(k, t, last) + _SET * t)
 
 
-def layer_minima(gens: list[list[int]], n: int, last: int | None = None):
+def layer_minima(gens: list[list[int]], n: int, last: int):
     """Least weights of the spans of t generators by message weight.
 
-    Yields, for w = 1, 2, ..., last (k when None) and within each w for
+    Yields, for w = 1, 2, ..., last and within each w for
     every generator in turn, the least weight among that generator's
     codewords whose message has exactly w ones.  All generators have k
     rows.  Nothing is computed before the first ``next``.  The messages
@@ -326,7 +320,6 @@ def layer_minima(gens: list[list[int]], n: int, last: int | None = None):
     is computed only when its first value is asked for.
     """
     t, k = len(gens), len(gens[0])
-    last = k if last is None else last
     k_lo = _layer_split(k)
     low_order, low_at = _popcount_order(k_lo, last)
     high_order, high_at = _popcount_order(k - k_lo, last)

@@ -29,10 +29,12 @@ array's rows.  The covering replay is numeric by nature (a square root and
 a Perron vector enter) but holds no float table of the cube: it works on
 the n + 1 weight shells, through the exact Krawtchouk values of
 ``krawtchouk.values`` and Parseval (see ``covering_replay``), reduces every
-sum with ``math.fsum`` and checks each step with a relative tolerance.  The
-code enters only through its distance distribution B on the shells, counted
-afresh by each call from blocks of pairwise XORs binned by weight; no table
-of the cube and no cache is kept.
+sum with ``math.fsum`` and checks each step with a relative tolerance.  Its
+ball side comes from the layers that own it: lambda from
+``spectrum.top_eigenvalue``, |B_r| from the Krawtchouk column t = 0; no
+certificate is made.  The code enters only through its distance
+distribution B on the shells, counted afresh by each call from blocks of
+pairwise XORs binned by weight; no table of the cube and no cache is kept.
 
 Two transform normalizations appear, and both are real:
 ``wht_unnormalized`` is the butterfly u(f)(z) = sum_x f(x) (-1)^<x,z>, which
@@ -52,8 +54,9 @@ from numbers import Integral
 import numpy as np
 
 from . import krawtchouk
-from .bounds import OutOfRange, ball_certificate, vol
-from .spectrum import clear_denominators, radial_vector
+from .bounds import NotApplicable, OutOfRange
+from .spectrum import (ball_operator, clear_denominators, radial_vector,
+                       top_eigenvalue)
 
 DENSE_MAX_N = 16  # largest cube ``identity_suite`` holds densely
 REPLAY_MAX_N = 15  # largest cube ``covering_replay`` replays on
@@ -411,19 +414,20 @@ def _code_side(code: list[int], n: int) -> tuple[list[int], int]:
 def covering_replay(code, r: int, n: int | None = None) -> dict:
     """Numerically replay the eigenvalue covering bound on a concrete code.
 
-    Builds the radial Perron vector of B_r(0, n) for the certificate's
-    float lambda (``ball_certificate(n, r).lambda_float``), extended by zero
-    off the ball (checking Af >= lambda f pointwise), the function phi with
-    phi_hat = sqrt(1_C * 1_C) >= 0, and F = phi * f, then verifies every
-    inequality of the bound's derivation and the final size bound
-    |C| <= n/(lambda - (n - 2d)) * |B| with d the measured minimum distance.
-    1_C * 1_C is N/2^n for the histogram N of the XORs a ^ b over ordered
-    pairs of codewords.
+    Builds the radial Perron vector of B_r(0, n) for its float lambda,
+    ``spectrum.top_eigenvalue`` of ``ball_operator(n, r)`` (the float a
+    certificate of the ball carries, though none is made), extended by
+    zero off the ball (checking Af >= lambda f pointwise), the function
+    phi with phi_hat = sqrt(1_C * 1_C) >= 0, and F = phi * f, then verifies
+    every inequality of the bound's derivation and the final size bound
+    |C| <= n/(lambda - (n - 2d)) * |B| with d the measured minimum distance
+    and |B| = sum_{w <= r} C(n, w).  1_C * 1_C is N/2^n for the histogram
+    N of the XORs a ^ b over ordered pairs of codewords.
 
     Every quantity lives on the n + 1 weight shells.  f is radial, so
     (Af)_w = w f_{w-1} + (n - w) f_{w+1}, u(f)(z) = sum_{w <= r} f_w K_w(|z|)
     with the Krawtchouk values K_w(t) of ``krawtchouk.values``, exact in
-    ints, E f = u(f)(0)/2^n, and E f^2 is a sum weighted by
+    ints, E f = u(f)(0)/2^n, and E f^2 and |B| are sums weighted by
     C(n, w) = K_w(0).  The rest follows by Parseval
     from the distance distribution B_t = sum_{|x| = t} N(x):
     E phi = sqrt(m/2^n), E phi^2 = sum_t B_t/2^n, E F = E phi u(f)(0)/2^n,
@@ -439,13 +443,18 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     Words, r and n are read through ``operator.index`` (numpy integers
     included; a float or a str raises TypeError), so the report holds
     Python ints.
-    Raises ChainViolation if any step fails beyond tolerance; OutOfRange for
-    a code without the zero word, InvalidRadius unless 1 <= r <= n/2, and
-    DimensionMismatch for n > ``REPLAY_MAX_N`` or a word outside the cube,
-    a negative one before the radius.  A given n meets the cap before
-    ``code`` is read, so a lazy ``code`` is never consumed above it; a
-    missing n is the largest word's bit length (>= 1).  Every check runs
-    before the code side is computed.
+    The derivation widens 2d to n in ``two_estimates`` and
+    ``final_bound``, which holds only when 2d <= n.  Past half distance
+    the chain may still pass (one-word codes, {0, 7}), and its report
+    stands; when 2d > n and those two are the only failed steps, the code
+    lies outside the bound's hypothesis and NotApplicable is raised,
+    naming it.  Any other failure beyond tolerance raises ChainViolation.
+    Raises OutOfRange for a code without the zero word, InvalidRadius
+    unless 1 <= r <= n/2, and DimensionMismatch for n > ``REPLAY_MAX_N``
+    or a word outside the cube, a negative one before the radius.  A given
+    n meets the cap before ``code`` is read, so a lazy ``code`` is never
+    consumed above it; a missing n is the largest word's bit length
+    (>= 1).  Every input check runs before the code side is computed.
     """
     if n is not None:
         n = operator.index(n)
@@ -460,7 +469,7 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     if n > REPLAY_MAX_N:
         raise DimensionMismatch(f"n = {n} exceeds replay cap {REPLAY_MAX_N}")
     r = operator.index(r)
-    lam = ball_certificate(n, r).lambda_float
+    lam = top_eigenvalue(ball_operator(n, r))
     size = 1 << n
     for c in code:
         if c >= size:
@@ -486,7 +495,7 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     energy = [b / size * (u / size) ** 2 for b, u in zip(counts, u_f)]
     eF2 = math.fsum(energy)
     afF = math.fsum((n - 2 * t) * e for t, e in enumerate(energy))
-    ball = vol(r, n)
+    ball = sum(shells)
 
     def step(name, lhs, rhs, kind):
         if kind == "le":
@@ -525,5 +534,9 @@ def covering_replay(code, r: int, n: int | None = None) -> dict:
     }
     if not report["pass"]:
         failed = [s["name"] for s in steps if not s["pass"]]
+        if 2 * d > n and set(failed) <= {"two_estimates", "final_bound"}:
+            raise NotApplicable(
+                f"the covering bound needs 2d <= n, got (n, d) = ({n}, {d});"
+                f" the steps that widen 2d to n failed: {failed}")
         raise ChainViolation(f"replay steps failed: {failed}; report={report}")
     return report

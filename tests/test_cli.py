@@ -439,6 +439,17 @@ class TestReplay:
         assert obj["bound"] is None and obj["pass"] is True
         assert obj["steps"][-1]["rhs"] is None
 
+    def test_past_half_distance_exit_3(self, capsys):
+        # {00, 11}: d = 2 > n/2, and the two steps that widen 2d to n fail;
+        # the input is outside the bound's hypothesis, not a fault
+        code, out, err = run_cli(capsys, "replay", "--words", "0,3",
+                                 "--r", "1")
+        assert (code, out) == (3, "")
+        assert err == ("codebounds-error: NotApplicable: the covering bound "
+                       "needs 2d <= n, got (n, d) = (2, 2); the steps that "
+                       "widen 2d to n failed: ['two_estimates', "
+                       "'final_bound']\n")
+
     def test_needs_input(self, capsys):
         code, _, err = run_cli(capsys, "replay", "--r", "1")
         assert code == 2

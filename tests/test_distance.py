@@ -471,9 +471,10 @@ class TestOneTablePerIdeal:
             hist = sum(hists)
             least = min(next((w for w, c in enumerate(h) if c), n + 1)
                         for h in hists)
-            assert list(_kernels.weight_scan(rest, n, reps=reps)) == \
+            packed = _kernels.pack_rows(reps, n)
+            assert list(_kernels.weight_scan(rest, n, reps=packed)) == \
                 list(hist)
-            assert _kernels.least_weight(rest, n, reps=reps) == least
+            assert _kernels.least_weight(rest, n, reps=packed) == least
 
     @pytest.mark.parametrize("m,c", [(6, 2), (8, 2), (8, 3)])
     def test_span_tables_built_once_per_ideal(self, monkeypatch, m, c):
@@ -502,17 +503,19 @@ class TestOneTablePerIdeal:
     @pytest.mark.parametrize("k", [0, 3, 12, 13, 14])
     def test_packed_reps_and_multiplicities(self, n, k):
         # many reps over few rows share blocks of 2^13 words; each word
-        # counts its rep's multiplicity, and packed reps read as ints
+        # counts its rep's multiplicity, and all reps at once read as each
+        # rep alone
         rng = random.Random(n * 31 + k)
         rows = [rng.getrandbits(n) for _ in range(k)]
         reps = [rng.getrandbits(n) for _ in range(300 if k < 13 else 3)]
         mult = np.array([rng.randrange(1, 50) for _ in reps])
         packed = _kernels.pack_rows(reps, n)
-        want = sum(int(m) * _kernels.weight_scan(rows, n, reps=[r])
-                   for m, r in zip(mult, reps))
+        want = sum(int(m) * _kernels.weight_scan(rows, n, reps=packed[i:i + 1])
+                   for i, m in enumerate(mult))
         assert list(_kernels.weight_scan(rows, n, reps=packed,
                                          multiplicity=mult)) == list(want)
-        least = min(_kernels.least_weight(rows, n, reps=[r]) for r in reps)
+        least = min(_kernels.least_weight(rows, n, reps=packed[i:i + 1])
+                    for i in range(len(reps)))
         assert _kernels.least_weight(rows, n, reps=packed) == least
         total = len(reps) << k
         blocks = list(_kernels._weight_blocks(rows, n, reps=packed))
@@ -531,22 +534,26 @@ class TestOneTablePerIdeal:
         # message 0 is the zero word only when reps[0] is; a coset of the
         # empty span is its rep alone, so skipping message 0 there would
         # read the coset as empty (n + 1) or count no word
+        def packed(*reps):
+            return _kernels.pack_rows(list(reps), n)
         w = (1 << n) - 1 ^ 0b10110
-        assert _kernels.least_weight([], n, reps=[w]) == w.bit_count()
-        counts = _kernels.weight_scan([], n, reps=[w])
+        assert _kernels.least_weight([], n, reps=packed(w)) == w.bit_count()
+        counts = _kernels.weight_scan([], n, reps=packed(w))
         assert counts[w.bit_count()] == 1 and counts.sum() == 1
         rows = [0b11 << 2]
-        assert _kernels.least_weight(rows, n, reps=[0b1]) == 1
-        assert _kernels.least_weight(rows, n, reps=[0, 0b1]) == 1
-        assert _kernels.least_weight(rows, n, reps=[0]) == 2
+        assert _kernels.least_weight(rows, n, reps=packed(0b1)) == 1
+        assert _kernels.least_weight(rows, n, reps=packed(0, 0b1)) == 1
+        assert _kernels.least_weight(rows, n, reps=packed(0)) == 2
+        assert _kernels.least_weight(rows, n) == 2
 
     @pytest.mark.parametrize("rows", [[], [0b100]])
     def test_multiplicities_past_2_to_the_53_are_exact(self, rows):
         # a float64 sum would read 2^53 + 1 as 2^53; one rep makes a block
         # of its own, two share one
         big = 2**53 + 1
-        one = _kernels.weight_scan(rows, 3, reps=[1], multiplicity=[big])
-        two = _kernels.weight_scan(rows, 3, reps=[1, 3],
+        one = _kernels.weight_scan(rows, 3, reps=_kernels.pack_rows([1], 3),
+                                   multiplicity=[big])
+        two = _kernels.weight_scan(rows, 3, reps=_kernels.pack_rows([1, 3], 3),
                                    multiplicity=np.array([big, 5]))
         if rows:
             # the cosets {1, 5} and {3, 7}
@@ -557,12 +564,14 @@ class TestOneTablePerIdeal:
             assert two.tolist() == [0, big, 5, 0]
         assert two.dtype == np.int64
 
-    @pytest.mark.parametrize("packed", [False, True])
-    def test_rowless_least_weight(self, packed):
+    @pytest.mark.parametrize("readonly", [False, True])
+    def test_rowless_least_weight(self, readonly):
         # with no rows the messages are the reps: a zero rep is left out
-        # only as message 0
+        # only as message 0; reps come read-only from ``pack_rows`` and
+        # from an orbit plan's kept table, writable from its slices
         def least(reps):
-            reps = _kernels.pack_rows(reps, 70) if packed else reps
+            reps = _kernels.pack_rows(reps, 70)
+            reps = reps if readonly else reps.copy()
             return _kernels.least_weight([], 70, reps=reps)
         wide = (1 << 69) | 0b111
         assert least([0, wide, 0b11 << 64]) == 2
@@ -865,7 +874,7 @@ class TestLayerMinima:
     def test_matches_python_oracle(self, n, k, depth):
         rng = random.Random(n * 100 + k)
         rows = [rng.getrandbits(n) for _ in range(k)]
-        layers = _kernels.layer_minima([rows, rows[::-1]], n)
+        layers = _kernels.layer_minima([rows, rows[::-1]], n, k)
         for w in range(1, depth + 1):
             words = [functools.reduce(operator.xor, pick)
                      for pick in itertools.combinations(rows, w)]

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codebounds.bounds import OutOfRange, ball_certificate, new_upper, vol
+from codebounds.bounds import (
+    NotApplicable,
+    OutOfRange,
+    ball_certificate,
+    new_upper,
+    vol,
+)
 from codebounds.cyclic import encode
 from codebounds.fourier import (
     ChainViolation,
@@ -35,6 +41,7 @@ from codebounds.spectrum import (
     top_eigenvalue,
 )
 
+import codebounds.bounds as bd
 import codebounds.fourier as fr
 
 int_funcs = st.integers(1, 6).flatmap(
@@ -262,6 +269,51 @@ class TestCoveringReplay:
         assert rep["lambda"] == pytest.approx(
             top_eigenvalue(ball_operator(6, 2)), abs=1e-11)
         assert rep["ball_size"] == vol(2, 6)
+
+    def test_past_half_distance_refused(self):
+        # {00, 11} at r = 1: 2d = 4 > n = 2 fails only the steps that widen
+        # 2d to n; {0, 7} and one-word codes pass past half distance and
+        # keep their reports
+        with pytest.raises(NotApplicable,
+                           match=r"^the covering bound needs 2d <= n, got "
+                                 r"\(n, d\) = \(2, 2\); the steps that "
+                                 r"widen 2d to n failed: \['two_estimates', "
+                                 r"'final_bound'\]$"):
+            covering_replay([0, 3], r=1)
+        assert covering_replay([0, 7], r=1)["pass"] is True
+        assert covering_replay([0], r=1, n=3)["pass"] is True
+
+    def test_other_step_past_half_distance_is_a_fault(self, monkeypatch):
+        # twice the true pair counts break phi_moment_ratio too: a failure
+        # the hypothesis does not explain stays a ChainViolation
+        code_side = fr._code_side
+
+        def doubled(code, n):
+            counts, d = code_side(code, n)
+            return [2 * b for b in counts], d
+
+        monkeypatch.setattr(fr, "_code_side", doubled)
+        with pytest.raises(ChainViolation, match="'phi_moment_ratio'"):
+            covering_replay([0, 3], r=1)
+        with pytest.raises(ChainViolation, match="'phi_moment_ratio'"):
+            covering_replay([0, 7], r=1)
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_ball_side_matches_certificate_route(self, monkeypatch, n):
+        # oracle: the certificate's float and the summed ball volume, the
+        # route the replay took before; the replay itself certifies nothing
+        # and leaves the bounds' ball cache, emptied first, as it was.  The
+        # word 1 makes d = 1, so every replay applies
+        monkeypatch.setattr(bd, "_balls", {})
+        rng = random.Random(n)
+        for r in range(1, n // 2 + 1):
+            code = _random_code(rng, n, rng.randint(2, 12)) + [1]
+            before = dict(bd._balls)
+            rep = covering_replay(code, r, n)
+            assert bd._balls == before
+            assert rep["lambda"] == ball_certificate(n, r).lambda_float
+            assert rep["ball_size"] == vol(r, n)
+            assert type(rep["ball_size"]) is int
 
     def test_requires_zero_word(self):
         with pytest.raises(OutOfRange):
